@@ -74,18 +74,18 @@ def cmd_rules_scan(args, out, err) -> int:
 
 # --- opcode -----------------------------------------------------------
 
-def _load_vocab(args):
+def _load_vocab(language: str, vocab_path: str | None):
     from wsdetect.opcode import builtin_vocabulary, load_vocabulary
 
-    if args.vocab:
-        return load_vocabulary(args.vocab, language=args.language)
-    return builtin_vocabulary(args.language)
+    if vocab_path:
+        return load_vocabulary(vocab_path, language=language)
+    return builtin_vocabulary(language)
 
 
 def cmd_oci_extract(args, out, err) -> int:
     from wsdetect.opcode import vectorize_corpus, write_corpus_csv
 
-    vocab = _load_vocab(args)
+    vocab = _load_vocab(args.language, args.vocab)
     items = [(path, args.label) for path in args.files]
     corpus = vectorize_corpus(items, args.language, vocab, args.max_length)
     for failure in corpus.failures:
@@ -107,7 +107,7 @@ def cmd_train_src(args, out, err) -> int:
     if not corpus.vectors:
         print("error: empty corpus", file=err)
         return EXIT_ERROR
-    vocab = _load_vocab(args)
+    vocab = _load_vocab(args.language, args.vocab)
     max_length = len(corpus.vectors[0])
     preset = CnnConfig.aspnet if args.language == "cil" else CnnConfig.php
     overrides = {}
@@ -153,13 +153,15 @@ def cmd_train_flow(args, out, err) -> int:
 # --- prediction ---------------------------------------------------------
 
 def cmd_predict_src(args, out, err) -> int:
+    from wsdetect.rulelang import CompiledRuleSet
     from wsdetect.srcmodel import OpcodeParseError, cnn_verdict, hybrid_detect
     from wsdetect.tensornet import load_model
 
     model = load_model(args.model)
     language = args.language or model.language
-    vocab = _load_vocab_for(language, args.vocab)
-    rules = _load_ruleset(args.rules) if args.rules else None
+    vocab = _load_vocab(language, args.vocab)
+    # built once: the matcher would rebuild its automata for every file
+    rules = CompiledRuleSet(_load_ruleset(args.rules)) if args.rules else None
     detections = 0
     had_error = False
     for path in args.files:
@@ -183,14 +185,6 @@ def cmd_predict_src(args, out, err) -> int:
     if detections:
         return EXIT_DETECTED
     return EXIT_ERROR if had_error else EXIT_OK
-
-
-def _load_vocab_for(language: str, vocab_path: str | None):
-    from wsdetect.opcode import builtin_vocabulary, load_vocabulary
-
-    if vocab_path:
-        return load_vocabulary(vocab_path, language=language)
-    return builtin_vocabulary(language)
 
 
 def cmd_predict_flow(args, out, err) -> int:

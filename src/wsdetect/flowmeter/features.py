@@ -22,8 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from wsdetect.flowmeter.flows import DEFAULT_ACTIVITY_TIMEOUT_US, Flow
+from wsdetect.flowmeter.flows import Flow
 from wsdetect.flowmeter.pcapfile import PacketMeta
+
+DEFAULT_ACTIVITY_TIMEOUT_US = 5_000_000
 
 CONTINUOUS_NAMES: tuple[str, ...] = (
     "Timestamp", "Flow Duration", "Tot Fwd Pkts", "Tot Bwd Pkts",

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from wsdetect.flowmeter.pcapfile import PacketMeta
 
 DEFAULT_FLOW_TIMEOUT_US = 120_000_000
-DEFAULT_ACTIVITY_TIMEOUT_US = 5_000_000
 
 
 def canonical_key(pkt: PacketMeta) -> tuple:
@@ -69,15 +68,8 @@ class Flow:
 
 def assemble_flows(packets: list[PacketMeta],
                    flow_timeout_us: int = DEFAULT_FLOW_TIMEOUT_US,
-                   activity_timeout_us: int = DEFAULT_ACTIVITY_TIMEOUT_US,
                    ) -> list[Flow]:
-    """Assemble flows; output ordered by (first packet time, key).
-
-    `activity_timeout_us` does not affect flow boundaries, only the
-    active/idle statistics computed later; it is threaded through so a
-    single configuration object can carry both knobs.
-    """
-    del activity_timeout_us  # boundary logic only needs the flow timeout
+    """Assemble flows; output ordered by (first packet time, key)."""
     ordered = sorted(packets, key=lambda p: p.timestamp_us)
     live: dict[tuple, Flow] = {}
     done: list[Flow] = []

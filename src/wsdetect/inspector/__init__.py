@@ -1,4 +1,4 @@
-"""DeepInspector: sampled pcap inspection, alerting and rule generation.
+"""DeepInspector: pcap inspection, alerting and rule generation.
 
 The daemon receives pcap paths over a local stream socket, classifies
 every flow with the traffic model, and for each webshell-classified
@@ -17,7 +17,6 @@ from wsdetect.inspector.pipeline import (
     parse_rule_line,
     write_rules,
 )
-from wsdetect.inspector.sampling import SamplingWindow, schedule
 from wsdetect.inspector.daemon import InspectorDaemon, serve
 
 __all__ = [
@@ -27,13 +26,11 @@ __all__ = [
     "InspectionResult",
     "InspectorConfig",
     "InspectorDaemon",
-    "SamplingWindow",
     "StubPredictor",
     "emit_eve",
     "inspect_pcap",
     "load_config",
     "parse_rule_line",
-    "schedule",
     "serve",
     "write_rules",
 ]

@@ -1,4 +1,4 @@
-"""Inspector configuration: sampling knobs, paths, mode."""
+"""Inspector configuration: paths, mode, rule and blacklist settings."""
 
 from __future__ import annotations
 
@@ -17,13 +17,6 @@ class ConfigError(Exception):
 @dataclass
 class InspectorConfig:
     deep_inspecting: bool = True
-    # all durations in milliseconds; 0 means "randomize within range"
-    inspection_frequency: int = 120_000
-    frequency_min: int = 60_000
-    frequency_max: int = 300_000
-    inspection_interval: int = 20_000
-    interval_min: int = 10_000
-    interval_max: int = 30_000
     rules_dir: str = "/etc/NetIDPS/rules"
     socket_path: str = "/run/wsdetect/inspector.sock"
     home_net: list[str] = field(default_factory=lambda: ["$HOME_NET"])
@@ -34,16 +27,6 @@ class InspectorConfig:
     eve_path: str = ""
 
     def __post_init__(self):
-        if self.frequency_min > self.frequency_max:
-            raise ConfigError("frequency_min must be <= frequency_max")
-        if self.interval_min > self.interval_max:
-            raise ConfigError("interval_min must be <= interval_max")
-        for name in ("frequency_min", "frequency_max", "interval_min",
-                     "interval_max"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        if self.inspection_frequency < 0 or self.inspection_interval < 0:
-            raise ConfigError("durations cannot be negative")
         if self.mode not in ("ips", "ids"):
             raise ConfigError("mode must be 'ips' or 'ids'")
 

@@ -21,9 +21,10 @@ from wsdetect.rulelang.model import (
 )
 from wsdetect.rulelang.parser import parse_rules
 from wsdetect.rulelang.scan import load_rules_dir, load_rules_file, scan_tree
-from wsdetect.rulelang.matcher import match_buffer
+from wsdetect.rulelang.matcher import CompiledRuleSet, match_buffer
 
 __all__ = [
+    "CompiledRuleSet",
     "Condition",
     "HexBody",
     "MatchReport",

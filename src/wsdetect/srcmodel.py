@@ -14,7 +14,7 @@ import numpy as np
 
 from wsdetect import tensornet as tn
 from wsdetect.opcode import OciVector, OpcodeVocabulary, oiva, parse_listing
-from wsdetect.rulelang import MatchReport, RuleSet, match_buffer
+from wsdetect.rulelang import CompiledRuleSet, MatchReport, RuleSet, match_buffer
 from wsdetect.tensornet.graph import register_model_kind
 
 
@@ -71,8 +71,9 @@ class CnnConfig:
 
 
 class OpcodeCnn(tn.ModelGraph):
-    """Embedding -> three parallel Conv1d+ReLU+GlobalMaxPool branches
-    -> concat -> dropout -> dense -> 2 logits."""
+    """Embedding -> three ConvMaxPool layers (conv -> max over time ->
+    ReLU), one per kernel width, concatenated -> dropout -> dense ->
+    2 logits."""
 
     kind = "opcode_cnn"
 
@@ -87,13 +88,10 @@ class OpcodeCnn(tn.ModelGraph):
         self.embedding = self.add_layer("embedding", tn.Embedding(
             config.vocab_size + 1, config.embedding_dim, rng,
             frozen_padding=True))
-        self.branches = []
-        for i, k in enumerate(config.kernel_sizes):
-            conv = self.add_layer(f"conv{i}", tn.Conv1d(
+        self.convs = [
+            self.add_layer(f"conv{i}", tn.ConvMaxPool(
                 config.embedding_dim, config.num_filters, k, rng))
-            relu = self.add_layer(f"relu{i}", tn.ReLU())
-            pool = self.add_layer(f"pool{i}", tn.GlobalMaxPool())
-            self.branches.append((conv, relu, pool))
+            for i, k in enumerate(config.kernel_sizes)]
         self.dropout = self.add_layer("dropout", tn.Dropout(config.dropout_rate))
         concat_width = 3 * config.num_filters
         self.dense = self.add_layer("dense", tn.Dense(concat_width, 2, rng))
@@ -108,26 +106,16 @@ class OpcodeCnn(tn.ModelGraph):
                 f"expected vectors of length {self.config.max_length}, "
                 f"got {x.shape[1]}")
         embedded = self.embedding.forward(x, mode, rng)
-        pooled = []
-        for conv, relu, pool in self.branches:
-            h = conv.forward(embedded, mode, rng)
-            h = relu.forward(h, mode, rng)
-            pooled.append(pool.forward(h, mode, rng))
-        self._branch_widths = [p.shape[1] for p in pooled]
-        merged = np.concatenate(pooled, axis=1)
+        merged = np.concatenate(
+            [conv.forward(embedded, mode, rng) for conv in self.convs], axis=1)
         dropped = self.dropout.forward(merged, mode, rng)
         return self.dense.forward(dropped, mode, rng)
 
     def backward(self, dlogits):
         d_merged = self.dropout.backward(self.dense.backward(dlogits))
-        d_embedded = None
-        offset = 0
-        for (conv, relu, pool), width in zip(self.branches, self._branch_widths):
-            d_pool = d_merged[:, offset:offset + width]
-            offset += width
-            dx = conv.backward(relu.backward(pool.backward(d_pool)))
-            d_embedded = dx if d_embedded is None else d_embedded + dx
-        self.embedding.backward(d_embedded)
+        d_parts = np.split(d_merged, len(self.convs), axis=1)
+        self.embedding.backward(
+            sum(conv.backward(d) for conv, d in zip(self.convs, d_parts)))
 
     def config_header(self) -> dict:
         cfg = self.config
@@ -251,8 +239,8 @@ def cnn_verdict(model: OpcodeCnn, data: bytes, language: str,
     return Verdict(label=label, source="cnn", p_webshell=p_webshell)
 
 
-def hybrid_detect(rules: RuleSet, model: OpcodeCnn, data: bytes,
-                  language: str, vocab: OpcodeVocabulary,
+def hybrid_detect(rules: RuleSet | CompiledRuleSet, model: OpcodeCnn,
+                  data: bytes, language: str, vocab: OpcodeVocabulary,
                   subject_id: str = "<buffer>") -> Verdict:
     """Run rules first; only rule-clean files reach the CNN.
 

@@ -1,22 +1,19 @@
 """Minimal dense neural-network core (float64, CPU) for the two detectors.
 
 Implements exactly the layer set the detection models need: embeddings,
-1-D convolutions, ReLU, global max pooling, dense layers, batch norm,
-dropout. Backward passes are written out by hand and validated against
-central finite differences (see `grad_check`).
+one fused 1-D convolution -> global max pooling -> ReLU layer, ReLU,
+dense layers, batch norm, dropout. Backward passes are written out by
+hand and validated against central finite differences (see
+`grad_check`).
 """
 
 from wsdetect.tensornet.layers import (
     BatchNorm1d,
-    Conv1d,
+    ConvMaxPool,
     Dense,
     Dropout,
     Embedding,
-    GlobalMaxPool,
     ReLU,
-    batchnorm1d_forward,
-    conv1d_forward,
-    global_max_pool,
 )
 from wsdetect.tensornet.losses import (
     ClassWeights,
@@ -33,22 +30,18 @@ __all__ = [
     "AdamState",
     "BatchNorm1d",
     "ClassWeights",
-    "Conv1d",
+    "ConvMaxPool",
     "Dense",
     "Dropout",
     "Embedding",
     "FitHistory",
-    "GlobalMaxPool",
     "ModelGraph",
     "ReLU",
     "SoftmaxCrossEntropy",
     "adam_step",
-    "batchnorm1d_forward",
     "class_weights",
-    "conv1d_forward",
     "cross_entropy",
     "fit",
-    "global_max_pool",
     "grad_check",
     "load_model",
     "register_model_kind",

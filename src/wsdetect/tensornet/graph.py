@@ -3,7 +3,8 @@
 A checkpoint is: the magic bytes ``WSNET1\\n``, an 8-byte little-endian
 header length, a JSON header (model kind, config, array manifest,
 model-specific extras), then every array as raw little-endian float64
-in manifest order.
+in manifest order. Loading requires each of the model's arrays exactly
+once, in its model shape, and nothing after the last one.
 """
 
 from __future__ import annotations
@@ -141,16 +142,30 @@ def load_model(path: str | Path) -> ModelGraph:
         model = _MODEL_KINDS[kind].from_config(header["config"])
         params = model.parameters()
         buffers = model.named_buffers()
+        loaded: set[str] = set()
         for entry in header["arrays"]:
+            name = entry["name"]
+            target = params if entry["role"] == "param" else buffers
+            if name not in target:
+                raise CheckpointError(
+                    f"{path}: checkpoint array {name} has no slot in model")
+            if name in loaded:
+                raise CheckpointError(f"{path}: array {name} listed twice")
+            loaded.add(name)
             shape = tuple(entry["shape"])
+            if shape != target[name].shape:
+                raise CheckpointError(
+                    f"{path}: array {name} has shape {shape}, "
+                    f"model expects {target[name].shape}")
             count = int(np.prod(shape)) if shape else 1
             raw = fh.read(count * 8)
             if len(raw) != count * 8:
-                raise CheckpointError(f"{path}: truncated array {entry['name']}")
-            value = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-            target = params if entry["role"] == "param" else buffers
-            if entry["name"] not in target:
-                raise CheckpointError(
-                    f"{path}: checkpoint array {entry['name']} has no slot in model")
-            target[entry["name"]][...] = value
+                raise CheckpointError(f"{path}: truncated array {name}")
+            target[name][...] = np.frombuffer(raw, dtype="<f8").reshape(shape)
+        missing = (set(params) | set(buffers)) - loaded
+        if missing:
+            raise CheckpointError(
+                f"{path}: checkpoint lacks array(s) {', '.join(sorted(missing))}")
+        if fh.read(1):
+            raise CheckpointError(f"{path}: trailing bytes after the last array")
     return model

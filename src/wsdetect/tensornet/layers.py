@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-MODES = ("train", "eval", "gradcheck")
-
 
 class ShapeError(ValueError):
     pass
@@ -83,8 +81,15 @@ class Embedding(Layer):
         return None
 
 
-class Conv1d(Layer):
-    """Valid-padding 1-D convolution. w[f, c, j], x[batch, L, C]."""
+class ConvMaxPool(Layer):
+    """Valid-padding 1-D convolution, max over time, then ReLU:
+    x[batch, L, C] -> [batch, F], with w[f, c, j].
+
+    ReLU after the max is exact, since max_t ReLU(h) = ReLU(max_t h).
+    Each filter keeps the first position attaining its max (np.argmax
+    tie rule), and the backward pass routes its gradient through that
+    one window only, gated on a positive peak.
+    """
 
     def __init__(self, in_channels, out_channels, kernel, rng):
         super().__init__()
@@ -112,22 +117,24 @@ class Conv1d(Layer):
         cols = cols.reshape(batch, t_out, k * channels)
         w_flat = self.params["w"].transpose(2, 1, 0).reshape(k * channels,
                                                              self.out_channels)
-        self._cols, self._w_flat, self._in_shape = cols, w_flat, x.shape
-        return cols @ w_flat + self.params["b"]
+        h = cols @ w_flat + self.params["b"]
+        argmax = np.argmax(h, axis=1)
+        peak = np.take_along_axis(h, argmax[:, None, :], axis=1)[:, 0, :]
+        self._x, self._argmax, self._gate = x, argmax, peak > 0
+        return np.where(self._gate, peak, 0.0)
 
     def backward(self, dout):
-        batch, t_out, _ = dout.shape
-        k, channels = self.kernel, self.in_channels
-        d_cols = dout @ self._w_flat.T
-        d_wflat = self._cols.reshape(-1, k * channels).T @ dout.reshape(
-            -1, self.out_channels)
-        self.grads["w"] += d_wflat.reshape(k, channels, self.out_channels
-                                           ).transpose(2, 1, 0)
-        self.grads["b"] += dout.sum(axis=(0, 1))
-        dx = np.zeros(self._in_shape)
-        d_cols = d_cols.reshape(batch, t_out, k, channels)
-        for j in range(k):
-            dx[:, j:j + t_out, :] += d_cols[:, :, j, :]
+        x, argmax = self._x, self._argmax
+        d = np.where(self._gate, dout, 0.0)
+        rows = np.arange(x.shape[0])[:, None]
+        dx = np.zeros_like(x)
+        for j in range(self.kernel):
+            # the window of filter f in sample b starts at argmax[b, f]
+            self.grads["w"][:, :, j] += np.einsum(
+                "bf,bfc->fc", d, x[rows, argmax + j])
+            np.add.at(dx, (rows, argmax + j),
+                      d[:, :, None] * self.params["w"][:, :, j])
+        self.grads["b"] += d.sum(axis=0)
         return dx
 
 
@@ -138,26 +145,6 @@ class ReLU(Layer):
 
     def backward(self, dout):
         return dout * self._mask
-
-
-class GlobalMaxPool(Layer):
-    """Max over the time axis: [batch, L, F] -> [batch, F].
-
-    The backward pass routes each feature's gradient to the first
-    position attaining the max (np.argmax tie rule).
-    """
-
-    def forward(self, x, mode="eval", rng=None):
-        if x.shape[1] < 1:
-            raise ShapeError("global max pool needs at least one time step")
-        self._argmax = np.argmax(x, axis=1)
-        self._in_shape = x.shape
-        return np.take_along_axis(x, self._argmax[:, None, :], axis=1)[:, 0, :]
-
-    def backward(self, dout):
-        dx = np.zeros(self._in_shape)
-        np.put_along_axis(dx, self._argmax[:, None, :], dout[:, None, :], axis=1)
-        return dx
 
 
 class Dense(Layer):
@@ -249,27 +236,3 @@ class Dropout(Layer):
 
     def backward(self, dout):
         return dout if self._mask is None else dout * self._mask
-
-
-# --- functional forms of the single-layer operations ----------------------
-
-def conv1d_forward(x, layer: Conv1d):
-    """Convolve one unbatched [L, C_in] input; returns [L-k+1, C_out]."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
-    return layer.forward(x[None, :, :])[0]
-
-
-def global_max_pool(x):
-    """Column-wise max of one [L, F] input; returns [F]."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise ShapeError("global max pool expects a non-empty [L, F] input")
-    return GlobalMaxPool().forward(x[None, :, :])[0]
-
-
-def batchnorm1d_forward(x, layer: BatchNorm1d, mode):
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    return layer.forward(np.asarray(x, dtype=np.float64), mode=mode)

@@ -205,6 +205,37 @@ class TestSourcePipeline:
         assert verdict["rules"] == ["sig"]
 
 
+    def test_predict_compiles_rules_once(self, corpus_dir, tmp_path,
+                                         monkeypatch):
+        from wsdetect.rulelang import matcher
+
+        root, vocab, files = corpus_dir
+        rules = tmp_path / "sig.yar"
+        rules.write_text('rule sig { strings: $a = "EVAL" condition: $a }')
+        model_path = str(tmp_path / "m.bin")
+        corpus = tmp_path / "c.csv"
+        _run(["oci", "extract", "--language", "php", "--vocab", str(vocab),
+              "--max-length", "6", "--label", "1", "--out", str(corpus),
+              str(files[1][0]), str(files[0][0])])
+        _run(["train", "src", "--corpus", str(corpus), "--language", "php",
+              "--vocab", str(vocab), "--epochs", "1", "--batch-size", "2",
+              "--out", model_path])
+        calls = []
+        init = matcher.CompiledRuleSet.__init__
+
+        def counting_init(self, ruleset):
+            calls.append(ruleset)
+            init(self, ruleset)
+
+        monkeypatch.setattr(matcher.CompiledRuleSet, "__init__", counting_init)
+        code, out, err = _run(["predict", "src", "--model", model_path,
+                               "--vocab", str(vocab), "--rules", str(rules)]
+                              + [str(path) for path, _ in files[:3]])
+        assert code == EXIT_DETECTED, err
+        sources = [json.loads(line)["source"] for line in out.splitlines()]
+        assert sources == ["cnn", "rules", "cnn"]
+        assert len(calls) == 1
+
 class TestFlowPipeline:
     def test_extract_then_train_then_kfold(self, two_flow_pcap, tmp_path):
         features = str(tmp_path / "features.csv")

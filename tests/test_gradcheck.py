@@ -51,20 +51,15 @@ def test_conv_relu_pool_stack():
 
         def __init__(self):
             super().__init__()
-            self.conv = self.add_layer("conv", tn.Conv1d(2, 3, 3, rng))
-            self.act = self.add_layer("act", tn.ReLU())
-            self.pool = self.add_layer("pool", tn.GlobalMaxPool())
+            self.conv = self.add_layer("conv", tn.ConvMaxPool(2, 3, 3, rng))
             self.out = self.add_layer("out", tn.Dense(3, 2, rng))
 
         def forward(self, x, mode="eval", rng=None):
             h = self.conv.forward(x, mode, rng)
-            h = self.act.forward(h, mode, rng)
-            h = self.pool.forward(h, mode, rng)
             return self.out.forward(h, mode, rng)
 
         def backward(self, dlogits):
-            dh = self.out.backward(dlogits)
-            self.conv.backward(self.act.backward(self.pool.backward(dh)))
+            self.conv.backward(self.out.backward(dlogits))
 
     x = rng.normal(size=(4, 9, 2))
     y = rng.integers(0, 2, size=4)

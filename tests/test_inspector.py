@@ -1,7 +1,6 @@
-"""Inspection pipeline, EVE output, rule files, scheduler, socket daemon."""
+"""Inspection pipeline, EVE output, rule files, socket daemon."""
 
 import json
-import random
 import socket
 import threading
 
@@ -17,7 +16,6 @@ from wsdetect.inspector import (
     inspect_pcap,
     load_config,
     parse_rule_line,
-    schedule,
     serve,
     write_rules,
 )
@@ -27,17 +25,7 @@ from wsdetect.inspector.config import ConfigError, ENV_CONFIG_PATH
 class TestConfig:
     def test_defaults_match_operating_ranges(self):
         config = InspectorConfig()
-        assert config.inspection_frequency == 120_000
-        assert (config.frequency_min, config.frequency_max) == (60_000, 300_000)
-        assert config.inspection_interval == 20_000
-        assert (config.interval_min, config.interval_max) == (10_000, 30_000)
         assert config.rules_dir == "/etc/NetIDPS/rules"
-
-    def test_invalid_ranges_rejected(self):
-        with pytest.raises(ConfigError):
-            InspectorConfig(frequency_min=500, frequency_max=100)
-        with pytest.raises(ConfigError):
-            InspectorConfig(interval_min=0)
 
     def test_ids_mode_degrades_drop_to_alert(self):
         assert InspectorConfig(mode="ips").rule_action == "drop"
@@ -45,18 +33,18 @@ class TestConfig:
 
     def test_load_from_file_with_overrides(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"inspection_frequency": 5000,
+        path.write_text(json.dumps({"blacklist_ttl_s": 5000,
                                     "mode": "ids"}))
         config = load_config(path, overrides={"sid_start": 42})
-        assert config.inspection_frequency == 5000
+        assert config.blacklist_ttl_s == 5000
         assert config.mode == "ids"
         assert config.sid_start == 42
 
     def test_env_fallback(self, tmp_path, monkeypatch):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"inspection_interval": 777}))
+        path.write_text(json.dumps({"blacklist_ttl_s": 777}))
         monkeypatch.setenv(ENV_CONFIG_PATH, str(path))
-        assert load_config().inspection_interval == 777
+        assert load_config().blacklist_ttl_s == 777
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -64,36 +52,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="nonsense"):
             load_config(path)
 
-
-class TestSchedule:
-    def test_fixed_frequency_and_interval(self):
-        config = InspectorConfig()
-        gen = schedule(config, start_ms=0.0)
-        windows = [next(gen) for _ in range(4)]
-        assert [w.start_ms for w in windows] == [0, 120_000, 240_000, 360_000]
-        assert all(w.duration_ms == 20_000 for w in windows)
-
-    def test_randomized_gaps_within_range_and_mean(self):
-        config = InspectorConfig(inspection_frequency=0)
-        gen = schedule(config, rng=random.Random(0))
-        starts = [next(gen).start_ms for _ in range(1001)]
-        gaps = [b - a for a, b in zip(starts, starts[1:])]
-        assert all(60_000 <= g <= 300_000 for g in gaps)
-        mean = sum(gaps) / len(gaps)
-        assert abs(mean - 180_000) / 180_000 < 0.05
-
-    def test_randomized_durations_within_range(self):
-        config = InspectorConfig(inspection_interval=0)
-        gen = schedule(config, rng=random.Random(1))
-        durations = [next(gen).duration_ms for _ in range(500)]
-        assert all(10_000 <= d <= 30_000 for d in durations)
-
-    def test_deterministic_with_seeded_rng(self):
-        config = InspectorConfig(inspection_frequency=0, inspection_interval=0)
-        a = [next(schedule(config, rng=random.Random(7))) for _ in range(1)]
-        gen1 = schedule(config, rng=random.Random(7))
-        gen2 = schedule(config, rng=random.Random(7))
-        assert [next(gen1) for _ in range(10)] == [next(gen2) for _ in range(10)]
+    def test_removed_sampling_keys_rejected(self, tmp_path):
+        # the daemon is request-driven; the old scheduler keys are errors
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"inspection_frequency": 120_000}))
+        with pytest.raises(ConfigError, match="inspection_frequency"):
+            load_config(path)
 
 
 class TestInspectPcap:

@@ -72,6 +72,20 @@ class TestBuild:
         model = build_cnn(config)
         assert model.concat_width == 3
 
+    def test_parameter_names_and_shapes(self):
+        # checkpoints address arrays by these names: renaming one breaks
+        # every saved model
+        model = build_cnn(_tiny_config())
+        shapes = {name: value.shape for name, value in model.parameters().items()}
+        assert shapes == {
+            "embedding.weight": (len(VOCAB) + 1, 4),
+            "conv0.w": (3, 4, 2), "conv0.b": (3,),
+            "conv1.w": (3, 4, 3), "conv1.b": (3,),
+            "conv2.w": (3, 4, 4), "conv2.b": (3,),
+            "dense.w": (9, 2), "dense.b": (2,),
+        }
+        assert model.named_buffers() == {}
+
     def test_all_padding_vector_valid_probability(self):
         model = build_cnn(_tiny_config())
         p_benign, p_web = cnn_predict(model, OciVector((0,) * 12))

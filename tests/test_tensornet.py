@@ -1,6 +1,8 @@
 """Network core: losses, layers, optimizer, training loop, checkpoints."""
 
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from wsdetect import tensornet as tn
+from wsdetect.tensornet.graph import CheckpointError
 from wsdetect.tensornet.layers import ShapeError
 
 
@@ -115,58 +118,131 @@ class TestClassWeights:
             total, rel=1e-9)
 
 
+def _conv_max_pool(c_in, c_out, k, seed=0):
+    return tn.ConvMaxPool(c_in, c_out, k, np.random.default_rng(seed))
+
+
+def _identity_pool(channels):
+    """Kernel-1 ConvMaxPool with identity weights: the conv stage passes
+    its input through, so the layer is max over time, then ReLU."""
+    layer = _conv_max_pool(channels, channels, 1)
+    layer.params["w"][:] = np.eye(channels)[:, :, None]
+    return layer
+
+
+def _naive_conv_max_pool(x, w, b, dout):
+    """Triple-loop reference: forward output, dx, dw, db."""
+    batch, length, channels = x.shape
+    filters, _, k = w.shape
+    out = np.zeros((batch, filters))
+    dx, dw, db = np.zeros_like(x), np.zeros_like(w), np.zeros_like(b)
+    for n in range(batch):
+        for f in range(filters):
+            best, best_t = None, None
+            for t in range(length - k + 1):
+                h = b[f] + sum(w[f, c, j] * x[n, t + j, c]
+                               for j in range(k) for c in range(channels))
+                if best is None or h > best:  # first position wins ties
+                    best, best_t = h, t
+            if best > 0:
+                out[n, f] = best
+                db[f] += dout[n, f]
+                for j in range(k):
+                    dw[f, :, j] += dout[n, f] * x[n, best_t + j]
+                    dx[n, best_t + j] += dout[n, f] * w[f, :, j]
+    return out, dx, dw, db
+
+
 class TestConv1d:
-    def _layer(self, c_in, c_out, k, seed=0):
-        return tn.Conv1d(c_in, c_out, k, np.random.default_rng(seed))
+    """The convolution stage of ConvMaxPool."""
 
     def test_all_ones_kernel_sums_window(self):
-        layer = self._layer(1, 1, 3)
+        layer = _conv_max_pool(1, 1, 3)
         layer.params["w"][:] = 1.0
         layer.params["b"][:] = 0.0
-        out = tn.conv1d_forward(np.array([[1.0], [2.0], [3.0]]), layer)
+        out = layer.forward(np.array([[[1.0], [2.0], [3.0]]]))
         assert out.shape == (1, 1)
         assert out[0, 0] == pytest.approx(6.0)
 
     def test_kernel_one_identity(self):
-        layer = self._layer(1, 1, 1)
-        layer.params["w"][:] = 1.0
-        layer.params["b"][:] = 0.0
-        x = np.array([[3.0], [1.0], [4.0]])
-        assert np.allclose(tn.conv1d_forward(x, layer), x)
+        layer = _identity_pool(3)
+        x = np.array([[[3.0, 1.0, 4.0]]])
+        assert np.array_equal(layer.forward(x), x[:, 0, :])
 
     def test_zero_weights_bias_everywhere(self):
-        layer = self._layer(2, 3, 2)
+        layer = _conv_max_pool(2, 3, 2)
         layer.params["w"][:] = 0.0
         layer.params["b"][:] = 5.0
-        out = tn.conv1d_forward(np.ones((4, 2)), layer)
-        assert out.shape == (3, 3)
+        out = layer.forward(np.ones((1, 4, 2)))
+        assert out.shape == (1, 3)
         assert np.all(out == 5.0)
 
     def test_too_short_input(self):
-        layer = self._layer(1, 1, 3)
+        layer = _conv_max_pool(1, 1, 3)
         with pytest.raises(ShapeError):
-            tn.conv1d_forward(np.ones((2, 1)), layer)
+            layer.forward(np.ones((1, 2, 1)))
 
 
 class TestGlobalMaxPool:
+    """The max-over-time stage of ConvMaxPool (kernel-1 identity conv)."""
+
     def test_columnwise_max(self):
-        out = tn.global_max_pool(np.array([[1.0, 5.0], [3.0, 2.0]]))
-        assert np.allclose(out, [3.0, 5.0])
+        out = _identity_pool(2).forward(np.array([[[1.0, 5.0], [3.0, 2.0]]]))
+        assert np.allclose(out, [[3.0, 5.0]])
 
     def test_single_row_identity(self):
-        row = np.array([[7.0, -2.0, 0.5]])
-        assert np.allclose(tn.global_max_pool(row), row[0])
+        row = np.array([[[7.0, 2.0, 0.5]]])
+        assert np.array_equal(_identity_pool(3).forward(row), row[:, 0, :])
 
     def test_empty_rejected(self):
         with pytest.raises(ShapeError):
-            tn.global_max_pool(np.ones((0, 2)))
+            _identity_pool(2).forward(np.ones((1, 0, 2)))
 
     def test_tie_routes_gradient_to_first(self):
-        layer = tn.GlobalMaxPool()
+        layer = _identity_pool(1)
         x = np.array([[[2.0], [2.0], [1.0]]])  # tie between rows 0 and 1
         layer.forward(x)
         dx = layer.backward(np.array([[1.0]]))
         assert np.allclose(dx[0, :, 0], [1.0, 0.0, 0.0])
+
+
+class TestConvMaxPool:
+    def test_all_windows_negative_gives_zero_output_and_gradient(self):
+        layer = _conv_max_pool(2, 3, 2)
+        layer.params["w"][:] = 1.0
+        layer.params["b"][:] = -0.5
+        x = -np.abs(np.random.default_rng(0).normal(size=(2, 5, 2)))
+        assert np.array_equal(layer.forward(x), np.zeros((2, 3)))
+        dx = layer.backward(np.ones((2, 3)))
+        assert not dx.any()
+        assert not layer.grads["w"].any() and not layer.grads["b"].any()
+
+    def test_channel_mismatch_rejected(self):
+        with pytest.raises(ShapeError, match="channels"):
+            _conv_max_pool(2, 1, 1).forward(np.ones((1, 4, 3)))
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_naive_reference(self, data):
+        batch = data.draw(st.integers(1, 3))
+        channels = data.draw(st.integers(1, 3))
+        filters = data.draw(st.integers(1, 3))
+        k = data.draw(st.integers(1, 3))
+        length = data.draw(st.integers(k, 6))
+        # small integers keep every sum exact, so ties are real ties
+        ints = st.integers(-3, 3).map(float)
+        x = data.draw(arrays(np.float64, (batch, length, channels), elements=ints))
+        w = data.draw(arrays(np.float64, (filters, channels, k), elements=ints))
+        b = data.draw(arrays(np.float64, filters, elements=ints))
+        dout = data.draw(arrays(np.float64, (batch, filters), elements=ints))
+        layer = _conv_max_pool(channels, filters, k)
+        layer.params["w"][:] = w
+        layer.params["b"][:] = b
+        out, dx, dw, db = _naive_conv_max_pool(x, w, b, dout)
+        assert np.array_equal(layer.forward(x), out)
+        assert np.array_equal(layer.backward(dout), dx)
+        assert np.array_equal(layer.grads["w"], dw)
+        assert np.array_equal(layer.grads["b"], db)
 
 
 class TestBatchNorm:
@@ -330,6 +406,28 @@ class TestFit:
             assert np.array_equal(m1.parameters()[name], m2.parameters()[name])
 
 
+def _tiny_cnn_checkpoint(path):
+    from wsdetect.srcmodel import CnnConfig, build_cnn
+
+    config = CnnConfig(vocab_size=7, max_length=12, embedding_dim=4,
+                       kernel_sizes=(2, 3, 4), num_filters=3, seed=5)
+    tn.save_model(build_cnn(config, language="php"), path)
+
+
+def _edit_checkpoint(path, edit):
+    """Rewrite a checkpoint: `edit(manifest, payload)` returns the new
+    payload and may change the manifest in place."""
+    raw = path.read_bytes()
+    magic_len = len(b"WSNET1\n")
+    (header_len,) = struct.unpack("<Q", raw[magic_len:magic_len + 8])
+    body = magic_len + 8 + header_len
+    header = json.loads(raw[magic_len + 8:body])
+    payload = edit(header["arrays"], raw[body:])
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(raw[:magic_len] + struct.pack("<Q", len(blob)) + blob
+                     + payload)
+
+
 class TestCheckpoint:
     def test_roundtrip_preserves_parameters(self, tmp_path):
         from wsdetect.srcmodel import CnnConfig, build_cnn
@@ -351,4 +449,48 @@ class TestCheckpoint:
         path = tmp_path / "bogus.bin"
         path.write_bytes(b"NOTAMODEL")
         with pytest.raises(Exception, match="WSNET1"):
+            tn.load_model(path)
+
+    def test_missing_array_rejected(self, tmp_path):
+        path = tmp_path / "model.bin"
+        _tiny_cnn_checkpoint(path)
+
+        def drop_last(manifest, payload):
+            assert manifest.pop()["name"] == "dense.b"
+            return payload[:-2 * 8]
+
+        _edit_checkpoint(path, drop_last)
+        with pytest.raises(CheckpointError, match="dense.b"):
+            tn.load_model(path)
+
+    def test_duplicate_array_rejected(self, tmp_path):
+        path = tmp_path / "model.bin"
+        _tiny_cnn_checkpoint(path)
+
+        def repeat_last(manifest, payload):
+            manifest.append(dict(manifest[-1]))
+            return payload + payload[-2 * 8:]
+
+        _edit_checkpoint(path, repeat_last)
+        with pytest.raises(CheckpointError, match="twice"):
+            tn.load_model(path)
+
+    def test_wrong_shape_rejected(self, tmp_path):
+        # a [1] array would broadcast into the [2] slot of dense.b
+        path = tmp_path / "model.bin"
+        _tiny_cnn_checkpoint(path)
+
+        def shrink_last(manifest, payload):
+            manifest[-1]["shape"] = [1]
+            return payload[:-8]
+
+        _edit_checkpoint(path, shrink_last)
+        with pytest.raises(CheckpointError, match="shape"):
+            tn.load_model(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "model.bin"
+        _tiny_cnn_checkpoint(path)
+        _edit_checkpoint(path, lambda manifest, payload: payload + bytes(8))
+        with pytest.raises(CheckpointError, match="trailing"):
             tn.load_model(path)
