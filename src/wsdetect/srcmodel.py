@@ -206,9 +206,6 @@ class Verdict:
             raise ValueError("p_webshell out of [0, 1]")
 
 
-DECISION_THRESHOLD = 0.5  # ties classify as Webshell: security-conservative
-
-
 def _check_model_pairing(model: OpcodeCnn, language: str,
                          vocab: OpcodeVocabulary) -> None:
     if model.language not in ("", "custom") and model.language != language:
@@ -235,7 +232,7 @@ def cnn_verdict(model: OpcodeCnn, data: bytes, language: str,
             f"{subject_id}: no {language} opcode rows recognized")
     vec = oiva(listing, vocab, model.config.max_length)
     _, p_webshell = cnn_predict(model, vec)
-    label = "Webshell" if p_webshell >= DECISION_THRESHOLD else "Benign"
+    label = "Webshell" if p_webshell >= tn.DECISION_THRESHOLD else "Benign"
     return Verdict(label=label, source="cnn", p_webshell=p_webshell)
 
 

@@ -16,6 +16,7 @@ from wsdetect.tensornet.layers import (
     ReLU,
 )
 from wsdetect.tensornet.losses import (
+    DECISION_THRESHOLD,
     ClassWeights,
     SoftmaxCrossEntropy,
     class_weights,
@@ -31,6 +32,7 @@ __all__ = [
     "BatchNorm1d",
     "ClassWeights",
     "ConvMaxPool",
+    "DECISION_THRESHOLD",
     "Dense",
     "Dropout",
     "Embedding",

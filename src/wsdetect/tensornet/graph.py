@@ -4,12 +4,14 @@ A checkpoint is: the magic bytes ``WSNET1\\n``, an 8-byte little-endian
 header length, a JSON header (model kind, config, array manifest,
 model-specific extras), then every array as raw little-endian float64
 in manifest order. Loading requires each of the model's arrays exactly
-once, in its model shape, and nothing after the last one.
+once, in its model shape, and nothing after the last one; any malformed
+header or config raises `CheckpointError` naming the file.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -129,22 +131,57 @@ def save_model(model: ModelGraph, path: str | Path) -> None:
                 arrays[entry["name"]], dtype="<f8").tobytes())
 
 
+def _read_header(fh, path) -> dict:
+    raw_len = fh.read(8)
+    if len(raw_len) != 8:
+        raise CheckpointError(f"{path}: truncated header length")
+    (header_len,) = struct.unpack("<Q", raw_len)
+    # checked before reading: a corrupt length must not size a buffer
+    if header_len > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise CheckpointError(f"{path}: truncated header")
+    blob = fh.read(header_len)
+    try:
+        header = json.loads(blob.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise CheckpointError(f"{path}: header is not UTF-8 JSON: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
+    for key in ("config", "arrays"):
+        if key not in header:
+            raise CheckpointError(f"{path}: header lacks {key!r}")
+    if not isinstance(header["arrays"], list):
+        raise CheckpointError(f"{path}: array manifest is not a list")
+    return header
+
+
 def load_model(path: str | Path) -> ModelGraph:
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise CheckpointError(f"{path}: not a WSNET1 checkpoint")
-        (header_len,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(header_len).decode("utf-8"))
+        header = _read_header(fh, path)
         kind = header.get("kind")
-        if kind not in _MODEL_KINDS:
+        if not isinstance(kind, str) or kind not in _MODEL_KINDS:
             raise CheckpointError(f"{path}: unknown model kind {kind!r}")
-        model = _MODEL_KINDS[kind].from_config(header["config"])
+        try:
+            model = _MODEL_KINDS[kind].from_config(header["config"])
+        except Exception as exc:
+            # from_config runs model code on values read from the file:
+            # whatever it raises (TypeError, KeyError, SrcModelError, ...)
+            # means the file is bad
+            raise CheckpointError(
+                f"{path}: invalid {kind} config: {exc!r}") from exc
         params = model.parameters()
         buffers = model.named_buffers()
         loaded: set[str] = set()
         for entry in header["arrays"]:
-            name = entry["name"]
+            if not (isinstance(entry, dict)
+                    and isinstance(entry.get("name"), str)
+                    and entry.get("role") in ("param", "buffer")
+                    and isinstance(entry.get("shape"), list)):
+                raise CheckpointError(
+                    f"{path}: malformed manifest entry {entry!r}")
+            name, shape = entry["name"], tuple(entry["shape"])
             target = params if entry["role"] == "param" else buffers
             if name not in target:
                 raise CheckpointError(
@@ -152,7 +189,6 @@ def load_model(path: str | Path) -> ModelGraph:
             if name in loaded:
                 raise CheckpointError(f"{path}: array {name} listed twice")
             loaded.add(name)
-            shape = tuple(entry["shape"])
             if shape != target[name].shape:
                 raise CheckpointError(
                     f"{path}: array {name} has shape {shape}, "

@@ -68,7 +68,11 @@ class Embedding(Layer):
 
     def backward(self, dout):
         gw = self.grads["weight"]
-        np.add.at(gw, self._x.reshape(-1), dout.reshape(-1, self.dim))
+        # one flat histogram: cell x*dim + c sums dout[..., c] per index x
+        cells = (self._x.reshape(-1, 1) * self.dim
+                 + np.arange(self.dim)).ravel()
+        gw += np.bincount(cells, weights=dout.ravel(),
+                          minlength=gw.size).reshape(gw.shape)
         if self.frozen_padding:
             gw[0] = 0.0
         return None  # integer inputs carry no gradient
@@ -89,6 +93,11 @@ class ConvMaxPool(Layer):
     Each filter keeps the first position attaining its max (np.argmax
     tie rule), and the backward pass routes its gradient through that
     one window only, gated on a positive peak.
+
+    The forward works one sample at a time with time as the last axis:
+    an [F, T] product of about 2 MB stays in cache, and the argmax over
+    time then reads contiguous memory instead of striding through a
+    [batch, T, F] array.
     """
 
     def __init__(self, in_channels, out_channels, kernel, rng):
@@ -112,14 +121,21 @@ class ConvMaxPool(Layer):
         if length < k:
             raise ShapeError(f"input length {length} shorter than kernel {k}")
         t_out = length - k + 1
-        # columns[b, t, j, c] = x[b, t + j, c]
-        cols = np.stack([x[:, j:j + t_out, :] for j in range(k)], axis=2)
-        cols = cols.reshape(batch, t_out, k * channels)
-        w_flat = self.params["w"].transpose(2, 1, 0).reshape(k * channels,
-                                                             self.out_channels)
-        h = cols @ w_flat + self.params["b"]
-        argmax = np.argmax(h, axis=1)
-        peak = np.take_along_axis(h, argmax[:, None, :], axis=1)[:, 0, :]
+        # w_flat[f, j*C + c] = w[f, c, j]
+        w_flat = self.params["w"].transpose(0, 2, 1).reshape(self.out_channels,
+                                                             k * channels)
+        b = self.params["b"][:, None]
+        argmax = np.empty((batch, self.out_channels), dtype=np.intp)
+        peak = np.empty((batch, self.out_channels))
+        filters = np.arange(self.out_channels)
+        for n in range(batch):
+            xt = x[n].T
+            # cols[j*C + c, t] = x[n, t + j, c]
+            cols = np.concatenate([xt[:, j:j + t_out] for j in range(k)])
+            h = w_flat @ cols
+            h += b
+            argmax[n] = h.argmax(axis=1)
+            peak[n] = h[filters, argmax[n]]
         self._x, self._argmax, self._gate = x, argmax, peak > 0
         return np.where(self._gate, peak, 0.0)
 

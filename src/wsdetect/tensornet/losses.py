@@ -1,4 +1,5 @@
-"""Softmax, cross-entropy and the imbalance class weighting."""
+"""Softmax, cross-entropy, the imbalance class weighting and the
+decision threshold both detectors share."""
 
 from __future__ import annotations
 
@@ -7,6 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 
 PROB_FLOOR = 1e-12  # clamp before log; the loss is undefined at p = 0
+# both detectors call a row Webshell (class 1) when p_webshell >= this;
+# an exact tie goes to Webshell, the security-conservative side
+DECISION_THRESHOLD = 0.5
 
 
 def softmax(logits):

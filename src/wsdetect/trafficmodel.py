@@ -271,10 +271,11 @@ def train_dnn(train: TabularDataset, config: TabularConfig,
 
 def dnn_predict(model: TabularDnn, dataset: TabularDataset,
                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row class probabilities and argmax classes (0 benign, 1 webshell)."""
+    """Per-row class probabilities and classes (0 benign, 1 webshell); a
+    row is webshell when its p_webshell reaches `tn.DECISION_THRESHOLD`."""
     prepared = model.prepare(dataset)
     probs = tn.softmax(model.forward(prepared, mode="eval"))
-    return probs, probs.argmax(axis=1)
+    return probs, (probs[:, 1] >= tn.DECISION_THRESHOLD).astype(np.intp)
 
 
 @dataclass

@@ -159,6 +159,33 @@ class TestPredict:
         vec = OciVector(tuple([1, 2, 3, 4, 5] + [0] * 7))
         assert cnn_predict(model, vec) == cnn_predict(model, vec)
 
+    def test_batch_matches_each_row_alone(self):
+        # a row's conv peaks must not depend on the rows batched with it,
+        # whatever their padding: one-file scans and batched training and
+        # eval see the same features
+        length = 300
+        model = build_cnn(CnnConfig.php(vocab_size=len(VOCAB),
+                                        max_length=length, seed=2))
+        rng = np.random.default_rng(0)
+        x = rng.integers(1, len(VOCAB) + 1, size=(9, length))
+        unpadded = np.array([0, 1, 4, 5, 37, 150, 299, length, length])
+        x[np.arange(length) >= unpadded[:, None]] = 0
+
+        def peaks(rows):
+            embedded = model.embedding.forward(rows)
+            return np.concatenate(
+                [conv.forward(embedded) for conv in model.convs], axis=1)
+
+        alone = [slice(i, i + 1) for i in range(len(x))]
+        assert np.array_equal(
+            peaks(x), np.concatenate([peaks(x[rows]) for rows in alone]))
+        # the dense head is one BLAS product, whose rounding may depend
+        # on the batch shape
+        logits = model.forward(x)
+        assert np.allclose(
+            logits, np.concatenate([model.forward(x[rows]) for rows in alone]),
+            rtol=0.0, atol=1e-12)
+
 
 def _forced_model(p_webshell: float):
     """Zero the final dense layer so logits are its bias: exact output."""

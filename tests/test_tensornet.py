@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -414,18 +415,54 @@ def _tiny_cnn_checkpoint(path):
     tn.save_model(build_cnn(config, language="php"), path)
 
 
-def _edit_checkpoint(path, edit):
-    """Rewrite a checkpoint: `edit(manifest, payload)` returns the new
-    payload and may change the manifest in place."""
+def _rewrite_checkpoint(path, rewrite):
+    """Rewrite a checkpoint: `rewrite(header, payload)` gets the parsed
+    header and the array bytes and returns the new header bytes and
+    payload."""
     raw = path.read_bytes()
     magic_len = len(b"WSNET1\n")
     (header_len,) = struct.unpack("<Q", raw[magic_len:magic_len + 8])
     body = magic_len + 8 + header_len
-    header = json.loads(raw[magic_len + 8:body])
-    payload = edit(header["arrays"], raw[body:])
-    blob = json.dumps(header).encode("utf-8")
+    blob, payload = rewrite(json.loads(raw[magic_len + 8:body]), raw[body:])
     path.write_bytes(raw[:magic_len] + struct.pack("<Q", len(blob)) + blob
                      + payload)
+
+
+def _edit_checkpoint(path, edit):
+    """Rewrite a checkpoint: `edit(manifest, payload)` returns the new
+    payload and may change the manifest in place."""
+    def rewrite(header, payload):
+        payload = edit(header["arrays"], payload)
+        return json.dumps(header).encode("utf-8"), payload
+    _rewrite_checkpoint(path, rewrite)
+
+
+def _header_edit(edit):
+    """A header rewrite that applies `edit(header)` in place, then
+    re-encodes the header as JSON."""
+    def rewrite(header):
+        edit(header)
+        return json.dumps(header).encode("utf-8")
+    return rewrite
+
+
+# each maps the parsed header of a valid checkpoint to the header bytes
+# written in its place
+_MALFORMED_HEADERS = {
+    "not_json": lambda header: b"{not json",
+    "not_utf8": lambda header: b'{"kind": "\xff"}',
+    "not_an_object": lambda header: b"[]",
+    "no_kind": _header_edit(lambda h: h.pop("kind")),
+    "no_config": _header_edit(lambda h: h.pop("config")),
+    "no_arrays": _header_edit(lambda h: h.pop("arrays")),
+    "entry_without_name": _header_edit(lambda h: h["arrays"][0].pop("name")),
+    "entry_without_role": _header_edit(lambda h: h["arrays"][0].pop("role")),
+    "entry_without_shape": _header_edit(lambda h: h["arrays"][0].pop("shape")),
+    "config_unknown_key": _header_edit(
+        lambda h: h["config"].update(colour="red")),  # TypeError
+    "config_rejected": _header_edit(
+        lambda h: h["config"].update(kernel_sizes=[2, 5, 9])),  # SrcModelError
+}
 
 
 class TestCheckpoint:
@@ -486,6 +523,26 @@ class TestCheckpoint:
 
         _edit_checkpoint(path, shrink_last)
         with pytest.raises(CheckpointError, match="shape"):
+            tn.load_model(path)
+
+    @pytest.mark.parametrize("raw", [
+        b"WSNET1\n",
+        b"WSNET1\n" + struct.pack("<Q", 2 ** 62) + b"{}",
+    ], ids=["magic_only", "header_length_past_eof"])
+    def test_truncated_header_rejected(self, tmp_path, raw):
+        path = tmp_path / "model.bin"
+        path.write_bytes(raw)
+        with pytest.raises(CheckpointError, match=re.escape(str(path))):
+            tn.load_model(path)
+
+    @pytest.mark.parametrize("rewrite", _MALFORMED_HEADERS.values(),
+                             ids=_MALFORMED_HEADERS.keys())
+    def test_malformed_header_rejected(self, tmp_path, rewrite):
+        path = tmp_path / "model.bin"
+        _tiny_cnn_checkpoint(path)
+        _rewrite_checkpoint(
+            path, lambda header, payload: (rewrite(header), payload))
+        with pytest.raises(CheckpointError, match=re.escape(str(path))):
             tn.load_model(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):

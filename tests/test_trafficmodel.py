@@ -172,7 +172,18 @@ class TestPredict:
         probs, classes = dnn_predict(model, data)
         assert probs.shape == (64, 2)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
-        assert np.array_equal(classes, probs.argmax(axis=1))
+        assert np.array_equal(classes, probs[:, 1] >= tn.DECISION_THRESHOLD)
+
+    def test_exact_tie_is_webshell(self):
+        # a zeroed last layer gives equal logits, so p_webshell is exactly
+        # 0.5; like the CNN verdict, a tie goes to webshell
+        data = _gaussian_dataset(16)
+        model = build_dnn(TabularConfig(), data)
+        model.head.params["w"][...] = 0.0
+        model.head.params["b"][...] = 0.0
+        probs, classes = dnn_predict(model, data)
+        assert np.all(probs[:, 1] == 0.5)
+        assert np.all(classes == 1)
 
     def test_matches_centroid_oracle_on_separated_data(self):
         data = _gaussian_dataset(600, seed=7)
