@@ -160,7 +160,7 @@ def cmd_predict_src(args, out, err) -> int:
     model = load_model(args.model)
     language = args.language or model.language
     vocab = _load_vocab(language, args.vocab)
-    # built once: the matcher would rebuild its automata for every file
+    # built once: the matcher would rebuild its key tables for every file
     rules = CompiledRuleSet(_load_ruleset(args.rules)) if args.rules else None
     detections = 0
     had_error = False
@@ -367,7 +367,7 @@ def cmd_inspect_once(args, out, err) -> int:
 
     from wsdetect.inspector import inspect_pcap, load_config, write_rules
     from wsdetect.inspector.daemon import load_predictor
-    from wsdetect.inspector.pipeline import emit_eve
+    from wsdetect.inspector.pipeline import _file_sids, emit_eve
 
     overrides = {"model_path": args.model}
     if args.rules_dir:
@@ -377,7 +377,8 @@ def cmd_inspect_once(args, out, err) -> int:
     config = load_config(args.config, overrides)
     model = load_predictor(config.model_path)
     started = _time.perf_counter()
-    result = inspect_pcap(args.pcap, model, config)
+    sid_for = _file_sids(args.rules_dir) if args.rules_dir else None
+    result = inspect_pcap(args.pcap, model, config, sid_for=sid_for)
     elapsed_ms = (_time.perf_counter() - started) * 1000.0
     if args.eve:
         emit_eve(result.alerts, args.eve)

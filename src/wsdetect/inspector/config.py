@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 ENV_CONFIG_PATH = "WS_INSPECTOR_CONFIG"
@@ -19,7 +19,6 @@ class InspectorConfig:
     deep_inspecting: bool = True
     rules_dir: str = "/etc/NetIDPS/rules"
     socket_path: str = "/run/wsdetect/inspector.sock"
-    home_net: list[str] = field(default_factory=lambda: ["$HOME_NET"])
     model_path: str = ""
     sid_start: int = 3_000_001
     mode: str = "ips"  # "ips" drops, "ids" only alerts

@@ -27,6 +27,7 @@ from wsdetect.inspector.config import InspectorConfig
 from wsdetect.inspector.pipeline import (
     Blacklist,
     StubPredictor,
+    _file_sids,
     emit_eve,
     inspect_pcap,
     write_rules,
@@ -53,7 +54,7 @@ class InspectorDaemon:
         self.config = config
         self.model = model if model is not None else load_predictor(config.model_path)
         self.blacklist = Blacklist(ttl_s=config.blacklist_ttl_s)
-        self.sid_for: dict[str, int] = {}
+        self.sid_for = _file_sids(config.rules_dir)
         self._write_lock = threading.Lock()
 
     def handle_request(self, request: dict) -> dict:

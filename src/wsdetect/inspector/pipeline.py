@@ -168,10 +168,12 @@ class InspectionResult:
 
 def inspect_flows(flows: list[Flow], model, config: InspectorConfig,
                   blacklist: Blacklist | None = None,
-                  sid_for: dict[str, int] | None = None) -> InspectionResult:
+                  sid_for: dict[tuple[str, str], int] | None = None,
+                  ) -> InspectionResult:
     """Classify assembled flows and build alerts + rules for class 1.
 
-    `sid_for` maps already-assigned source IPs to their sid so repeated
+    `sid_for` maps the (source IP, action) of each rule already assigned,
+    the key of a line in the rule file, to its sid, so repeated
     inspections keep stable signature ids.
     """
     result = InspectionResult(flows=len(flows))
@@ -189,16 +191,16 @@ def inspect_flows(flows: list[Flow], model, config: InspectorConfig,
             continue
         result.webshell += 1
         src_ip = flow.src_ip
-        if src_ip not in sid_for:
-            sid_for[src_ip] = config.sid_start + len(sid_for)
-        sid = sid_for[src_ip]
+        key = (src_ip, config.rule_action)
+        if key not in sid_for:  # one past the highest sid in use
+            sid_for[key] = max([config.sid_start - 1, *sid_for.values()]) + 1
+        sid = sid_for[key]
         result.alerts.append(Alert(
             timestamp_us=record.timestamp_us,
             src_ip=src_ip, src_port=flow.src_port,
             dest_ip=flow.dst_ip, dest_port=flow.dst_port,
             proto=_PROTO_NAMES.get(flow.protocol, str(flow.protocol)),
             signature_id=sid, p_webshell=float(prob[1])))
-        key = (src_ip, config.rule_action)
         if key not in emitted:
             emitted[key] = GeneratedRule(
                 action=config.rule_action, src_ip=src_ip, sid=sid)
@@ -210,7 +212,8 @@ def inspect_flows(flows: list[Flow], model, config: InspectorConfig,
 
 def inspect_pcap(pcap_path: str | Path, model, config: InspectorConfig,
                  blacklist: Blacklist | None = None,
-                 sid_for: dict[str, int] | None = None) -> InspectionResult:
+                 sid_for: dict[tuple[str, str], int] | None = None,
+                 ) -> InspectionResult:
     """Full pipeline for one capture file."""
     capture = read_pcap(pcap_path)
     flows = assemble_flows(capture.packets)
@@ -250,13 +253,9 @@ def write_rules(rules: list[GeneratedRule], rules_dir: str | Path) -> Path | Non
 
     existing: dict[tuple[str, str], GeneratedRule] = {}
     order: list[tuple[str, str]] = []
-    if path.exists():
-        for line in path.read_text(encoding="utf-8").splitlines():
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            rule = parse_rule_line(line)
-            existing[(rule.src_ip, rule.action)] = rule
-            order.append((rule.src_ip, rule.action))
+    for rule in _read_rules(path):
+        existing[(rule.src_ip, rule.action)] = rule
+        order.append((rule.src_ip, rule.action))
 
     taken = {r.sid for r in existing.values()}
     for rule in rules:
@@ -281,3 +280,20 @@ def write_rules(rules: list[GeneratedRule], rules_dir: str | Path) -> Path | Non
         for key in order:
             fh.write(existing[key].render() + "\n")
     return path
+
+
+def _read_rules(path: Path) -> list[GeneratedRule]:
+    """The rules of a generated rule file in file order; none if absent."""
+    if not path.exists():
+        return []
+    return [parse_rule_line(line)
+            for line in path.read_text(encoding="utf-8").splitlines()
+            if line.strip() and not line.lstrip().startswith("#")]
+
+
+def _file_sids(rules_dir: str | Path) -> dict[tuple[str, str], int]:
+    """(source IP, action) -> sid of each rule already in the rule file
+    under `rules_dir`: alerts then carry the sid the file keeps, and a
+    new source gets a sid past every one in use."""
+    return {(rule.src_ip, rule.action): rule.sid
+            for rule in _read_rules(Path(rules_dir) / RULE_FILE_NAME)}

@@ -1,16 +1,20 @@
 """Pattern search and condition evaluation over byte subjects.
 
-All literal patterns of a ruleset are searched in one pass with an
-Aho-Corasick automaton (two automata: one over the raw subject for
-case-sensitive patterns, one over the ASCII-lowercased subject for
-``nocase`` patterns). Hex wildcards and regexes fall back to per-pattern
-regex scans.
+Literal patterns (text strings and hex strings without ``??``) are found
+by exact prefix keys: a needle of length n starts at offset p if and
+only if the subject's first min(n, 8) bytes at p equal the needle's
+key, and ``subject[p:p+n]`` is the needle. The key test runs for all
+offsets at once in numpy; the second test is one dict lookup per
+distinct needle length under a matching key. ``nocase`` literals are
+searched the same way in the ASCII-lowercased subject. Hex wildcards
+and regexes fall back to per-pattern regex scans.
 """
 
 from __future__ import annotations
 
 import re
-from collections import deque
+
+import numpy as np
 
 from wsdetect.rulelang.model import (
     And,
@@ -29,59 +33,53 @@ from wsdetect.rulelang.model import (
     TextBody,
 )
 
+_KEY_WIDTH = 8  # bytes of a needle's key: one uint64 window
+_BLOCK_SIZE = 1 << 16  # subject offsets keyed per numpy pass
+
 _WORD_BYTES = frozenset(
     b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789")
 
 
-class _AcNode:
-    __slots__ = ("children", "fail", "outputs")
+class _Literals:
+    """Every occurrence of a set of byte needles, found by prefix keys."""
 
-    def __init__(self):
-        self.children: dict[int, _AcNode] = {}
-        self.fail: _AcNode | None = None
-        self.outputs: list[tuple[int, int]] = []  # (pattern index, length)
+    def __init__(self, needles: dict[bytes, list[int]]):
+        self.needles = needles  # needle -> indices of the patterns it serves
+        lengths: dict[bytes, set[int]] = {}
+        for needle in needles:
+            if needle:  # an empty needle has no key and never occurs
+                lengths.setdefault(needle[:_KEY_WIDTH], set()).add(len(needle))
+        # one group per key width: big-endian keys sorted, and for each
+        # key the distinct lengths of the needles that start with it
+        self.groups = []
+        for width in sorted({len(key) for key in lengths}):
+            keys = sorted(key for key in lengths if len(key) == width)
+            self.groups.append((
+                np.uint64(8 * (_KEY_WIDTH - width)),
+                np.array([int.from_bytes(key, "big") for key in keys], dtype=np.uint64),
+                [sorted(lengths[key]) for key in keys]))
 
-
-class _Automaton:
-    """Byte-level Aho-Corasick over a set of literal needles."""
-
-    def __init__(self, needles: list[bytes]):
-        self.root = _AcNode()
-        for idx, needle in enumerate(needles):
-            node = self.root
-            for byte in needle:
-                node = node.children.setdefault(byte, _AcNode())
-            node.outputs.append((idx, len(needle)))
-        self._build_failure_links()
-
-    def _build_failure_links(self) -> None:
-        queue: deque[_AcNode] = deque()
-        for child in self.root.children.values():
-            child.fail = self.root
-            queue.append(child)
-        while queue:
-            node = queue.popleft()
-            for byte, child in node.children.items():
-                fallback = node.fail
-                while fallback is not self.root and byte not in fallback.children:
-                    fallback = fallback.fail
-                child.fail = fallback.children.get(byte, self.root)
-                if child.fail is child:
-                    child.fail = self.root
-                child.outputs = child.outputs + child.fail.outputs
-                queue.append(child)
-
-    def scan(self, subject: bytes) -> list[list[int]]:
-        """Start offsets of every needle occurrence, per needle index."""
-        hits: dict[int, list[int]] = {}
-        node = self.root
-        for pos, byte in enumerate(subject):
-            while node is not self.root and byte not in node.children:
-                node = node.fail
-            node = node.children.get(byte, self.root)
-            for idx, length in node.outputs:
-                hits.setdefault(idx, []).append(pos - length + 1)
-        return hits
+    def scan(self, subject: bytes, found: list[list[tuple[int, int]]]) -> None:
+        """Append (offset, length) of each occurrence to `found[pattern]`,
+        offsets ascending."""
+        for start in range(0, len(subject), _BLOCK_SIZE):
+            count = min(_BLOCK_SIZE, len(subject) - start)
+            # the key-width bytes at each offset, zero-padded past the end
+            chunk = subject[start:start + count + _KEY_WIDTH - 1].ljust(
+                count + _KEY_WIDTH - 1, b"\0")
+            windows = np.ndarray((count,), dtype=">u8", buffer=chunk,
+                                 strides=(1,)).astype(np.uint64)
+            for shift, keys, lengths in self.groups:
+                probe = windows >> shift
+                at = np.searchsorted(keys, probe)
+                at[at == len(keys)] = 0
+                hits = np.flatnonzero(keys[at] == probe)
+                for p, k in zip((hits + start).tolist(), at[hits].tolist()):
+                    for n in lengths[k]:
+                        if p + n > len(subject):
+                            break  # a slice cut short by the end could equal a shorter needle
+                        for i in self.needles.get(subject[p:p + n], ()):
+                            found[i].append((p, n))
 
 
 class CompiledRuleSet:
@@ -93,48 +91,36 @@ class CompiledRuleSet:
             (rule, pat) for rule in ruleset.rules for pat in rule.strings]
         self._patterns = patterns
 
-        cs_needles: list[bytes] = []
-        ci_needles: list[bytes] = []
-        self._cs_index: list[int] = []  # automaton slot -> patterns index
-        self._ci_index: list[int] = []
+        cs_needles: dict[bytes, list[int]] = {}
+        ci_needles: dict[bytes, list[int]] = {}
         self._regex: list[tuple[int, re.Pattern[bytes]]] = []
 
         for i, (_, pat) in enumerate(patterns):
             body = pat.body
             if isinstance(body, TextBody):
                 if body.nocase:
-                    ci_needles.append(body.value.lower())
-                    self._ci_index.append(i)
+                    ci_needles.setdefault(body.value.lower(), []).append(i)
                 else:
-                    cs_needles.append(body.value)
-                    self._cs_index.append(i)
+                    cs_needles.setdefault(body.value, []).append(i)
             elif isinstance(body, HexBody):
                 if all(t is not None for t in body.tokens):
-                    cs_needles.append(bytes(body.tokens))
-                    self._cs_index.append(i)
+                    cs_needles.setdefault(bytes(body.tokens), []).append(i)
                 else:
                     self._regex.append((i, _hex_to_regex(body)))
             else:
                 flags = re.DOTALL | (re.IGNORECASE if body.nocase else 0)
                 self._regex.append((i, re.compile(body.source.encode("latin-1"), flags)))
 
-        self._cs = _Automaton(cs_needles) if cs_needles else None
-        self._ci = _Automaton(ci_needles) if ci_needles else None
+        self._cs = _Literals(cs_needles) if cs_needles else None
+        self._ci = _Literals(ci_needles) if ci_needles else None
 
     def occurrences(self, subject: bytes) -> list[list[tuple[int, int]]]:
         """Per global pattern index: list of (offset, length) occurrences."""
         found: list[list[tuple[int, int]]] = [[] for _ in self._patterns]
         if self._cs is not None:
-            for slot, offsets in self._cs.scan(subject).items():
-                i = self._cs_index[slot]
-                length = _literal_length(self._patterns[i][1])
-                found[i] = [(off, length) for off in offsets]
+            self._cs.scan(subject, found)
         if self._ci is not None:
-            lowered = subject.lower()
-            for slot, offsets in self._ci.scan(lowered).items():
-                i = self._ci_index[slot]
-                length = _literal_length(self._patterns[i][1])
-                found[i] = [(off, length) for off in offsets]
+            self._ci.scan(subject.lower(), found)
         for i, rx in self._regex:
             spans = [(m.start(), m.end() - m.start()) for m in rx.finditer(subject)]
             found[i] = spans
@@ -146,15 +132,6 @@ class CompiledRuleSet:
                     (off, length) for off, length in found[i]
                     if _is_fullword(subject, off, length)]
         return found
-
-
-def _literal_length(pattern: Pattern) -> int:
-    body = pattern.body
-    if isinstance(body, TextBody):
-        return len(body.value)
-    if isinstance(body, HexBody):
-        return len(body.tokens)
-    raise TypeError("not a literal pattern")
 
 
 def _hex_to_regex(body: HexBody) -> re.Pattern[bytes]:

@@ -106,11 +106,6 @@ class _Lexer:
             else:
                 return
 
-    def peek_char(self) -> str:
-        """First significant character, without consuming it."""
-        self._skip_ws_and_comments()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
     def next_token(self) -> _Token:
         self._skip_ws_and_comments()
         line, col = self.line, self.col
@@ -343,6 +338,8 @@ class _Parser:
             seen.add(ident)
             self._expect_punct("=")
             if self.tok.kind == "STRING":
+                if not self.tok.value:
+                    raise self._error("empty string")
                 value = self._advance().value
                 nocase, fullword = self._parse_modifiers()
                 body = TextBody(value=value, nocase=nocase, fullword=fullword)

@@ -142,14 +142,22 @@ class ConvMaxPool(Layer):
     def backward(self, dout):
         x, argmax = self._x, self._argmax
         d = np.where(self._gate, dout, 0.0)
-        rows = np.arange(x.shape[0])[:, None]
-        dx = np.zeros_like(x)
+        batch, length, channels = x.shape
+        rows = np.arange(batch)[:, None]
         for j in range(self.kernel):
             # the window of filter f in sample b starts at argmax[b, f]
             self.grads["w"][:, :, j] += np.einsum(
                 "bf,bfc->fc", d, x[rows, argmax + j])
-            np.add.at(dx, (rows, argmax + j),
-                      d[:, :, None] * self.params["w"][:, :, j])
+        # per sample, one flat histogram over cells t*C + c with entries
+        # ordered j, f, c: each cell sums its terms in the order of a
+        # per-j scatter. taps[j, f, c] = w[f, c, j]
+        taps = self.params["w"].transpose(2, 0, 1)
+        offsets = np.arange(self.kernel)[:, None, None] * channels + np.arange(channels)
+        dx = np.empty_like(x)
+        for n in range(batch):
+            cells = argmax[n][:, None] * channels + offsets
+            dx[n] = np.bincount(cells.ravel(), weights=(d[n][:, None] * taps).ravel(),
+                                minlength=length * channels).reshape(length, channels)
         self.grads["b"] += d.sum(axis=0)
         return dx
 

@@ -291,6 +291,24 @@ class TestInspectOnce:
         assert len(rule_lines) == 2
         assert rule_lines[0].startswith("drop ip 192.168.1.10")
 
+    def test_alert_sids_agree_with_existing_rule_file(self, two_flow_pcap, tmp_path):
+        from wsdetect.inspector import GeneratedRule, parse_rule_line
+
+        eve = tmp_path / "eve.json"
+        rules_dir = tmp_path / "rules"
+        rules_dir.mkdir()
+        path = rules_dir / "webshell-generated.rules"
+        path.write_text(GeneratedRule("drop", "1.1.1.1", 3000001).render() + "\n")
+        code, out, err = _run(["inspect", "once", "--pcap", str(two_flow_pcap),
+                               "--model", "stub", "--eve", str(eve),
+                               "--rules-dir", str(rules_dir)])
+        assert code == EXIT_DETECTED, err
+        alerts = [json.loads(line) for line in eve.read_text().splitlines()]
+        written = {r.src_ip: r.sid for r in map(parse_rule_line, path.read_text().splitlines())}
+        assert len(written) == 3 and len(set(written.values())) == 3
+        for alert in alerts:
+            assert alert["alert"]["signature_id"] == written[alert["src_ip"]]
+
     def test_benign_stub_clean_exit(self, two_flow_pcap, tmp_path):
         code, out, err = _run(["inspect", "once", "--pcap", str(two_flow_pcap),
                                "--model", "stub:benign"])

@@ -53,11 +53,14 @@ class TestConfig:
             load_config(path)
 
     def test_removed_sampling_keys_rejected(self, tmp_path):
-        # the daemon is request-driven; the old scheduler keys are errors
+        # the daemon is request-driven, so the old scheduler keys are
+        # errors; home_net was never read (the rule template hard-codes it)
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"inspection_frequency": 120_000}))
-        with pytest.raises(ConfigError, match="inspection_frequency"):
-            load_config(path)
+        for key, value in (("inspection_frequency", 120_000),
+                           ("home_net", ["10.0.0.0/8"])):
+            path.write_text(json.dumps({key: value}))
+            with pytest.raises(ConfigError, match=key):
+                load_config(path)
 
 
 class TestInspectPcap:
@@ -115,6 +118,26 @@ class TestInspectPcap:
         second = inspect_pcap(two_flow_pcap, StubPredictor(1), config,
                               sid_for=sid_for)
         assert [r.sid for r in first.rules] == [r.sid for r in second.rules]
+
+    def test_alert_sids_agree_with_existing_rule_file(self, two_flow_pcap, tmp_path):
+        # a restarted daemon: the rule file holds another source, a drop
+        # rule for one source of the capture, and an alert rule (from an
+        # ids-mode run) for the other one, which holds the highest sid
+        path = tmp_path / "webshell-generated.rules"
+        path.write_text("".join(rule.render() + "\n" for rule in (
+            GeneratedRule("drop", "1.1.1.1", 3000001),
+            GeneratedRule("drop", "192.168.1.10", 3000007),
+            GeneratedRule("alert", "192.168.1.20", 3000009))))
+        daemon = InspectorDaemon(InspectorConfig(rules_dir=str(tmp_path), model_path="stub"))
+        response = daemon.inspect(str(two_flow_pcap))
+        written = {(r.src_ip, r.action): r.sid
+                   for r in map(parse_rule_line, path.read_text().splitlines())}
+        sids = {a["src_ip"]: a["alert"]["signature_id"] for a in response["alerts"]}
+        assert sids == {"192.168.1.10": written[("192.168.1.10", "drop")],
+                        "192.168.1.20": written[("192.168.1.20", "drop")]}
+        assert sids == {"192.168.1.10": 3000007, "192.168.1.20": 3000010}
+        assert written[("1.1.1.1", "drop")] == 3000001
+        assert written[("192.168.1.20", "alert")] == 3000009
 
     def test_ids_mode_generates_alert_rules(self, two_flow_pcap):
         result = inspect_pcap(two_flow_pcap, StubPredictor(1),

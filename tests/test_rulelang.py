@@ -7,12 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsdetect.rulelang import (
+    CompiledRuleSet,
+    HexBody,
+    Pattern,
+    Rule,
+    RuleSet,
     RuleSyntaxError,
+    TextBody,
     load_rules_dir,
     match_buffer,
     parse_rules,
     scan_tree,
 )
+from wsdetect.rulelang import matcher
 from wsdetect.rulelang.matcher import evaluate_condition
 from wsdetect.rulelang.model import BoolLiteral, OfExpr, RuleError
 from wsdetect.rulelang.parser import render_rules
@@ -81,6 +88,11 @@ class TestParsing:
     def test_hex_rejects_stray_tokens(self):
         with pytest.raises(RuleSyntaxError, match="hex"):
             parse_rules("rule h { strings: $m = { 4d 5 } condition: $m }")
+
+    def test_empty_string_rejected(self):
+        with pytest.raises(RuleSyntaxError, match="empty string") as info:
+            parse_rules('rule r {\n  strings:\n    $a = "" condition: $a }')
+        assert (info.value.line, info.value.column) == (3, 10)
 
     def test_c_style_escapes(self):
         ruleset = parse_rules(
@@ -250,6 +262,94 @@ class TestOfExprBruteForce:
             subject = bytes([rng.randrange(97, 123) for _ in range(rng.randint(0, 40))])
             expected = sum(1 for needle in needles if needle in subject) >= n
             assert bool(match_buffer(ruleset, subject)) == expected
+
+
+def _needle(body):
+    return bytes(body.tokens) if isinstance(body, HexBody) else body.value
+
+
+def _naive_occurrences(ruleset, subject):
+    """Overlapping bytes.find per literal pattern, fullword checked on
+    the bytes around each hit."""
+    def word(pos):
+        return 0 <= pos < len(subject) and chr(subject[pos]).isascii() \
+            and chr(subject[pos]).isalnum()
+
+    found = []
+    for rule in ruleset.rules:
+        for pattern in rule.strings:
+            body = pattern.body
+            needle, hay = _needle(body), subject
+            if getattr(body, "nocase", False):
+                needle, hay = needle.lower(), subject.lower()
+            fullword = getattr(body, "fullword", False)
+            offsets, at = [], hay.find(needle)
+            while at >= 0:
+                if not (fullword and (word(at - 1) or word(at + len(needle)))):
+                    offsets.append((at, len(needle)))
+                at = hay.find(needle, at + 1)
+            found.append(offsets)
+    return found
+
+
+@st.composite
+def _literal_rules(draw, max_len=20):
+    """Two rules of literal patterns over a small alphabet. Half the
+    needles are prefixes of one base, so needles overlap and share keys
+    at every length, shorter and longer than the key; the second rule
+    repeats the first rule's first pattern."""
+    alphabet = draw(st.sampled_from([b"ab", b"aB", b"abc", b"a\x00b"]))
+    letters = st.sampled_from(list(alphabet))
+    base = bytes(draw(st.lists(letters, min_size=max_len, max_size=max_len)))
+    patterns = []
+    for k in range(draw(st.integers(1, 6))):
+        if draw(st.booleans()):
+            needle = base[:draw(st.integers(1, max_len))]
+        else:
+            needle = bytes(draw(st.lists(letters, min_size=1, max_size=max_len)))
+        kind = draw(st.sampled_from(["text", "nocase", "fullword", "both", "hex"]))
+        if kind == "hex":
+            body = HexBody(tuple(needle))
+        else:
+            body = TextBody(needle, nocase=kind in ("nocase", "both"),
+                            fullword=kind in ("fullword", "both"))
+        patterns.append(Pattern(f"$s{k}", body))
+    rules = (Rule("r1", (), tuple(patterns), BoolLiteral(True)),
+             Rule("r2", (), (patterns[0],), BoolLiteral(True)))
+    return RuleSet(rules, fingerprint=""), alphabet, base
+
+
+class TestLiteralScan:
+    """CompiledRuleSet.occurrences against a naive bytes.find scan."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_naive_find(self, data):
+        ruleset, alphabet, base = data.draw(_literal_rules())
+        letters = st.sampled_from(list(alphabet + b" A"))
+        # from shorter than a key to several keys long, often ending in
+        # a needle or a prefix of the base, so longer needles run off the end
+        tails = [_needle(p.body) for p in ruleset.rules[0].strings]
+        tails += [base[:k] for k in range(len(base) + 1)]
+        subject = bytes(data.draw(st.lists(letters, max_size=40)))
+        subject += data.draw(st.sampled_from(tails))
+        assert CompiledRuleSet(ruleset).occurrences(subject) == \
+            _naive_occurrences(ruleset, subject)
+
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_needles_across_block_seam(self, data):
+        ruleset, alphabet, base = data.draw(_literal_rules())
+        subject = bytearray(b"." * (2 * matcher._BLOCK_SIZE + 100))
+        for rule in ruleset.rules:
+            for pattern in rule.strings:
+                needle = _needle(pattern.body)
+                for seam in (matcher._BLOCK_SIZE, 2 * matcher._BLOCK_SIZE):
+                    at = seam - data.draw(st.integers(0, len(needle)))
+                    subject[at:at + len(needle)] = needle
+        subject = bytes(subject)
+        assert CompiledRuleSet(ruleset).occurrences(subject) == \
+            _naive_occurrences(ruleset, subject)
 
 
 class TestNocaseProperty:
