@@ -98,6 +98,16 @@ def cmd_oci_extract(args, out, err) -> int:
 
 # --- training ----------------------------------------------------------
 
+def _labelled_dataset(csv_path: str):
+    """Read a labelled feature CSV: (the read result, its dataset)."""
+    from wsdetect.flowmeter import label_to_class, read_csv
+    from wsdetect.trafficmodel import TabularDataset
+
+    loaded = read_csv(csv_path)
+    labels = [label_to_class(rec.label) for rec in loaded.records]
+    return loaded, TabularDataset.from_records(loaded.records, labels)
+
+
 def cmd_train_src(args, out, err) -> int:
     from wsdetect.opcode import read_corpus_csv
     from wsdetect.srcmodel import CnnConfig, train_cnn
@@ -129,13 +139,10 @@ def cmd_train_src(args, out, err) -> int:
 
 
 def cmd_train_flow(args, out, err) -> int:
-    from wsdetect.flowmeter import label_to_class, read_csv
     from wsdetect.tensornet import save_model
-    from wsdetect.trafficmodel import TabularConfig, TabularDataset, train_dnn
+    from wsdetect.trafficmodel import TabularConfig, train_dnn
 
-    loaded = read_csv(args.csv)
-    labels = [label_to_class(rec.label) for rec in loaded.records]
-    dataset = TabularDataset.from_records(loaded.records, labels)
+    loaded, dataset = _labelled_dataset(args.csv)
     config = TabularConfig(weighted=args.weighted, seed=args.seed,
                            epochs=args.epochs if args.epochs is not None else 2,
                            batch_size=args.batch_size if args.batch_size is not None else 64)
@@ -227,7 +234,8 @@ def cmd_flows_extract(args, out, err) -> int:
     else:
         write_csv(records, args.out)
     _emit({"packets": len(capture.packets), "skipped": capture.skipped,
-           "flows": len(records), "out": args.out}, args, out)
+           "fragments": capture.fragments, "flows": len(records),
+           "out": args.out}, args, out)
     return EXIT_OK
 
 
@@ -243,12 +251,9 @@ def cmd_eval_metrics(args, out, err) -> int:
 
 
 def cmd_eval_kfold(args, out, err) -> int:
-    from wsdetect.flowmeter import label_to_class, read_csv
-    from wsdetect.trafficmodel import TabularConfig, TabularDataset, kfold_cv
+    from wsdetect.trafficmodel import TabularConfig, kfold_cv
 
-    loaded = read_csv(args.csv)
-    labels = [label_to_class(rec.label) for rec in loaded.records]
-    dataset = TabularDataset.from_records(loaded.records, labels)
+    _, dataset = _labelled_dataset(args.csv)
     config = TabularConfig(weighted=args.weighted, seed=args.seed)
     report = kfold_cv(dataset, args.k, config, seed=args.seed)
     if args.json:
@@ -267,14 +272,11 @@ def cmd_eval_kfold(args, out, err) -> int:
 
 def cmd_tune_grid(args, out, err) -> int:
     from wsdetect.evalkit import SearchSpace, grid_search
-    from wsdetect.flowmeter import label_to_class, read_csv
-    from wsdetect.trafficmodel import TabularConfig, TabularDataset, kfold_cv
+    from wsdetect.trafficmodel import TabularConfig, kfold_cv
 
     spec = json.loads(Path(args.space).read_text(encoding="utf-8"))
     space = SearchSpace.from_dict(spec)
-    loaded = read_csv(args.csv)
-    labels = [label_to_class(rec.label) for rec in loaded.records]
-    dataset = TabularDataset.from_records(loaded.records, labels)
+    _, dataset = _labelled_dataset(args.csv)
 
     def eval_point(point: dict) -> float:
         overrides = dict(point)

@@ -310,19 +310,6 @@ class SearchSpace:
         value_lists = [axis.points() for _, axis in self.axes]
         return [dict(zip(names, combo)) for combo in itertools.product(*value_lists)]
 
-    def sample(self, n: int, seed: int = 0) -> list[dict]:
-        rng = random.Random(seed)
-        out = []
-        for _ in range(n):
-            point = {}
-            for name, axis in self.axes:
-                if isinstance(axis, Choice):
-                    point[name] = rng.choice(list(axis.values))
-                else:
-                    point[name] = rng.uniform(axis.lo, axis.hi)
-            out.append(point)
-        return out
-
 
 @dataclass
 class SearchResult:
@@ -358,7 +345,3 @@ def grid_search(space: SearchSpace, eval_fn) -> SearchResult:
     """Evaluate every grid point; the caller's eval_fn encapsulates the
     k-fold mean score. Ties resolve to the earliest grid point."""
     return _run_search(space.grid(), eval_fn)
-
-
-def random_search(space: SearchSpace, eval_fn, n: int, seed: int = 0) -> SearchResult:
-    return _run_search(space.sample(n, seed=seed), eval_fn)

@@ -13,6 +13,9 @@ here and tested:
     with gaps <= 1 s; subflow counts divide by 1 + number of
     inter-packet gaps > 1 s
   * Down/Up Ratio is floor(bwd packets / fwd packets), 0 when fwd is 0
+  * flag counts test the TCP flag byte with the FIN ... CWR masks
+    ("CWE Flag Count" counts CWR); UDP packets carry no flags
+  * active and idle periods split the timeline at gaps above 5 s
   * timestamps are epoch microseconds internally; CSV and model inputs
     carry epoch seconds
 """
@@ -20,12 +23,12 @@ here and tested:
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 from wsdetect.flowmeter.flows import Flow
-from wsdetect.flowmeter.pcapfile import PacketMeta
-
-DEFAULT_ACTIVITY_TIMEOUT_US = 5_000_000
+from wsdetect.flowmeter.pcapfile import (
+    ACK, CWR, ECE, FIN, PSH, RST, SYN, URG, PacketMeta)
 
 CONTINUOUS_NAMES: tuple[str, ...] = (
     "Timestamp", "Flow Duration", "Tot Fwd Pkts", "Tot Bwd Pkts",
@@ -53,9 +56,6 @@ CONTINUOUS_NAMES: tuple[str, ...] = (
 
 CATEGORICAL_NAMES: tuple[str, str] = ("Dst Port", "Protocol")
 
-IDENTIFICATION_NAMES: tuple[str, ...] = (
-    "Flow ID", "Src IP", "Src Port", "Dst Port", "Protocol", "Timestamp", "Label")
-
 # Full CSV layout: 6 identification columns, the 76 continuous columns
 # after Timestamp, and the trailing Label. 83 fields total.
 CSV_COLUMNS: tuple[str, ...] = (
@@ -66,6 +66,7 @@ assert len(CONTINUOUS_NAMES) == 77
 assert len(CSV_COLUMNS) == 83
 
 _BULK_GAP_US = 1_000_000      # max intra-bulk inter-arrival
+_ACTIVITY_TIMEOUT_US = 5_000_000  # a gap above this ends an active period
 _BULK_MIN_PACKETS = 4
 _SUBFLOW_GAP_US = 1_000_000   # a gap above this starts a new subflow
 
@@ -116,8 +117,9 @@ def _gaps(times: list[int]) -> list[int]:
     return [b - a for a, b in zip(times, times[1:])]
 
 
-def _flag_count(packets: list[PacketMeta], name: str) -> int:
-    return sum(1 for p in packets if p.has_flag(name))
+def _flag_count(flag_bytes: Counter, mask: int) -> float:
+    """Packets whose flag byte has `mask` set, from a count per byte."""
+    return float(sum(n for bits, n in flag_bytes.items() if bits & mask))
 
 
 def _safe_div(num: float, den: float) -> float:
@@ -161,8 +163,7 @@ def _bulk_stats(flow: Flow) -> tuple[_BulkSide, _BulkSide]:
     return fwd, bwd
 
 
-def _active_idle(times: list[int], activity_timeout_us: int,
-                 ) -> tuple[list[int], list[int]]:
+def _active_idle(times: list[int]) -> tuple[list[int], list[int]]:
     """Split the flow timeline at gaps above the activity timeout.
     Active values are the positive durations of each busy segment;
     idle values are the long gaps themselves."""
@@ -172,7 +173,7 @@ def _active_idle(times: list[int], activity_timeout_us: int,
     prev = times[0]
     for t in times[1:]:
         gap = t - prev
-        if gap > activity_timeout_us:
+        if gap > _ACTIVITY_TIMEOUT_US:
             if prev > segment_start:
                 active.append(prev - segment_start)
             idle.append(gap)
@@ -183,9 +184,7 @@ def _active_idle(times: list[int], activity_timeout_us: int,
     return active, idle
 
 
-def compute_features(flow: Flow,
-                     activity_timeout_us: int = DEFAULT_ACTIVITY_TIMEOUT_US,
-                     ) -> FeatureRecord:
+def compute_features(flow: Flow) -> FeatureRecord:
     """All 83 fields for one flow. Pure function of the flow."""
     if not flow.packets:
         raise ValueError("flow has no packets")
@@ -206,21 +205,24 @@ def compute_features(flow: Flow,
     bwd_len = _Stats(bwd_payloads)
     all_len = _Stats(all_payloads)
 
-    flow_iat = _Stats(_gaps([p.timestamp_us for p in packets]))
+    times = [p.timestamp_us for p in packets]
+    flow_gaps = _gaps(times)
+    flow_iat = _Stats(flow_gaps)
     fwd_gaps = _gaps([p.timestamp_us for p in fwd])
     bwd_gaps = _gaps([p.timestamp_us for p in bwd])
     fwd_iat = _Stats(fwd_gaps)
     bwd_iat = _Stats(bwd_gaps)
 
     bulk_fwd, bulk_bwd = _bulk_stats(flow)
-    n_subflows = 1 + sum(
-        1 for gap in _gaps([p.timestamp_us for p in packets])
-        if gap > _SUBFLOW_GAP_US)
+    n_subflows = 1 + sum(1 for gap in flow_gaps if gap > _SUBFLOW_GAP_US)
 
-    active, idle = _active_idle(
-        [p.timestamp_us for p in packets], activity_timeout_us)
+    active, idle = _active_idle(times)
     active_stats = _Stats(active)
     idle_stats = _Stats(idle)
+
+    fwd_flags = Counter(p.tcp_flags for p in fwd)
+    bwd_flags = Counter(p.tcp_flags for p in bwd)
+    all_flags = fwd_flags + bwd_flags
 
     init_fwd_win = next((p.tcp_window for p in fwd), 0)
     init_bwd_win = next((p.tcp_window for p in bwd), 0)
@@ -255,10 +257,10 @@ def compute_features(flow: Flow,
         "Bwd IAT Std": bwd_iat.std,
         "Bwd IAT Max": bwd_iat.maximum,
         "Bwd IAT Min": bwd_iat.minimum,
-        "Fwd PSH Flags": float(_flag_count(fwd, "PSH")),
-        "Bwd PSH Flags": float(_flag_count(bwd, "PSH")),
-        "Fwd URG Flags": float(_flag_count(fwd, "URG")),
-        "Bwd URG Flags": float(_flag_count(bwd, "URG")),
+        "Fwd PSH Flags": _flag_count(fwd_flags, PSH),
+        "Bwd PSH Flags": _flag_count(bwd_flags, PSH),
+        "Fwd URG Flags": _flag_count(fwd_flags, URG),
+        "Bwd URG Flags": _flag_count(bwd_flags, URG),
         "Fwd Header Len": float(sum(p.header_bytes for p in fwd)),
         "Bwd Header Len": float(sum(p.header_bytes for p in bwd)),
         "Fwd Pkts/s": _safe_div(len(fwd), duration_s),
@@ -268,14 +270,14 @@ def compute_features(flow: Flow,
         "Pkt Len Mean": all_len.mean,
         "Pkt Len Std": all_len.std,
         "Pkt Len Var": all_len.variance,
-        "FIN Flag Cnt": float(_flag_count(packets, "FIN")),
-        "SYN Flag Cnt": float(_flag_count(packets, "SYN")),
-        "RST Flag Cnt": float(_flag_count(packets, "RST")),
-        "PSH Flag Cnt": float(_flag_count(packets, "PSH")),
-        "ACK Flag Cnt": float(_flag_count(packets, "ACK")),
-        "URG Flag Cnt": float(_flag_count(packets, "URG")),
-        "CWE Flag Count": float(_flag_count(packets, "CWR")),
-        "ECE Flag Cnt": float(_flag_count(packets, "ECE")),
+        "FIN Flag Cnt": _flag_count(all_flags, FIN),
+        "SYN Flag Cnt": _flag_count(all_flags, SYN),
+        "RST Flag Cnt": _flag_count(all_flags, RST),
+        "PSH Flag Cnt": _flag_count(all_flags, PSH),
+        "ACK Flag Cnt": _flag_count(all_flags, ACK),
+        "URG Flag Cnt": _flag_count(all_flags, URG),
+        "CWE Flag Count": _flag_count(all_flags, CWR),
+        "ECE Flag Cnt": _flag_count(all_flags, ECE),
         "Down/Up Ratio": float(len(bwd) // len(fwd)) if fwd else 0.0,
         "Pkt Size Avg": all_len.mean,
         "Fwd Seg Size Avg": fwd_len.mean,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from wsdetect.flowmeter.pcapfile import PacketMeta
+from wsdetect.flowmeter.pcapfile import FIN, RST, PacketMeta
 
 DEFAULT_FLOW_TIMEOUT_US = 120_000_000
 
@@ -57,7 +57,7 @@ class Flow:
     def add(self, pkt: PacketMeta) -> None:
         self.packets.append(pkt)
         self.directions.append(self.is_forward(pkt))
-        if pkt.has_flag("FIN") or pkt.has_flag("RST"):
+        if pkt.tcp_flags & (FIN | RST):
             self.terminated = True
 
     @property

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 import re
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -106,25 +108,41 @@ class BlacklistEntry:
 
 @dataclass
 class Blacklist:
-    """Attack sources with TTL. Expired entries are never reported."""
+    """Attack sources with TTL. Expired entries are never reported, and
+    each hit or read drops them, so the blacklist holds only the sources
+    hit within the last TTL. Safe to share between threads."""
 
     ttl_s: float = 86_400.0
-    entries: dict[str, BlacklistEntry] = field(default_factory=dict)
+    # earliest expiry first: every hit moves its source to the end
+    entries: OrderedDict[str, BlacklistEntry] = field(default_factory=OrderedDict)
+    _lock: threading.Lock = field(default_factory=threading.Lock, init=False,
+                                  repr=False, compare=False)
 
     def hit(self, src_ip: str, now: float | None = None) -> BlacklistEntry:
         now = time.time() if now is None else now
-        entry = self.entries.get(src_ip)
-        if entry is None or entry.expiry <= now:
-            entry = BlacklistEntry(first_seen=now, hit_count=0,
-                                   expiry=now + self.ttl_s)
-            self.entries[src_ip] = entry
-        entry.hit_count += 1
-        entry.expiry = now + self.ttl_s
-        return entry
+        with self._lock:
+            self._evict(now)
+            entry = self.entries.get(src_ip)
+            if entry is None or entry.expiry <= now:
+                entry = BlacklistEntry(first_seen=now, hit_count=0,
+                                       expiry=now + self.ttl_s)
+                self.entries[src_ip] = entry
+            self.entries.move_to_end(src_ip)
+            entry.hit_count += 1
+            entry.expiry = now + self.ttl_s
+            return entry
 
     def active(self, now: float | None = None) -> dict[str, BlacklistEntry]:
         now = time.time() if now is None else now
-        return {ip: e for ip, e in self.entries.items() if e.expiry > now}
+        with self._lock:
+            self._evict(now)
+            return {ip: e for ip, e in self.entries.items() if e.expiry > now}
+
+    def _evict(self, now: float) -> None:
+        # a clock that steps back can leave an expired entry behind a
+        # live one until that one expires; active() still filters it
+        while self.entries and next(iter(self.entries.values())).expiry <= now:
+            self.entries.popitem(last=False)
 
 
 class StubPredictor:

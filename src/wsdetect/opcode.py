@@ -45,7 +45,6 @@ class OpcodeVocabulary:
 @dataclass
 class OpcodeListing:
     mnemonics: list[str]
-    source_id: str = "<text>"
 
 
 @dataclass(frozen=True)
@@ -95,7 +94,7 @@ _VLD_OP = re.compile(r"^[A-Z][A-Z0-9_]+$")
 _CIL_INSTR = re.compile(r"IL_[0-9A-Fa-f]{4}\s*:\s*([A-Za-z][A-Za-z0-9.]*)")
 
 
-def parse_vld(text: str, source_id: str = "<vld>") -> OpcodeListing:
+def parse_vld(text: str) -> OpcodeListing:
     """Extract the opcode column from a VLD dump, one mnemonic per op row.
 
     Op rows look like ``   2     0  E >   ECHO  'hi'``; banner, header
@@ -115,10 +114,10 @@ def parse_vld(text: str, source_id: str = "<vld>") -> OpcodeListing:
                 break
             if token.isdigit():
                 saw_number = True
-    return OpcodeListing(mnemonics, source_id=source_id)
+    return OpcodeListing(mnemonics)
 
 
-def parse_cil(text: str, source_id: str = "<cil>") -> OpcodeListing:
+def parse_cil(text: str) -> OpcodeListing:
     """Extract CIL mnemonics, one per ``IL_xxxx:`` label, in label order.
 
     Directives (``.maxstack``, ``.locals``, ``.custom``) and operand
@@ -126,18 +125,18 @@ def parse_cil(text: str, source_id: str = "<cil>") -> OpcodeListing:
     line-wrapped disassembly since the scan is not line-based.
     """
     mnemonics = [m.group(1) for m in _CIL_INSTR.finditer(text)]
-    return OpcodeListing(mnemonics, source_id=source_id)
+    return OpcodeListing(mnemonics)
 
 
 _PARSERS = {"php": parse_vld, "cil": parse_cil}
 
 
-def parse_listing(text: str, language: str, source_id: str = "<text>") -> OpcodeListing:
+def parse_listing(text: str, language: str) -> OpcodeListing:
     try:
         parser = _PARSERS[language]
     except KeyError:
         raise OpcodeError(f"unknown opcode language {language!r}") from None
-    return parser(text, source_id=source_id)
+    return parser(text)
 
 
 # --- vectorization ---------------------------------------------------------
@@ -190,7 +189,7 @@ def vectorize_corpus(items: list[tuple[str | Path, int]], language: str,
         except OSError as exc:
             corpus.failures.append(VectorizeFailure(path=str(path), reason=str(exc)))
             continue
-        listing = parse_listing(text, language, source_id=str(path))
+        listing = parse_listing(text, language)
         corpus.vectors.append(oiva(listing, vocab, max_length))
         corpus.labels.append(label)
         corpus.paths.append(str(path))

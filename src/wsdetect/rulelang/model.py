@@ -96,9 +96,6 @@ class Rule:
     strings: tuple[Pattern, ...]
     condition: Condition
 
-    def meta_dict(self) -> dict[str, str]:
-        return dict(self.meta)
-
     def pattern_ids(self) -> tuple[str, ...]:
         return tuple(p.ident for p in self.strings)
 

@@ -485,75 +485,3 @@ def parse_rules(text: str) -> RuleSet:
             raise RuleSyntaxError(f"duplicate rule name '{rule.name}'", 0, 0)
         seen.add(rule.name)
     return RuleSet(rules=tuple(rules), fingerprint=RuleSet.fingerprint_of(text))
-
-
-# --- serialization ---------------------------------------------------------
-
-def _render_bytes(value: bytes) -> str:
-    out = []
-    for b in value:
-        if b == 0x22:
-            out.append('\\"')
-        elif b == 0x5C:
-            out.append("\\\\")
-        elif b == 0x0A:
-            out.append("\\n")
-        elif b == 0x09:
-            out.append("\\t")
-        elif 0x20 <= b < 0x7F:
-            out.append(chr(b))
-        else:
-            out.append(f"\\x{b:02x}")
-    return "".join(out)
-
-
-def _render_condition(node: Condition) -> str:
-    if isinstance(node, BoolLiteral):
-        return "true" if node.value else "false"
-    if isinstance(node, StringRef):
-        return node.ident
-    if isinstance(node, OfExpr):
-        target = "them" if node.targets is None else "(" + ", ".join(node.targets) + ")"
-        return f"{node.count} of {target}"
-    if isinstance(node, Not):
-        return f"not ({_render_condition(node.operand)})"
-    if isinstance(node, And):
-        return f"({_render_condition(node.left)} and {_render_condition(node.right)})"
-    if isinstance(node, Or):
-        return f"({_render_condition(node.left)} or {_render_condition(node.right)})"
-    raise TypeError(f"unknown condition node {node!r}")
-
-
-def render_rules(ruleset: RuleSet) -> str:
-    """Serialize a RuleSet back to source. Semantically round-trips."""
-    chunks = []
-    for rule in ruleset.rules:
-        lines = [f"rule {rule.name} {{"]
-        if rule.meta:
-            lines.append("  meta:")
-            for key, value in rule.meta:
-                lines.append(f'    {key} = "{_render_bytes(value.encode("utf-8"))}"')
-        if rule.strings:
-            lines.append("  strings:")
-            for pat in rule.strings:
-                body = pat.body
-                if isinstance(body, TextBody):
-                    rendered = f'"{_render_bytes(body.value)}"'
-                    if body.nocase:
-                        rendered += " nocase"
-                    if body.fullword:
-                        rendered += " fullword"
-                elif isinstance(body, RegexBody):
-                    rendered = "/" + body.source.replace("/", "\\/") + "/"
-                    if body.nocase:
-                        rendered += " nocase"
-                    if body.fullword:
-                        rendered += " fullword"
-                else:
-                    parts = ["??" if t is None else f"{t:02x}" for t in body.tokens]
-                    rendered = "{ " + " ".join(parts) + " }"
-                lines.append(f"    {pat.ident} = {rendered}")
-        lines.append(f"  condition: {_render_condition(rule.condition)}")
-        lines.append("}")
-        chunks.append("\n".join(lines))
-    return "\n\n".join(chunks) + "\n"

@@ -226,7 +226,7 @@ def cnn_verdict(model: OpcodeCnn, data: bytes, language: str,
     """
     _check_model_pairing(model, language, vocab)
     text = data.decode("utf-8", errors="replace")
-    listing = parse_listing(text, language, source_id=subject_id)
+    listing = parse_listing(text, language)
     if not listing.mnemonics:
         raise OpcodeParseError(
             f"{subject_id}: no {language} opcode rows recognized")

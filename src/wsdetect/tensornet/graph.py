@@ -41,9 +41,6 @@ class ModelGraph:
         self._layers.append((name, layer))
         return layer
 
-    def layers(self):
-        return list(self._layers)
-
     def parameters(self) -> dict[str, np.ndarray]:
         out = {}
         for name, layer in self._layers:

@@ -25,9 +25,6 @@ class FitHistory:
     def __len__(self):
         return len(self.epochs)
 
-    def final_accuracy(self) -> float:
-        return self.epochs[-1].accuracy if self.epochs else 0.0
-
 
 def _slice_inputs(inputs, idx):
     if isinstance(inputs, tuple):

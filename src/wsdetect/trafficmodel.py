@@ -165,9 +165,6 @@ class TabularDnn(tn.ModelGraph):
     def normalize(self, cont: np.ndarray) -> np.ndarray:
         return (np.asarray(cont, dtype=np.float64) - self.norm_mean) / self.norm_scale
 
-    def denormalize(self, cont: np.ndarray) -> np.ndarray:
-        return np.asarray(cont, dtype=np.float64) * self.norm_scale + self.norm_mean
-
     def prepare(self, dataset: TabularDataset) -> tuple[np.ndarray, np.ndarray]:
         if dataset.schema.content_hash != self.schema_hash:
             raise TrafficModelError("feature schema does not match the model")

@@ -11,28 +11,36 @@ MAGIC_US = 0xA1B2C3D4
 MAGIC_NS = 0xA1B23C4D
 
 
-def ethernet_ipv4_tcp(src, sport, dst, dport, payload_len, flags=0x10,
-                      window=8192, vlan=False):
-    """One Ethernet/IPv4/TCP frame with a dummy payload."""
-    tcp = struct.pack("!HHIIBBHHH", sport, dport, 0, 0, 5 << 4, flags,
-                      window, 0, 0) + b"x" * payload_len
-    total = 20 + len(tcp)
-    iph = struct.pack("!BBHHHBBH4s4s", 0x45, 0, total, 0, 0, 64, 6, 0,
-                      socket.inet_aton(src), socket.inet_aton(dst))
+def _ethernet_ipv4(src, dst, protocol, l4, vlan, ihl, frag):
+    """Ethernet (optionally one VLAN tag) and an IPv4 header of `ihl`
+    32-bit words, zero-filled options included, in front of `l4`."""
+    options = bytes(4 * ihl - 20)
+    total = 4 * ihl + len(l4)
+    iph = struct.pack("!BBHHHBBH4s4s", 0x40 | ihl, 0, total, 0, frag, 64,
+                      protocol, 0, socket.inet_aton(src),
+                      socket.inet_aton(dst)) + options
     if vlan:
         eth = b"\xaa" * 6 + b"\xbb" * 6 + struct.pack("!HHH", 0x8100, 0, 0x0800)
     else:
         eth = b"\xaa" * 6 + b"\xbb" * 6 + struct.pack("!H", 0x0800)
-    return eth + iph + tcp
+    return eth + iph + l4
 
 
-def ethernet_ipv4_udp(src, sport, dst, dport, payload_len):
+def ethernet_ipv4_tcp(src, sport, dst, dport, payload_len, flags=0x10,
+                      window=8192, vlan=False, ihl=5, data_offset=5, frag=0):
+    """One Ethernet/IPv4/TCP frame with a dummy payload. `data_offset`
+    is the TCP header length in 32-bit words, zero-filled options
+    included; `frag` is the IPv4 flags/fragment-offset field."""
+    tcp = struct.pack("!HHIIBBHHH", sport, dport, 0, 0, data_offset << 4,
+                      flags, window, 0, 0)
+    tcp += bytes(4 * data_offset - 20) + b"x" * payload_len
+    return _ethernet_ipv4(src, dst, 6, tcp, vlan, ihl, frag)
+
+
+def ethernet_ipv4_udp(src, sport, dst, dport, payload_len, vlan=False, ihl=5,
+                      frag=0):
     udp = struct.pack("!HHHH", sport, dport, 8 + payload_len, 0) + b"u" * payload_len
-    total = 20 + len(udp)
-    iph = struct.pack("!BBHHHBBH4s4s", 0x45, 0, total, 0, 0, 64, 17, 0,
-                      socket.inet_aton(src), socket.inet_aton(dst))
-    eth = b"\xaa" * 6 + b"\xbb" * 6 + struct.pack("!H", 0x0800)
-    return eth + iph + udp
+    return _ethernet_ipv4(src, dst, 17, udp, vlan, ihl, frag)
 
 
 def arp_frame():
@@ -42,15 +50,15 @@ def arp_frame():
 def pcap_bytes(timed_frames, magic=MAGIC_US, big_endian=False):
     """Assemble a classic pcap from (timestamp_us, frame) pairs."""
     endian = ">" if big_endian else "<"
-    out = struct.pack(endian + "IHHiIII", magic, 2, 4, 0, 0, 65535, 1)
+    parts = [struct.pack(endian + "IHHiIII", magic, 2, 4, 0, 0, 65535, 1)]
     for ts_us, frame in timed_frames:
         if magic == MAGIC_NS:
             sec, frac = ts_us // 1_000_000, (ts_us % 1_000_000) * 1000
         else:
             sec, frac = ts_us // 1_000_000, ts_us % 1_000_000
-        out += struct.pack(endian + "IIII", sec, frac, len(frame), len(frame))
-        out += frame
-    return out
+        parts.append(struct.pack(endian + "IIII", sec, frac, len(frame), len(frame)))
+        parts.append(frame)
+    return b"".join(parts)
 
 
 @pytest.fixture

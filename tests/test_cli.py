@@ -275,6 +275,23 @@ class TestFlowPipeline:
         assert len(payload["folds"]) == 4
 
 
+    def test_extract_reports_fragments_beside_skipped(self, tmp_path):
+        from tests.conftest import arp_frame, ethernet_ipv4_tcp, pcap_bytes
+
+        pcap = tmp_path / "frag.pcap"
+        pcap.write_bytes(pcap_bytes([
+            (0, ethernet_ipv4_tcp("10.0.0.1", 4444, "10.0.0.2", 80, 10)),
+            (1, ethernet_ipv4_tcp("10.9.9.9", 31337, "10.0.0.2", 22, 16, frag=185)),
+            (2, arp_frame()),
+        ]))
+        code, out, err = _run(["flows", "extract", "--pcap", str(pcap),
+                               "--out", str(tmp_path / "f.csv"), "--json"])
+        assert code == EXIT_OK, err
+        payload = json.loads(out)
+        assert (payload["packets"], payload["skipped"], payload["fragments"],
+                payload["flows"]) == (1, 1, 1, 1)
+
+
 class TestInspectOnce:
     def test_forced_webshell_stub(self, two_flow_pcap, tmp_path):
         eve = tmp_path / "eve.json"

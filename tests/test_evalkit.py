@@ -16,7 +16,6 @@ from wsdetect.evalkit import (
     dedup,
     grid_search,
     metrics,
-    random_search,
     split_dataset,
     stratified_folds,
 )
@@ -273,23 +272,6 @@ class TestSearch:
     def test_range_discretization(self):
         points = Range(0.0, 1.0, 5).points()
         assert points == [0.0, 0.25, 0.5, 0.75, 1.0]
-
-    def test_random_search_within_bounds(self):
-        space = SearchSpace.from_dict({
-            "lr": {"range": [0.001, 1.0], "steps": 2},
-            "batch": {"choice": [8, 128]},
-        })
-        result = random_search(space, lambda p: p["lr"], n=40, seed=0)
-        assert len(result.leaderboard) == 40
-        for point, _ in result.leaderboard:
-            assert 0.001 <= point["lr"] <= 1.0
-            assert point["batch"] in (8, 128)
-
-    def test_random_search_deterministic(self):
-        space = SearchSpace.from_dict({"lr": {"range": [0.0, 1.0], "steps": 2}})
-        a = random_search(space, lambda p: p["lr"], n=10, seed=3)
-        b = random_search(space, lambda p: p["lr"], n=10, seed=3)
-        assert a.leaderboard == b.leaderboard
 
     def test_choice_must_not_be_empty(self):
         with pytest.raises(EvalError):

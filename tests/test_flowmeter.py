@@ -1,8 +1,13 @@
 """PCAP decoding, flow assembly and the feature oracle."""
 
+import dataclasses
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tests.conftest import (
     MAGIC_NS,
@@ -25,17 +30,17 @@ from wsdetect.flowmeter import (
     write_csv,
     write_jsonl,
 )
-from wsdetect.flowmeter.pcapfile import PacketMeta
+from wsdetect.flowmeter.pcapfile import ACK, FIN, PSH, RST, SYN, URG, PacketMeta
 
 
 def _pkt(ts_us, src="10.0.0.1", sport=4444, dst="10.0.0.2", dport=80,
-         payload=100, flags=frozenset({"ACK"}), window=8192, proto=6,
+         payload=100, flags=ACK, window=8192, proto=6,
          ip_hdr=20, l4_hdr=20):
     return PacketMeta(
         timestamp_us=ts_us, src_ip=src, dst_ip=dst, src_port=sport,
         dst_port=dport, protocol=proto, ip_header_length=ip_hdr,
-        ip_total_length=ip_hdr + l4_hdr + payload, l4_header_length=l4_hdr,
-        payload_length=payload, tcp_flags=flags, tcp_window=window)
+        l4_header_length=l4_hdr, payload_length=payload, tcp_flags=flags,
+        tcp_window=window)
 
 
 class TestReadPcap:
@@ -106,6 +111,97 @@ class TestReadPcap:
         assert packet.l4_header_length == 8
         assert packet.payload_length == 24
 
+    def test_non_first_fragment_is_no_flow(self, tmp_path):
+        # offset 185 (x 8 bytes): 36 bytes that look like a TCP header
+        # and 16 payload bytes, but belong to the middle of a datagram
+        frame = ethernet_ipv4_tcp("10.9.9.9", 31337, "10.0.0.2", 22, 16, frag=185)
+        path = tmp_path / "frag.pcap"
+        path.write_bytes(pcap_bytes([(0, frame)]))
+        result = read_pcap(path)
+        assert assemble_flows(result.packets) == []  # no phantom 31337 -> 22 flow
+        assert (result.packets, result.skipped, result.fragments) == ([], 0, 1)
+
+
+def _read_bytes(data: bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "capture.pcap"
+        path.write_bytes(data)
+        return read_pcap(path)
+
+
+_ADDRESSES = st.tuples(*[st.integers(0, 255)] * 4).map(
+    lambda octets: ".".join(map(str, octets)))
+_PORT = st.integers(0, 65535)
+
+
+class TestDecodeLayouts:
+    """Frames from the conftest builders, decoded field by field."""
+
+    @given(udp=st.booleans(), vlan=st.booleans(), ihl=st.integers(5, 15),
+           data_offset=st.integers(5, 15), flags=st.integers(0, 255),
+           window=_PORT, sport=_PORT, dport=_PORT, src=_ADDRESSES,
+           dst=_ADDRESSES, payload=st.integers(0, 40),
+           frag=st.sampled_from([0, 0, 0x4000, 0x2000, 185, 0x1FFF]))
+    @settings(max_examples=100, deadline=None)
+    def test_fields_equal_builder_inputs_at_every_cut(
+            self, udp, vlan, ihl, data_offset, flags, window, sport, dport,
+            src, dst, payload, frag):
+        if udp:
+            frame = ethernet_ipv4_udp(src, sport, dst, dport, payload,
+                                      vlan=vlan, ihl=ihl, frag=frag)
+            l4_header, fixed_l4 = 8, 8
+            flags = window = 0
+        else:
+            frame = ethernet_ipv4_tcp(src, sport, dst, dport, payload,
+                                      flags=flags, window=window, vlan=vlan,
+                                      ihl=ihl, data_offset=data_offset,
+                                      frag=frag)
+            # TCP options are skipped by length, so they need not be captured
+            l4_header, fixed_l4 = 4 * data_offset, 20
+        l4_start = 14 + 4 * vlan + 4 * ihl
+        # one record per cut length, timestamped with that length
+        result = _read_bytes(pcap_bytes(
+            [(cut, frame[:cut]) for cut in range(len(frame) + 1)]))
+        decodable = list(range(l4_start + fixed_l4, len(frame) + 1))
+        for cut in range(decodable[0]):  # a cut frame ends the capture
+            tail = _read_bytes(pcap_bytes([(0, frame[:cut])]))
+            assert tail.packets == [] and tail.skipped + tail.fragments == 1
+        if frag & 0x3FFF:
+            assert (result.packets, result.skipped) == ([], l4_start)
+            assert result.fragments == len(frame) + 1 - l4_start
+            return
+        assert (result.skipped, result.fragments) == (len(frame) + 1 - len(decodable), 0)
+        assert [p.timestamp_us for p in result.packets] == decodable
+        expected = PacketMeta(
+            timestamp_us=0, src_ip=src, dst_ip=dst, src_port=sport,
+            dst_port=dport, protocol=17 if udp else 6,
+            ip_header_length=4 * ihl, l4_header_length=l4_header,
+            payload_length=payload, tcp_flags=flags, tcp_window=window)
+        for packet in result.packets:
+            assert packet == dataclasses.replace(
+                expected, timestamp_us=packet.timestamp_us)
+            assert type(packet.tcp_flags) is int
+
+    @given(vlan=st.booleans(), ihl=st.integers(5, 15),
+           data_offset=st.integers(5, 15), payload=st.integers(0, 20))
+    @settings(max_examples=20, deadline=None)
+    def test_capture_cut_at_every_length_fails_typed(self, vlan, ihl,
+                                                     data_offset, payload):
+        frames = [(0, ethernet_ipv4_tcp("1.1.1.1", 1, "2.2.2.2", 2, payload,
+                                        vlan=vlan, ihl=ihl,
+                                        data_offset=data_offset)),
+                  (1, ethernet_ipv4_udp("3.3.3.3", 3, "4.4.4.4", 4, payload))]
+        data = pcap_bytes(frames)
+        first_end = 24 + 16 + len(frames[0][1])
+        for cut in range(len(data) + 1):
+            try:
+                result = _read_bytes(data[:cut])
+            except PcapError:
+                assert cut not in (24, first_end, len(data))
+                continue
+            assert cut in (24, first_end, len(data))
+            assert len(result.packets) == [24, first_end, len(data)].index(cut)
+
 
 class TestAssembleFlows:
     def test_bidirectional_grouping(self):
@@ -133,7 +229,7 @@ class TestAssembleFlows:
     def test_fin_terminates(self):
         packets = [
             _pkt(0),
-            _pkt(1000, flags=frozenset({"ACK", "FIN"})),
+            _pkt(1000, flags=ACK | FIN),
             _pkt(2000),
         ]
         flows = assemble_flows(packets)
@@ -141,7 +237,7 @@ class TestAssembleFlows:
         assert flows[0].terminated
 
     def test_rst_terminates(self):
-        packets = [_pkt(0, flags=frozenset({"RST"})), _pkt(1000)]
+        packets = [_pkt(0, flags=RST), _pkt(1000)]
         assert len(assemble_flows(packets)) == 2
 
     def test_single_packet_flow(self):
@@ -192,8 +288,8 @@ class TestComputeFeatures:
 
     def test_flag_counts(self):
         flow = assemble_flows([
-            _pkt(0, flags=frozenset({"SYN"})),
-            _pkt(1000, flags=frozenset({"ACK", "FIN"})),
+            _pkt(0, flags=SYN),
+            _pkt(1000, flags=ACK | FIN),
         ])[0]
         v = compute_features(flow).features
         assert v["SYN Flag Cnt"] == 1
@@ -202,9 +298,9 @@ class TestComputeFeatures:
 
     def test_psh_urg_per_direction(self):
         flow = assemble_flows([
-            _pkt(0, flags=frozenset({"PSH", "ACK"})),
+            _pkt(0, flags=PSH | ACK),
             _pkt(10, src="10.0.0.2", sport=80, dst="10.0.0.1", dport=4444,
-                 flags=frozenset({"URG"})),
+                 flags=URG),
         ])[0]
         v = compute_features(flow).features
         assert v["Fwd PSH Flags"] == 1

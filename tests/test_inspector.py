@@ -2,6 +2,7 @@
 
 import json
 import socket
+import sys
 import threading
 
 import pytest
@@ -238,6 +239,53 @@ class TestBlacklist:
         blacklist.hit("1.1.1.1", now=8.0)
         entry = blacklist.active(now=15.0)["1.1.1.1"]
         assert entry.hit_count == 2
+
+    def test_expired_sources_are_evicted(self):
+        blacklist = Blacklist(ttl_s=10.0)
+        for i in range(1000):
+            blacklist.hit(f"10.{i // 250}.{i % 250}.1", now=i * 10.0)
+            assert len(blacklist.entries) == 1
+        assert list(blacklist.active(now=9990.0)) == ["10.3.249.1"]
+
+    def test_eviction_keeps_live_sources(self):
+        blacklist = Blacklist(ttl_s=10.0)
+        blacklist.hit("1.1.1.1", now=0.0)
+        blacklist.hit("2.2.2.2", now=5.0)
+        blacklist.hit("1.1.1.1", now=8.0)   # refreshed: now expires last
+        blacklist.hit("3.3.3.3", now=16.0)  # 2.2.2.2 expired at 15
+        assert list(blacklist.entries) == ["1.1.1.1", "3.3.3.3"]
+        assert blacklist.entries["1.1.1.1"].hit_count == 2
+        assert set(blacklist.active(now=18.5)) == {"3.3.3.3"}
+        assert list(blacklist.entries) == ["3.3.3.3"]
+
+    def test_concurrent_hits_lose_no_update(self):
+        # connection threads share one blacklist: hits, reads and
+        # evictions interleave with a tiny switch interval
+        blacklist = Blacklist(ttl_s=100.0)
+        errors = []
+
+        def worker(k):
+            try:
+                for i in range(300):
+                    blacklist.hit("9.9.9.9", now=1000.0)  # evicts the rest
+                    blacklist.hit(f"10.0.{k}.{i % 50}", now=float(i))
+                    blacklist.active(now=float(i))
+            except Exception as exc:  # a thread's error must fail the test
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert blacklist.entries["9.9.9.9"].hit_count == 8 * 300
 
 
 class TestDaemon:

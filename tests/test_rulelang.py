@@ -10,6 +10,7 @@ from wsdetect.rulelang import (
     CompiledRuleSet,
     HexBody,
     Pattern,
+    RegexBody,
     Rule,
     RuleSet,
     RuleSyntaxError,
@@ -21,8 +22,15 @@ from wsdetect.rulelang import (
 )
 from wsdetect.rulelang import matcher
 from wsdetect.rulelang.matcher import evaluate_condition
-from wsdetect.rulelang.model import BoolLiteral, OfExpr, RuleError
-from wsdetect.rulelang.parser import render_rules
+from wsdetect.rulelang.model import (
+    And,
+    BoolLiteral,
+    Not,
+    OfExpr,
+    Or,
+    RuleError,
+    StringRef,
+)
 
 
 class TestParsing:
@@ -32,8 +40,8 @@ class TestParsing:
         rule = ruleset.rules[0]
         assert rule.name == "webshell_B374kPHP_B374k"
         assert rule.pattern_ids() == ("$s0", "$s1", "$s3", "$s4")
-        assert rule.meta_dict()["author"] == "Florian_Roth"
-        assert rule.meta_dict()["score"] == "70"
+        assert dict(rule.meta)["author"] == "Florian_Roth"
+        assert dict(rule.meta)["score"] == "70"
         assert rule.condition == OfExpr(count=1, targets=None)
         fullword = {p.ident: p.body.fullword for p in rule.strings}
         assert fullword == {"$s0": True, "$s1": False, "$s3": True, "$s4": True}
@@ -125,12 +133,18 @@ class TestParsing:
         """
         assert parse_rules(text).rules[0].name == "c"
 
-    def test_semantic_roundtrip(self, b374k_rule_text):
-        extra = ('rule combo { strings: $a = "x" nocase $h = { 01 ?? 03 } '
-                 '$r = /ab+c/ condition: ($a and not $h) or 1 of ($a, $r) }')
-        first = parse_rules(b374k_rule_text + extra)
-        second = parse_rules(render_rules(first))
-        assert first.rules == second.rules
+    def test_combo_rule_parses(self):
+        rule = parse_rules(
+            'rule combo { strings: $a = "x" nocase $h = { 01 ?? 03 } '
+            '$r = /ab+c/ condition: ($a and not $h) or 1 of ($a, $r) }').rules[0]
+        assert rule.strings == (
+            Pattern("$a", TextBody(b"x", nocase=True)),
+            Pattern("$h", HexBody((0x01, None, 0x03))),
+            Pattern("$r", RegexBody("ab+c")),
+        )
+        assert rule.condition == Or(
+            And(StringRef("$a"), Not(StringRef("$h"))),
+            OfExpr(count=1, targets=("$a", "$r")))
 
     def test_fingerprint_tracks_source(self):
         a = parse_rules("rule r { condition: true }")

@@ -96,13 +96,6 @@ class TestBuild:
         model = build_dnn(TabularConfig(), data)
         assert np.any(model.embeddings[0].params["weight"][0] != 0.0)
 
-    def test_normalization_roundtrip(self):
-        data = _gaussian_dataset(80)
-        model = build_dnn(TabularConfig(), data)
-        normalized = model.normalize(data.continuous)
-        back = model.denormalize(normalized)
-        assert np.allclose(back, data.continuous, rtol=1e-9, atol=1e-9)
-
     def test_constant_feature_passes_centered(self):
         data = _gaussian_dataset(50)
         data.continuous[:, 5] = 42.0
