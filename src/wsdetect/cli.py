@@ -219,7 +219,7 @@ def cmd_predict_flow(args, out, err) -> int:
 def cmd_flows_extract(args, out, err) -> int:
     from wsdetect.flowmeter import (
         assemble_flows,
-        compute_features,
+        feature_records,
         read_pcap,
         write_csv,
         write_jsonl,
@@ -228,7 +228,7 @@ def cmd_flows_extract(args, out, err) -> int:
     capture = read_pcap(args.pcap)
     flows = assemble_flows(capture.packets,
                            flow_timeout_us=args.flow_timeout * 1_000_000)
-    records = [compute_features(f) for f in flows]
+    records = feature_records(flows)
     if args.out.endswith(".jsonl") or args.json:
         write_jsonl(records, args.out)
     else:

@@ -4,7 +4,7 @@ The feature set is CICFlowMeter-compatible: 83 named fields per flow of
 which 79 feed the traffic model (Dst Port and Protocol as categoricals,
 77 continuous including the epoch timestamp)."""
 
-from wsdetect.flowmeter.pcapfile import PacketMeta, PcapError, PcapResult, read_pcap
+from wsdetect.flowmeter.pcapfile import Packets, PcapError, PcapResult, read_pcap
 from wsdetect.flowmeter.flows import Flow, assemble_flows
 from wsdetect.flowmeter.features import (
     CATEGORICAL_NAMES,
@@ -13,6 +13,8 @@ from wsdetect.flowmeter.features import (
     FeatureRecord,
     compute_features,
     continuous_vector,
+    feature_matrix,
+    feature_records,
     label_to_class,
     model_inputs,
 )
@@ -25,12 +27,14 @@ __all__ = [
     "CsvReadResult",
     "Flow",
     "FeatureRecord",
-    "PacketMeta",
+    "Packets",
     "PcapError",
     "PcapResult",
     "assemble_flows",
     "compute_features",
     "continuous_vector",
+    "feature_matrix",
+    "feature_records",
     "label_to_class",
     "model_inputs",
     "read_csv",

@@ -1,4 +1,4 @@
-"""Per-flow feature computation, CICFlowMeter-compatible.
+"""Flow feature computation, CICFlowMeter-compatible, for all flows at once.
 
 Columns and semantics follow the reference extractor where the names
 come from it; where the reference leaves gaps the rules are pinned
@@ -12,23 +12,43 @@ here and tested:
   * a bulk is >= 4 consecutive same-direction payload-bearing packets
     with gaps <= 1 s; subflow counts divide by 1 + number of
     inter-packet gaps > 1 s
-  * Down/Up Ratio is floor(bwd packets / fwd packets), 0 when fwd is 0
+  * Down/Up Ratio is floor(bwd packets / fwd packets); a flow's first
+    packet is forward, so fwd is never 0
   * flag counts test the TCP flag byte with the FIN ... CWR masks
     ("CWE Flag Count" counts CWR); UDP packets carry no flags
   * active and idle periods split the timeline at gaps above 5 s
   * timestamps are epoch microseconds internally; CSV and model inputs
     carry epoch seconds
+
+`feature_matrix` computes the [flows, 77] continuous matrix: one row
+per flow, the columns of CONTINUOUS_NAMES in order, Timestamp in epoch
+seconds first. It reads the `Packets` columns (time, addresses, ports,
+header lengths, payload, flag byte, window) of the flows' rows laid end
+to end (flow i's rows follow flow i-1's; `seg` names each row's flow,
+and a row is forward when it has the source IP and port of its flow's
+first row). Every per-flow quantity is a segment reduction over that
+layout: counts and integer sums, maxima and minima by `reduceat`, and
+the eight statistic families (packet lengths and inter-arrival times
+per direction and overall, active and idle periods) as one grouped
+computation whose group id is family * flows + flow. Two rules keep the
+values equal, to the bit, to a per-flow loop:
+
+  * left-to-right group sums: float sums go through `np.bincount(group,
+    weights=...)`, which adds each group's values in row order, as a
+    left fold does (`np.add.reduceat` on floats does not); integer sums
+    are exact either way
+  * squares by multiplication: deviations are squared as `d * d`, which
+    is correctly rounded, never through `** 2`/`pow`
 """
 
 from __future__ import annotations
 
-import math
-from collections import Counter
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from wsdetect.flowmeter.flows import Flow
-from wsdetect.flowmeter.pcapfile import (
-    ACK, CWR, ECE, FIN, PSH, RST, SYN, URG, PacketMeta)
+from wsdetect.flowmeter.pcapfile import ACK, CWR, ECE, FIN, PSH, RST, SYN, URG
 
 CONTINUOUS_NAMES: tuple[str, ...] = (
     "Timestamp", "Flow Duration", "Tot Fwd Pkts", "Tot Bwd Pkts",
@@ -90,232 +110,192 @@ class FeatureRecord:
         return self.timestamp_us / 1e6
 
 
-class _Stats:
-    __slots__ = ("maximum", "minimum", "mean", "std")
-
-    def __init__(self, values):
-        values = list(values)
-        if not values:
-            self.maximum = self.minimum = self.mean = self.std = 0.0
-            return
-        self.maximum = float(max(values))
-        self.minimum = float(min(values))
-        self.mean = sum(values) / len(values)
-        if len(values) < 2:
-            self.std = 0.0
-        else:
-            mean = self.mean
-            self.std = math.sqrt(
-                sum((v - mean) ** 2 for v in values) / (len(values) - 1))
-
-    @property
-    def variance(self) -> float:
-        return self.std * self.std
+def _group_stats(groups: np.ndarray, values: np.ndarray, size: int):
+    """Sum, max, min, mean and sample std of the int64 values of each of
+    `size` groups, as float64 arrays; `groups` is nondecreasing and an
+    empty group gets zeros. Sums run left to right, squares by
+    multiplication (see the module docstring)."""
+    count = np.bincount(groups, minlength=size)
+    total = np.bincount(groups, weights=values, minlength=size)
+    mean = np.divide(total, count, out=np.zeros(size), where=count > 0)
+    dev = values - mean[groups]
+    squares = np.bincount(groups, weights=dev * dev, minlength=size)
+    std = np.sqrt(np.divide(squares, count - 1, out=np.zeros(size), where=count > 1))
+    high, low = np.zeros(size), np.zeros(size)
+    if len(values):
+        heads = np.flatnonzero(np.concatenate(([True], groups[1:] != groups[:-1])))
+        high[groups[heads]] = np.maximum.reduceat(values, heads)
+        low[groups[heads]] = np.minimum.reduceat(values, heads)
+    return total, high, low, mean, std
 
 
-def _gaps(times: list[int]) -> list[int]:
-    return [b - a for a, b in zip(times, times[1:])]
+def _consecutive_gaps(seg: np.ndarray, ts: np.ndarray):
+    """(flow, gap) of each pair of consecutive rows of one flow."""
+    same = seg[1:] == seg[:-1]
+    return seg[1:][same], (ts[1:] - ts[:-1])[same]
 
 
-def _flag_count(flag_bytes: Counter, mask: int) -> float:
-    """Packets whose flag byte has `mask` set, from a count per byte."""
-    return float(sum(n for bits, n in flag_bytes.items() if bits & mask))
+def _run_tails(heads: np.ndarray, size: int) -> np.ndarray:
+    """The last row of each run of `size` rows, from each run's first."""
+    return np.append(heads[1:], size)[:len(heads)] - 1
 
 
-def _safe_div(num: float, den: float) -> float:
-    return num / den if den else 0.0
+# the stat families, in their order in the stacked group ids
+_STAT_FAMILIES = ("Fwd Pkt Len", "Bwd Pkt Len", "Pkt Len", "Flow IAT",
+                  "Fwd IAT", "Bwd IAT", "Active", "Idle")
+_FLAGS = {"FIN Flag Cnt": FIN, "SYN Flag Cnt": SYN, "RST Flag Cnt": RST,
+          "PSH Flag Cnt": PSH, "ACK Flag Cnt": ACK, "URG Flag Cnt": URG,
+          "CWE Flag Count": CWR, "ECE Flag Cnt": ECE}
+# integer per-flow sums, one reduceat over one column per name
+_SUMS = ("Tot Fwd Pkts", "TotLen Fwd Pkts", "bytes", "header", "Fwd Header Len",
+         "Fwd Act Data Pkts", "Fwd PSH Flags", "Fwd URG Flags", *_FLAGS)
+_FLAG_MASKS = np.array([*_FLAGS.values()], np.uint8)
 
 
-@dataclass
-class _BulkSide:
-    bulks: int = 0
-    packets: int = 0
-    bytes: int = 0
-    duration_us: int = 0
+def feature_matrix(flows: list[Flow]) -> np.ndarray:
+    """The [len(flows), 77] continuous matrix, columns in CONTINUOUS_NAMES
+    order (Timestamp in epoch seconds), rows in the order of `flows`,
+    computed for all flows at once. The flows must share one packet
+    table, as the flows of one `assemble_flows` call do."""
+    n = len(flows)
+    if n == 0:
+        return np.zeros((0, len(CONTINUOUS_NAMES)))
+    table = flows[0].table
+    if any(flow.table is not table for flow in flows):
+        raise ValueError("flows come from more than one packet table")
 
+    # the flows' rows, one after another: flow i is rows[head[i]:head[i] + count[i]]
+    start = np.array([flow.start for flow in flows])
+    count = np.array([flow.stop for flow in flows]) - start
+    head = np.cumsum(count) - count
+    pk = table[np.arange(count.sum()) + np.repeat(start - head, count)]
+    seg = np.repeat(np.arange(n), count)
+    ts, payload = pk.ts, pk.payload
+    fwd = (pk.src == pk.src[head][seg]) & (pk.sport == pk.sport[head][seg])
+    fwd_rows, bwd_rows = np.flatnonzero(fwd), np.flatnonzero(~fwd)
 
-def _bulk_stats(flow: Flow) -> tuple[_BulkSide, _BulkSide]:
-    """Detect bulks: runs of >= 4 payload-bearing packets that stay in
-    one direction with inter-arrivals <= 1 s."""
-    fwd, bwd = _BulkSide(), _BulkSide()
-    run: list[PacketMeta] = []
-    run_fwd = True
+    within = np.ones(len(ts), bool)
+    within[head] = False  # rows with a previous row in their flow
+    gap = np.zeros_like(ts)
+    gap[1:] = ts[1:] - ts[:-1]
+    long_gap = within & (gap > _ACTIVITY_TIMEOUT_US)
+    busy_head = np.flatnonzero(~within | long_gap)
+    busy = ts[_run_tails(busy_head, len(ts))] - ts[busy_head]
+    families = [  # (flow, value) pairs, in _STAT_FAMILIES order
+        (seg[fwd_rows], payload[fwd_rows]),
+        (seg[bwd_rows], payload[bwd_rows]),
+        (seg, payload),
+        (seg[within], gap[within]),
+        _consecutive_gaps(seg[fwd_rows], ts[fwd_rows]),
+        _consecutive_gaps(seg[bwd_rows], ts[bwd_rows]),
+        (seg[busy_head][busy > 0], busy[busy > 0]),
+        (seg[long_gap], gap[long_gap]),
+    ]
+    groups = np.concatenate([g + k * n for k, (g, _) in enumerate(families)])
+    values = np.concatenate([v for _, v in families])
+    total, high, low, mean, std = (
+        a.reshape(len(families), n) for a in _group_stats(groups, values, len(families) * n))
+    columns = {}
+    for k, name in enumerate(_STAT_FAMILIES):
+        columns.update({f"{name} Max": high[k], f"{name} Min": low[k],
+                        f"{name} Mean": mean[k], f"{name} Std": std[k]})
 
-    def close_run():
-        if len(run) >= _BULK_MIN_PACKETS:
-            side = fwd if run_fwd else bwd
-            side.bulks += 1
-            side.packets += len(run)
-            side.bytes += sum(p.payload_length for p in run)
-            side.duration_us += run[-1].timestamp_us - run[0].timestamp_us
+    header = pk.ihl + pk.l4_header
+    flag_set = (pk.flags[:, None] & _FLAG_MASKS) != 0
+    per_row = np.column_stack((
+        fwd, fwd * payload, payload, header, fwd * header, fwd & (payload > 0),
+        fwd & (pk.flags & PSH != 0), fwd & (pk.flags & URG != 0),
+        flag_set)).astype(np.int64)
+    columns.update(zip(_SUMS, np.add.reduceat(per_row, head, axis=0).T))
+    n_fwd = columns["Tot Fwd Pkts"]  # >= 1: a flow's first packet is forward
+    n_bwd = columns["Tot Bwd Pkts"] = count - n_fwd
+    fwd_bytes = columns["TotLen Fwd Pkts"]
+    bwd_bytes = columns["TotLen Bwd Pkts"] = columns.pop("bytes") - fwd_bytes
+    columns["Bwd Header Len"] = columns.pop("header") - columns["Fwd Header Len"]
+    columns["Bwd PSH Flags"] = columns["PSH Flag Cnt"] - columns["Fwd PSH Flags"]
+    columns["Bwd URG Flags"] = columns["URG Flag Cnt"] - columns["Fwd URG Flags"]
+    n_subflows = 1 + np.bincount(seg[within & (gap > _SUBFLOW_GAP_US)], minlength=n)
+    duration = ts[head + count - 1] - ts[head]
 
-    for pkt, is_fwd in zip(flow.packets, flow.directions):
-        if pkt.payload_length == 0:
-            continue
-        if run and (is_fwd != run_fwd
-                    or pkt.timestamp_us - run[-1].timestamp_us > _BULK_GAP_US):
-            close_run()
-            run = []
-        if not run:
-            run_fwd = is_fwd
-        run.append(pkt)
-    close_run()
-    return fwd, bwd
+    # bulks: runs of payload-bearing packets in one direction, gaps <= 1 s
+    data = np.flatnonzero(payload > 0)
+    d_seg, d_ts, d_fwd = seg[data], ts[data], fwd[data]
+    run = np.ones(len(data), bool)
+    run[1:] = ((d_seg[1:] != d_seg[:-1]) | (d_fwd[1:] != d_fwd[:-1])
+               | (d_ts[1:] - d_ts[:-1] > _BULK_GAP_US))
+    run_head = np.flatnonzero(run)
+    run_tail = _run_tails(run_head, len(data))
+    run_packets = run_tail - run_head + 1
+    cum_bytes = np.concatenate(([0], np.cumsum(payload[data])))
+    run_bytes = cum_bytes[run_tail + 1] - cum_bytes[run_head]
+    run_duration = d_ts[run_tail] - d_ts[run_head]
+    is_bulk = run_packets >= _BULK_MIN_PACKETS
+    bulk = {}
+    for side, in_side in (("Fwd", d_fwd[run_head]), ("Bwd", ~d_fwd[run_head])):
+        flow = d_seg[run_head[is_bulk & in_side]]
+        bulk[side] = [np.bincount(flow, minlength=n)] + [
+            np.bincount(flow, weights=w[is_bulk & in_side], minlength=n)
+            for w in (run_packets, run_bytes, run_duration)]
 
-
-def _active_idle(times: list[int]) -> tuple[list[int], list[int]]:
-    """Split the flow timeline at gaps above the activity timeout.
-    Active values are the positive durations of each busy segment;
-    idle values are the long gaps themselves."""
-    active: list[int] = []
-    idle: list[int] = []
-    segment_start = times[0]
-    prev = times[0]
-    for t in times[1:]:
-        gap = t - prev
-        if gap > _ACTIVITY_TIMEOUT_US:
-            if prev > segment_start:
-                active.append(prev - segment_start)
-            idle.append(gap)
-            segment_start = t
-        prev = t
-    if prev > segment_start:
-        active.append(prev - segment_start)
-    return active, idle
-
-
-def compute_features(flow: Flow) -> FeatureRecord:
-    """All 83 fields for one flow. Pure function of the flow."""
-    if not flow.packets:
-        raise ValueError("flow has no packets")
-
-    packets = flow.packets
-    fwd = flow.fwd_packets()
-    bwd = flow.bwd_packets()
-    duration_us = flow.duration_us
-    duration_s = duration_us / 1e6
-
-    fwd_payloads = [p.payload_length for p in fwd]
-    bwd_payloads = [p.payload_length for p in bwd]
-    all_payloads = [p.payload_length for p in packets]
-    tot_fwd_bytes = sum(fwd_payloads)
-    tot_bwd_bytes = sum(bwd_payloads)
-
-    fwd_len = _Stats(fwd_payloads)
-    bwd_len = _Stats(bwd_payloads)
-    all_len = _Stats(all_payloads)
-
-    times = [p.timestamp_us for p in packets]
-    flow_gaps = _gaps(times)
-    flow_iat = _Stats(flow_gaps)
-    fwd_gaps = _gaps([p.timestamp_us for p in fwd])
-    bwd_gaps = _gaps([p.timestamp_us for p in bwd])
-    fwd_iat = _Stats(fwd_gaps)
-    bwd_iat = _Stats(bwd_gaps)
-
-    bulk_fwd, bulk_bwd = _bulk_stats(flow)
-    n_subflows = 1 + sum(1 for gap in flow_gaps if gap > _SUBFLOW_GAP_US)
-
-    active, idle = _active_idle(times)
-    active_stats = _Stats(active)
-    idle_stats = _Stats(idle)
-
-    fwd_flags = Counter(p.tcp_flags for p in fwd)
-    bwd_flags = Counter(p.tcp_flags for p in bwd)
-    all_flags = fwd_flags + bwd_flags
-
-    init_fwd_win = next((p.tcp_window for p in fwd), 0)
-    init_bwd_win = next((p.tcp_window for p in bwd), 0)
-
-    values: dict[str, float] = {
-        "Flow Duration": float(duration_us),
-        "Tot Fwd Pkts": float(len(fwd)),
-        "Tot Bwd Pkts": float(len(bwd)),
-        "TotLen Fwd Pkts": float(tot_fwd_bytes),
-        "TotLen Bwd Pkts": float(tot_bwd_bytes),
-        "Fwd Pkt Len Max": fwd_len.maximum,
-        "Fwd Pkt Len Min": fwd_len.minimum,
-        "Fwd Pkt Len Mean": fwd_len.mean,
-        "Fwd Pkt Len Std": fwd_len.std,
-        "Bwd Pkt Len Max": bwd_len.maximum,
-        "Bwd Pkt Len Min": bwd_len.minimum,
-        "Bwd Pkt Len Mean": bwd_len.mean,
-        "Bwd Pkt Len Std": bwd_len.std,
-        "Flow Byts/s": _safe_div(tot_fwd_bytes + tot_bwd_bytes, duration_s),
-        "Flow Pkts/s": _safe_div(len(packets), duration_s),
-        "Flow IAT Mean": flow_iat.mean,
-        "Flow IAT Std": flow_iat.std,
-        "Flow IAT Max": flow_iat.maximum,
-        "Flow IAT Min": flow_iat.minimum,
-        "Fwd IAT Tot": float(sum(fwd_gaps)),
-        "Fwd IAT Mean": fwd_iat.mean,
-        "Fwd IAT Std": fwd_iat.std,
-        "Fwd IAT Max": fwd_iat.maximum,
-        "Fwd IAT Min": fwd_iat.minimum,
-        "Bwd IAT Tot": float(sum(bwd_gaps)),
-        "Bwd IAT Mean": bwd_iat.mean,
-        "Bwd IAT Std": bwd_iat.std,
-        "Bwd IAT Max": bwd_iat.maximum,
-        "Bwd IAT Min": bwd_iat.minimum,
-        "Fwd PSH Flags": _flag_count(fwd_flags, PSH),
-        "Bwd PSH Flags": _flag_count(bwd_flags, PSH),
-        "Fwd URG Flags": _flag_count(fwd_flags, URG),
-        "Bwd URG Flags": _flag_count(bwd_flags, URG),
-        "Fwd Header Len": float(sum(p.header_bytes for p in fwd)),
-        "Bwd Header Len": float(sum(p.header_bytes for p in bwd)),
-        "Fwd Pkts/s": _safe_div(len(fwd), duration_s),
-        "Bwd Pkts/s": _safe_div(len(bwd), duration_s),
-        "Pkt Len Min": all_len.minimum,
-        "Pkt Len Max": all_len.maximum,
-        "Pkt Len Mean": all_len.mean,
-        "Pkt Len Std": all_len.std,
-        "Pkt Len Var": all_len.variance,
-        "FIN Flag Cnt": _flag_count(all_flags, FIN),
-        "SYN Flag Cnt": _flag_count(all_flags, SYN),
-        "RST Flag Cnt": _flag_count(all_flags, RST),
-        "PSH Flag Cnt": _flag_count(all_flags, PSH),
-        "ACK Flag Cnt": _flag_count(all_flags, ACK),
-        "URG Flag Cnt": _flag_count(all_flags, URG),
-        "CWE Flag Count": _flag_count(all_flags, CWR),
-        "ECE Flag Cnt": _flag_count(all_flags, ECE),
-        "Down/Up Ratio": float(len(bwd) // len(fwd)) if fwd else 0.0,
-        "Pkt Size Avg": all_len.mean,
-        "Fwd Seg Size Avg": fwd_len.mean,
-        "Bwd Seg Size Avg": bwd_len.mean,
-        "Fwd Byts/b Avg": _safe_div(bulk_fwd.bytes, bulk_fwd.bulks),
-        "Fwd Pkts/b Avg": _safe_div(bulk_fwd.packets, bulk_fwd.bulks),
-        "Fwd Blk Rate Avg": _safe_div(bulk_fwd.bytes, bulk_fwd.duration_us / 1e6),
-        "Bwd Byts/b Avg": _safe_div(bulk_bwd.bytes, bulk_bwd.bulks),
-        "Bwd Pkts/b Avg": _safe_div(bulk_bwd.packets, bulk_bwd.bulks),
-        "Bwd Blk Rate Avg": _safe_div(bulk_bwd.bytes, bulk_bwd.duration_us / 1e6),
-        "Subflow Fwd Pkts": len(fwd) / n_subflows,
-        "Subflow Fwd Byts": tot_fwd_bytes / n_subflows,
-        "Subflow Bwd Pkts": len(bwd) / n_subflows,
-        "Subflow Bwd Byts": tot_bwd_bytes / n_subflows,
-        "Init Fwd Win Byts": float(init_fwd_win),
-        "Init Bwd Win Byts": float(init_bwd_win),
-        "Fwd Act Data Pkts": float(sum(1 for p in fwd if p.payload_length > 0)),
-        "Fwd Seg Size Min": float(min((p.l4_header_length for p in fwd), default=0)),
-        "Active Mean": active_stats.mean,
-        "Active Std": active_stats.std,
-        "Active Max": active_stats.maximum,
-        "Active Min": active_stats.minimum,
-        "Idle Mean": idle_stats.mean,
-        "Idle Std": idle_stats.std,
-        "Idle Max": idle_stats.maximum,
-        "Idle Min": idle_stats.minimum,
+    # every ratio at once, 0 where its denominator is 0
+    seconds = duration / 1e6
+    ratios = {
+        "Flow Byts/s": (fwd_bytes + bwd_bytes, seconds),
+        "Flow Pkts/s": (count, seconds),
+        "Fwd Pkts/s": (n_fwd, seconds),
+        "Bwd Pkts/s": (n_bwd, seconds),
+        "Subflow Fwd Pkts": (n_fwd, n_subflows),
+        "Subflow Fwd Byts": (fwd_bytes, n_subflows),
+        "Subflow Bwd Pkts": (n_bwd, n_subflows),
+        "Subflow Bwd Byts": (bwd_bytes, n_subflows),
     }
-    assert set(values) == set(CONTINUOUS_NAMES[1:])
+    for side, (bulks, packets, nbytes, duration_us) in bulk.items():
+        ratios[f"{side} Byts/b Avg"] = (nbytes, bulks)
+        ratios[f"{side} Pkts/b Avg"] = (packets, bulks)
+        ratios[f"{side} Blk Rate Avg"] = (nbytes, duration_us / 1e6)
+    num = np.array([num for num, _ in ratios.values()], np.float64)
+    den = np.array([den for _, den in ratios.values()], np.float64)
+    columns.update(zip(ratios, np.divide(num, den, out=np.zeros_like(num), where=den != 0)))
 
-    return FeatureRecord(
+    init_bwd = np.zeros(n, np.int64)
+    with_bwd, first_bwd = np.unique(seg[bwd_rows], return_index=True)
+    init_bwd[with_bwd] = pk.window[bwd_rows[first_bwd]]
+    columns.update({
+        "Timestamp": ts[head] / 1e6,
+        "Flow Duration": duration,
+        "Fwd IAT Tot": total[_STAT_FAMILIES.index("Fwd IAT")],
+        "Bwd IAT Tot": total[_STAT_FAMILIES.index("Bwd IAT")],
+        "Pkt Len Var": columns["Pkt Len Std"] * columns["Pkt Len Std"],
+        "Down/Up Ratio": n_bwd // n_fwd,
+        "Pkt Size Avg": columns["Pkt Len Mean"],
+        "Fwd Seg Size Avg": columns["Fwd Pkt Len Mean"],
+        "Bwd Seg Size Avg": columns["Bwd Pkt Len Mean"],
+        "Init Fwd Win Byts": pk.window[head],
+        "Init Bwd Win Byts": init_bwd,
+        "Fwd Seg Size Min": np.minimum.reduceat(
+            np.where(fwd, pk.l4_header, np.iinfo(np.int64).max), head),
+    })
+    assert len(columns) == len(CONTINUOUS_NAMES)
+    out = np.array([columns[name] for name in CONTINUOUS_NAMES], np.float64)
+    return np.ascontiguousarray(out.T)
+
+
+def feature_records(flows: list[Flow]) -> list[FeatureRecord]:
+    """All 83 fields of each flow, from one `feature_matrix`."""
+    return [FeatureRecord(
         flow_id=flow.flow_id,
         src_ip=flow.src_ip,
         src_port=flow.src_port,
         dst_port=flow.dst_port,
         protocol=flow.protocol,
         timestamp_us=flow.first_ts,
-        features=values,
-    )
+        features=dict(zip(CONTINUOUS_NAMES[1:], row[1:])),
+    ) for flow, row in zip(flows, feature_matrix(flows).tolist())]
+
+
+def compute_features(flow: Flow) -> FeatureRecord:
+    """All 83 fields for one flow."""
+    return feature_records([flow])[0]
 
 
 def continuous_vector(record: FeatureRecord) -> list[float]:

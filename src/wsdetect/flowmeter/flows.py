@@ -1,64 +1,43 @@
 """Group packets into bidirectional flows.
 
 A flow is keyed by the canonical (unordered) 5-tuple. "Forward" is the
-direction of the flow's first packet. Flow boundaries: an idle gap
-longer than the flow timeout, or (for TCP) a packet carrying FIN or
-RST, after which the next same-key packet opens a fresh flow.
+direction of the flow's first packet: the packets with its source IP and
+port. Flow boundaries: an idle gap longer than the flow timeout, or (for
+TCP) a packet carrying FIN or RST, after which the next same-key packet
+opens a fresh flow.
+
+One stable sort on (key, time) puts each flow's packets next to each
+other, in time order and, at equal times, in file order. A flow is then
+a slice of that sorted table, which all flows of a capture share.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import socket
+from dataclasses import dataclass
 
-from wsdetect.flowmeter.pcapfile import FIN, RST, PacketMeta
+import numpy as np
+
+from wsdetect.flowmeter.pcapfile import FIN, RST, Packets
 
 DEFAULT_FLOW_TIMEOUT_US = 120_000_000
 
 
-def canonical_key(pkt: PacketMeta) -> tuple:
-    a = (pkt.src_ip, pkt.src_port)
-    b = (pkt.dst_ip, pkt.dst_port)
-    lo, hi = (a, b) if a <= b else (b, a)
-    return (*lo, *hi, pkt.protocol)
+def _ip(address: int) -> str:
+    return socket.inet_ntoa(address.to_bytes(4, "big"))
 
 
-@dataclass
+@dataclass(eq=False)
 class Flow:
     src_ip: str
     src_port: int
     dst_ip: str
     dst_port: int
     protocol: int
-    packets: list[PacketMeta] = field(default_factory=list)
-    directions: list[bool] = field(default_factory=list)  # True = forward
-    terminated: bool = False
-
-    @property
-    def first_ts(self) -> int:
-        return self.packets[0].timestamp_us
-
-    @property
-    def last_ts(self) -> int:
-        return self.packets[-1].timestamp_us
-
-    @property
-    def duration_us(self) -> int:
-        return self.last_ts - self.first_ts
-
-    def fwd_packets(self) -> list[PacketMeta]:
-        return [p for p, fwd in zip(self.packets, self.directions) if fwd]
-
-    def bwd_packets(self) -> list[PacketMeta]:
-        return [p for p, fwd in zip(self.packets, self.directions) if not fwd]
-
-    def is_forward(self, pkt: PacketMeta) -> bool:
-        return (pkt.src_ip, pkt.src_port) == (self.src_ip, self.src_port)
-
-    def add(self, pkt: PacketMeta) -> None:
-        self.packets.append(pkt)
-        self.directions.append(self.is_forward(pkt))
-        if pkt.tcp_flags & (FIN | RST):
-            self.terminated = True
+    first_ts: int   # epoch microseconds of the first packet
+    table: Packets  # the capture's packets grouped by flow, shared
+    start: int      # the flow's packets are table[start:stop]
+    stop: int
 
     @property
     def flow_id(self) -> str:
@@ -66,30 +45,32 @@ class Flow:
                 f"{self.dst_port}-{self.protocol}")
 
 
-def assemble_flows(packets: list[PacketMeta],
+def assemble_flows(packets: Packets,
                    flow_timeout_us: int = DEFAULT_FLOW_TIMEOUT_US,
                    ) -> list[Flow]:
-    """Assemble flows; output ordered by (first packet time, key)."""
-    ordered = sorted(packets, key=lambda p: p.timestamp_us)
-    live: dict[tuple, Flow] = {}
-    done: list[Flow] = []
+    """Assemble flows; output ordered by (first packet time, flow id)."""
+    if len(packets) == 0:
+        return []
+    src, dst = packets.src.astype(np.int64), packets.dst.astype(np.int64)
+    sport, dport = packets.sport, packets.dport
+    src_low = (src < dst) | ((src == dst) & (sport <= dport))
+    low = np.where(src_low, src << 16 | sport, dst << 16 | dport)
+    high = np.where(src_low, dst << 16 | dport, src << 16 | sport) << 8 | packets.proto
+    order = np.lexsort((packets.ts, high, low))
+    table = packets[order]
+    low, high, ts = low[order], high[order], table.ts
 
-    for pkt in ordered:
-        key = canonical_key(pkt)
-        flow = live.get(key)
-        if flow is not None:
-            expired = pkt.timestamp_us - flow.last_ts > flow_timeout_us
-            if expired or flow.terminated:
-                done.append(flow)
-                flow = None
-                del live[key]
-        if flow is None:
-            flow = Flow(src_ip=pkt.src_ip, src_port=pkt.src_port,
-                        dst_ip=pkt.dst_ip, dst_port=pkt.dst_port,
-                        protocol=pkt.protocol)
-            live[key] = flow
-        flow.add(pkt)
-
-    done.extend(live.values())
-    done.sort(key=lambda f: (f.first_ts, f.flow_id))
-    return done
+    new = np.ones(len(table), bool)
+    new[1:] = ((low[1:] != low[:-1]) | (high[1:] != high[:-1])
+               | (ts[1:] - ts[:-1] > flow_timeout_us)
+               | (table.flags[:-1] & (FIN | RST) != 0))
+    starts = np.flatnonzero(new)
+    stops = np.append(starts[1:], len(table))
+    first = table[starts]
+    flows = [Flow(_ip(s), sp, _ip(d), dp, proto, t, table, a, b)
+             for s, sp, d, dp, proto, t, a, b in zip(
+                 first.src.tolist(), first.sport.tolist(), first.dst.tolist(),
+                 first.dport.tolist(), first.proto.tolist(), first.ts.tolist(),
+                 starts.tolist(), stops.tolist())]
+    flows.sort(key=lambda f: (f.first_ts, f.flow_id))
+    return flows

@@ -1,22 +1,24 @@
-"""Classic pcap reader: Ethernet link layer, IPv4 TCP/UDP packets.
+"""Classic pcap reader: Ethernet link layer, IPv4 TCP/UDP packets, as columns.
 
 Handles both byte orders and both timestamp resolutions (magic
-0xa1b2c3d4 / 0xa1b23c4d and their swaps). Each header is read in place
-from the capture buffer with one fixed layout: the EtherType (after any
-VLAN tags), the 20-byte IPv4 header, then the TCP ports, data offset,
-flag byte and window, or the UDP ports; options are skipped by length.
-Nothing is silently dropped: a frame that is not IPv4 TCP/UDP, or is
-cut inside those fields, counts in `skipped`; an IPv4 fragment (MF set
-or a nonzero offset) counts in `fragments`, as only a reassembler could
-tell which flow its bytes belong to.
+0xa1b2c3d4 / 0xa1b23c4d and their swaps). The record headers are walked
+once to find the frames; then each header field of every frame is read
+at once, by index arithmetic over the capture buffer: the EtherType
+(after any VLAN tags), the 20-byte IPv4 header, then the TCP ports, data
+offset, flag byte and window, or the UDP ports; options are skipped by
+length. Nothing is silently dropped: a frame that is not IPv4 TCP/UDP,
+or is cut inside those fields, counts in `skipped`; an IPv4 fragment (MF
+set or a nonzero offset) counts in `fragments`, as only a reassembler
+could tell which flow its bytes belong to.
 """
 
 from __future__ import annotations
 
-import socket
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
+
+import numpy as np
 
 MAGIC_US_BE = 0xA1B2C3D4
 MAGIC_US_LE = 0xD4C3B2A1
@@ -30,13 +32,8 @@ UDP = 17
 
 FIN, SYN, RST, PSH, ACK, URG, ECE, CWR = 0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80
 
-_ETHERTYPE = struct.Struct("!H")  # at offset 12, and 2 into each VLAN tag
-# version/IHL, total length, flags/fragment offset, protocol, source, destination
-_IPV4 = struct.Struct("!BxHxxHxB2x4s4s")
+_IPV4 = 0x0800
 _MF_OR_OFFSET = 0x3FFF
-# ports, data offset, flag byte, window (the seq and ack numbers skipped)
-_TCP = struct.Struct("!HH8xBBH")
-_PORTS = struct.Struct("!HH")
 _TCP_MIN, _UDP_HEADER = 20, 8
 
 
@@ -44,44 +41,67 @@ class PcapError(Exception):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class PacketMeta:
-    """Decoded metadata of one IPv4 TCP/UDP packet. `tcp_flags` is the
-    TCP header's flag byte (test it with the FIN ... CWR masks), 0 for
-    UDP."""
+@dataclass(frozen=True, eq=False)
+class Packets:
+    """Decoded IPv4 TCP/UDP packets as columns, one row per packet.
 
-    timestamp_us: int
-    src_ip: str
-    dst_ip: str
-    src_port: int
-    dst_port: int
-    protocol: int
-    ip_header_length: int
-    l4_header_length: int
-    payload_length: int
-    tcp_flags: int = 0
-    tcp_window: int = 0
+    Addresses are host-order uint32. `flags` is the TCP header's flag
+    byte (test it with the FIN ... CWR masks) and `window` its window;
+    both are 0 for UDP. Lengths are in bytes: `ihl` the IPv4 header,
+    `l4_header` the TCP or UDP header, `payload` what the IPv4 total
+    length leaves after both.
+    """
 
-    @property
-    def header_bytes(self) -> int:
-        """IPv4 header plus L4 header, the per-packet header length."""
-        return self.ip_header_length + self.l4_header_length
+    ts: np.ndarray         # int64 epoch microseconds
+    src: np.ndarray        # uint32
+    dst: np.ndarray        # uint32
+    sport: np.ndarray      # int64, as are the columns below but `flags`
+    dport: np.ndarray
+    proto: np.ndarray
+    ihl: np.ndarray
+    l4_header: np.ndarray
+    payload: np.ndarray
+    flags: np.ndarray      # uint8
+    window: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ts)
+
+    def __getitem__(self, rows) -> Packets:
+        """The rows a slice, index array or mask picks, as a table."""
+        return Packets(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
 @dataclass
 class PcapResult:
-    packets: list[PacketMeta] = field(default_factory=list)
+    packets: Packets
     skipped: int = 0    # frames that were not IPv4 TCP/UDP, or cut short
     fragments: int = 0  # IPv4 TCP/UDP fragments, never decoded as packets
 
 
-_FRAGMENT = object()
+def _fields(buf: np.ndarray, pos: np.ndarray, width: int) -> np.ndarray:
+    """The `width` bytes at each position, one row each (C-contiguous,
+    so a row views as wider integers). Fields are read before the
+    frame's bounds are checked; a byte past the end of the capture
+    reads as its last byte, and only frames whose fields lie inside
+    the capture are kept."""
+    return buf[np.minimum(pos[:, None] + np.arange(width), len(buf) - 1)]
+
+
+def _ethertype(buf: np.ndarray, l3: np.ndarray) -> np.ndarray:
+    """The big-endian 16-bit field just before each layer-3 start."""
+    return _fields(buf, l3 - 2, 2).view(">u2")[:, 0].astype(np.int64)
+
+
+def _is_vlan(ethertype: np.ndarray) -> np.ndarray:
+    return (ethertype == 0x8100) | (ethertype == 0x88A8)
 
 
 def read_pcap(path: str | Path) -> PcapResult:
-    """Decode a classic pcap file into per-packet metadata, in file order."""
+    """Decode a classic pcap file into packet columns, in file order."""
     data = Path(path).read_bytes()
-    if len(data) < 24:
+    size = len(data)
+    if size < 24:
         raise PcapError(f"{path}: too short for a pcap global header")
     (magic,) = struct.unpack_from("<I", data)
     if magic in (MAGIC_US_BE, MAGIC_NS_BE):
@@ -94,74 +114,67 @@ def read_pcap(path: str | Path) -> PcapResult:
     if linktype != LINKTYPE_ETHERNET:
         raise PcapError(f"{path}: unsupported link type {linktype}")
 
-    result = PcapResult()
-    rec_hdr = struct.Struct(endian + "IIII")
-    offset, size = 24, len(data)
-    while offset < size:
-        if offset + 16 > size:
-            raise PcapError(f"{path}: truncated record header at offset {offset}")
-        ts_sec, ts_frac, incl_len, _ = rec_hdr.unpack_from(data, offset)
-        offset += 16
-        end = offset + incl_len
-        if end > size:
-            raise PcapError(f"{path}: truncated record body at offset {offset}")
-        timestamp_us = ts_sec * 1_000_000 + (ts_frac // 1000 if ns else ts_frac)
-        meta = _decode_frame(data, offset, end, timestamp_us)
-        offset = end
-        if meta is None:
-            result.skipped += 1
-        elif meta is _FRAGMENT:
-            result.fragments += 1
-        else:
-            result.packets.append(meta)
-    return result
+    # the one pass in Python: each record's frame start. A record that
+    # overruns the file ends the walk, and is the last start.
+    byteorder = "little" if endian == "<" else "big"
+    starts = []
+    offset = 24
+    while offset + 16 <= size:
+        starts.append(offset + 16)
+        offset += 16 + int.from_bytes(data[offset + 8:offset + 12], byteorder)
+    if offset > size:
+        raise PcapError(f"{path}: truncated record body at offset {starts[-1]}")
+    if offset < size:
+        raise PcapError(f"{path}: truncated record header at offset {offset}")
 
+    buf = np.frombuffer(data, np.uint8)
+    start = np.array(starts, np.int64)
+    # ts_sec, ts_frac, incl_len, orig_len
+    record = _fields(buf, start - 16, 16).view(endian + "u4").astype(np.int64)
+    end = start + record[:, 2]
+    ts = record[:, 0] * 1_000_000 + (record[:, 1] // 1000 if ns else record[:, 1])
 
-def _decode_frame(data: bytes, start: int, end: int, timestamp_us: int):
-    """The frame in data[start:end] as a PacketMeta, `_FRAGMENT` for an
-    IPv4 TCP/UDP fragment, or None for anything else."""
     l3 = start + 14
-    if l3 > end:
-        return None
-    (ethertype,) = _ETHERTYPE.unpack_from(data, l3 - 2)
-    while ethertype in (0x8100, 0x88A8):  # VLAN tags
-        l3 += 4
-        if l3 > end:
-            return None
-        (ethertype,) = _ETHERTYPE.unpack_from(data, l3 - 2)
-    if ethertype != 0x0800 or l3 + 20 > end:
-        return None
+    inside = l3 <= end
+    ethertype = _ethertype(buf, l3)
+    tagged = inside & _is_vlan(ethertype)
+    while tagged.any():
+        rows = np.flatnonzero(tagged)
+        l3[rows] += 4
+        inside[rows] = l3[rows] <= end[rows]
+        ethertype[rows] = _ethertype(buf, l3[rows])
+        tagged[rows] = inside[rows] & _is_vlan(ethertype[rows])
 
-    version_ihl, total_length, frag, protocol, src, dst = _IPV4.unpack_from(data, l3)
-    ihl = (version_ihl & 0x0F) * 4
+    ip = _fields(buf, l3, 20)
+    ihl = (ip[:, 0] & 0x0F).astype(np.int64) * 4
     l4 = l3 + ihl
-    if (version_ihl >> 4 != 4 or ihl < 20 or l4 > end
-            or (protocol != TCP and protocol != UDP)):
-        return None
-    if frag & _MF_OR_OFFSET:
-        return _FRAGMENT
-    if protocol == TCP:
-        if l4 + _TCP_MIN > end:
-            return None
-        src_port, dst_port, data_offset, flags, window = _TCP.unpack_from(data, l4)
-        l4_header = (data_offset >> 4) * 4
-        if l4_header < _TCP_MIN:
-            return None
-    else:
-        if l4 + _UDP_HEADER > end:
-            return None
-        src_port, dst_port = _PORTS.unpack_from(data, l4)
-        flags = window = 0
-        l4_header = _UDP_HEADER
+    proto = ip[:, 9]
+    ipv4 = (inside & (ethertype == _IPV4) & (l3 + 20 <= end)
+            & (ip[:, 0] >> 4 == 4) & (ihl >= 20) & (l4 <= end)
+            & ((proto == TCP) | (proto == UDP)))
+    fragment = ipv4 & (ip.view(">u2")[:, 3] & _MF_OR_OFFSET != 0)
+    l4_fields = _fields(buf, l4, 16)  # TCP up to the window; UDP's 8 bytes
+    tcp = proto == TCP
+    fixed = np.where(tcp, _TCP_MIN, _UDP_HEADER)
+    l4_header = np.where(tcp, (l4_fields[:, 12] >> 4).astype(np.int64) * 4, _UDP_HEADER)
+    keep = ipv4 & ~fragment & (l4 + fixed <= end) & (l4_header >= fixed)
 
-    return PacketMeta(
-        timestamp_us=timestamp_us,
-        src_ip=socket.inet_ntoa(src), dst_ip=socket.inet_ntoa(dst),
-        src_port=src_port, dst_port=dst_port,
-        protocol=protocol,
-        ip_header_length=ihl,
-        l4_header_length=l4_header,
-        payload_length=max(0, total_length - ihl - l4_header),
-        tcp_flags=flags,
-        tcp_window=window,
+    ip, l4_fields, tcp = ip[keep], l4_fields[keep], tcp[keep]
+    ihl, l4_header = ihl[keep], l4_header[keep]
+    ip16, ip32, l4_16 = ip.view(">u2"), ip.view(">u4"), l4_fields.view(">u2")
+    packets = Packets(
+        ts=ts[keep],
+        src=ip32[:, 3].astype(np.uint32),
+        dst=ip32[:, 4].astype(np.uint32),
+        sport=l4_16[:, 0].astype(np.int64),
+        dport=l4_16[:, 1].astype(np.int64),
+        proto=proto[keep].astype(np.int64),
+        ihl=ihl,
+        l4_header=l4_header,
+        payload=np.maximum(ip16[:, 1] - ihl - l4_header, 0),
+        flags=l4_fields[:, 13] * tcp,
+        window=l4_16[:, 7] * tcp.astype(np.int64),
     )
+    fragments = int(fragment.sum())
+    return PcapResult(packets=packets, skipped=len(start) - len(packets) - fragments,
+                      fragments=fragments)

@@ -4,7 +4,9 @@ Protocol, one JSON object per line:
 
   {"op": "ping"}                          -> {"ok": true}
   {"op": "inspect", "pcap_path": "..."}   -> {"alerts": [...], "rules": [...],
-                                              "stats": {flows, webshell, benign, ms}}
+                                              "stats": {flows, webshell, benign,
+                                                        packets, skipped_packets,
+                                                        fragments, ms}}
   {"op": "blacklist"}                     -> {"blacklist": {ip: {...}, ...}}
 
 Malformed JSON answers {"error": "parse"} and the connection stays up.
@@ -82,7 +84,7 @@ class InspectorDaemon:
             result = inspect_pcap(pcap_path, self.model, self.config,
                                   blacklist=self.blacklist, sid_for=self.sid_for)
         except Exception as exc:
-            log.warning("inspect %s failed: %s", pcap_path, exc)
+            log.warning("inspect %s failed: %s", pcap_path, exc, exc_info=True)
             return {"error": str(exc)}
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         with self._write_lock:

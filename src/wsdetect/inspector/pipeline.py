@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from wsdetect.flowmeter import assemble_flows, compute_features, read_pcap
+from wsdetect.flowmeter import assemble_flows, feature_matrix, read_pcap
 from wsdetect.flowmeter.flows import Flow
 from wsdetect.inspector.config import InspectorConfig
 from wsdetect.trafficmodel import TabularDataset, TabularDnn, dnn_predict
@@ -177,11 +177,15 @@ class InspectionResult:
     flows: int = 0
     webshell: int = 0
     benign: int = 0
-    skipped_packets: int = 0
+    packets: int = 0          # decoded IPv4 TCP/UDP packets
+    skipped_packets: int = 0  # frames that were not IPv4 TCP/UDP, or cut short
+    fragments: int = 0        # IPv4 fragments, never part of a flow
 
     def stats(self, elapsed_ms: float) -> dict:
         return {"flows": self.flows, "webshell": self.webshell,
-                "benign": self.benign, "ms": round(elapsed_ms, 3)}
+                "benign": self.benign, "packets": self.packets,
+                "skipped_packets": self.skipped_packets,
+                "fragments": self.fragments, "ms": round(elapsed_ms, 3)}
 
 
 def inspect_flows(flows: list[Flow], model, config: InspectorConfig,
@@ -197,13 +201,14 @@ def inspect_flows(flows: list[Flow], model, config: InspectorConfig,
     result = InspectionResult(flows=len(flows))
     if not flows:
         return result
-    records = [compute_features(flow) for flow in flows]
-    dataset = TabularDataset.from_records(records, labels=[0] * len(records))
+    dataset = TabularDataset(
+        [(flow.dst_port, flow.protocol) for flow in flows],
+        feature_matrix(flows), np.zeros(len(flows), np.intp))
     probs, classes = _predict(model, dataset)
 
     sid_for = {} if sid_for is None else sid_for
     emitted: dict[tuple[str, str], GeneratedRule] = {}
-    for flow, record, cls, prob in zip(flows, records, classes, probs):
+    for flow, cls, prob in zip(flows, classes, probs):
         if cls != 1:
             result.benign += 1
             continue
@@ -214,7 +219,7 @@ def inspect_flows(flows: list[Flow], model, config: InspectorConfig,
             sid_for[key] = max([config.sid_start - 1, *sid_for.values()]) + 1
         sid = sid_for[key]
         result.alerts.append(Alert(
-            timestamp_us=record.timestamp_us,
+            timestamp_us=flow.first_ts,
             src_ip=src_ip, src_port=flow.src_port,
             dest_ip=flow.dst_ip, dest_port=flow.dst_port,
             proto=_PROTO_NAMES.get(flow.protocol, str(flow.protocol)),
@@ -237,7 +242,9 @@ def inspect_pcap(pcap_path: str | Path, model, config: InspectorConfig,
     flows = assemble_flows(capture.packets)
     result = inspect_flows(flows, model, config, blacklist=blacklist,
                            sid_for=sid_for)
+    result.packets = len(capture.packets)
     result.skipped_packets = capture.skipped
+    result.fragments = capture.fragments
     return result
 
 

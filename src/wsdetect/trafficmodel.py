@@ -125,6 +125,11 @@ class TabularDnn(tn.ModelGraph):
         super().__init__()
         self.config = config
         self.cat_vocabs = cat_vocabs  # raw value -> index >= 1; 0 = unknown
+        # each vocabulary as its sorted keys and their indices
+        self._vocab_lookup = [
+            (np.array(sorted(vocab), np.int64),
+             np.array([vocab[k] for k in sorted(vocab)], np.intp))
+            for vocab in cat_vocabs]
         self.schema_hash = schema_hash
         rng = np.random.default_rng(config.seed)
 
@@ -157,9 +162,13 @@ class TabularDnn(tn.ModelGraph):
     # --- input preparation --------------------------------------------
 
     def map_categorical(self, raw: np.ndarray) -> np.ndarray:
-        idx = np.zeros_like(raw, dtype=np.intp)
-        for col, vocab in enumerate(self.cat_vocabs):
-            idx[:, col] = [vocab.get(int(v), 0) for v in raw[:, col]]
+        """Each raw value's vocabulary index, 0 for a value not in it."""
+        raw = np.asarray(raw, np.int64)
+        idx = np.zeros(raw.shape, np.intp)
+        for col, (keys, index) in enumerate(self._vocab_lookup):
+            if len(keys):
+                pos = np.minimum(np.searchsorted(keys, raw[:, col]), len(keys) - 1)
+                idx[:, col] = np.where(keys[pos] == raw[:, col], index[pos], 0)
         return idx
 
     def normalize(self, cont: np.ndarray) -> np.ndarray:

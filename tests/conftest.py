@@ -1,44 +1,53 @@
-"""Shared fixtures: in-memory pcap construction and rule file text."""
+"""Shared fixtures: in-memory pcap construction, random captures, the
+flowmeter oracle check, and rule file text."""
 
 from __future__ import annotations
 
 import socket
 import struct
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
+
+from tests.flowmeter_check import BUILT, CHECKED, assert_matches_oracle
+from wsdetect.flowmeter.pcapfile import ACK, CWR, ECE, FIN, PSH, RST, SYN, URG
 
 MAGIC_US = 0xA1B2C3D4
 MAGIC_NS = 0xA1B23C4D
 
 
 def _ethernet_ipv4(src, dst, protocol, l4, vlan, ihl, frag):
-    """Ethernet (optionally one VLAN tag) and an IPv4 header of `ihl`
-    32-bit words, zero-filled options included, in front of `l4`."""
-    options = bytes(4 * ihl - 20)
-    total = 4 * ihl + len(l4)
+    """Ethernet, `vlan` VLAN tags (802.1ad outside 802.1Q when there are
+    several) and an IPv4 header whose IHL field is `ihl`: 20 bytes plus
+    zero-filled options up to `ihl` 32-bit words, in front of `l4`."""
+    options = bytes(max(0, 4 * ihl - 20))
+    total = 20 + len(options) + len(l4)
     iph = struct.pack("!BBHHHBBH4s4s", 0x40 | ihl, 0, total, 0, frag, 64,
                       protocol, 0, socket.inet_aton(src),
                       socket.inet_aton(dst)) + options
-    if vlan:
-        eth = b"\xaa" * 6 + b"\xbb" * 6 + struct.pack("!HHH", 0x8100, 0, 0x0800)
-    else:
-        eth = b"\xaa" * 6 + b"\xbb" * 6 + struct.pack("!H", 0x0800)
+    tags = [0x88A8] * (int(vlan) - 1) + [0x8100] * min(int(vlan), 1)
+    eth = b"\xaa" * 6 + b"\xbb" * 6 + b"".join(
+        struct.pack("!HH", tpid, 0) for tpid in tags) + struct.pack("!H", 0x0800)
     return eth + iph + l4
 
 
 def ethernet_ipv4_tcp(src, sport, dst, dport, payload_len, flags=0x10,
                       window=8192, vlan=False, ihl=5, data_offset=5, frag=0):
     """One Ethernet/IPv4/TCP frame with a dummy payload. `data_offset`
-    is the TCP header length in 32-bit words, zero-filled options
-    included; `frag` is the IPv4 flags/fragment-offset field."""
+    is the TCP header's data offset field: 20 bytes plus zero-filled
+    options up to that many 32-bit words; `frag` is the IPv4
+    flags/fragment-offset field."""
     tcp = struct.pack("!HHIIBBHHH", sport, dport, 0, 0, data_offset << 4,
                       flags, window, 0, 0)
-    tcp += bytes(4 * data_offset - 20) + b"x" * payload_len
+    tcp += bytes(max(0, 4 * data_offset - 20)) + b"x" * payload_len
     return _ethernet_ipv4(src, dst, 6, tcp, vlan, ihl, frag)
 
 
 def ethernet_ipv4_udp(src, sport, dst, dport, payload_len, vlan=False, ihl=5,
                       frag=0):
+    """One Ethernet/IPv4/UDP frame with a dummy payload."""
     udp = struct.pack("!HHHH", sport, dport, 8 + payload_len, 0) + b"u" * payload_len
     return _ethernet_ipv4(src, dst, 17, udp, vlan, ihl, frag)
 
@@ -48,7 +57,9 @@ def arp_frame():
 
 
 def pcap_bytes(timed_frames, magic=MAGIC_US, big_endian=False):
-    """Assemble a classic pcap from (timestamp_us, frame) pairs."""
+    """Assemble a classic pcap from (timestamp_us, frame) pairs. Each
+    capture is also checked against the flowmeter oracle once its test
+    ends (see `_captures_match_oracle`)."""
     endian = ">" if big_endian else "<"
     parts = [struct.pack(endian + "IHHiIII", magic, 2, 4, 0, 0, 65535, 1)]
     for ts_us, frame in timed_frames:
@@ -58,7 +69,86 @@ def pcap_bytes(timed_frames, magic=MAGIC_US, big_endian=False):
             sec, frac = ts_us // 1_000_000, ts_us % 1_000_000
         parts.append(struct.pack(endian + "IIII", sec, frac, len(frame), len(frame)))
         parts.append(frame)
-    return b"".join(parts)
+    data = b"".join(parts)
+    BUILT.append(data)
+    return data
+
+
+_HOSTS = ("10.0.0.1", "10.0.0.2", "192.168.7.7")
+_PORTS = (80, 4444, 53)
+_GAPS_US = (20_000,) * 8 + (0, 1, 700, 999_999, 1_000_000, 1_000_001,
+                            4_999_999, 5_000_000, 5_000_001, 120_000_000,
+                            120_000_001, -300)
+_TCP_FLAGS = (ACK,) * 8 + (ACK | PSH,) * 4 + (
+    SYN, SYN | ACK, ACK | URG, ECE | CWR, 0, 0xFF, ACK | FIN, RST, ACK | RST)
+_MOSTLY_5 = (5,) * 32 + tuple(range(16))  # IHL or data offset, 0-15
+_ONE_IN_20 = st.sampled_from((False,) * 19 + (True,))
+
+
+@st.composite
+def random_captures(draw, max_frames=40):
+    """A capture as bytes. Frames come from 1-4 sessions between a few
+    hosts and ports, in either direction and sometimes in bursts, so
+    flows share keys and bulks form. They cover inter-arrival gaps
+    around the 1 s bulk and subflow limit, the 5 s activity limit and
+    the 120 s flow timeout (and some negative), FIN and RST mid-flow,
+    zero payloads, UDP, non-IP frames, 0-2 VLAN tags, every IHL and data
+    offset 0-15, DF, MF and fragment offsets, frames cut at random,
+    either byte order and time resolution, and sometimes the whole file
+    cut at random."""
+    endpoint = st.tuples(st.sampled_from(_HOSTS), st.sampled_from(_PORTS))
+    sessions = draw(st.lists(st.tuples(endpoint, endpoint, st.booleans()),
+                             min_size=1, max_size=4))
+    t = draw(st.integers(0, 2_000_000_000_000_000))
+    frames = []
+    for _ in range(draw(st.integers(0, max_frames))):
+        t = max(0, t + draw(st.sampled_from(_GAPS_US)))
+        (src, sport), (dst, dport), udp = draw(st.sampled_from(sessions))
+        if draw(st.sampled_from((False, False, False, True))):
+            (src, sport), (dst, dport) = (dst, dport), (src, sport)
+        payload = draw(st.sampled_from((0, 1, 40, 40, 1400)))
+        vlan = draw(st.sampled_from((0,) * 6 + (1, 2)))
+        ihl = draw(st.sampled_from(_MOSTLY_5))
+        frag = draw(st.sampled_from((0,) * 16 + (0x4000,) * 2 + (0x2000, 185, 0x1FFF)))
+        if draw(_ONE_IN_20):
+            frame = arp_frame()
+        elif udp:
+            frame = ethernet_ipv4_udp(src, sport, dst, dport, payload,
+                                      vlan=vlan, ihl=ihl, frag=frag)
+        else:
+            frame = ethernet_ipv4_tcp(
+                src, sport, dst, dport, payload,
+                flags=draw(st.sampled_from(_TCP_FLAGS)),
+                window=draw(st.integers(0, 65535)), vlan=vlan, ihl=ihl,
+                data_offset=draw(st.sampled_from(_MOSTLY_5)), frag=frag)
+        if draw(_ONE_IN_20):
+            frame = frame[:draw(st.integers(0, len(frame)))]
+        repeats = draw(st.sampled_from((1, 1, 1, 4, 6)))  # bursts, 20 ms apart
+        frames.extend((t + 20_000 * k, frame) for k in range(repeats))
+        t += 20_000 * (repeats - 1)
+    data = pcap_bytes(frames, magic=draw(st.sampled_from((MAGIC_US, MAGIC_NS))),
+                      big_endian=draw(st.booleans()))
+    if draw(_ONE_IN_20):
+        data = data[:draw(st.integers(0, len(data)))]
+    return data
+
+
+@pytest.fixture(autouse=True)
+def _captures_match_oracle():
+    """Every capture a test builds with `pcap_bytes` goes through
+    `assert_matches_oracle` once, after the test."""
+    mark = len(BUILT)
+    yield
+    fresh = [data for data in dict.fromkeys(BUILT[mark:]) if data not in CHECKED]
+    del BUILT[mark:]
+    if not fresh:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "capture.pcap"
+        for data in fresh:
+            CHECKED.add(data)
+            path.write_bytes(data)
+            assert_matches_oracle(path)
 
 
 @pytest.fixture

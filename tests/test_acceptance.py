@@ -381,7 +381,7 @@ def test_c10_flow_feature_oracle(three_packet_pcap):
     assert v["Fwd Pkt Len Std"] == pytest.approx(70.7107, rel=1e-4)
     assert v["Flow Byts/s"] == pytest.approx(360.0, rel=1e-4)
 
-    single = assemble_flows([read_pcap(three_packet_pcap).packets[0]])[0]
+    single = assemble_flows(read_pcap(three_packet_pcap).packets[:1])[0]
     degenerate = compute_features(single).features
     assert degenerate["Flow Duration"] == 0.0
     for name, value in degenerate.items():

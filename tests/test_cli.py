@@ -293,6 +293,22 @@ class TestFlowPipeline:
 
 
 class TestInspectOnce:
+    def test_json_stats_report_skips_and_fragments(self, tmp_path):
+        from tests.conftest import arp_frame, ethernet_ipv4_tcp, pcap_bytes
+
+        pcap = tmp_path / "frag.pcap"
+        pcap.write_bytes(pcap_bytes([
+            (0, ethernet_ipv4_tcp("10.0.0.1", 4444, "10.0.0.2", 80, 10)),
+            (1, ethernet_ipv4_tcp("10.9.9.9", 31337, "10.0.0.2", 22, 16, frag=185)),
+            (2, arp_frame()),
+        ]))
+        code, out, err = _run(["inspect", "once", "--pcap", str(pcap),
+                               "--model", "stub:benign", "--json"])
+        assert code == EXIT_OK, err
+        stats = json.loads(err.splitlines()[-1])
+        assert (stats["flows"], stats["packets"], stats["skipped_packets"],
+                stats["fragments"]) == (1, 1, 1, 1)
+
     def test_forced_webshell_stub(self, two_flow_pcap, tmp_path):
         eve = tmp_path / "eve.json"
         rules_dir = tmp_path / "rules"

@@ -1,10 +1,11 @@
 """PCAP decoding, flow assembly and the feature oracle."""
 
-import dataclasses
 import random
+import socket
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,9 +17,11 @@ from tests.conftest import (
     ethernet_ipv4_udp,
     pcap_bytes,
 )
+from tests.flowmeter_check import packet_rows
 from wsdetect.flowmeter import (
     CONTINUOUS_NAMES,
     CSV_COLUMNS,
+    Packets,
     PcapError,
     assemble_flows,
     compute_features,
@@ -30,17 +33,32 @@ from wsdetect.flowmeter import (
     write_csv,
     write_jsonl,
 )
-from wsdetect.flowmeter.pcapfile import ACK, FIN, PSH, RST, SYN, URG, PacketMeta
+from wsdetect.flowmeter.pcapfile import ACK, FIN, PSH, RST, SYN, URG
+
+
+def _addr(dotted: str) -> int:
+    return int.from_bytes(socket.inet_aton(dotted), "big")
 
 
 def _pkt(ts_us, src="10.0.0.1", sport=4444, dst="10.0.0.2", dport=80,
          payload=100, flags=ACK, window=8192, proto=6,
          ip_hdr=20, l4_hdr=20):
-    return PacketMeta(
-        timestamp_us=ts_us, src_ip=src, dst_ip=dst, src_port=sport,
-        dst_port=dport, protocol=proto, ip_header_length=ip_hdr,
-        l4_header_length=l4_hdr, payload_length=payload, tcp_flags=flags,
-        tcp_window=window)
+    """One packet row, in `Packets` field order."""
+    return (ts_us, _addr(src), _addr(dst), sport, dport, proto, ip_hdr,
+            l4_hdr, payload, flags, window)
+
+
+_DTYPES = (np.int64, np.uint32, np.uint32, *[np.int64] * 6, np.uint8, np.int64)
+
+
+def _table(rows) -> Packets:
+    """A packet table of `_pkt` rows."""
+    columns = list(zip(*rows)) if rows else [()] * len(_DTYPES)
+    return Packets(*(np.array(c, dtype) for c, dtype in zip(columns, _DTYPES)))
+
+
+def _flows(rows, **kwargs):
+    return assemble_flows(_table(rows), **kwargs)
 
 
 class TestReadPcap:
@@ -48,24 +66,20 @@ class TestReadPcap:
         result = read_pcap(three_packet_pcap)
         assert len(result.packets) == 3
         assert result.skipped == 0
-        assert [p.timestamp_us for p in result.packets] == [0, 500_000, 1_000_000]
-        first = result.packets[0]
-        assert (first.src_ip, first.src_port) == ("10.0.0.1", 4444)
-        assert (first.dst_ip, first.dst_port) == ("10.0.0.2", 80)
-        assert first.payload_length == 100
-        assert first.protocol == 6
+        assert result.packets.ts.tolist() == [0, 500_000, 1_000_000]
+        assert packet_rows(result.packets)[0] == _pkt(0, payload=100, flags=ACK)
 
     def test_header_only_capture(self, tmp_path):
         path = tmp_path / "empty.pcap"
         path.write_bytes(pcap_bytes([]))
         result = read_pcap(path)
-        assert result.packets == [] and result.skipped == 0
+        assert len(result.packets) == 0 and result.skipped == 0
 
     def test_arp_frame_skipped_and_counted(self, tmp_path):
         path = tmp_path / "arp.pcap"
         path.write_bytes(pcap_bytes([(0, arp_frame())]))
         result = read_pcap(path)
-        assert result.packets == []
+        assert len(result.packets) == 0
         assert result.skipped == 1
 
     def test_bad_magic(self, tmp_path):
@@ -86,30 +100,30 @@ class TestReadPcap:
         path = tmp_path / "be.pcap"
         path.write_bytes(pcap_bytes(frames, big_endian=True))
         result = read_pcap(path)
-        assert result.packets[0].timestamp_us == 123_456
+        assert result.packets.ts.tolist() == [123_456]
 
     def test_nanosecond_capture(self, tmp_path):
         frames = [(123_456, ethernet_ipv4_tcp("1.1.1.1", 1, "2.2.2.2", 2, 10))]
         path = tmp_path / "ns.pcap"
         path.write_bytes(pcap_bytes(frames, magic=MAGIC_NS))
         result = read_pcap(path)
-        assert result.packets[0].timestamp_us == 123_456
+        assert result.packets.ts.tolist() == [123_456]
 
     def test_vlan_tagged_frame(self, tmp_path):
         frames = [(0, ethernet_ipv4_tcp("1.1.1.1", 1, "2.2.2.2", 2, 7, vlan=True))]
         path = tmp_path / "vlan.pcap"
         path.write_bytes(pcap_bytes(frames))
         result = read_pcap(path)
-        assert result.packets[0].payload_length == 7
+        assert result.packets.payload.tolist() == [7]
 
     def test_udp_packet(self, tmp_path):
         frames = [(0, ethernet_ipv4_udp("3.3.3.3", 53, "4.4.4.4", 5353, 24))]
         path = tmp_path / "udp.pcap"
         path.write_bytes(pcap_bytes(frames))
-        packet = read_pcap(path).packets[0]
-        assert packet.protocol == 17
-        assert packet.l4_header_length == 8
-        assert packet.payload_length == 24
+        packets = read_pcap(path).packets
+        assert packet_rows(packets) == [_pkt(0, "3.3.3.3", 53, "4.4.4.4", 5353,
+                                             payload=24, flags=0, window=0,
+                                             proto=17, l4_hdr=8)]
 
     def test_non_first_fragment_is_no_flow(self, tmp_path):
         # offset 185 (x 8 bytes): 36 bytes that look like a TCP header
@@ -119,7 +133,7 @@ class TestReadPcap:
         path.write_bytes(pcap_bytes([(0, frame)]))
         result = read_pcap(path)
         assert assemble_flows(result.packets) == []  # no phantom 31337 -> 22 flow
-        assert (result.packets, result.skipped, result.fragments) == ([], 0, 1)
+        assert (len(result.packets), result.skipped, result.fragments) == (0, 0, 1)
 
 
 def _read_bytes(data: bytes):
@@ -165,22 +179,17 @@ class TestDecodeLayouts:
         decodable = list(range(l4_start + fixed_l4, len(frame) + 1))
         for cut in range(decodable[0]):  # a cut frame ends the capture
             tail = _read_bytes(pcap_bytes([(0, frame[:cut])]))
-            assert tail.packets == [] and tail.skipped + tail.fragments == 1
+            assert len(tail.packets) == 0 and tail.skipped + tail.fragments == 1
         if frag & 0x3FFF:
-            assert (result.packets, result.skipped) == ([], l4_start)
+            assert (len(result.packets), result.skipped) == (0, l4_start)
             assert result.fragments == len(frame) + 1 - l4_start
             return
         assert (result.skipped, result.fragments) == (len(frame) + 1 - len(decodable), 0)
-        assert [p.timestamp_us for p in result.packets] == decodable
-        expected = PacketMeta(
-            timestamp_us=0, src_ip=src, dst_ip=dst, src_port=sport,
-            dst_port=dport, protocol=17 if udp else 6,
-            ip_header_length=4 * ihl, l4_header_length=l4_header,
-            payload_length=payload, tcp_flags=flags, tcp_window=window)
-        for packet in result.packets:
-            assert packet == dataclasses.replace(
-                expected, timestamp_us=packet.timestamp_us)
-            assert type(packet.tcp_flags) is int
+        assert result.packets.ts.tolist() == decodable
+        assert packet_rows(result.packets) == [
+            _pkt(cut, src, sport, dst, dport, payload=payload, flags=flags,
+                 window=window, proto=17 if udp else 6, ip_hdr=4 * ihl,
+                 l4_hdr=l4_header) for cut in decodable]
 
     @given(vlan=st.booleans(), ihl=st.integers(5, 15),
            data_offset=st.integers(5, 15), payload=st.integers(0, 20))
@@ -210,21 +219,21 @@ class TestAssembleFlows:
             _pkt(100, src="10.0.0.2", sport=80, dst="10.0.0.1", dport=4444),
             _pkt(200),
         ]
-        flows = assemble_flows(packets)
+        flows = _flows(packets)
         assert len(flows) == 1
         flow = flows[0]
-        assert len(flow.fwd_packets()) == 2
-        assert len(flow.bwd_packets()) == 1
+        v = compute_features(flow).features
+        assert (v["Tot Fwd Pkts"], v["Tot Bwd Pkts"]) == (2, 1)
         assert flow.src_ip == "10.0.0.1"  # first packet defines forward
 
     def test_flow_timeout_splits(self):
         packets = [_pkt(0), _pkt(200_000_000)]
-        flows = assemble_flows(packets, flow_timeout_us=120_000_000)
+        flows = _flows(packets, flow_timeout_us=120_000_000)
         assert len(flows) == 2
 
     def test_within_timeout_single_flow(self):
         packets = [_pkt(0), _pkt(100_000_000)]
-        assert len(assemble_flows(packets, flow_timeout_us=120_000_000)) == 1
+        assert len(_flows(packets, flow_timeout_us=120_000_000)) == 1
 
     def test_fin_terminates(self):
         packets = [
@@ -232,18 +241,17 @@ class TestAssembleFlows:
             _pkt(1000, flags=ACK | FIN),
             _pkt(2000),
         ]
-        flows = assemble_flows(packets)
-        assert len(flows) == 2
-        assert flows[0].terminated
+        flows = _flows(packets)
+        assert [flow.stop - flow.start for flow in flows] == [2, 1]
 
     def test_rst_terminates(self):
         packets = [_pkt(0, flags=RST), _pkt(1000)]
-        assert len(assemble_flows(packets)) == 2
+        assert len(_flows(packets)) == 2
 
     def test_single_packet_flow(self):
-        flows = assemble_flows([_pkt(42)])
-        assert len(flows) == 1
-        assert flows[0].duration_us == 0
+        flows = _flows([_pkt(42)])
+        assert [flow.stop - flow.start for flow in flows] == [1]
+        assert compute_features(flows[0]).features["Flow Duration"] == 0
 
     def test_deterministic_order(self):
         packets = [
@@ -251,13 +259,13 @@ class TestAssembleFlows:
             _pkt(0),
             _pkt(100, src="7.7.7.7", sport=3, dst="6.6.6.6", dport=4),
         ]
-        flows = assemble_flows(packets)
+        flows = _flows(packets)
         assert [f.first_ts for f in flows] == [0, 100, 500]
 
 
 class TestComputeFeatures:
     def test_hand_computed_oracle(self):
-        flow = assemble_flows([
+        flow = _flows([
             _pkt(0, payload=100),
             _pkt(500_000, src="10.0.0.2", sport=80, dst="10.0.0.1",
                  dport=4444, payload=60),
@@ -276,7 +284,7 @@ class TestComputeFeatures:
         assert v["Down/Up Ratio"] == 0.0
 
     def test_single_packet_degenerate(self):
-        record = compute_features(assemble_flows([_pkt(1_000)])[0])
+        record = compute_features(_flows([_pkt(1_000)])[0])
         v = record.features
         assert v["Flow Duration"] == 0
         for name in ("Flow IAT Mean", "Flow IAT Std", "Flow IAT Max",
@@ -287,7 +295,7 @@ class TestComputeFeatures:
         assert all(value == value for value in v.values())  # no NaN
 
     def test_flag_counts(self):
-        flow = assemble_flows([
+        flow = _flows([
             _pkt(0, flags=SYN),
             _pkt(1000, flags=ACK | FIN),
         ])[0]
@@ -297,7 +305,7 @@ class TestComputeFeatures:
         assert v["ACK Flag Cnt"] == 1
 
     def test_psh_urg_per_direction(self):
-        flow = assemble_flows([
+        flow = _flows([
             _pkt(0, flags=PSH | ACK),
             _pkt(10, src="10.0.0.2", sport=80, dst="10.0.0.1", dport=4444,
                  flags=URG),
@@ -308,12 +316,12 @@ class TestComputeFeatures:
         assert v["Bwd URG Flags"] == 1
 
     def test_header_lengths(self):
-        flow = assemble_flows([_pkt(0), _pkt(10)])[0]
+        flow = _flows([_pkt(0), _pkt(10)])[0]
         v = compute_features(flow).features
         assert v["Fwd Header Len"] == 80  # 2 * (20 ip + 20 tcp)
 
     def test_init_window_bytes(self):
-        flow = assemble_flows([
+        flow = _flows([
             _pkt(0, window=1111),
             _pkt(10, src="10.0.0.2", sport=80, dst="10.0.0.1", dport=4444,
                  window=2222),
@@ -323,7 +331,7 @@ class TestComputeFeatures:
         assert v["Init Bwd Win Byts"] == 2222
 
     def test_no_bwd_packets_zeroes(self):
-        flow = assemble_flows([_pkt(0), _pkt(10)])[0]
+        flow = _flows([_pkt(0), _pkt(10)])[0]
         v = compute_features(flow).features
         assert v["Init Bwd Win Byts"] == 0
         assert v["Bwd Pkt Len Mean"] == 0
@@ -332,7 +340,7 @@ class TestComputeFeatures:
     def test_bulk_detection(self):
         # five fwd payload packets 10ms apart: one bulk of 5 packets
         packets = [_pkt(i * 10_000, payload=50) for i in range(5)]
-        flow = assemble_flows(packets)[0]
+        flow = _flows(packets)[0]
         v = compute_features(flow).features
         assert v["Fwd Pkts/b Avg"] == 5
         assert v["Fwd Byts/b Avg"] == 250
@@ -341,7 +349,7 @@ class TestComputeFeatures:
 
     def test_bulk_needs_four_packets(self):
         packets = [_pkt(i * 10_000, payload=50) for i in range(3)]
-        v = compute_features(assemble_flows(packets)[0]).features
+        v = compute_features(_flows(packets)[0]).features
         assert v["Fwd Byts/b Avg"] == 0
 
     def test_bulk_broken_by_direction_change(self):
@@ -351,28 +359,28 @@ class TestComputeFeatures:
                  dport=4444, payload=10),
             _pkt(30_000, payload=50), _pkt(40_000, payload=50),
         ]
-        v = compute_features(assemble_flows(packets)[0]).features
+        v = compute_features(_flows(packets)[0]).features
         assert v["Fwd Byts/b Avg"] == 0  # runs of 2 and 2, never 4
 
     def test_subflow_counts(self):
         # gap of 2 s > 1 s splits into 2 subflows
         packets = [_pkt(0, payload=40), _pkt(100_000, payload=40),
                    _pkt(2_200_000, payload=40), _pkt(2_300_000, payload=40)]
-        v = compute_features(assemble_flows(packets)[0]).features
+        v = compute_features(_flows(packets)[0]).features
         assert v["Subflow Fwd Pkts"] == 2.0  # 4 packets / 2 subflows
         assert v["Subflow Fwd Byts"] == 80.0
 
     def test_active_idle_split(self):
         # 6 s gap with 5 s activity timeout: two active segments + one idle
         packets = [_pkt(0), _pkt(1_000_000), _pkt(7_000_000), _pkt(7_500_000)]
-        v = compute_features(assemble_flows(packets)[0]).features
+        v = compute_features(_flows(packets)[0]).features
         assert v["Idle Mean"] == 6_000_000
         assert v["Active Mean"] == pytest.approx((1_000_000 + 500_000) / 2)
         assert v["Active Max"] == 1_000_000
         assert v["Active Min"] == 500_000
 
     def test_fwd_act_data_and_seg_size_min(self):
-        flow = assemble_flows([
+        flow = _flows([
             _pkt(0, payload=0), _pkt(10, payload=33, l4_hdr=32),
         ])[0]
         v = compute_features(flow).features
@@ -390,8 +398,8 @@ class TestComputeFeatures:
                  payload=20),
             _pkt(1000, payload=10),
         ]
-        a = compute_features(assemble_flows(fwd_first)[0]).features
-        b = compute_features(assemble_flows(bwd_first)[0]).features
+        a = compute_features(_flows(fwd_first)[0]).features
+        b = compute_features(_flows(bwd_first)[0]).features
         for name in ("Flow Duration", "Flow Byts/s", "Flow Pkts/s",
                      "Pkt Len Mean", "Pkt Len Std", "Pkt Len Min",
                      "Pkt Len Max"):
@@ -414,7 +422,7 @@ class TestComputeFeatures:
                     dst="10.0.0.2" if direction else "10.0.0.1",
                     dport=80 if direction else 4444,
                     payload=rng.randint(0, 1400)))
-            for flow in assemble_flows(packets):
+            for flow in _flows(packets):
                 v = compute_features(flow).features
                 for prefix in ("Fwd Pkt Len", "Bwd Pkt Len", "Flow IAT",
                                "Fwd IAT", "Bwd IAT", "Active", "Idle"):
@@ -428,7 +436,7 @@ class TestComputeFeatures:
                            for value in v.values())
 
     def test_purity(self):
-        flow = assemble_flows([_pkt(0), _pkt(500)])[0]
+        flow = _flows([_pkt(0), _pkt(500)])[0]
         first = compute_features(flow)
         second = compute_features(flow)
         assert first.features == second.features
@@ -437,18 +445,18 @@ class TestComputeFeatures:
         part1 = [_pkt(0), _pkt(1000)]
         part2 = [_pkt(300_000_000, src="9.9.9.9", sport=5, dst="8.8.8.8",
                       dport=6)]
-        merged = assemble_flows(part1 + part2, flow_timeout_us=120_000_000)
-        separate = (assemble_flows(part1, flow_timeout_us=120_000_000)
-                    + assemble_flows(part2, flow_timeout_us=120_000_000))
+        merged = _flows(part1 + part2, flow_timeout_us=120_000_000)
+        separate = (_flows(part1, flow_timeout_us=120_000_000)
+                    + _flows(part2, flow_timeout_us=120_000_000))
         assert len(merged) == len(separate)
-        merged_keys = [(f.flow_id, len(f.packets)) for f in merged]
-        separate_keys = sorted((f.flow_id, len(f.packets)) for f in separate)
+        merged_keys = [(f.flow_id, f.stop - f.start) for f in merged]
+        separate_keys = sorted((f.flow_id, f.stop - f.start) for f in separate)
         assert sorted(merged_keys) == separate_keys
 
 
 class TestModelInputs:
     def _record(self):
-        return compute_features(assemble_flows([_pkt(0), _pkt(1000)])[0])
+        return compute_features(_flows([_pkt(0), _pkt(1000)])[0])
 
     def test_shapes(self):
         cats, cont = model_inputs(self._record())
@@ -456,14 +464,14 @@ class TestModelInputs:
         assert len(cont) == 77
 
     def test_timestamp_in_seconds(self):
-        record = compute_features(assemble_flows([_pkt(2_500_000)])[0])
+        record = compute_features(_flows([_pkt(2_500_000)])[0])
         vector = continuous_vector(record)
         assert vector[0] == pytest.approx(2.5)
 
     def test_src_ip_never_used(self):
-        a = compute_features(assemble_flows([
+        a = compute_features(_flows([
             _pkt(0), _pkt(1000)])[0])
-        b = compute_features(assemble_flows([
+        b = compute_features(_flows([
             _pkt(0, src="99.99.99.99"), _pkt(1000, src="99.99.99.99")])[0])
         assert model_inputs(a) == model_inputs(b)
 
@@ -484,7 +492,7 @@ class TestCsvRoundTrip:
             packets = [
                 _pkt(i * 10_000_000 + j * 1000, payload=rng.randint(0, 500))
                 for j in range(rng.randint(1, 6))]
-            rec = compute_features(assemble_flows(packets)[0])
+            rec = compute_features(_flows(packets)[0])
             rec.label = "Benign" if i % 2 else "Webshell"
             records.append(rec)
         return records

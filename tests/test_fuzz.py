@@ -6,11 +6,15 @@ type.
 """
 
 import random
+import tempfile
+from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wsdetect.flowmeter import PcapError, read_pcap
+from tests.conftest import random_captures
+from wsdetect.flowmeter import PcapError, assemble_flows, feature_matrix, read_pcap
 from wsdetect.opcode import parse_cil, parse_vld
 from wsdetect.rulelang import RuleSyntaxError, match_buffer, parse_rules
 
@@ -70,6 +74,21 @@ class TestPcapFuzz:
                 read_pcap(path)
             except PcapError:
                 pass
+
+    @given(random_captures())
+    @settings(max_examples=40, deadline=None)
+    def test_random_captures_fail_typed_or_give_finite_features(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "random.pcap"
+            path.write_bytes(data)
+            try:
+                capture = read_pcap(path)
+            except PcapError:
+                return
+        flows = assemble_flows(capture.packets)
+        assert sum(f.stop - f.start for f in flows) == len(capture.packets)
+        matrix = feature_matrix(flows)
+        assert matrix.shape == (len(flows), 77) and np.isfinite(matrix).all()
 
     def test_mutated_valid_capture_through_full_pipeline(self, tmp_path):
         from tests.conftest import ethernet_ipv4_tcp, pcap_bytes

@@ -1,11 +1,18 @@
 """Inspection pipeline, EVE output, rule files, socket daemon."""
 
 import json
+import logging
+import random
 import socket
 import sys
 import threading
+import zlib
 
+import numpy as np
 import pytest
+
+from tests.conftest import ethernet_ipv4_tcp, ethernet_ipv4_udp, pcap_bytes
+from wsdetect.flowmeter import PcapError
 
 from wsdetect.inspector import (
     Blacklist,
@@ -372,3 +379,97 @@ class TestDaemon:
         rule_file = tmp_path / "webshell-generated.rules"
         assert rule_file.exists()
         assert len(rule_file.read_text().splitlines()) == 2
+
+
+class _FeatureHashPredictor:
+    """Verdicts that hang on every model input: p_webshell is a hash of
+    the flow's categorical and continuous row, so a feature value that
+    changes shows up as a changed verdict or probability."""
+
+    def predict(self, dataset):
+        p = np.array([zlib.crc32(cats.tobytes() + cont.tobytes()) / 2**32
+                      for cats, cont in zip(dataset.categoricals, dataset.continuous)])
+        return np.stack([1 - p, p], axis=1), (p >= 0.5).astype(np.intp)
+
+
+def _session_capture(path, seed):
+    """A few hundred packets of interleaved TCP and UDP sessions."""
+    rng = random.Random(seed)
+    frames, t = [], 1_700_000_000_000_000
+    for _ in range(300):
+        t += rng.choice([0, 50, 20_000, 1_500_000, 6_000_000])
+        a, b = f"10.1.{rng.randint(0, 3)}.{rng.randint(1, 9)}", "10.0.0.2"
+        sport, dport = rng.choice([4444, 5555, 6666]), rng.choice([80, 53])
+        if rng.random() < 0.4:
+            a, b, sport, dport = b, a, dport, sport
+        if dport == 53 or sport == 53:
+            frame = ethernet_ipv4_udp(a, sport, b, dport, rng.randint(0, 90))
+        else:
+            frame = ethernet_ipv4_tcp(a, sport, b, dport, rng.choice([0, 40, 1400]),
+                                      flags=rng.choice([0x10, 0x18, 0x10, 0x11]))
+        frames.append((t, frame))
+    path.write_bytes(pcap_bytes(frames))
+    return path
+
+
+class TestDaemonConcurrency:
+    def test_failure_logged_with_traceback(self, tmp_path, two_flow_pcap, caplog):
+        cut = tmp_path / "cut.pcap"
+        cut.write_bytes(two_flow_pcap.read_bytes()[:-5])
+        daemon = InspectorDaemon(InspectorConfig(rules_dir=str(tmp_path),
+                                                 model_path="stub"))
+        with caplog.at_level(logging.WARNING, logger="wsdetect.inspector"):
+            reply = daemon.inspect(str(cut))
+        assert "truncated record body" in reply["error"]
+        [record] = [r for r in caplog.records if "failed" in r.getMessage()]
+        assert record.exc_info is not None and record.exc_info[0] is PcapError
+
+    def test_threads_get_the_serial_replies(self, tmp_path, three_packet_pcap,
+                                            two_flow_pcap):
+        # connection threads share one daemon; with a tiny switch interval
+        # every reply must still equal the serial one for its capture
+        captures = [str(p) for p in (
+            three_packet_pcap, two_flow_pcap,
+            _session_capture(tmp_path / "a.pcap", 1),
+            _session_capture(tmp_path / "b.pcap", 2))]
+        daemon = InspectorDaemon(InspectorConfig(rules_dir=str(tmp_path)),
+                                 model=_FeatureHashPredictor())
+
+        def summary(reply):
+            stats = {k: v for k, v in reply["stats"].items() if k != "ms"}
+            return stats, [(a["src_ip"], a["src_port"], a["dest_ip"],
+                            a["dest_port"], a["proto"], a["p_webshell"])
+                           for a in reply["alerts"]]
+
+        # the serial pass also gives every source its sid before the
+        # threads run: sid assignment itself is not under test here
+        serial = {path: summary(daemon.inspect(path)) for path in captures}
+        assert sum(stats["webshell"] for stats, _ in serial.values()) > 0
+        replies, errors = [], []
+
+        def worker(k):
+            try:
+                for i in range(6):
+                    path = captures[(k + i) % len(captures)]
+                    replies.append((path, summary(daemon.inspect(path))))
+            except Exception as exc:  # a thread's error must fail the test
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(replies) == 8 * 6
+        for path, reply in replies:
+            assert reply == serial[path], path
+        lines = (tmp_path / "webshell-generated.rules").read_text().splitlines()
+        sids = [parse_rule_line(line).sid for line in lines]
+        assert len(sids) == len(set(sids))

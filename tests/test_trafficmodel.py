@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wsdetect import tensornet as tn
 from wsdetect.trafficmodel import (
@@ -9,6 +11,7 @@ from wsdetect.trafficmodel import (
     FeatureSchema,
     TabularConfig,
     TabularDataset,
+    TabularDnn,
     TrafficModelError,
     build_dnn,
     default_embedding_dim,
@@ -102,6 +105,31 @@ class TestBuild:
         model = build_dnn(TabularConfig(), data)
         normalized = model.normalize(data.continuous)
         assert np.allclose(normalized[:, 5], 0.0)
+
+
+class TestCategoricalLookup:
+    @given(data=st.data(), port_keys=st.sets(st.integers(0, 65535), max_size=30),
+           proto_keys=st.sets(st.sampled_from([1, 6, 17, 47]), max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_lookup_equals_dict_get(self, data, port_keys, proto_keys):
+        # vocabularies as a checkpoint may hold them: any distinct
+        # indices >= 1, in any key order
+        vocabs = []
+        for keys in (port_keys, proto_keys):
+            order = data.draw(st.permutations(sorted(keys)))
+            vocabs.append({k: i + 1 for i, k in enumerate(order)})
+        model = TabularDnn(TabularConfig(hidden=(2, 2), embedding_dims=(2, 2)),
+                           vocabs, np.zeros(77), np.ones(77))
+        value = st.integers(-70_000, 140_000)  # unknowns, negatives, past the top
+        rows = data.draw(st.lists(st.tuples(
+            st.one_of(value, st.sampled_from(sorted(port_keys) or [0])),
+            st.one_of(value, st.sampled_from(sorted(proto_keys) or [0]))),
+            max_size=30))  # the empty batch too
+        raw = np.array(rows, np.int64).reshape(-1, 2)
+        expected = [[vocab.get(int(v), 0) for vocab, v in zip(vocabs, row)]
+                    for row in raw]
+        idx = model.map_categorical(raw)
+        assert idx.shape == raw.shape and idx.tolist() == expected
 
 
 class TestTraining:
