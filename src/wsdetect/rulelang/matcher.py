@@ -6,8 +6,19 @@ only if the subject's first min(n, 8) bytes at p equal the needle's
 key, and ``subject[p:p+n]`` is the needle. The key test runs for all
 offsets at once in numpy; the second test is one dict lookup per
 distinct needle length under a matching key. ``nocase`` literals are
-searched the same way in the ASCII-lowercased subject. Hex wildcards
-and regexes fall back to per-pattern regex scans.
+searched the same way in the ASCII-lowercased subject.
+
+Hex wildcards and regexes are found by one ``finditer`` scan each, run
+only when the subject holds every adjacent byte pair the pattern
+requires. Once per subject, a 65,536-entry table marks the pairs it
+contains (a second one marks those of the lowercased subject, for
+``nocase`` regexes). A hex pattern requires the pairs of its adjacent
+fixed bytes. A regex requires the pairs of its leading literal run: the
+ASCII characters before its first metacharacter, less the last one when
+a quantifier follows it, and nothing when the source holds ``|``;
+lowercased for ``nocase``. Every match starts with that run, or holds
+those fixed bytes, so a subject without one of the pairs has no match
+and skipping the scan changes no occurrence.
 """
 
 from __future__ import annotations
@@ -27,6 +38,7 @@ from wsdetect.rulelang.model import (
     Or,
     Pattern,
     PatternMatch,
+    RegexBody,
     Rule,
     RuleSet,
     StringRef,
@@ -38,6 +50,10 @@ _BLOCK_SIZE = 1 << 16  # subject offsets keyed per numpy pass
 
 _WORD_BYTES = frozenset(
     b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789")
+
+_PAIRS = 1 << 16  # adjacent byte pairs, as big-endian 16-bit values
+_REGEX_META = frozenset(".^$*+?{}[]()|\\")
+_QUANTIFIERS = frozenset("?*+{")
 
 
 class _Literals:
@@ -93,7 +109,12 @@ class CompiledRuleSet:
 
         cs_needles: dict[bytes, list[int]] = {}
         ci_needles: dict[bytes, list[int]] = {}
-        self._regex: list[tuple[int, re.Pattern[bytes]]] = []
+        # pattern index and regex of each scanned pattern, and the keys of
+        # the pairs it requires: a pair of the lowercased subject is keyed
+        # past _PAIRS
+        self._scans: list[tuple[int, re.Pattern[bytes]]] = []
+        pair_keys: list[int] = []
+        pair_owners: list[int] = []
 
         for i, (_, pat) in enumerate(patterns):
             body = pat.body
@@ -102,28 +123,46 @@ class CompiledRuleSet:
                     ci_needles.setdefault(body.value.lower(), []).append(i)
                 else:
                     cs_needles.setdefault(body.value, []).append(i)
-            elif isinstance(body, HexBody):
+                continue
+            if isinstance(body, HexBody):
                 if all(t is not None for t in body.tokens):
                     cs_needles.setdefault(bytes(body.tokens), []).append(i)
-                else:
-                    self._regex.append((i, _hex_to_regex(body)))
+                    continue
+                keys = _hex_pairs(body)
+                rx = _hex_to_regex(body)
             else:
-                flags = re.DOTALL | (re.IGNORECASE if body.nocase else 0)
-                self._regex.append((i, re.compile(body.source.encode("latin-1"), flags)))
+                keys = _regex_pairs(body)
+                rx = body.compiled
+            pair_keys += keys
+            pair_owners += [len(self._scans)] * len(keys)
+            self._scans.append((i, rx))
 
         self._cs = _Literals(cs_needles) if cs_needles else None
         self._ci = _Literals(ci_needles) if ci_needles else None
+        self._pair_keys = np.array(pair_keys, dtype=np.int64)
+        self._pair_owners = np.array(pair_owners, dtype=np.int64)
+        self._lower_pairs = any(key >= _PAIRS for key in pair_keys)
 
     def occurrences(self, subject: bytes) -> list[list[tuple[int, int]]]:
         """Per global pattern index: list of (offset, length) occurrences."""
         found: list[list[tuple[int, int]]] = [[] for _ in self._patterns]
+        lowered = subject.lower() if self._ci is not None or self._lower_pairs else b""
         if self._cs is not None:
             self._cs.scan(subject, found)
         if self._ci is not None:
-            self._ci.scan(subject.lower(), found)
-        for i, rx in self._regex:
-            spans = [(m.start(), m.end() - m.start()) for m in rx.finditer(subject)]
-            found[i] = spans
+            self._ci.scan(lowered, found)
+        if self._scans:
+            present = np.zeros(2 * _PAIRS, dtype=bool)
+            present[_pair_values(subject)] = True
+            if self._lower_pairs:
+                present[_PAIRS:][_pair_values(lowered)] = True
+            # per scan, how many of its required pairs the subject lacks
+            missing = np.bincount(self._pair_owners[~present[self._pair_keys]],
+                                  minlength=len(self._scans))
+            for (i, rx), absent in zip(self._scans, missing.tolist()):
+                if not absent:
+                    found[i] = [(m.start(), m.end() - m.start())
+                                for m in rx.finditer(subject)]
         # fullword: occurrences flanked by alphanumerics do not count
         for i, (_, pat) in enumerate(self._patterns):
             body = pat.body
@@ -132,6 +171,38 @@ class CompiledRuleSet:
                     (off, length) for off, length in found[i]
                     if _is_fullword(subject, off, length)]
         return found
+
+
+def _pair_values(subject: bytes) -> np.ndarray:
+    """The big-endian 16-bit value of each adjacent byte pair."""
+    b = np.frombuffer(subject, dtype=np.uint8).astype(np.uint16)
+    return (b[:-1] << 8) | b[1:]
+
+
+def _hex_pairs(body: HexBody) -> list[int]:
+    """Keys of the pairs of adjacent fixed bytes of a hex pattern."""
+    return [a << 8 | b for a, b in zip(body.tokens, body.tokens[1:])
+            if a is not None and b is not None]
+
+
+def _regex_pairs(body: RegexBody) -> list[int]:
+    """Keys of the pairs of a regex's leading literal run: every match
+    starts with it. Conservative: the run ends at the first
+    metacharacter or non-ASCII character, loses its last character when
+    a quantifier ends it, and is empty when the source holds '|'."""
+    if "|" in body.source:
+        return []
+    run = []
+    for ch in body.source:
+        if ch in _REGEX_META or not ch.isascii():
+            if ch in _QUANTIFIERS:
+                del run[-1:]
+            break
+        run.append(ord(ch))
+    if body.nocase:
+        run = bytes(run).lower()
+    base = _PAIRS if body.nocase else 0
+    return [base + (a << 8 | b) for a, b in zip(run, run[1:])]
 
 
 def _hex_to_regex(body: HexBody) -> re.Pattern[bytes]:

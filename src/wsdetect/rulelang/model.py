@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import hashlib
+import re
 from dataclasses import dataclass, field
 
 
@@ -14,13 +14,17 @@ class RuleError(Exception):
 
 
 class RuleSyntaxError(RuleError):
-    """Syntax or semantic error in a rule file, with source position."""
+    """Syntax or semantic error in a rule file, with source position and,
+    for a rule directory, the file it is in."""
 
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"line {line}, column {column}: {message}")
+    def __init__(self, message: str, line: int, column: int,
+                 path: str | None = None):
+        where = f"line {line}, column {column}"
+        super().__init__(f"{path}: {where}: {message}" if path else f"{where}: {message}")
         self.message = message
         self.line = line
         self.column = column
+        self.path = path
 
 
 @dataclass(frozen=True)
@@ -38,9 +42,28 @@ class HexBody:
 
 @dataclass(frozen=True)
 class RegexBody:
+    """A regex over bytes: each character of `source` stands for its
+    Latin-1 byte. Compiled once, here, with ``DOTALL`` (and
+    ``IGNORECASE`` for ``nocase``); an invalid source raises
+    :class:`RuleError`."""
+
     source: str
     nocase: bool = False
     fullword: bool = False
+    compiled: re.Pattern[bytes] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        try:
+            source = self.source.encode("latin-1")
+        except UnicodeEncodeError as exc:
+            raise RuleError(
+                f"regex character {self.source[exc.start]!r} is not Latin-1") from None
+        flags = re.DOTALL | (re.IGNORECASE if self.nocase else 0)
+        try:
+            compiled = re.compile(source, flags)
+        except re.error as exc:
+            raise RuleError(f"invalid regex: {exc}") from None
+        object.__setattr__(self, "compiled", compiled)
 
 
 @dataclass(frozen=True)
@@ -103,11 +126,6 @@ class Rule:
 @dataclass(frozen=True)
 class RuleSet:
     rules: tuple[Rule, ...]
-    fingerprint: str
-
-    @staticmethod
-    def fingerprint_of(source: str) -> str:
-        return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
     def rule_names(self) -> tuple[str, ...]:
         return tuple(r.name for r in self.rules)

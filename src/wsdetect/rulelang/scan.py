@@ -8,7 +8,7 @@ from pathlib import Path
 
 from wsdetect.rulelang.matcher import CompiledRuleSet, match_buffer
 from wsdetect.rulelang.model import MatchReport, RuleError, RuleSet
-from wsdetect.rulelang.parser import parse_rules
+from wsdetect.rulelang.parser import parse_rules, parse_sources
 
 
 @dataclass
@@ -60,12 +60,12 @@ def load_rules_file(path: str | Path) -> RuleSet:
 
 
 def load_rules_dir(path: str | Path, suffix: str = ".yar") -> RuleSet:
-    """Concatenate every rule file in a directory, sorted by filename."""
+    """Every rule file in a directory, sorted by filename, as one rule
+    set. Errors name the file they are in (see `parse_sources`)."""
     directory = Path(path)
     if not directory.is_dir():
         raise RuleError(f"rules directory {directory} does not exist")
     files = sorted(p for p in directory.iterdir() if p.suffix == suffix)
     if not files:
         raise RuleError(f"no {suffix} files in {directory}")
-    combined = "\n".join(p.read_text(encoding="utf-8") for p in files)
-    return parse_rules(combined)
+    return parse_sources((str(p), p.read_text(encoding="utf-8")) for p in files)

@@ -1,8 +1,10 @@
 """Shared fixtures: in-memory pcap construction, random captures, the
-flowmeter oracle check, and rule file text."""
+flowmeter oracle check, rule file text, random rule texts and the rule
+parser oracle check."""
 
 from __future__ import annotations
 
+import itertools
 import socket
 import struct
 import tempfile
@@ -11,8 +13,10 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
+from tests import rulelang_check
 from tests.flowmeter_check import BUILT, CHECKED, assert_matches_oracle
 from wsdetect.flowmeter.pcapfile import ACK, CWR, ECE, FIN, PSH, RST, SYN, URG
+from wsdetect.rulelang import parser as rule_parser
 
 MAGIC_US = 0xA1B2C3D4
 MAGIC_NS = 0xA1B23C4D
@@ -201,3 +205,134 @@ rule webshell_B374kPHP_B374k {
 @pytest.fixture
 def b374k_rule_text():
     return B374K_RULE
+
+
+# --- rule texts ----------------------------------------------------------
+
+_RULE_NAMES = ("a", "b", "c", "d", "e", "f", "g", "webshell_1")
+_SEPARATORS = (" ", " ", " ", "\n", "\t", "\r\n  ", " /* note */ ", " // note\n")
+# text pieces, hex items and regex atoms over a small alphabet, so that
+# short random subjects match often
+_TEXT_PIECES = ("a", "b", "A", "ab", " ", "é", "\\n", "\\t", '\\"', "\\\\",
+                "\\x61", "\\xff")
+_HEX_ITEMS = ("61", "62", "41", "00", "fF", "??")
+_REGEX_ATOMS = ("a", "b", "B", "ab", "ba", ".", "[ab]", "[^a]", "\\.", "\\x61",
+                "\\/", "\\d", "(a|b)", "(?:ab)")
+_QUANTIFIERS = ("",) * 4 + ("?", "*", "+", "{0}", "{1,2}", "*?")
+_EDIT_SNIPPETS = ('"', "/", "\\", "{", "}", "??", "$", "\n", "/*", "*/", "//",
+                  "é", "€", "9", "x", "(", ")", "|", "[", "rule", " of ", "nocase",
+                  "wide", "#", "2", "$s0")
+
+
+# strategies built once: building one per draw costs more than drawing
+_TEXT_BODY = st.lists(st.sampled_from(_TEXT_PIECES), min_size=1, max_size=5).map(
+    lambda pieces: '"' + "".join(pieces) + '"')
+_HEX_BODY = st.tuples(
+    st.sampled_from(("", " ", " /* c */ ")),
+    st.lists(st.sampled_from(_HEX_ITEMS), min_size=1, max_size=6),
+).map(lambda spaced: "{ " + spaced[0].join(spaced[1]) + " }")
+_REGEX_BODY = st.tuples(
+    st.lists(st.tuples(st.sampled_from(_REGEX_ATOMS), st.sampled_from(_QUANTIFIERS)),
+             min_size=1, max_size=5),
+    st.sampled_from(("",) * 5 + tuple("|" + atom for atom in _REGEX_ATOMS[:3])),
+).map(lambda parts: "/" + "".join(a + q for a, q in parts[0]) + parts[1] + "/")
+_MODIFIERS = st.sampled_from(("", " nocase", " fullword", " nocase fullword"))
+_PATTERN_BODY = st.one_of(
+    st.tuples(_TEXT_BODY, _MODIFIERS).map("".join),
+    _HEX_BODY,
+    st.tuples(_REGEX_BODY, _MODIFIERS).map("".join),
+    st.tuples(_REGEX_BODY, _MODIFIERS).map("".join))
+_META = st.lists(st.sampled_from(('"x y"', "12", "-3", '"\\x41"')), max_size=2)
+_SPACING = st.lists(st.sampled_from(_SEPARATORS), min_size=1, max_size=4)
+_EDIT = st.tuples(st.sampled_from(("delete", "insert", "overwrite")),
+                  st.sampled_from(_EDIT_SNIPPETS), st.integers(1, 3))
+_OPERATORS = st.sampled_from(("and", "or", "not", "()"))
+_NAME = st.sampled_from(_RULE_NAMES)
+_PICK = st.integers(0, 255)
+
+
+def _condition(draw, ids, depth=0):
+    """A condition over the pattern ids: a leaf (a literal, an id, `N of
+    them`, `N of (...)`) or `not`, `and`, `or`, parentheses, 2 deep."""
+    leaves = ["true", "false", *ids]
+    if ids:
+        leaves += ["1 of them", f"{len(ids)} of them", f"1 of ({ids[-1]})",
+                   f"{len(ids) - 1 or 1} of ({', '.join(reversed(ids))})"]
+    if depth >= 2 or draw(st.booleans()):
+        return leaves[draw(_PICK) % len(leaves)]
+    op = draw(_OPERATORS)
+    left = _condition(draw, ids, depth + 1)
+    if op == "not":
+        return f"not {left}"
+    if op == "()":
+        return f"({left})"
+    return f"{left} {op} {_condition(draw, ids, depth + 1)}"
+
+
+@st.composite
+def rule_texts(draw, max_rules=3, max_edits=3):
+    """Rule-file text: 1-`max_rules` valid rules, then 0-`max_edits`
+    random edits. The rules cover the whole grammar: meta values of
+    each type, text (escapes, non-ASCII), hex (wildcards, comments) and
+    regex bodies (classes, escapes, quantifiers right after a literal,
+    `|`) with `nocase`/`fullword`, every condition form, and
+    whitespace and comments between tokens; names repeat across rules.
+    An edit deletes 1-3 characters, or inserts or overwrites with a
+    snippet that often breaks a token, at a random place or, half the
+    time, just inside a string, regex or hex body."""
+    spacing = itertools.cycle(draw(_SPACING))
+
+    def sep():
+        return next(spacing)
+
+    parts = []
+    for _ in range(draw(st.integers(1, max_rules))):
+        parts += ["rule", sep(), draw(_NAME), sep(), "{", sep()]
+        meta = draw(_META)
+        if meta:
+            parts += ["meta:", sep()]
+            for k, value in enumerate(meta):
+                parts += [f"k{k}", sep(), "=", sep(), value, sep()]
+        bodies = draw(st.lists(_PATTERN_BODY, max_size=4))
+        ids = [f"$s{k}" for k in range(len(bodies))]
+        if bodies:
+            parts += ["strings:", sep()]
+            for ident, body in zip(ids, bodies):
+                parts += [ident, sep(), "=", sep(), body, sep()]
+        parts += ["condition:", sep(), _condition(draw, ids), sep(), "}", sep()]
+    text = "".join(parts)
+    for _ in range(draw(st.integers(0, max_edits))):
+        at = draw(st.integers(0, len(text)))
+        bodies = [k + 1 for k, ch in enumerate(text) if ch in '"/{']
+        if bodies and draw(st.booleans()):
+            at = bodies[at % len(bodies)]
+        edit, snippet, deleted = draw(_EDIT)
+        if edit == "delete":
+            text = text[:at] + text[at + deleted:]
+        elif edit == "insert":
+            text = text[:at] + snippet + text[at:]
+        else:
+            text = text[:at] + snippet + text[at + len(snippet):]
+    return text
+
+
+@pytest.fixture(autouse=True)
+def _rule_texts_match_oracle():
+    """Every text the rule parser reads during a test goes through
+    `assert_parse_matches_oracle` once, after the test."""
+    init = rule_parser._Parser.__init__
+
+    def recording(self, text, path=None):
+        rulelang_check.PARSED.append(text)
+        init(self, text, path)
+
+    rule_parser._Parser.__init__ = recording
+    try:
+        yield
+    finally:
+        rule_parser._Parser.__init__ = init
+    fresh = [text for text in dict.fromkeys(rulelang_check.PARSED)
+             if text not in rulelang_check.CHECKED]
+    rulelang_check.PARSED.clear()
+    for text in fresh:
+        rulelang_check.assert_parse_matches_oracle(text)

@@ -68,6 +68,16 @@ class TestRules:
         assert _run(["rules", "check", str(good)])[0] == EXIT_OK
         assert _run(["rules", "check", str(bad)])[0] == EXIT_ERROR
 
+    def test_check_names_the_bad_file_of_a_directory(self, tmp_path):
+        rules = tmp_path / "rules"
+        rules.mkdir()
+        (rules / "1.yar").write_text("rule one { condition: true }")
+        (rules / "2.yar").write_text("rule two {\n strings: $a = /ab(/\n"
+                                     " condition: $a }")
+        code, out, err = _run(["rules", "check", str(rules)])
+        assert code == EXIT_ERROR and out == ""
+        assert f"{rules / '2.yar'}: line 2, column 16: invalid regex" in err
+
     def test_scan_clean_tree_exit_zero(self, tmp_path):
         rules = tmp_path / "r.yar"
         rules.write_text('rule r { strings: $a = "b374k" condition: $a }')

@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import random_captures
+from tests.conftest import random_captures, rule_texts
 from wsdetect.flowmeter import PcapError, assemble_flows, feature_matrix, read_pcap
 from wsdetect.opcode import parse_cil, parse_vld
 from wsdetect.rulelang import RuleSyntaxError, match_buffer, parse_rules
@@ -36,6 +36,15 @@ class TestRuleParserFuzz:
             parse_rules(text)
         except RuleSyntaxError:
             pass
+
+    @given(rule_texts())
+    @settings(max_examples=150, deadline=None)
+    def test_mutated_rule_texts_fail_typed_or_match(self, text):
+        try:
+            ruleset = parse_rules(text)
+        except RuleSyntaxError:
+            return
+        match_buffer(ruleset, b"ab\nAB abab \x00 aB\xff")
 
     @given(st.binary(max_size=256))
     @settings(max_examples=200, deadline=None)

@@ -1,6 +1,7 @@
 """Rule language: parsing, matching, tree scanning, subset boundaries."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -72,9 +73,11 @@ class TestParsing:
             parse_rules('rule r { strings: $a = "x" condition: $b }')
 
     def test_duplicate_rule_names(self):
-        text = "rule r { condition: true } rule r { condition: false }"
-        with pytest.raises(RuleSyntaxError, match="duplicate rule name"):
+        text = "rule r { condition: true }\nrule r { condition: false }"
+        with pytest.raises(RuleSyntaxError, match="duplicate rule name") as info:
             parse_rules(text)
+        # at the second definition's name
+        assert (info.value.line, info.value.column) == (2, 6)
 
     def test_duplicate_pattern_id(self):
         with pytest.raises(RuleSyntaxError, match="duplicate pattern"):
@@ -106,6 +109,14 @@ class TestParsing:
         ruleset = parse_rules(
             r'rule e { strings: $a = "tab\there\x41\"q\\" condition: $a }')
         assert ruleset.rules[0].strings[0].body.value == b'tab\there\x41"q\\'
+
+    def test_invalid_regex_is_a_syntax_error_at_the_regex(self):
+        for body, message in (("/ab(/", "invalid regex: missing ), unterminated"),
+                              ("/a€b/", "regex character '€' is not Latin-1")):
+            with pytest.raises(RuleSyntaxError, match=re.escape(message)) as info:
+                parse_rules(f"rule r {{\n strings: $a = {body} nocase\n"
+                            " condition: $a }")
+            assert (info.value.line, info.value.column) == (2, 16)
 
     def test_unknown_escape_rejected(self):
         with pytest.raises(RuleSyntaxError, match="escape"):
@@ -145,12 +156,6 @@ class TestParsing:
         assert rule.condition == Or(
             And(StringRef("$a"), Not(StringRef("$h"))),
             OfExpr(count=1, targets=("$a", "$r")))
-
-    def test_fingerprint_tracks_source(self):
-        a = parse_rules("rule r { condition: true }")
-        b = parse_rules("rule r { condition: true  }")
-        assert a.fingerprint != b.fingerprint
-        assert a.rules == b.rules
 
 
 class TestMatching:
@@ -330,7 +335,7 @@ def _literal_rules(draw, max_len=20):
         patterns.append(Pattern(f"$s{k}", body))
     rules = (Rule("r1", (), tuple(patterns), BoolLiteral(True)),
              Rule("r2", (), (patterns[0],), BoolLiteral(True)))
-    return RuleSet(rules, fingerprint=""), alphabet, base
+    return RuleSet(rules), alphabet, base
 
 
 class TestLiteralScan:
@@ -444,3 +449,22 @@ class TestScanTree:
         (tmp_path / "a.yar").write_text('rule ay { condition: true }')
         ruleset = load_rules_dir(tmp_path)
         assert ruleset.rule_names() == ("ay", "bee")
+
+    def test_load_rules_dir_errors_name_the_file(self, tmp_path):
+        for name in ("1.yar", "2.yar", "3.yar"):
+            (tmp_path / name).write_text(f"rule r{name[0]} {{\n condition: true }}\n")
+        (tmp_path / "2.yar").write_text("rule r2 {\n condition: filesize }\n")
+        with pytest.raises(RuleSyntaxError, match="filesize") as info:
+            load_rules_dir(tmp_path)
+        assert (info.value.path, info.value.line, info.value.column) == (
+            str(tmp_path / "2.yar"), 2, 13)
+        assert str(info.value).startswith(f"{tmp_path / '2.yar'}: line 2, column 13: ")
+
+    def test_load_rules_dir_duplicate_across_files_names_both(self, tmp_path):
+        (tmp_path / "1.yar").write_text("rule a { condition: true }")
+        (tmp_path / "2.yar").write_text("// again\nrule a { condition: false }")
+        with pytest.raises(RuleSyntaxError, match="duplicate rule name 'a'") as info:
+            load_rules_dir(tmp_path)
+        assert (info.value.path, info.value.line, info.value.column) == (
+            str(tmp_path / "2.yar"), 2, 6)
+        assert str(tmp_path / "1.yar") in info.value.message
