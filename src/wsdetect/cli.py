@@ -108,6 +108,13 @@ def _labelled_dataset(csv_path: str):
     return loaded, TabularDataset.from_records(loaded.records, labels)
 
 
+def _training_speed(history) -> dict:
+    """Total training wall time and the last epoch's samples/s."""
+    final = history.epochs[-1] if history.epochs else None
+    return {"train_seconds": round(history.seconds, 6),
+            "samples_per_s": round(final.samples_per_s, 1) if final else None}
+
+
 def cmd_train_src(args, out, err) -> int:
     from wsdetect.opcode import read_corpus_csv
     from wsdetect.srcmodel import CnnConfig, train_cnn
@@ -133,7 +140,8 @@ def cmd_train_src(args, out, err) -> int:
     final = history.epochs[-1] if history.epochs else None
     _emit({"model": args.out, "epochs": len(history),
            "final_loss": round(final.loss, 6) if final else None,
-           "final_accuracy": round(final.accuracy, 4) if final else None},
+           "final_accuracy": round(final.accuracy, 4) if final else None,
+           **_training_speed(history)},
           args, out)
     return EXIT_OK
 
@@ -152,7 +160,8 @@ def cmd_train_flow(args, out, err) -> int:
     _emit({"model": args.out, "records": len(dataset),
            "cleaned_cells": loaded.cleaned_cells,
            "final_loss": round(final.loss, 6) if final else None,
-           "final_accuracy": round(final.accuracy, 4) if final else None},
+           "final_accuracy": round(final.accuracy, 4) if final else None,
+           **_training_speed(history)},
           args, out)
     return EXIT_OK
 

@@ -43,9 +43,9 @@ class HexBody:
 @dataclass(frozen=True)
 class RegexBody:
     """A regex over bytes: each character of `source` stands for its
-    Latin-1 byte. Compiled once, here, with ``DOTALL`` (and
-    ``IGNORECASE`` for ``nocase``); an invalid source raises
-    :class:`RuleError`."""
+    UTF-8 bytes, as in a text string. Compiled once, here, with
+    ``DOTALL`` (and ``IGNORECASE`` for ``nocase``); an invalid source
+    raises :class:`RuleError`."""
 
     source: str
     nocase: bool = False
@@ -53,14 +53,9 @@ class RegexBody:
     compiled: re.Pattern[bytes] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        try:
-            source = self.source.encode("latin-1")
-        except UnicodeEncodeError as exc:
-            raise RuleError(
-                f"regex character {self.source[exc.start]!r} is not Latin-1") from None
         flags = re.DOTALL | (re.IGNORECASE if self.nocase else 0)
         try:
-            compiled = re.compile(source, flags)
+            compiled = re.compile(self.source.encode("utf-8"), flags)
         except re.error as exc:
             raise RuleError(f"invalid regex: {exc}") from None
         object.__setattr__(self, "compiled", compiled)

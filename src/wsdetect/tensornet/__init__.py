@@ -24,7 +24,13 @@ from wsdetect.tensornet.losses import (
     softmax,
 )
 from wsdetect.tensornet.optim import AdamState, adam_step
-from wsdetect.tensornet.graph import ModelGraph, load_model, register_model_kind, save_model
+from wsdetect.tensornet.graph import (
+    FlatParams,
+    ModelGraph,
+    load_model,
+    register_model_kind,
+    save_model,
+)
 from wsdetect.tensornet.train import FitHistory, fit, grad_check
 
 __all__ = [
@@ -37,6 +43,7 @@ __all__ = [
     "Dropout",
     "Embedding",
     "FitHistory",
+    "FlatParams",
     "ModelGraph",
     "ReLU",
     "SoftmaxCrossEntropy",

@@ -10,6 +10,7 @@ header or config raises `CheckpointError` naming the file.
 
 from __future__ import annotations
 
+import bisect
 import json
 import os
 import struct
@@ -24,47 +25,85 @@ class CheckpointError(Exception):
     pass
 
 
+class FlatParams:
+    """Named arrays packed in order into one contiguous float64 buffer,
+    `params`, plus a zeroed gradient buffer of the same layout, `grads`.
+    `views(buffer)` gives each named array as a view into either buffer,
+    in its own shape."""
+
+    def __init__(self, arrays: dict[str, np.ndarray]):
+        self.names = list(arrays)
+        self.shapes = [a.shape for a in arrays.values()]
+        self.ends = np.cumsum([a.size for a in arrays.values()]).tolist()
+        self.params = np.empty(self.ends[-1] if self.ends else 0)
+        for view, value in zip(self.views(self.params).values(), arrays.values()):
+            view[...] = value
+        self.grads = np.zeros_like(self.params)
+
+    def views(self, buffer: np.ndarray) -> dict[str, np.ndarray]:
+        return {name: buffer[start:end].reshape(shape) for name, start, end, shape
+                in zip(self.names, [0, *self.ends], self.ends, self.shapes)}
+
+    def name_at(self, index: int) -> str:
+        """The name owning flat entry `index`."""
+        return self.names[bisect.bisect_right(self.ends, index)]
+
+
 class ModelGraph:
     """Ordered named layers plus bookkeeping shared by both detectors.
 
     Subclasses implement `forward(inputs, mode, rng)` returning logits,
     `backward(dlogits)`, and the checkpoint hooks `config_header()` /
     `from_config(header)`.
+
+    On first use, after the last `add_layer`, every parameter moves into
+    one `FlatParams` buffer and every gradient into its second buffer:
+    each layer's `params[name]` and `grads[name]` become views into them,
+    so layers must update both in place, never rebind them.
     """
 
     kind = "base"
 
     def __init__(self):
         self._layers: list[tuple[str, object]] = []
+        self._flat: FlatParams | None = None
 
     def add_layer(self, name: str, layer):
+        if self._flat is not None:
+            raise RuntimeError("layers are fixed once the parameter buffers exist")
         self._layers.append((name, layer))
         return layer
 
+    def _named(self, attr: str) -> dict[str, np.ndarray]:
+        return {f"{name}.{key}": value for name, layer in self._layers
+                for key, value in getattr(layer, attr).items()}
+
+    def flat(self) -> FlatParams:
+        """The model's `FlatParams`, built on the first call."""
+        if self._flat is None:
+            flat = FlatParams(self._named("params"))
+            params, grads = flat.views(flat.params), flat.views(flat.grads)
+            for name, layer in self._layers:
+                for pname in layer.params:
+                    key = f"{name}.{pname}"
+                    grads[key][...] = layer.grads[pname]
+                    layer.params[pname], layer.grads[pname] = params[key], grads[key]
+            self._flat = flat
+        return self._flat
+
     def parameters(self) -> dict[str, np.ndarray]:
-        out = {}
-        for name, layer in self._layers:
-            for pname, value in layer.params.items():
-                out[f"{name}.{pname}"] = value
-        return out
+        self.flat()
+        return self._named("params")
 
     def gradients(self) -> dict[str, np.ndarray]:
-        out = {}
-        for name, layer in self._layers:
-            for pname, value in layer.grads.items():
-                out[f"{name}.{pname}"] = value
-        return out
+        self.flat()
+        return self._named("grads")
 
     def named_buffers(self) -> dict[str, np.ndarray]:
-        out = {}
-        for name, layer in self._layers:
-            for bname, value in layer.buffers.items():
-                out[f"{name}.{bname}"] = value
-        return out
+        return self._named("buffers")
 
     def zero_grads(self):
-        for _, layer in self._layers:
-            layer.zero_grads()
+        self.flat().grads.fill(0.0)
 
     def frozen_masks(self) -> dict[str, np.ndarray]:
         """Boolean masks of parameter entries pinned at their init value

@@ -23,17 +23,34 @@ def _glorot_uniform(rng, fan_in, fan_out, shape):
     return rng.uniform(-limit, limit, size=shape)
 
 
+def _keep_where(mask, x):
+    """The bits of float64 `x` where `mask` (same shape) holds and +0.0
+    elsewhere: a `where` select with a 0.0 fallback, bit for bit, but by
+    an integer AND with -1 or 0 instead of a branch per element."""
+    bits = mask.astype(np.int64)
+    np.negative(bits, out=bits)
+    np.bitwise_and(bits, np.asarray(x, dtype=np.float64).view(np.int64), out=bits)
+    return bits.view(np.float64)
+
+
 class Layer:
-    """Base: parameter dict + gradient dict, one cached forward."""
+    """Base: parameter dict + gradient dict, one cached forward.
+
+    Both dicts' arrays are updated in place, never rebound: a
+    `ModelGraph` replaces them with views into its flat buffers."""
 
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
         self.buffers: dict[str, np.ndarray] = {}
 
+    def _add_param(self, name, value):
+        self.params[name] = value
+        self.grads[name] = np.zeros_like(value)
+
     def zero_grads(self):
-        for name, p in self.params.items():
-            self.grads[name] = np.zeros_like(p)
+        for g in self.grads.values():
+            g.fill(0.0)
 
     def forward(self, x, mode="eval", rng=None):
         raise NotImplementedError
@@ -50,11 +67,10 @@ class Embedding(Layer):
         weight = rng.normal(0.0, 0.1, size=(num_embeddings, dim))
         if frozen_padding:
             weight[0] = 0.0
-        self.params["weight"] = weight
+        self._add_param("weight", weight)
         self.frozen_padding = frozen_padding
         self.num_embeddings = num_embeddings
         self.dim = dim
-        self.zero_grads()
 
     def forward(self, x, mode="eval", rng=None):
         x = np.asarray(x)
@@ -104,13 +120,12 @@ class ConvMaxPool(Layer):
         super().__init__()
         fan_in = in_channels * kernel
         fan_out = out_channels * kernel
-        self.params["w"] = _glorot_uniform(
-            rng, fan_in, fan_out, (out_channels, in_channels, kernel))
-        self.params["b"] = np.zeros(out_channels)
+        self._add_param("w", _glorot_uniform(
+            rng, fan_in, fan_out, (out_channels, in_channels, kernel)))
+        self._add_param("b", np.zeros(out_channels))
         self.kernel = kernel
         self.in_channels = in_channels
         self.out_channels = out_channels
-        self.zero_grads()
 
     def forward(self, x, mode="eval", rng=None):
         x = np.asarray(x, dtype=np.float64)
@@ -137,11 +152,11 @@ class ConvMaxPool(Layer):
             argmax[n] = h.argmax(axis=1)
             peak[n] = h[filters, argmax[n]]
         self._x, self._argmax, self._gate = x, argmax, peak > 0
-        return np.where(self._gate, peak, 0.0)
+        return _keep_where(self._gate, peak)
 
     def backward(self, dout):
         x, argmax = self._x, self._argmax
-        d = np.where(self._gate, dout, 0.0)
+        d = _keep_where(self._gate, dout)
         batch, length, channels = x.shape
         rows = np.arange(batch)[:, None]
         for j in range(self.kernel):
@@ -165,7 +180,7 @@ class ConvMaxPool(Layer):
 class ReLU(Layer):
     def forward(self, x, mode="eval", rng=None):
         self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        return _keep_where(self._mask, x)
 
     def backward(self, dout):
         return dout * self._mask
@@ -174,12 +189,11 @@ class ReLU(Layer):
 class Dense(Layer):
     def __init__(self, in_features, out_features, rng):
         super().__init__()
-        self.params["w"] = _glorot_uniform(
-            rng, in_features, out_features, (in_features, out_features))
-        self.params["b"] = np.zeros(out_features)
+        self._add_param("w", _glorot_uniform(
+            rng, in_features, out_features, (in_features, out_features)))
+        self._add_param("b", np.zeros(out_features))
         self.in_features = in_features
         self.out_features = out_features
-        self.zero_grads()
 
     def forward(self, x, mode="eval", rng=None):
         x = np.asarray(x, dtype=np.float64)
@@ -198,14 +212,13 @@ class Dense(Layer):
 class BatchNorm1d(Layer):
     def __init__(self, num_features, eps=1e-5, momentum=0.1):
         super().__init__()
-        self.params["gamma"] = np.ones(num_features)
-        self.params["beta"] = np.zeros(num_features)
+        self._add_param("gamma", np.ones(num_features))
+        self._add_param("beta", np.zeros(num_features))
         self.buffers["running_mean"] = np.zeros(num_features)
         self.buffers["running_var"] = np.ones(num_features)
         self.eps = eps
         self.momentum = momentum
         self.num_features = num_features
-        self.zero_grads()
 
     def forward(self, x, mode="eval", rng=None):
         x = np.asarray(x, dtype=np.float64)
@@ -213,7 +226,9 @@ class BatchNorm1d(Layer):
             if x.shape[0] < 2:
                 raise ShapeError("batch norm needs batch size >= 2 in train mode")
             mean = x.mean(axis=0)
-            var = x.var(axis=0)  # biased, matches the normalization math
+            centered = x - mean
+            # biased variance, summed and divided exactly as np.var does
+            var = (centered * centered).sum(axis=0) / x.shape[0]
             if mode == "train":
                 m = self.momentum
                 self.buffers["running_mean"] = (
@@ -221,10 +236,10 @@ class BatchNorm1d(Layer):
                 self.buffers["running_var"] = (
                     (1 - m) * self.buffers["running_var"] + m * var)
         else:
-            mean = self.buffers["running_mean"]
             var = self.buffers["running_var"]
+            centered = x - self.buffers["running_mean"]
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mean) * inv_std
+        xhat = centered * inv_std
         self._cache = (xhat, inv_std, mode)
         return self.params["gamma"] * xhat + self.params["beta"]
 

@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from wsdetect.tensornet.graph import FlatParams
+
 
 @dataclass
 class AdamState:
@@ -14,32 +16,47 @@ class AdamState:
     beta2: float = 0.999
     eps: float = 1e-8
     t: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    # first and second moments, laid out as the flat parameter buffer
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
+    # two float scratch buffers and one boolean, allocated on the first step
+    scratch: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
+        default=None, repr=False)
 
 
-def adam_step(state: AdamState, params: dict, grads: dict) -> AdamState:
-    """One Adam update, in place on the parameter arrays.
+def adam_step(state: AdamState, flat: FlatParams) -> AdamState:
+    """One Adam update of `flat.params` from `flat.grads`, in place.
 
     The step counter increments before the update. Non-finite gradients
-    fail fast rather than poisoning the moment estimates.
+    fail fast, naming their parameter, before anything changes. Every
+    entry goes through the same elementwise operations in the same order
+    as a per-array update, written into preallocated buffers.
     """
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise ValueError(f"non-finite gradient for parameter {name!r}")
+    p, g = flat.params, flat.grads
+    if state.scratch is None:
+        state.scratch = (np.empty_like(p), np.empty_like(p),
+                         np.empty(p.shape, dtype=bool))
+    step, denom, finite = state.scratch
+    if not np.isfinite(g, out=finite).all():
+        bad = int(np.argmin(finite))
+        raise ValueError(f"non-finite gradient for parameter {flat.name_at(bad)!r}")
+    if state.m is None:
+        state.m, state.v = np.zeros_like(p), np.zeros_like(p)
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     bias1 = 1.0 - b1 ** state.t
     bias2 = 1.0 - b2 ** state.t
-    for name, p in params.items():
-        g = grads[name]
-        m = state.m.setdefault(name, np.zeros_like(p))
-        v = state.v.setdefault(name, np.zeros_like(p))
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / bias1
-        v_hat = v / bias2
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    m, v = state.m, state.v
+    m *= b1
+    m += np.multiply(1.0 - b1, g, out=step)
+    v *= b2
+    np.multiply(1.0 - b2, g, out=step)
+    v += np.multiply(step, g, out=step)
+    # p -= lr * (m / bias1) / (sqrt(v / bias2) + eps)
+    np.divide(m, bias1, out=step)
+    np.multiply(state.lr, step, out=step)
+    np.divide(v, bias2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    p -= np.divide(step, denom, out=step)
     return state

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +17,8 @@ class EpochStats:
     epoch: int
     loss: float
     accuracy: float
+    seconds: float  # wall time of the epoch
+    samples_per_s: float  # samples trained on per second of the epoch
 
 
 @dataclass
@@ -24,6 +27,10 @@ class FitHistory:
 
     def __len__(self):
         return len(self.epochs)
+
+    @property
+    def seconds(self) -> float:
+        return sum(e.seconds for e in self.epochs)
 
 
 def _slice_inputs(inputs, idx):
@@ -61,9 +68,11 @@ def fit(model: ModelGraph, inputs, labels, *, epochs: int, batch_size: int,
     rng = np.random.default_rng(seed)
     head = SoftmaxCrossEntropy(weights)
     opt = AdamState(lr=learning_rate)
+    flat = model.flat()
     history = FitHistory()
 
     for epoch in range(epochs):
+        started = time.perf_counter()
         order = rng.permutation(n)
         total_loss = 0.0
         correct = 0
@@ -80,12 +89,14 @@ def fit(model: ModelGraph, inputs, labels, *, epochs: int, batch_size: int,
             logits = model.forward(batch_in, mode="train", rng=rng)
             loss, probs = head.forward(logits, batch_labels)
             model.backward(head.backward())
-            adam_step(opt, model.parameters(), model.gradients())
+            adam_step(opt, flat)
             total_loss += loss * len(idx)
             correct += int((probs.argmax(axis=1) == batch_labels).sum())
             seen += len(idx)
+        seconds = time.perf_counter() - started
         history.epochs.append(EpochStats(
-            epoch=epoch, loss=total_loss / seen, accuracy=correct / seen))
+            epoch=epoch, loss=total_loss / seen, accuracy=correct / seen,
+            seconds=seconds, samples_per_s=seen / seconds))
     return history
 
 

@@ -154,6 +154,8 @@ class TestSourcePipeline:
                                "--epochs", "6", "--batch-size", "4",
                                "--out", model_path, "--json"])
         assert code == EXIT_OK, err
+        payload = json.loads(out)
+        assert payload["train_seconds"] > 0 and payload["samples_per_s"] > 0
 
         code, out, err = _run(["predict", "src", "--model", model_path,
                                "--vocab", str(vocab)] + web[:1] + ben[:1])
@@ -271,7 +273,9 @@ class TestFlowPipeline:
                                "--epochs", "2", "--batch-size", "8",
                                "--out", model_path, "--json"])
         assert code == EXIT_OK, err
-        assert json.loads(out)["records"] == 40
+        payload = json.loads(out)
+        assert payload["records"] == 40
+        assert payload["train_seconds"] > 0 and payload["samples_per_s"] > 0
 
         code, out, err = _run(["predict", "flow", "--model", model_path,
                                "--csv", features])

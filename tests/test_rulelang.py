@@ -112,7 +112,7 @@ class TestParsing:
 
     def test_invalid_regex_is_a_syntax_error_at_the_regex(self):
         for body, message in (("/ab(/", "invalid regex: missing ), unterminated"),
-                              ("/a€b/", "regex character '€' is not Latin-1")):
+                              ("/a€b[/", "invalid regex: unterminated character set")):
             with pytest.raises(RuleSyntaxError, match=re.escape(message)) as info:
                 parse_rules(f"rule r {{\n strings: $a = {body} nocase\n"
                             " condition: $a }")
@@ -189,6 +189,12 @@ class TestMatching:
             'rule s { strings: $a = "x" condition: $a }')
         report = match_buffer(ruleset, b"")
         assert report.rule_names == ["t"]
+
+    def test_non_ascii_means_utf8_in_text_and_regex_alike(self):
+        for body in ('"café"', "/café/"):
+            ruleset = parse_rules(f"rule r {{ strings: $a = {body} condition: $a }}")
+            assert match_buffer(ruleset, "un café".encode("utf-8")), body
+            assert not match_buffer(ruleset, "un café".encode("latin-1")), body
 
     def test_nocase(self):
         ruleset = parse_rules('rule r { strings: $a = "EvAl" nocase condition: $a }')

@@ -55,7 +55,7 @@ def _finditer_occurrences(body, subject: bytes) -> list[tuple[int, int]]:
                                  for t in body.tokens), re.DOTALL)
         fullword = False
     else:
-        rx = re.compile(body.source.encode("latin-1"),
+        rx = re.compile(body.source.encode("utf-8"),
                         re.DOTALL | (re.IGNORECASE if body.nocase else 0))
         fullword = body.fullword
 

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from wsdetect import tensornet as tn
+from wsdetect.tensornet import layers
 from wsdetect.tensornet.graph import CheckpointError
-from wsdetect.tensornet.layers import ShapeError
+from wsdetect.tensornet.layers import ShapeError, _keep_where
+from wsdetect.trafficmodel import TabularConfig, TabularDataset, build_dnn
 
 
 class TestSoftmax:
@@ -300,33 +303,99 @@ class TestDropout:
             tn.Dropout(1.0)
 
 
+def _flat(value, grad):
+    flat = tn.FlatParams({"w": value})
+    flat.grads[:] = grad
+    return flat
+
+
+def _small_dnn():
+    rng = np.random.default_rng(2)
+    data = TabularDataset(np.column_stack([rng.choice([80, 443], size=40),
+                                           rng.choice([6, 17], size=40)]),
+                          rng.normal(size=(40, 77)), rng.integers(0, 2, size=40))
+    return build_dnn(TabularConfig(hidden=(8, 4)), data)
+
+
 class TestAdam:
     def test_first_step_delta(self):
-        params = {"w": np.zeros(1)}
+        flat = _flat(np.zeros(1), 1.0)
         state = tn.AdamState(lr=0.001)
-        tn.adam_step(state, params, {"w": np.ones(1)})
-        assert params["w"][0] == pytest.approx(-0.000999999, abs=1e-9)
+        tn.adam_step(state, flat)
+        assert flat.params[0] == pytest.approx(-0.000999999, abs=1e-9)
 
     def test_zero_gradient_no_move(self):
-        params = {"w": np.full(3, 7.0)}
+        flat = _flat(np.full(3, 7.0), 0.0)
         state = tn.AdamState(lr=0.01)
-        tn.adam_step(state, params, {"w": np.zeros(3)})
-        assert np.all(params["w"] == 7.0)
+        tn.adam_step(state, flat)
+        assert np.all(flat.params == 7.0)
 
     def test_constant_gradient_step_sizes_non_increasing(self):
-        params = {"w": np.zeros(1)}
+        flat = _flat(np.zeros(1), 1.0)
         state = tn.AdamState(lr=0.001)
-        tn.adam_step(state, params, {"w": np.ones(1)})
-        first = abs(params["w"][0])
-        before = params["w"][0]
-        tn.adam_step(state, params, {"w": np.ones(1)})
-        second = abs(params["w"][0] - before)
+        tn.adam_step(state, flat)
+        first = abs(flat.params[0])
+        before = flat.params[0]
+        tn.adam_step(state, flat)
+        second = abs(flat.params[0] - before)
         assert second <= first * (1 + 1e-6)
 
     def test_nonfinite_gradient_fails_fast(self):
         with pytest.raises(ValueError, match="non-finite"):
-            tn.adam_step(tn.AdamState(), {"w": np.zeros(1)},
-                         {"w": np.array([np.nan])})
+            tn.adam_step(tn.AdamState(), _flat(np.zeros(1), np.nan))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name, entry", [("embed0.weight", 0), ("embed0.weight", -1),
+                                             ("head.b", 0), ("head.b", -1)])
+    def test_nonfinite_gradient_names_its_parameter_and_changes_nothing(
+            self, bad, name, entry):
+        model = _small_dnn()
+        flat = model.flat()
+        assert flat.names[0] == "embed0.weight" and flat.names[-1] == "head.b"
+        state = tn.AdamState()
+        flat.grads[:] = np.random.default_rng(0).normal(size=flat.grads.size)
+        tn.adam_step(state, flat)
+        before = [a.tobytes() for a in (flat.params, state.m, state.v)]
+        model.gradients()[name].reshape(-1)[entry] = bad
+        with pytest.raises(ValueError,
+                           match=re.escape(f"non-finite gradient for parameter {name!r}")):
+            tn.adam_step(state, flat)
+        assert [a.tobytes() for a in (flat.params, state.m, state.v)] == before
+        assert state.t == 1
+
+    def test_huge_finite_gradients_do_not_raise(self):
+        flat = _small_dnn().flat()
+        flat.grads[:] = 1e308
+        flat.grads[::2] = -1e308
+        state = tn.AdamState()
+        with np.errstate(over="ignore"):  # v overflows to inf, as before
+            tn.adam_step(state, flat)
+        assert state.t == 1
+
+
+class TestKeepWhere:
+    @given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+               arrays(np.float64, (n, 3), elements=st.floats(
+                   allow_nan=True, allow_infinity=True, allow_subnormal=True)),
+               arrays(np.bool_, (n, 3)))),
+           st.sampled_from(["whole", "strided", "transposed"]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_np_where_bit_for_bit(self, pair, layout):
+        x, mask = pair
+        x = np.concatenate([x, [[0.0, -0.0, 5e-324], [-5e-324, np.inf, -np.inf]]])
+        mask = np.concatenate([mask, [[True, True, True], [True, False, True]]])
+        if layout == "strided":
+            x, mask = x[::2, ::2], mask[::2, ::2]
+        elif layout == "transposed":
+            x, mask = x.T, mask.T
+        got = _keep_where(mask, x)
+        want = np.where(mask, x, 0.0)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_no_where_select_left_in_layers(self):
+        source = Path(layers.__file__).read_text()
+        assert not re.search(r"np\.where\(", source)
 
 
 class _DenseNet(tn.ModelGraph):
@@ -385,6 +454,15 @@ class TestFit:
                     learning_rate=0.01, seed=42)
         assert [(e.loss, e.accuracy) for e in h1.epochs] == \
             [(e.loss, e.accuracy) for e in h2.epochs]
+
+    def test_epochs_report_seconds_and_samples_per_s(self):
+        x, y = _separable_blobs(66)  # five batches of 13 and a skipped 1
+        history = tn.fit(_DenseNet(), x, y, epochs=3, batch_size=13,
+                         learning_rate=0.01)
+        for epoch in history.epochs:
+            assert epoch.seconds > 0 and epoch.samples_per_s > 0
+            assert epoch.samples_per_s * epoch.seconds == pytest.approx(65, rel=1e-12)
+        assert history.seconds == sum(e.seconds for e in history.epochs)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
