@@ -116,12 +116,12 @@ def read_pcap(path: str | Path) -> PcapResult:
 
     # the one pass in Python: each record's frame start. A record that
     # overruns the file ends the walk, and is the last start.
-    byteorder = "little" if endian == "<" else "big"
+    incl_len = struct.Struct(endian + "I").unpack_from
     starts = []
     offset = 24
     while offset + 16 <= size:
         starts.append(offset + 16)
-        offset += 16 + int.from_bytes(data[offset + 8:offset + 12], byteorder)
+        offset += 16 + incl_len(data, offset + 8)[0]
     if offset > size:
         raise PcapError(f"{path}: truncated record body at offset {starts[-1]}")
     if offset < size:

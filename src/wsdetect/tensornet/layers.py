@@ -114,6 +114,15 @@ class ConvMaxPool(Layer):
     an [F, T] product of about 2 MB stays in cache, and the argmax over
     time then reads contiguous memory instead of striding through a
     [batch, T, F] array.
+
+    Only live windows are multiplied out. A window that starts after a
+    sample's last nonzero row sees zero rows only, so all such windows
+    share one value per filter, `idle`: b, or NaN where a weight is not
+    finite. The product runs over the windows that start earlier; then
+    the first idle window takes a filter's max where np.argmax over the
+    pair (best live value, idle) picks it, so a tie stays on the live
+    window. Padding is found in the embedded rows, not in token ids, so
+    this holds for any input.
     """
 
     def __init__(self, in_channels, out_channels, kernel, rng):
@@ -139,18 +148,31 @@ class ConvMaxPool(Layer):
         # w_flat[f, j*C + c] = w[f, c, j]
         w_flat = self.params["w"].transpose(0, 2, 1).reshape(self.out_channels,
                                                              k * channels)
-        b = self.params["b"][:, None]
-        argmax = np.empty((batch, self.out_channels), dtype=np.intp)
-        peak = np.empty((batch, self.out_channels))
+        b = self.params["b"]
+        idle = w_flat @ np.zeros(k * channels) + b
+        # live windows per sample: those starting at or before its last
+        # nonzero row, which is length - 1 less its trailing zero rows
+        nonzero = x.any(axis=2)
+        live = np.minimum(length - nonzero[:, ::-1].argmax(axis=1), t_out) \
+            * nonzero.any(axis=1)
+        # a sample with no live window peaks at its first idle window
+        argmax = np.zeros((batch, self.out_channels), dtype=np.intp)
+        peak = np.tile(idle, (batch, 1))
         filters = np.arange(self.out_channels)
-        for n in range(batch):
-            xt = x[n].T
-            # cols[j*C + c, t] = x[n, t + j, c]
-            cols = np.concatenate([xt[:, j:j + t_out] for j in range(k)])
+        for n, t in enumerate(live.tolist()):
+            if not t:
+                continue
+            xt = x[n, :t + k - 1].T
+            # cols[j*C + c, s] = x[n, s + j, c]
+            cols = np.concatenate([xt[:, j:j + t] for j in range(k)])
             h = w_flat @ cols
-            h += b
+            h += b[:, None]
             argmax[n] = h.argmax(axis=1)
             peak[n] = h[filters, argmax[n]]
+            if t < t_out:
+                wins = np.argmax((peak[n], idle), axis=0).astype(bool)
+                argmax[n, wins] = t
+                peak[n, wins] = idle[wins]
         self._x, self._argmax, self._gate = x, argmax, peak > 0
         return _keep_where(self._gate, peak)
 

@@ -2,9 +2,12 @@
 as a test-only oracle.
 
 Decoder, flow assembly and features are the record-at-a-time code the
-columnar `wsdetect.flowmeter` replaced, changed in one place only:
+columnar `wsdetect.flowmeter` replaced, changed in two places only:
 deviations are squared by multiplication, `(v - mean) * (v - mean)`,
-instead of `** 2`, whose libm `pow` is not always correctly rounded.
+instead of `** 2`, whose libm `pow` is not always correctly rounded;
+and values are summed by an explicit left fold (`_fold_sum`), because
+the built-in `sum` compensates float sums from Python 3.12 on, where
+the columnar code adds left to right.
 `tests/test_flowmeter_oracle.py` checks the runtime package against it
 by exact equality.
 """
@@ -259,6 +262,15 @@ _BULK_MIN_PACKETS = 4
 _SUBFLOW_GAP_US = 1_000_000   # a gap above this starts a new subflow
 
 
+def _fold_sum(values):
+    """((0 + v0) + v1) + ...: the built-in `sum` before Python 3.12,
+    which compensates float sums from 3.12 on."""
+    total = 0
+    for v in values:
+        total += v
+    return total
+
+
 class _Stats:
     __slots__ = ("maximum", "minimum", "mean", "std")
 
@@ -269,13 +281,13 @@ class _Stats:
             return
         self.maximum = float(max(values))
         self.minimum = float(min(values))
-        self.mean = sum(values) / len(values)
+        self.mean = _fold_sum(values) / len(values)
         if len(values) < 2:
             self.std = 0.0
         else:
             mean = self.mean
             self.std = math.sqrt(
-                sum((v - mean) * (v - mean) for v in values) / (len(values) - 1))
+                _fold_sum((v - mean) * (v - mean) for v in values) / (len(values) - 1))
 
     @property
     def variance(self) -> float:

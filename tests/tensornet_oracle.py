@@ -1,11 +1,16 @@
 """The tensornet training step as it was before the flat parameter
-buffer, kept as a test oracle.
+buffer, and the `ConvMaxPool` forward as it was before it skipped idle
+windows, kept as test oracles.
 
 Adam runs per named array with dict moments; every gradient array is
 re-allocated on each step; ReLU and `ConvMaxPool` select with
 `np.where`; batch norm takes `x.var` and `x - mean` in separate passes.
 `fit` trains a model with this code swapped in for the current one, so
 a test can require both to agree bit for bit.
+
+`conv_max_pool_forward` multiplies out every window of every sample,
+padding included; `tests/test_tensornet_oracle.py` compares the live-
+window forward with it.
 """
 
 from __future__ import annotations
@@ -87,6 +92,32 @@ def batchnorm_forward(self, x, mode="eval", rng=None):
     xhat = (x - mean) * inv_std
     self._cache = (xhat, inv_std, mode)
     return self.params["gamma"] * xhat + self.params["beta"]
+
+
+def conv_max_pool_forward(self, x, mode="eval", rng=None):
+    x = np.asarray(x, dtype=np.float64)
+    batch, length, channels = x.shape
+    k = self.kernel
+    if channels != self.in_channels:
+        raise layers.ShapeError(f"expected {self.in_channels} channels, got {channels}")
+    if length < k:
+        raise layers.ShapeError(f"input length {length} shorter than kernel {k}")
+    t_out = length - k + 1
+    w_flat = self.params["w"].transpose(0, 2, 1).reshape(self.out_channels,
+                                                         k * channels)
+    b = self.params["b"][:, None]
+    argmax = np.empty((batch, self.out_channels), dtype=np.intp)
+    peak = np.empty((batch, self.out_channels))
+    filters = np.arange(self.out_channels)
+    for n in range(batch):
+        xt = x[n].T
+        cols = np.concatenate([xt[:, j:j + t_out] for j in range(k)])
+        h = w_flat @ cols
+        h += b
+        argmax[n] = h.argmax(axis=1)
+        peak[n] = h[filters, argmax[n]]
+    self._x, self._argmax, self._gate = x, argmax, peak > 0
+    return np.where(self._gate, peak, 0.0)
 
 
 def where_select(mask, x):

@@ -295,7 +295,8 @@ def _needle(body):
 
 def _naive_occurrences(ruleset, subject):
     """Overlapping bytes.find per literal pattern, fullword checked on
-    the bytes around each hit."""
+    the bytes around each hit; by pattern index, patterns that occur
+    only."""
     def word(pos):
         return 0 <= pos < len(subject) and chr(subject[pos]).isascii() \
             and chr(subject[pos]).isalnum()
@@ -314,7 +315,7 @@ def _naive_occurrences(ruleset, subject):
                     offsets.append((at, len(needle)))
                 at = hay.find(needle, at + 1)
             found.append(offsets)
-    return found
+    return {i: offsets for i, offsets in enumerate(found) if offsets}
 
 
 @st.composite

@@ -9,18 +9,32 @@ text a test parses is checked the same way after that test (see
 Matching: `CompiledRuleSet.occurrences` for hex-wildcard and regex
 patterns against one plain `finditer` per pattern, on subjects built
 from the patterns' own literal runs, whole or cut so that exactly one
-adjacent byte pair is missing.
+adjacent byte pair is missing. `match_buffer` reports against a plain
+per-pattern `finditer` (a lookahead for literals, so overlapping
+occurrences count) with every rule's condition evaluated, on subjects
+where most offsets pass the pair gate, across a block boundary and at
+the end of the subject.
 """
 
 import re
+from dataclasses import replace
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tests.conftest import rule_texts
 from tests.rulelang_check import assert_parse_matches_oracle
-from wsdetect.rulelang import CompiledRuleSet, HexBody, RegexBody, parse_rules
-from wsdetect.rulelang.matcher import _hex_pairs, _regex_pairs
+from wsdetect.rulelang import (
+    CompiledRuleSet,
+    HexBody,
+    RegexBody,
+    RuleSet,
+    TextBody,
+    match_buffer,
+    parse_rules,
+)
+from wsdetect.rulelang.matcher import _BLOCK_SIZE, _hex_pairs, _regex_pairs, evaluate_condition
+from wsdetect.rulelang.model import OfExpr
 
 _SUBJECT_BYTES = [bytes([b]) for b in b"abAB.\n\x00\xff"]
 
@@ -48,23 +62,33 @@ def _scanned(body) -> bool:
 
 
 def _finditer_occurrences(body, subject: bytes) -> list[tuple[int, int]]:
-    """One `finditer` scan, compiled here from the pattern's source;
+    """One `finditer` scan, compiled here from the pattern's source, a
+    literal's as a lookahead so that overlapping occurrences count;
     fullword occurrences flanked by an ASCII letter or digit dropped."""
-    if isinstance(body, HexBody):
-        rx = re.compile(b"".join(b"." if t is None else re.escape(bytes([t]))
-                                 for t in body.tokens), re.DOTALL)
-        fullword = False
+    if isinstance(body, TextBody):
+        needle, nocase, fullword = body.value, body.nocase, body.fullword
+    elif not _scanned(body):
+        needle, nocase, fullword = bytes(body.tokens), False, False
+    if not _scanned(body):
+        rx = re.compile(b"(?=" + re.escape(needle) + b")", re.IGNORECASE if nocase else 0)
+        spans = [(m.start(), len(needle)) for m in rx.finditer(subject)]
     else:
-        rx = re.compile(body.source.encode("utf-8"),
-                        re.DOTALL | (re.IGNORECASE if body.nocase else 0))
-        fullword = body.fullword
+        if isinstance(body, HexBody):
+            rx = re.compile(b"".join(b"." if t is None else re.escape(bytes([t]))
+                                     for t in body.tokens), re.DOTALL)
+            fullword = False
+        else:
+            rx = re.compile(body.source.encode("utf-8"),
+                            re.DOTALL | (re.IGNORECASE if body.nocase else 0))
+            fullword = body.fullword
+        spans = [(m.start(), m.end() - m.start()) for m in rx.finditer(subject)]
 
     def word(pos):
         return 0 <= pos < len(subject) and chr(subject[pos]).isascii() \
             and chr(subject[pos]).isalnum()
 
-    return [(m.start(), m.end() - m.start()) for m in rx.finditer(subject)
-            if not (fullword and (word(m.start() - 1) or word(m.end())))]
+    return [(off, n) for off, n in spans
+            if not (fullword and (word(off - 1) or word(off + n)))]
 
 
 def _lead(body, data) -> bytes:
@@ -91,9 +115,9 @@ def test_scanned_patterns_match_plain_finditer(data):
             pieces |= st.just(lead[:cut] + b"\n" + lead[cut:])
     subject = b"".join(data.draw(st.lists(pieces, max_size=8)))
     found = CompiledRuleSet(ruleset).occurrences(subject)
-    for body, occurrences in zip(bodies, found):
+    for i, body in enumerate(bodies):
         if _scanned(body):
-            assert occurrences == _finditer_occurrences(body, subject), (body, subject)
+            assert found.get(i, []) == _finditer_occurrences(body, subject), (body, subject)
 
 
 def _pairs(run: bytes, lower: bool = False) -> list[int]:
@@ -138,8 +162,144 @@ def test_a_missing_pair_skips_only_patterns_that_need_it():
 
     compiled._scans = [(i, Spy(rx)) for i, rx in compiled._scans]
     # "ab" present, "bc" missing: $y cannot match, the others still can
-    assert compiled.occurrences(b"abd ab\nd zz") == [
-        [(0, 3)], [], [(4, 4)], [(0, 2), (4, 2)], [(0, 1), (4, 1), (9, 2)]]
+    assert compiled.occurrences(b"abd ab\nd zz") == {
+        0: [(0, 3)], 2: [(4, 4)], 3: [(0, 2), (4, 2)], 4: [(0, 1), (4, 1), (9, 2)]}
     assert b"bc" not in scanned and len(scanned) == 4
-    assert compiled.occurrences(b"") == [[], [], [], [], []]
-    assert compiled.occurrences(b"a") == [[], [], [], [], [(0, 1)]]
+    assert compiled.occurrences(b"") == {}
+    assert compiled.occurrences(b"a") == {4: [(0, 1)]}
+
+
+def _plain_report(ruleset, subject: bytes) -> list:
+    """Every rule's condition on its patterns' plain `finditer` occurrences."""
+    matched = []
+    for rule in ruleset.rules:
+        found = {p.ident: _finditer_occurrences(p.body, subject) for p in rule.strings}
+        if evaluate_condition(rule.condition, rule, {i for i, f in found.items() if f}):
+            matched.append((rule.name, [(ident, off) for ident in rule.pattern_ids()
+                                        for off, _ in found[ident]]))
+    return matched
+
+
+def _assert_report_is_plain(ruleset, subject: bytes) -> None:
+    report = match_buffer(CompiledRuleSet(ruleset), subject)
+    assert [(name, [(m.pattern_id, m.offset) for m in matches])
+            for name, matches in report.matched] == _plain_report(ruleset, subject), subject
+
+
+_ALPHABET = b"abAB. 1\x00\xff"
+_CONDITIONS = ["1 of them", "not 1 of them", "not $s0", "2 of them", "$s0 and not $s1",
+               "$s0 or $s1", "not ($s0 or $s1)", "true", "false"]
+
+
+@st.composite
+def _literal_rules(draw):
+    """Rules of text, hex and a few regex patterns over a small
+    alphabet: one-byte needles, shared prefixes, keys of every width,
+    needles longer than a key, nocase and fullword."""
+    rules, needles = [], []
+    for r in range(draw(st.integers(1, 3))):
+        strings = []
+        for s in range(draw(st.integers(2, 4))):
+            value = bytes(draw(st.lists(st.sampled_from(_ALPHABET), min_size=1, max_size=12)))
+            kind = draw(st.sampled_from(["text", "text", "hex", "regex"]))
+            if kind == "hex":
+                strings.append(f"$s{s} = {{ {value.hex(' ')} }}")
+            else:
+                value = bytes(c for c in value if c in b"abAB.1 ") or b"a"
+                mods = draw(st.sampled_from(["", " nocase", " fullword", " nocase fullword"]))
+                if kind == "regex":
+                    value = value.replace(b".", b"1")
+                    strings.append(f"$s{s} = /{value.decode()}/{mods}")
+                else:
+                    strings.append(f'$s{s} = "{value.decode()}"{mods}')
+            needles.append(value)
+        condition = draw(st.sampled_from(_CONDITIONS))
+        rules.append(f"rule r{r} {{ strings: {' '.join(strings)} condition: {condition} }}")
+    return parse_rules("\n".join(rules)), needles
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_reports_match_plain_finditer(data):
+    ruleset, needles = data.draw(_literal_rules())
+    pieces = st.sampled_from([bytes([c]) for c in _ALPHABET]) | st.sampled_from(
+        needles + [n.upper() for n in needles])
+    subject = b"".join(data.draw(st.lists(pieces, max_size=14)))
+    _assert_report_is_plain(ruleset, subject)
+
+
+def test_every_pair_a_candidate():
+    """Each pair of the subject starts some key, so every offset but
+    the last passes the pair gate."""
+    ruleset = parse_rules(
+        'rule r { strings: $s0 = "aababbba" $s1 = "abba" $s2 = "baab" $s3 = "bbbbbbbbbb" '
+        '$s4 = "ab" $s5 = "b" condition: 1 of them }')
+    _assert_report_is_plain(ruleset, b"aababbbaaabbabbbbbbbbbbbaab" * 40 + b"a")
+
+
+def test_one_byte_needles_at_every_offset_and_the_ends():
+    ruleset = parse_rules(
+        'rule r { strings: $s0 = "a" $s1 = { 00 } $s2 = "B" nocase $s3 = { ff } '
+        '$s4 = "a" fullword condition: 1 of them }')
+    for subject in [b"a", b"b", b"\x00", b"ab\x00bBa", b"\xffa a", b"a" * 20]:
+        _assert_report_is_plain(ruleset, subject)
+
+
+def test_needles_at_the_end_and_keys_past_it():
+    """A needle that ends at the last byte is found; one whose key, or
+    whose tail beyond the key, runs past the end is not, even where
+    the zero padding of the last window would complete it."""
+    ruleset = parse_rules(
+        'rule r { strings: $s0 = "xyzzy" $s1 = "xyzzy12345" $s2 = { 7a 79 00 } '
+        '$s3 = "zy" $s4 = "XYZZY1" nocase condition: 1 of them }')
+    for subject in [b"..xyzzy", b"..xyzzy1234", b"xyzz", b"xyzzy12345", b"zy",
+                    b"..XyZzY1", b"..xyzzy\x00", b"z", b"y"]:
+        _assert_report_is_plain(ruleset, subject)
+
+
+def test_nocase_literals():
+    ruleset = parse_rules(
+        'rule r { strings: $s0 = "EvAl(" nocase $s1 = "eval(" $s2 = "EVAL(BASE64" nocase '
+        '$s3 = "\xc3\x89" nocase condition: 1 of them }')
+    for subject in [b"eval(x) EVAL(base64_decode EvAl(", b"Eval(", b"\xc3\xa9 \xc3\x89",
+                    b"EVAL(BASE6"]:
+        _assert_report_is_plain(ruleset, subject)
+
+
+def test_rules_that_hold_on_the_empty_set_report_without_occurrences():
+    parsed = parse_rules(
+        'rule n { strings: $a = "zz" condition: not $a } '
+        'rule z { strings: $a = "zz" $b = /yy/ condition: 1 of them } '
+        'rule o { strings: $a = "zz" condition: $a } '
+        'rule t { condition: true }')
+    # the parser rejects "0 of them"; a RuleSet built in code may hold it
+    n, z, o, t = parsed.rules
+    ruleset = RuleSet((n, replace(z, condition=OfExpr(0, None)), o, t))
+    for subject, names in [(b"", ["n", "z", "t"]), (b"hello", ["n", "z", "t"]),
+                           (b"zz", ["z", "o", "t"])]:
+        assert match_buffer(ruleset, subject).rule_names == names
+        _assert_report_is_plain(ruleset, subject)
+    assert match_buffer(ruleset, b"hello").matched[0] == ("n", [])
+
+
+def test_fullword_patterns():
+    ruleset = parse_rules(
+        'rule r { strings: $s0 = "ab" fullword $s1 = "AB" nocase fullword '
+        '$s2 = /ab+/ fullword $s3 = "ab" condition: 1 of them }')
+    for subject in [b"ab", b"xab ab_ ab", b"abab", b"(ab)", b"1ab", b"AB.ab\xffab", b"abbb abx"]:
+        _assert_report_is_plain(ruleset, subject)
+
+
+def test_occurrences_across_a_block_boundary():
+    """Subjects longer than one block: a needle and a regex's required
+    pair straddling the boundary, and a needle at the very end."""
+    ruleset = parse_rules(
+        'rule r { strings: $s0 = "xyzzy12345" $s1 = "zq" $s2 = /q1w/ $s3 = "Tail" nocase '
+        '$s4 = "x" condition: 1 of them }')
+    edge = _BLOCK_SIZE
+    for cut in [1, 2, 5, 9]:
+        subject = bytearray(b"." * (edge + 40))
+        subject[edge - cut:edge - cut + 10] = b"xyzzy12345"
+        subject[edge - 1:edge + 2] = b"q1w"
+        subject[-4:] = b"TAIL"
+        _assert_report_is_plain(ruleset, bytes(subject))

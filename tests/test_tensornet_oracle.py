@@ -1,8 +1,14 @@
 """Training on the flat parameter buffer against `tests/tensornet_oracle.py`:
-bit-identical fits and checkpoints, and buffers shared, never copied."""
+bit-identical fits and checkpoints, and buffers shared, never copied.
+`ConvMaxPool`'s live-window forward against the full-window one: equal
+where every sum is exact, within 1e-12 elsewhere (the BLAS product may
+round a column differently at another width), with the same argmax."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tests import tensornet_oracle as oracle
 from wsdetect import tensornet as tn
@@ -130,3 +136,128 @@ def test_zero_grads_zeroes_in_place():
     model.flat().grads[:] = 1.0
     model.zero_grads()
     assert not model.flat().grads.any()
+
+
+# --- ConvMaxPool: live windows only, against the full-window forward ---------
+
+def _pool_pair(channels, filters, k, seed=0):
+    """The same ConvMaxPool twice: one runs the current forward, the
+    other `oracle.conv_max_pool_forward`."""
+    layer = tn.ConvMaxPool(channels, filters, k, np.random.default_rng(seed))
+    reference = tn.ConvMaxPool(channels, filters, k, np.random.default_rng(seed))
+    reference.forward = oracle.conv_max_pool_forward.__get__(reference)
+    return layer, reference
+
+
+def _assert_pools_agree(layer, reference, x, exact):
+    out, ref = layer.forward(x), reference.forward(x)
+    if exact:
+        assert np.array_equal(out, ref, equal_nan=True)
+    else:
+        assert np.max(np.abs(out - ref), initial=0.0) <= 1e-12
+    assert np.array_equal(layer._argmax, reference._argmax)
+    assert np.array_equal(layer._gate, reference._gate)
+    dout = np.random.default_rng(1).normal(size=out.shape)
+    assert np.array_equal(layer.backward(dout), reference.backward(dout), equal_nan=True)
+    assert np.array_equal(layer.grads["w"], reference.grads["w"], equal_nan=True)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_live_windows_match_the_full_forward_exactly(data):
+    """Quarter-integer inputs and weights keep every sum exact, so ties
+    are real ties: the output, the argmax and the gradients must equal
+    the oracle's bit for bit."""
+    batch = data.draw(st.integers(1, 4))
+    channels = data.draw(st.integers(1, 3))
+    filters = data.draw(st.integers(1, 5))
+    k = data.draw(st.integers(1, 4))
+    length = data.draw(st.integers(k, 12))
+    values = st.sampled_from([0.0, -0.0, 0.25, -0.5, 1.0, -1.5, 2.0])
+    x = data.draw(arrays(np.float64, (batch, length, channels), elements=values))
+    for n in range(batch):  # padding: trailing rows zeroed, of any count
+        x[n, length - data.draw(st.integers(0, length)):] = 0.0
+    layer, reference = _pool_pair(channels, filters, k)
+    w = data.draw(arrays(np.float64, (filters, channels, k), elements=values))
+    b = data.draw(arrays(np.float64, filters, elements=values))
+    for pool in (layer, reference):
+        pool.params["w"][:] = w
+        pool.params["b"][:] = b
+    _assert_pools_agree(layer, reference, x, exact=True)
+
+
+def _rows(*live, length=9, channels=3, seed=2):
+    """One sample per entry of `live`: random rows, zero where the
+    entry says (a string of '1' live, '0' zero), zero after it."""
+    rng = np.random.default_rng(seed)
+    x = np.zeros((len(live), length, channels))
+    for n, pattern in enumerate(live):
+        for t, c in enumerate(pattern):
+            if c == "1":
+                x[n, t] = rng.normal(size=channels)
+    return x
+
+
+@pytest.mark.parametrize("live", [
+    ("",),                          # all padding
+    ("1", "", "11"),                # live length below k, and all padding
+    ("1001101",),                   # interior zeros
+    ("11111111",),                  # last nonzero row within k - 1 of the end
+    ("111111111",),                 # no padding at all
+    ("000000001",),                 # only the last row live
+    ("1", "1000000", "0000001"),
+])
+def test_live_windows_match_the_full_forward(live):
+    layer, reference = _pool_pair(3, 16, 3)
+    layer.params["b"][:] = reference.params["b"][:] = \
+        np.random.default_rng(3).normal(size=16)
+    _assert_pools_agree(layer, reference, _rows(*live), exact=False)
+
+
+def test_a_tie_with_the_idle_windows_stays_on_the_live_window():
+    """Token 2's embedding row is zero, so a window over it alone is
+    exactly b, as every padding window is. Where each window holding
+    data is below b, the max ties between that live window and the idle
+    ones: it must stay on the live window, as in the full forward."""
+    rng = np.random.default_rng(4)
+    embed = tn.Embedding(6, 4, rng, frozen_padding=True)
+    embed.params["weight"][2] = 0.0
+    tokens = np.array([[5, 2, 2, 2, 4, 0, 0, 0, 0, 0],
+                       [2, 2, 2, 0, 0, 0, 0, 0, 0, 0],
+                       [3, 2, 2, 2, 2, 2, 2, 2, 2, 1]])
+    x = embed.forward(tokens)
+    layer, reference = _pool_pair(4, 32, 2, seed=5)
+    layer.params["b"][:] = reference.params["b"][:] = rng.normal(size=32)
+    _assert_pools_agree(layer, reference, x, exact=True)
+    # the tie did happen: some filter peaks at an interior window over
+    # zero rows, before the first idle window
+    assert (layer._argmax[0] == 1).any() or (layer._argmax[0] == 2).any()
+    assert np.all(layer._argmax[1] == 0)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_weights_match_the_full_forward():
+    """A window over zero rows is NaN in a filter with an inf or NaN
+    weight, the idle ones too, and np.argmax takes the first NaN: after
+    live windows of ±inf, the first idle one. The full forward does the
+    same."""
+    layer, reference = _pool_pair(3, 6, 2)
+    for pool in (layer, reference):
+        pool.params["w"][1, 0, 0] = np.inf
+        pool.params["w"][4, 2, 1] = np.nan
+        pool.params["b"][:] = 0.5
+    _assert_pools_agree(layer, reference, _rows("1111", "1101", "", "111111111"),
+                        exact=True)
+
+
+def test_cnn_logits_match_the_full_forward_on_padded_rows():
+    config = CnnConfig.php(vocab_size=40, max_length=120, num_filters=24, seed=6)
+    model = build_cnn(config)
+    rng = np.random.default_rng(7)
+    rows = np.zeros((12, 120), dtype=np.intp)
+    for n, live in enumerate([0, 1, 2, 3, 5, 17, 60, 117, 118, 119, 120, 90]):
+        rows[n, :live] = rng.integers(1, 41, size=live)
+    logits = model.forward(rows)
+    for conv in model.convs:
+        conv.forward = oracle.conv_max_pool_forward.__get__(conv)
+    assert np.max(np.abs(model.forward(rows) - logits)) <= 1e-12
