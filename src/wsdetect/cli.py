@@ -49,7 +49,9 @@ def cmd_rules_check(args, out, err) -> int:
             ruleset = _load_ruleset(path)
         except (OSError, RuleSyntaxError) as exc:
             failures += 1
-            print(f"{path}: {exc}", file=err)
+            # an error that names its rule file needs no second name
+            named = isinstance(exc, RuleSyntaxError) and exc.path
+            print(exc if named else f"{path}: {exc}", file=err)
             continue
         names = ", ".join(ruleset.rule_names())
         print(f"{path}: {len(ruleset.rules)} rule(s) ok ({names})", file=out)

@@ -188,6 +188,11 @@ class InspectionResult:
                 "fragments": self.fragments, "ms": round(elapsed_ms, 3)}
 
 
+# Held while a new source gets its sid, so that connection threads
+# sharing one `sid_for` map never hand out the same sid.
+_SID_LOCK = threading.Lock()
+
+
 def inspect_flows(flows: list[Flow], model, config: InspectorConfig,
                   blacklist: Blacklist | None = None,
                   sid_for: dict[tuple[str, str], int] | None = None,
@@ -215,8 +220,10 @@ def inspect_flows(flows: list[Flow], model, config: InspectorConfig,
         result.webshell += 1
         src_ip = flow.src_ip
         key = (src_ip, config.rule_action)
-        if key not in sid_for:  # one past the highest sid in use
-            sid_for[key] = max([config.sid_start - 1, *sid_for.values()]) + 1
+        if key not in sid_for:
+            with _SID_LOCK:
+                if key not in sid_for:  # one past the highest sid in use
+                    sid_for[key] = max([config.sid_start - 1, *sid_for.values()]) + 1
         sid = sid_for[key]
         result.alerts.append(Alert(
             timestamp_us=flow.first_ts,

@@ -102,18 +102,21 @@ def parse_vld(text: str) -> OpcodeListing:
     skipped. Lines with no recognizable opcode are never an error.
     """
     mnemonics: list[str] = []
+    append = mnemonics.append
+    is_op = _VLD_OP.match
     for line in text.splitlines():
-        tokens = line.split()
         saw_number = False
-        for token in tokens:
-            if _VLD_OP.match(token):
+        for token in line.split():
+            # a token of digits never starts with [A-Z], so this test
+            # skips only regex calls that would fail
+            if token.isdigit():
+                saw_number = True
+            elif is_op(token):
                 # require an op/line number earlier in the row so stray
                 # caps words in free text do not register
                 if saw_number:
-                    mnemonics.append(token)
+                    append(token)
                 break
-            if token.isdigit():
-                saw_number = True
     return OpcodeListing(mnemonics)
 
 

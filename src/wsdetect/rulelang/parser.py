@@ -15,21 +15,32 @@ a regex body that does not compile: each is compiled here, once, the
 way the matcher runs it (see :class:`RegexBody`), and its error is
 reported at the regex token.
 
-The lexer takes one compiled-regex match per token: the whitespace and
-comments before it, then one identifier, integer, punctuation mark, or
-the valid run of a quoted string or regex. A token carries only its
-string offset. Line and column are computed from that offset when a
-:class:`RuleSyntaxError` is built, counting newlines before it and
-characters since the last one, so every error keeps the position a
-character-at-a-time reader would give. Hex bodies are context
-dependent and are read by the lexer on the parser's request, one byte
-pair or wildcard per match.
+The text is lexed once, by one ``findall`` of a master regex, into a
+flat list of token strings; the parser walks that list by index and
+tells a token's kind by its text. A token is an identifier, an
+integer, one punctuation mark, a closed string or regex, or a whole
+valid hex body from its ``{`` to its ``}``: hex bodies are context
+dependent, but a valid one is never anything else, so it is read here
+and its bytes are taken from the token text. Every other character
+becomes a token of its own, so a lexical error is a token the parser
+cannot accept: a lone ``"`` or ``/`` (an unclosed string or regex), a
+``/*`` without its end, an integer run into a name, an overlong name,
+a bare ``$``, or a stray character. Its error is raised only when the
+parser reaches it, so the first error in parse order is the one
+reported, as a token-at-a-time reader would report it.
+
+Tokens carry no offsets. An error finds the offset of its token by
+lexing the text again up to it, and computes line and column from that
+offset (newlines before it, characters since the last one). An invalid
+hex body stays a ``{`` token; its error is found by reading the body
+one byte pair or wildcard at a time.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
 from wsdetect.rulelang.model import (
     MAX_IDENTIFIER_LEN,
@@ -64,34 +75,48 @@ _UNSUPPORTED_KEYWORDS = {
     "global", "import", "include", "matches", "contains",
 }
 
+_RESERVED = frozenset(_KEYWORDS | _UNSUPPORTED_KEYWORDS)
+
 # Words a modifier position accepts or rejects by name; rule-structure
 # keywords end the modifier list instead.
-_MODIFIER_WORDS = (_KEYWORDS | _UNSUPPORTED_KEYWORDS) - {
-    "condition", "strings", "meta", "rule"}
+_MODIFIER_WORDS = _RESERVED - {"condition", "strings", "meta", "rule"}
 
 _ESCAPES = {"n": 0x0A, "t": 0x09, '"': 0x22, "\\": 0x5C}
 
 # Whitespace and comments; an unterminated "/*" is left for the token
 # alternatives to report.
-_SKIP = r"[ \t\r\n]*+(?:(?://[^\n]*|/\*.*?\*/)[ \t\r\n]*+)*+"
+_SKIP = r"[ \t\r\n]*+(?:/(?:/[^\n]*|\*.*?\*/)[ \t\r\n]*+)*+"
 
-# One token after the skip. Identifiers are ASCII-only: unicode
-# "letters" and "digits" such as '²' must not pass. STRING and REGEX
-# match the valid run after the opening delimiter and the closing
-# delimiter if it comes next; where it does not, the character after
-# the run is the error. The last alternative matches any character, so
-# consecutive matches cover the text to its end.
-_TOKEN = re.compile(_SKIP + r"""(?:
-    (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<PUNCT>[{}()=:,\-@\#*\[\]])
-  | (?P<PATTERN_ID>\$[A-Za-z0-9_]*)
-  | (?P<STRING>"(?:[^"\\\n]+|\\(?:[nt"\\]|x[0-9a-fA-F]{2}))*+(?P<STRING_END>")?)
-  | (?P<INT>[0-9]+)
-  | (?P<OPEN_COMMENT>/\*)
-  | (?P<REGEX>/(?:[^/\\\n]+|\\/?)*+(?P<REGEX_END>/)?)
-  | (?P<EOF>\Z)
-  | (?P<BAD>.)
+# The valid run of a string or regex after its opening delimiter.
+_STRING_RUN = r'"(?:[^"\\\n]+|\\(?:[nt"\\]|x[0-9a-fA-F]{2}))*+'
+_REGEX_RUN = r"/(?:[^/\\\n]+|\\/?)*+"
+
+# One token after the skip, as the only group. Identifiers are
+# ASCII-only: unicode "letters" and "digits" such as '²' must not pass.
+# A pattern id takes a name of 1 to MAX_IDENTIFIER_LEN characters; any
+# other "$" is a token of its own. An integer takes a name character
+# right after it, which makes it an invalid token. The last alternative
+# matches any character, so consecutive matches cover the text to its
+# end, where the token is empty.
+_TOKEN = re.compile(_SKIP + rf"""(
+    [A-Za-z_][A-Za-z0-9_]*
+  | \{{(?:{_SKIP}(?:[0-9a-fA-F]{{2}}|\?\?))++{_SKIP}\}}
+  | [{{}}()=:,\-@\#*\[\]]
+  | \$[A-Za-z0-9_]{{1,{MAX_IDENTIFIER_LEN}}}+(?![A-Za-z0-9_])
+  | {_STRING_RUN}"
+  | [0-9]++[A-Za-z_]?
+  | /\*
+  | {_REGEX_RUN}/
+  | \Z
+  | .
 )""", re.VERBOSE | re.DOTALL)
+
+# The end-of-file token; whitespace is never a token.
+_EOF = " "
+
+_STRING_RUN_AT = re.compile(_STRING_RUN)
+_REGEX_RUN_AT = re.compile(_REGEX_RUN)
+_PATTERN_NAME_AT = re.compile(r"[A-Za-z0-9_]*")
 
 _HEX_ITEM = re.compile(_SKIP + r"""(?:
     (?P<BYTE>[0-9a-fA-F]{2})
@@ -102,9 +127,14 @@ _HEX_ITEM = re.compile(_SKIP + r"""(?:
   | (?P<BAD>)
 )""", re.VERBOSE | re.DOTALL)
 
+# In a valid hex token every "/" opens a comment.
+_COMMENT = re.compile(r"//[^\n]*|/\*.*?\*/", re.DOTALL)
+
 _STRING_ESCAPE = re.compile(r"\\(?:x([0-9a-fA-F]{2})|(.))", re.DOTALL)
 
 _NAME_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
+_DIGITS = frozenset("0123456789")
+_PUNCT = frozenset("{}()=:,-@#*[]")
 
 
 def _string_value(body: str) -> bytes:
@@ -121,10 +151,58 @@ def _string_value(body: str) -> bytes:
     return bytes(out)
 
 
-class _Lexer:
+def _hex_body(token: str) -> HexBody:
+    """The body of a valid hex token: outside comments, whitespace and
+    '??' wildcards between byte pairs."""
+    inner = token[1:-1]
+    if "/" in inner:
+        inner = _COMMENT.sub("", inner)
+    first, *rest = inner.split("??")
+    items: list[int | None] = list(bytes.fromhex(first))
+    for part in rest:
+        items.append(None)
+        items += bytes.fromhex(part)
+    return HexBody(tuple(items))
+
+
+def _describe(token: str) -> str:
+    """The token as an error message names it: its value's repr. Only
+    for a token without a lexical error."""
+    if token == _EOF:
+        return "end of file"
+    first = token[0]
+    if first == '"':
+        return repr(_string_value(token[1:-1]))
+    if first == "/":
+        return repr(token[1:-1].replace("\\/", "/"))
+    if first in _DIGITS:
+        return repr(int(token))
+    return repr(first if first == "{" else token)
+
+
+class _Parser:
+    """Recursive descent over the token strings of one rule file. Every
+    step takes the index of its first token and returns the index past
+    its last one."""
+
     def __init__(self, text: str, path: str | None = None):
         self.text = text
         self.path = path
+        toks = _TOKEN.findall(text)
+        # the end of the text is an empty token, matched a second time
+        # after trailing whitespace or comments
+        if len(toks) > 1 and not toks[-2]:
+            toks.pop()
+        toks[-1] = _EOF
+        self.toks = toks
+        # one StringRef per pattern id, shared by the file's conditions
+        self.refs: dict[str, StringRef] = {}
+        # the pattern ids of the rule being parsed, and whether its
+        # condition refers to one it lacks
+        self.declared: set[str] = set()
+        self.invalid = False
+
+    # --- errors --------------------------------------------------------
 
     def error(self, message: str, pos: int) -> RuleSyntaxError:
         """A syntax error at string offset `pos`: line is one plus the
@@ -134,48 +212,36 @@ class _Lexer:
         column = pos - self.text.rfind("\n", 0, pos)
         return RuleSyntaxError(message, line, column, self.path)
 
-    def tokens(self, pos: int = 0) -> Iterator[tuple[str, object, int]]:
-        """(kind, value, offset) of each token from string offset `pos`
-        on; a lexical error is raised when its token is reached, and the
-        parser reads nothing past EOF."""
-        text = self.text
-        error = self.error
-        for m in _TOKEN.finditer(text, pos):
-            kind = m.lastgroup
-            start, end = m.span(kind)
-            if kind == "IDENT":
-                if end - start > MAX_IDENTIFIER_LEN:
-                    raise error(
-                        f"identifier too long ({end - start} > {MAX_IDENTIFIER_LEN})", start)
-                yield kind, text[start:end], start
-            elif kind == "PUNCT":
-                yield kind, text[start], start
-            elif kind == "PATTERN_ID":
-                if end - start == 1:
-                    raise error("'$' must be followed by a pattern name", start)
-                if end - start - 1 > MAX_IDENTIFIER_LEN:
-                    raise error(
-                        f"pattern name too long ({end - start - 1} > {MAX_IDENTIFIER_LEN})",
-                        start)
-                yield kind, text[start:end], start
-            elif kind == "STRING":
-                if m.start("STRING_END") < 0:
-                    raise self._unclosed(end, "string")
-                yield kind, _string_value(text[start + 1:end - 1]), start
-            elif kind == "INT":
-                if text[end:end + 1] in _NAME_START:
-                    raise error("identifier can't start with a digit", start)
-                yield kind, int(text[start:end]), start
-            elif kind == "REGEX":
-                if m.start("REGEX_END") < 0:
-                    raise self._unclosed(end, "regex")
-                yield kind, text[start + 1:end - 1].replace("\\/", "/"), start
-            elif kind == "EOF":
-                yield kind, None, start
-            elif kind == "OPEN_COMMENT":
-                raise error("unterminated comment", start)
-            else:
-                raise error(f"unexpected character {text[start]!r}", start)
+    def offset(self, k: int) -> int:
+        """The string offset of token `k`, by lexing up to it again."""
+        return next(itertools.islice(_TOKEN.finditer(self.text), k, None)).start(1)
+
+    def _lexical_error(self, token: str, pos: int) -> RuleSyntaxError | None:
+        """The error of a token the lexer could not form, at offset `pos`."""
+        if token == _EOF:
+            return None
+        first = token[0]
+        if first in _NAME_START:
+            if len(token) > MAX_IDENTIFIER_LEN:
+                return self.error(
+                    f"identifier too long ({len(token)} > {MAX_IDENTIFIER_LEN})", pos)
+        elif token == "$":
+            n = _PATTERN_NAME_AT.match(self.text, pos + 1).end() - pos - 1
+            if not n:
+                return self.error("'$' must be followed by a pattern name", pos)
+            return self.error(f"pattern name too long ({n} > {MAX_IDENTIFIER_LEN})", pos)
+        elif first in _DIGITS:
+            if token[-1] not in _DIGITS:
+                return self.error("identifier can't start with a digit", pos)
+        elif token == '"':
+            return self._unclosed(_STRING_RUN_AT.match(self.text, pos).end(), "string")
+        elif token == "/":
+            return self._unclosed(_REGEX_RUN_AT.match(self.text, pos).end(), "regex")
+        elif token == "/*":
+            return self.error("unterminated comment", pos)
+        elif first not in _PUNCT and first != "$" and first != '"' and first != "/":
+            return self.error(f"unexpected character {token!r}", pos)
+        return None
 
     def _unclosed(self, end: int, what: str) -> RuleSyntaxError:
         """The error at `end`, where the valid run of a string or regex
@@ -192,273 +258,327 @@ class _Lexer:
             return self.error("\\x escape needs two hex digits", end + 2)
         return self.error(f"unsupported escape \\{text[end + 1]}", end + 1)
 
-    def read_hex_body(self, pos: int) -> tuple[HexBody, int]:
-        """Read hex pairs from string offset `pos`, just past the opening
-        '{', up to '}'. Returns the body and the offset past the '}',
-        where tokens resume."""
-        tokens: list[int | None] = []
+    def _fail(self, k: int, message: str, at: int | None = None) -> RuleSyntaxError:
+        """The error raised while token `k` is current: its lexical
+        error if it has one, else `message` at token `at` (default `k`)."""
+        pos = self.offset(k)
+        return self._lexical_error(self.toks[k], pos) or self.error(
+            message, pos if at is None else self.offset(at))
+
+    def _bad_token(self, k: int) -> RuleSyntaxError:
+        """The lexical error of token `k`, which has one."""
+        error = self._lexical_error(self.toks[k], self.offset(k))
+        assert error is not None, self.toks[k]
+        return error
+
+    def _expected(self, k: int, what: str) -> RuleSyntaxError:
+        """"expected `what`, found ..." at token `k`."""
+        token = self.toks[k]
+        pos = self.offset(k)
+        return self._lexical_error(token, pos) or self.error(
+            f"expected {what}, found {_describe(token)}", pos)
+
+    def _hex_error(self, k: int) -> RuleSyntaxError:
+        """The error of the invalid hex body opened by token `k`, read
+        one byte pair or wildcard at a time."""
+        pos = self.offset(k) + 1
+        items = 0
         while True:
             m = _HEX_ITEM.match(self.text, pos)
             kind = m.lastgroup
             pos = m.end()
-            if kind == "BYTE":
-                tokens.append(int(m.group(kind), 16))
-            elif kind == "WILDCARD":
-                tokens.append(None)
+            if kind == "BYTE" or kind == "WILDCARD":
+                items += 1
             elif kind == "CLOSE":
-                if not tokens:
-                    raise self.error("empty hex string", pos)
-                return HexBody(tuple(tokens)), pos
+                assert not items, "a valid hex body lexes as one token"
+                return self.error("empty hex string", pos)
             elif kind == "EOF":
-                raise self.error("unterminated hex string", m.start(kind))
+                return self.error("unterminated hex string", m.start(kind))
             elif kind == "OPEN_COMMENT":
-                raise self.error("unterminated comment", m.start(kind))
+                return self.error("unterminated comment", m.start(kind))
             else:
-                raise self.error(
+                return self.error(
                     "hex strings take only hex byte pairs and '??' wildcards",
                     m.start(kind))
-
-
-class _Parser:
-    """Recursive descent over the lexer's tokens; `kind`, `value` and
-    `pos` are the current token's."""
-
-    def __init__(self, text: str, path: str | None = None):
-        self.lexer = _Lexer(text, path)
-        self._next = self.lexer.tokens().__next__
-        self.kind, self.value, self.pos = self._next()
-
-    def _advance(self):
-        """Move to the next token; return the current token's value."""
-        value = self.value
-        self.kind, self.value, self.pos = self._next()
-        return value
-
-    def _error(self, message: str) -> RuleSyntaxError:
-        return self.lexer.error(message, self.pos)
-
-    def _expect_punct(self, ch: str) -> None:
-        if self.kind != "PUNCT" or self.value != ch:
-            raise self._error(f"expected {ch!r}, found {self._describe()}")
-        self._advance()
-
-    def _expect_keyword(self, word: str) -> None:
-        if self.kind != "IDENT" or self.value != word:
-            raise self._error(f"expected '{word}', found {self._describe()}")
-        self._advance()
-
-    def _describe(self) -> str:
-        if self.kind == "EOF":
-            return "end of file"
-        return repr(self.value)
 
     # --- grammar -----------------------------------------------------
 
     def parse_file(self) -> list[tuple[Rule, int]]:
-        """Every rule, with the offset of its name token."""
+        """Every rule, with the index of its name token."""
+        toks = self.toks
         rules = []
-        while self.kind != "EOF":
-            rules.append(self._parse_rule())
+        i = 0
+        while toks[i] != _EOF:
+            if toks[i] != "rule":
+                raise self._expected(i, "'rule'")
+            name = toks[i + 1]
+            if name in _RESERVED or name[0] not in _NAME_START \
+                    or len(name) > MAX_IDENTIFIER_LEN:
+                raise self._rule_name_error(i + 1)
+            if toks[i + 2] != "{":
+                raise self._rule_open_error(i + 2)
+            rule, end = self._parse_rule_body(name, i + 3)
+            rules.append((rule, i + 1))
+            i = end
         return rules
 
-    def _parse_rule(self) -> tuple[Rule, int]:
-        self._expect_keyword("rule")
-        if self.kind == "INT":
-            raise self._error("rule name can't start with a digit")
-        if self.kind != "IDENT":
-            raise self._error(f"expected rule name, found {self._describe()}")
-        name = self.value
-        if name in _KEYWORDS or name in _UNSUPPORTED_KEYWORDS:
-            raise self._error(f"'{name}' is a keyword, not a valid rule name")
-        name_at = self.pos
-        self._advance()
-        self._expect_punct("{")
+    def _rule_name_error(self, k: int) -> RuleSyntaxError:
+        name = self.toks[k]
+        if name[0] in _DIGITS:
+            return self._fail(k, "rule name can't start with a digit")
+        if name[0] not in _NAME_START:
+            return self._expected(k, "rule name")
+        return self._fail(k, f"'{name}' is a keyword, not a valid rule name")
 
-        meta: list[tuple[str, str]] = []
-        strings: list[Pattern] = []
-        if self.kind == "IDENT" and self.value == "meta":
-            self._advance()
-            self._expect_punct(":")
-            meta = self._parse_meta()
-        if self.kind == "IDENT" and self.value == "strings":
-            self._advance()
-            self._expect_punct(":")
-            strings = self._parse_strings()
-        self._expect_keyword("condition")
-        self._expect_punct(":")
-        condition = self._parse_expr()
-        self._expect_punct("}")
+    def _rule_open_error(self, k: int) -> RuleSyntaxError:
+        """The error where '{' should open a rule. A hex token there is
+        a '{' whose rule body starts with a byte pair or wildcard, and
+        its first token is where 'condition' is expected."""
+        if self.toks[k][0] != "{":
+            return self._expected(k, "'{'")
+        m = _TOKEN.match(self.text, self.offset(k) + 1)
+        token, pos = m.group(1), m.start(1)
+        return self._lexical_error(token, pos) or self.error(
+            f"expected 'condition', found {_describe(token)}", pos)
 
-        rule = Rule(name=name, meta=tuple(meta), strings=tuple(strings),
-                    condition=condition)
-        self._validate(rule)
-        return rule, name_at
+    def _parse_rule_body(self, name: str, i: int) -> tuple[Rule, int]:
+        """The rule named `name` from its first token after '{'."""
+        toks = self.toks
+        meta: tuple[tuple[str, str], ...] = ()
+        strings: tuple[Pattern, ...] = ()
+        seen = self.declared = set()
+        self.invalid = False
+        if toks[i] == "meta":
+            if toks[i + 1] != ":":
+                raise self._expected(i + 1, "':'")
+            i += 2
+            entries = []
+            key = toks[i]
+            while key[0] in _NAME_START and key != "strings" and key != "condition":
+                if len(key) > MAX_IDENTIFIER_LEN:
+                    raise self._bad_token(i)
+                if toks[i + 1] != "=":
+                    raise self._expected(i + 1, "'='")
+                value = toks[i + 2]
+                if value[0] == '"' and len(value) > 1:
+                    # Meta text is stored as text; undecodable bytes are
+                    # kept via backslash-replace so nothing is silently
+                    # dropped.
+                    value = _string_value(value[1:-1]).decode(
+                        "utf-8", errors="backslashreplace")
+                    i += 3
+                else:
+                    value, i = self._meta_number(i + 2)
+                entries.append((key, value))
+                key = toks[i]
+            meta = tuple(entries)
+        if toks[i] == "strings":
+            if toks[i + 1] != ":":
+                raise self._expected(i + 1, "':'")
+            i += 2
+            patterns = []
+            ident = toks[i]
+            while ident[0] == "$":
+                if ident in seen or ident == "$" or toks[i + 1] != "=":
+                    raise self._pattern_head_error(i)
+                seen.add(ident)
+                body = toks[i + 2]
+                first = body[0]
+                i += 3
+                if first == '"' and len(body) > 2:
+                    value = body[1:-1]
+                    value = _string_value(value) if "\\" in value else value.encode("utf-8")
+                    if toks[i] in _MODIFIER_WORDS:
+                        nocase, fullword, i = self._parse_modifiers(i)
+                        body = TextBody(value, nocase, fullword)
+                    else:
+                        body = TextBody(value, False, False)
+                elif first == "{" and len(body) > 1:
+                    body = _hex_body(body)
+                elif first == "/" and len(body) > 1 and body != "/*":
+                    nocase, fullword, k = self._parse_modifiers(i)
+                    try:
+                        body = RegexBody(body[1:-1].replace("\\/", "/"), nocase, fullword)
+                    except RuleError as exc:
+                        raise self._fail(k, str(exc), at=i - 1) from None
+                    i = k
+                else:
+                    raise self._body_error(i - 1)
+                patterns.append(Pattern(ident, body))
+                ident = toks[i]
+            if not patterns:
+                raise self._fail(i, "strings section declared but empty")
+            strings = tuple(patterns)
+        if toks[i] != "condition":
+            raise self._expected(i, "'condition'")
+        if toks[i + 1] != ":":
+            raise self._expected(i + 1, "':'")
+        condition, i = self._parse_expr(i + 2)
+        if toks[i] != "}":
+            raise self._expected(i, "'}'")
+        rule = Rule(name, meta, strings, condition)
+        if self.invalid:
+            raise self._semantic_error(rule, i + 1)
+        return rule, i + 1
 
-    def _parse_meta(self) -> list[tuple[str, str]]:
-        entries = []
-        while self.kind == "IDENT" and self.value not in ("strings", "condition"):
-            key = self._advance()
-            self._expect_punct("=")
-            if self.kind == "STRING":
-                # Meta text is stored as text; undecodable bytes are kept
-                # via backslash-replace so nothing is silently dropped.
-                value = self._advance().decode("utf-8", errors="backslashreplace")
-            elif self.kind == "INT":
-                value = str(self._advance())
-            elif self.kind == "PUNCT" and self.value == "-":
-                self._advance()
-                if self.kind != "INT":
-                    raise self._error("expected integer after '-'")
-                value = str(-self._advance())
-            else:
-                raise self._error("meta values must be strings or integers")
-            entries.append((key, value))
-        return entries
+    def _meta_number(self, k: int) -> tuple[str, int]:
+        """An integer meta value from token `k` as text, and the index
+        past it."""
+        toks = self.toks
+        if toks[k] == "-":
+            if toks[k + 1][0] not in _DIGITS:
+                raise self._fail(k + 1, "expected integer after '-'")
+            return str(-self._int(k + 1)), k + 2
+        if toks[k][0] not in _DIGITS:
+            raise self._fail(k, "meta values must be strings or integers")
+        return str(self._int(k)), k + 1
 
-    def _parse_strings(self) -> list[Pattern]:
-        patterns: list[Pattern] = []
-        seen: set[str] = set()
-        while self.kind == "PATTERN_ID":
-            ident = self._advance()
-            if ident in seen:
-                raise self._error(f"duplicate pattern id {ident}")
-            seen.add(ident)
-            self._expect_punct("=")
-            if self.kind == "STRING":
-                if not self.value:
-                    raise self._error("empty string")
-                value = self._advance()
-                nocase, fullword = self._parse_modifiers()
-                body = TextBody(value=value, nocase=nocase, fullword=fullword)
-            elif self.kind == "REGEX":
-                regex_at = self.pos
-                source = self._advance()
-                nocase, fullword = self._parse_modifiers()
-                try:
-                    body = RegexBody(source=source, nocase=nocase, fullword=fullword)
-                except RuleError as exc:
-                    raise self.lexer.error(str(exc), regex_at) from None
-            elif self.kind == "PUNCT" and self.value == "{":
-                # Hex bytes are not ordinary tokens; hand the raw stream
-                # back to the lexer from just past the opening brace.
-                body, end = self.lexer.read_hex_body(self.pos + 1)
-                self._next = self.lexer.tokens(end).__next__
-                self._advance()
-            else:
-                raise self._error("expected a quoted string, /regex/ or { hex } body")
-            patterns.append(Pattern(ident=ident, body=body))
-        if not patterns:
-            raise self._error("strings section declared but empty")
-        return patterns
+    def _int(self, k: int) -> int:
+        """The value of integer token `k`."""
+        token = self.toks[k]
+        if token[-1] not in _DIGITS:  # run into a name
+            raise self._bad_token(k)
+        return int(token)
 
-    def _parse_modifiers(self) -> tuple[bool, bool]:
+    def _pattern_head_error(self, k: int) -> RuleSyntaxError:
+        """The error of a pattern definition that token `k` starts."""
+        ident = self.toks[k]
+        if ident == "$":
+            return self._bad_token(k)
+        if ident in self.declared:
+            return self._fail(k + 1, f"duplicate pattern id {ident}")
+        return self._expected(k + 1, "'='")
+
+    def _body_error(self, k: int) -> RuleSyntaxError:
+        """The error where token `k` should be a pattern body."""
+        if self.toks[k] == '""':
+            return self._fail(k, "empty string")
+        if self.toks[k] == "{":
+            return self._hex_error(k)
+        return self._fail(k, "expected a quoted string, /regex/ or { hex } body")
+
+    def _parse_modifiers(self, i: int) -> tuple[bool, bool, int]:
+        toks = self.toks
         nocase = fullword = False
-        while self.kind == "IDENT" and self.value in _MODIFIER_WORDS:
-            word = self.value
+        while toks[i] in _MODIFIER_WORDS:
+            word = toks[i]
             if word == "nocase":
                 nocase = True
             elif word == "fullword":
                 fullword = True
             elif word in _UNSUPPORTED_KEYWORDS:
-                raise self._error(f"modifier '{word}' is not supported")
+                raise self._fail(i, f"modifier '{word}' is not supported")
             else:
                 break
-            self._advance()
-        return nocase, fullword
+            i += 1
+        return nocase, fullword, i
 
-    def _parse_expr(self) -> Condition:
-        left = self._parse_and()
-        while self.kind == "IDENT" and self.value == "or":
-            self._advance()
-            left = Or(left, self._parse_and())
-        return left
+    def _parse_expr(self, i: int) -> tuple[Condition, int]:
+        """'or' over 'and' over `_parse_term`, both left-associative."""
+        toks = self.toks
+        left, i = self._parse_term(i)
+        while toks[i] == "and":
+            right, i = self._parse_term(i + 1)
+            left = And(left, right)
+        while toks[i] == "or":
+            right, i = self._parse_term(i + 1)
+            while toks[i] == "and":
+                term, i = self._parse_term(i + 1)
+                right = And(right, term)
+            left = Or(left, right)
+        return left, i
 
-    def _parse_and(self) -> Condition:
-        left = self._parse_not()
-        while self.kind == "IDENT" and self.value == "and":
-            self._advance()
-            left = And(left, self._parse_not())
-        return left
+    def _parse_term(self, i: int) -> tuple[Condition, int]:
+        """A primary condition under any number of 'not'. A reference
+        the rule's patterns cannot satisfy marks the rule invalid (see
+        `_semantic_error`)."""
+        toks = self.toks
+        token = toks[i]
+        first = token[0]
+        if first == "$":
+            if token == "$":
+                raise self._bad_token(i)
+            if token not in self.declared:
+                self.invalid = True
+            ref = self.refs.get(token)
+            if ref is None:
+                ref = self.refs[token] = StringRef(token)
+            return ref, i + 1
+        if first in _DIGITS:
+            count = self._int(i)
+            if toks[i + 1] != "of":
+                raise self._expected(i + 1, "'of'")
+            return self._parse_of_target(count, i + 2)
+        if token == "(":
+            inner, i = self._parse_expr(i + 1)
+            if toks[i] != ")":
+                raise self._expected(i, "')'")
+            return inner, i + 1
+        if token == "not":
+            operand, i = self._parse_term(i + 1)
+            return Not(operand), i
+        if token == "true" or token == "false":
+            return BoolLiteral(token == "true"), i + 1
+        if token == "#" or token == "@":
+            raise self._fail(
+                i, "string counts and offsets are outside the supported subset")
+        if token in _UNSUPPORTED_KEYWORDS:
+            raise self._fail(i, f"'{token}' is outside the supported condition subset")
+        raise self._expected(i, "a condition")
 
-    def _parse_not(self) -> Condition:
-        if self.kind == "IDENT" and self.value == "not":
-            self._advance()
-            return Not(self._parse_not())
-        return self._parse_primary()
-
-    def _parse_primary(self) -> Condition:
-        kind, value = self.kind, self.value
-        if kind == "PUNCT" and value == "(":
-            self._advance()
-            inner = self._parse_expr()
-            self._expect_punct(")")
-            return inner
-        if kind == "IDENT" and value in ("true", "false"):
-            self._advance()
-            return BoolLiteral(value == "true")
-        if kind == "PATTERN_ID":
-            self._advance()
-            return StringRef(value)
-        if kind == "INT":
-            count = value
-            self._advance()
-            self._expect_keyword("of")
-            return self._parse_of_target(count)
-        if kind == "PUNCT" and value in ("#", "@"):
-            raise self._error(
-                "string counts and offsets are outside the supported subset")
-        if kind == "IDENT" and value in _UNSUPPORTED_KEYWORDS:
-            raise self._error(
-                f"'{value}' is outside the supported condition subset")
-        raise self._error(f"expected a condition, found {self._describe()}")
-
-    def _parse_of_target(self, count: int) -> OfExpr:
-        if self.kind == "IDENT" and self.value == "them":
-            self._advance()
-            return OfExpr(count=count, targets=None)
-        if self.kind == "PUNCT" and self.value == "(":
-            self._advance()
-            idents = []
-            while True:
-                if self.kind != "PATTERN_ID":
-                    raise self._error("expected pattern id in 'of' list")
-                idents.append(self._advance())
-                if self.kind == "PUNCT" and self.value == ",":
-                    self._advance()
-                    continue
+    def _parse_of_target(self, count: int, i: int) -> tuple[OfExpr, int]:
+        toks = self.toks
+        if toks[i] == "them":
+            if not 1 <= count <= len(self.declared):
+                self.invalid = True
+            return OfExpr(count, None), i + 1
+        if toks[i] != "(":
+            raise self._fail(i, "expected 'them' or a pattern list after 'of'")
+        idents = []
+        while True:
+            i += 1
+            ident = toks[i]
+            if ident[0] != "$":
+                raise self._fail(i, "expected pattern id in 'of' list")
+            if ident == "$":
+                raise self._bad_token(i)
+            idents.append(ident)
+            i += 1
+            if toks[i] != ",":
                 break
-            self._expect_punct(")")
-            return OfExpr(count=count, targets=tuple(idents))
-        raise self._error("expected 'them' or a pattern list after 'of'")
+        if toks[i] != ")":
+            raise self._expected(i, "')'")
+        if not 1 <= count <= len(idents) or not self.declared.issuperset(idents):
+            self.invalid = True
+        return OfExpr(count, tuple(idents)), i + 1
 
     # --- semantic checks ----------------------------------------------
 
-    def _validate(self, rule: Rule) -> None:
+    def _semantic_error(self, rule: Rule, k: int) -> RuleSyntaxError:
+        """The first reference in `rule` that its patterns cannot
+        satisfy, as an error at token `k`."""
         declared = set(rule.pattern_ids())
 
-        def walk(node: Condition) -> None:
+        def walk(node: Condition) -> str | None:
             if isinstance(node, StringRef):
                 if node.ident not in declared:
-                    raise self._error(
-                        f"condition references undeclared pattern {node.ident}")
+                    return f"condition references undeclared pattern {node.ident}"
             elif isinstance(node, OfExpr):
                 targets = rule.pattern_ids() if node.targets is None else node.targets
                 for ident in targets:
                     if ident not in declared:
-                        raise self._error(
-                            f"'of' list references undeclared pattern {ident}")
+                        return f"'of' list references undeclared pattern {ident}"
                 if node.count < 1:
-                    raise self._error("'N of' requires N >= 1")
+                    return "'N of' requires N >= 1"
                 if node.count > len(targets):
-                    raise self._error(
-                        f"'{node.count} of' exceeds the {len(targets)} available patterns")
+                    return f"'{node.count} of' exceeds the {len(targets)} available patterns"
             elif isinstance(node, (And, Or)):
-                walk(node.left)
-                walk(node.right)
+                return walk(node.left) or walk(node.right)
             elif isinstance(node, Not):
-                walk(node.operand)
+                return walk(node.operand)
+            return None
 
-        walk(rule.condition)
+        return self._fail(k, walk(rule.condition))
 
 
 def parse_rules(text: str) -> RuleSet:
@@ -482,13 +602,14 @@ def parse_sources(sources: Iterable[tuple[str | None, str]]) -> RuleSet:
     files = []
     for path, text in sources:
         parser = _Parser(text, path)
-        files.append((parser.lexer, parser.parse_file()))
+        files.append((parser, parser.parse_file()))
     defined_in: dict[str, str | None] = {}
-    for lexer, rules in files:
+    for parser, rules in files:
         for rule, name_at in rules:
             if rule.name in defined_in:
                 first = defined_in[rule.name]
-                where = "" if first == lexer.path else f", first defined in {first}"
-                raise lexer.error(f"duplicate rule name '{rule.name}'{where}", name_at)
-            defined_in[rule.name] = lexer.path
+                where = "" if first == parser.path else f", first defined in {first}"
+                raise parser.error(f"duplicate rule name '{rule.name}'{where}",
+                                   parser.offset(name_at))
+            defined_in[rule.name] = parser.path
     return RuleSet(rules=tuple(rule for _, rules in files for rule, _ in rules))

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from wsdetect.rulelang.matcher import CompiledRuleSet, match_buffer
-from wsdetect.rulelang.model import MatchReport, RuleError, RuleSet
+from wsdetect.rulelang.model import MatchReport, RuleError, RuleSet, RuleSyntaxError
 from wsdetect.rulelang.parser import parse_rules, parse_sources
 
 
@@ -54,9 +54,31 @@ def scan_tree(rules: RuleSet, root: str | Path,
     return findings, errors
 
 
+def _read_rule_text(path: str | Path) -> str:
+    """A rule file's text: UTF-8, with CRLF and CR line ends read as LF,
+    as a text-mode read gives them.
+
+    A byte that is not UTF-8 is a :class:`RuleSyntaxError` naming the
+    file, at the line and column the parser would give its character.
+    """
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = _lf(data[:exc.start].decode("utf-8"))
+        raise RuleSyntaxError(
+            f"not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})",
+            before.count("\n") + 1, len(before) - before.rfind("\n"),
+            str(path)) from None
+    return _lf(text)
+
+
+def _lf(text: str) -> str:
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def load_rules_file(path: str | Path) -> RuleSet:
-    text = Path(path).read_text(encoding="utf-8")
-    return parse_rules(text)
+    return parse_rules(_read_rule_text(path))
 
 
 def load_rules_dir(path: str | Path, suffix: str = ".yar") -> RuleSet:
@@ -68,4 +90,4 @@ def load_rules_dir(path: str | Path, suffix: str = ".yar") -> RuleSet:
     files = sorted(p for p in directory.iterdir() if p.suffix == suffix)
     if not files:
         raise RuleError(f"no {suffix} files in {directory}")
-    return parse_sources((str(p), p.read_text(encoding="utf-8")) for p in files)
+    return parse_sources((str(p), _read_rule_text(p)) for p in files)

@@ -68,6 +68,16 @@ class TestRules:
         assert _run(["rules", "check", str(good)])[0] == EXIT_OK
         assert _run(["rules", "check", str(bad)])[0] == EXIT_ERROR
 
+    def test_check_reports_an_undecodable_file_and_goes_on(self, tmp_path):
+        bad, good = tmp_path / "bad.yar", tmp_path / "good.yar"
+        bad.write_bytes(b'rule a { meta: k = "caf\xe9" condition: true }\n')
+        good.write_text("rule b { condition: true }\n")
+        code, out, err = _run(["rules", "check", str(bad), str(good)])
+        assert code == EXIT_ERROR
+        assert out == f"{good}: 1 rule(s) ok (b)\n"
+        assert err == f"{bad}: line 1, column 24: not UTF-8: byte 0xe9 " \
+                      "(invalid continuation byte)\n"
+
     def test_check_names_the_bad_file_of_a_directory(self, tmp_path):
         rules = tmp_path / "rules"
         rules.mkdir()

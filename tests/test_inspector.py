@@ -473,3 +473,40 @@ class TestDaemonConcurrency:
         lines = (tmp_path / "webshell-generated.rules").read_text().splitlines()
         sids = [parse_rule_line(line).sid for line in lines]
         assert len(sids) == len(set(sids))
+
+    def test_new_sources_on_many_threads_get_distinct_sids(self, tmp_path):
+        # every capture brings 100 sources no other capture has; with a
+        # tiny switch interval, threads still never share a sid
+        captures = []
+        for k in range(24):
+            frames = [(1_700_000_000_000_000 + j, ethernet_ipv4_tcp(
+                f"10.{k}.{j}.1", 4444, "10.255.0.1", 80, 40)) for j in range(100)]
+            path = tmp_path / f"new{k}.pcap"
+            path.write_bytes(pcap_bytes(frames))
+            captures.append(str(path))
+        daemon = InspectorDaemon(InspectorConfig(rules_dir=str(tmp_path),
+                                                 model_path="stub"))
+        sids, errors = {}, []
+
+        def worker(k):
+            try:
+                for path in captures[k::8]:
+                    for alert in daemon.inspect(path)["alerts"]:
+                        sids[alert["src_ip"]] = alert["alert"]["signature_id"]
+            except Exception as exc:  # a thread's error must fail the test
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(sids) == 24 * 100
+        assert len(set(sids.values())) == len(sids)

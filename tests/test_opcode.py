@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsdetect.opcode import (
+    _VLD_OP,
     OpcodeError,
     OpcodeListing,
     OpcodeVocabulary,
@@ -136,6 +137,45 @@ class TestParseVld:
             "End of function render\n")
         assert parse_vld(dump).mnemonics == [
             "INIT_FCALL", "DO_FCALL", "RETURN", "ECHO", "RETURN"]
+
+
+def _parse_vld_reference(text: str) -> list[str]:
+    """The opcode column as `parse_vld` read it before it tested
+    `isdigit` first: the regex on every token."""
+    mnemonics: list[str] = []
+    for line in text.splitlines():
+        tokens = line.split()
+        saw_number = False
+        for token in tokens:
+            if _VLD_OP.match(token):
+                if saw_number:
+                    mnemonics.append(token)
+                break
+            if token.isdigit():
+                saw_number = True
+    return mnemonics
+
+
+# VLD-like tokens: ASCII and Unicode digits, caps words (some only in
+# operands), lower-case and quoted operand text, row markers
+_VLD_TOKENS = ("0", "7", "12", "\u00b2", "\u0663", "1\u00b2", "ECHO", "INIT_FCALL",
+               "A", "A1", "X_", "UPPER", "'UPPER", "TEXT'", "!0,", "$cmd", "null",
+               "E", ">", "#*", "Echo", "ECHO2", "2ECHO", "_A")
+_VLD_SPACES = (" ", "  ", "\t", "\x0b", "\x0c", "\xa0")
+_VLD_BREAKS = ("\n", "\r\n", "\r", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+               "\u2029")
+
+
+@given(st.lists(st.tuples(st.lists(st.tuples(st.sampled_from(_VLD_SPACES),
+                                              st.sampled_from(_VLD_TOKENS)),
+                                    max_size=8),
+                          st.sampled_from(_VLD_BREAKS)),
+                max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_parse_vld_matches_the_regex_first_loop(rows):
+    text = "".join("".join(space + token for space, token in row) + end
+                   for row, end in rows)
+    assert parse_vld(text).mnemonics == _parse_vld_reference(text)
 
 
 class TestParseCil:

@@ -17,6 +17,7 @@ from wsdetect.rulelang import (
     RuleSyntaxError,
     TextBody,
     load_rules_dir,
+    load_rules_file,
     match_buffer,
     parse_rules,
     scan_tree,
@@ -475,3 +476,22 @@ class TestScanTree:
         assert (info.value.path, info.value.line, info.value.column) == (
             str(tmp_path / "2.yar"), 2, 6)
         assert str(tmp_path / "1.yar") in info.value.message
+
+    def test_load_rules_file_not_utf8_is_a_syntax_error(self, tmp_path):
+        # past the text reader's first chunk, after CRLF and lone CR line
+        # ends: line and column count characters as the parser does
+        path = tmp_path / "bad.yar"
+        path.write_bytes(b"rule a { condition: true }\r\n" * 400 + b"// \xc3\xa9\r"
+                         + b'rule b { meta: k = "caf\xe9" condition: true }\n')
+        with pytest.raises(RuleSyntaxError, match="not UTF-8: byte 0xe9") as info:
+            load_rules_file(path)
+        assert (info.value.path, info.value.line, info.value.column) == (
+            str(path), 402, 24)
+
+    def test_load_rules_dir_not_utf8_names_the_file(self, tmp_path):
+        (tmp_path / "1.yar").write_text("rule a { condition: true }\n")
+        (tmp_path / "2.yar").write_bytes(b"rule b {\n  condition: true } // \xff\n")
+        with pytest.raises(RuleSyntaxError, match="not UTF-8: byte 0xff") as info:
+            load_rules_dir(tmp_path)
+        assert (info.value.path, info.value.line, info.value.column) == (
+            str(tmp_path / "2.yar"), 2, 24)

@@ -16,6 +16,8 @@ where most offsets pass the pair gate, across a block boundary and at
 the end of the subject.
 """
 
+import itertools
+import random
 import re
 from dataclasses import replace
 
@@ -54,6 +56,70 @@ _SUBJECT_BYTES = [bytes([b]) for b in b"abAB.\n\x00\xff"]
 @example('rule a { condition: true }\r\n  rule a { condition: false }')
 def test_mutated_rule_texts_parse_as_the_oracle_does(text):
     assert_parse_matches_oracle(text)
+
+
+# Comments and whitespace placed between tokens of the large rule file
+_GAPS = (" ", " /* c */ ", "\n  ", " // c\n", "\t/* a\n b */\t", "\r\n ")
+# Characters that open, close or break a token
+_EDIT_CHARS = '"/\\{}?$\n*x9 (-'
+
+
+def _large_rule_file(n_rules: int = 260) -> str:
+    """A rule file of `n_rules` rules that together use every body kind
+    (text with escapes, hex with wildcards, regex) and modifier, integer
+    and negative meta values, nested `and`/`or`/`not` and `N of (...)`,
+    with a comment or line break between every kind of token, inside
+    hex bodies too. Each gap is taken in turn from `_GAPS`."""
+    gaps = itertools.cycle(_GAPS)
+
+    def spaced(*tokens):
+        return "".join(token + next(gaps) for token in tokens)
+
+    out = []
+    for k in range(n_rules):
+        hex_items = ["4d", "5A", "??", f"{k % 256:02x}", "??"][:2 + k % 4]
+        out.append(spaced(
+            "rule", f"r{k}", "{",
+            "meta", ":", "k0", "=", f'"v{k}\\x41"', "k1", "=", "-", str(k),
+            "k2", "=", str(k * 7),
+            "strings", ":",
+            "$t", "=", f'"text{k}\\n"', "nocase", "fullword",
+            "$h", "=", "{", *hex_items, "}",
+            "$r", "=", f"/ab{k}[0-9]{{2}}\\/x/", "nocase",
+            "$w", "=", f'"w{k}"', "fullword",
+            "condition", ":",
+            *[("(", "$t", "or", "not", "$h", ")", "and", "(", "2", "of", "(", "$t", ",",
+               "$r", ",", "$w", ")", "or", "not", "not", "$w", ")"),
+              ("1", "of", "them"),
+              ("not", "(", "$h", "and", "$r", ")", "or", "4", "of", "them"),
+              ("3", "of", "(", "$w", ",", "$h", ",", "$r", ")", "and", "true")][k % 4],
+            "}"))
+    return "".join(out)
+
+
+def test_single_character_edits_deep_in_a_large_file_parse_as_the_oracle_does():
+    # token resync bugs show only far into a file, after many tokens of
+    # every kind: each edit, wherever it falls, must give the oracle's
+    # rules or its error
+    text = _large_rule_file()
+    assert len(parse_rules(text).rules) == 260
+    assert_parse_matches_oracle(text)
+    rng = random.Random(10)
+    hex_body = r"\{(?:" + "|".join(map(re.escape, _GAPS)) + r")4d[^}]*\}"
+    after_hex = [m.end() for m in re.finditer(hex_body, text)]
+    assert len(after_hex) == 260
+    positions = [rng.randrange(k * len(text) // 40, (k + 1) * len(text) // 40)
+                 for k in range(40)] + rng.sample(after_hex, 20)
+    for k, at in enumerate(positions):
+        char = _EDIT_CHARS[k % len(_EDIT_CHARS)]
+        edit = k % 3
+        if edit == 0:
+            edited = text[:at] + text[at + 1:]
+        elif edit == 1:
+            edited = text[:at] + char + text[at:]
+        else:
+            edited = text[:at] + char + text[at + 1:]
+        assert_parse_matches_oracle(edited)
 
 
 def _scanned(body) -> bool:
