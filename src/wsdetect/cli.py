@@ -378,9 +378,9 @@ def cmd_dataset_clean(args, out, err) -> int:
 def cmd_inspect_once(args, out, err) -> int:
     import time as _time
 
-    from wsdetect.inspector import inspect_pcap, load_config, write_rules
+    from wsdetect.inspector import RuleTable, inspect_pcap, load_config, write_rules
     from wsdetect.inspector.daemon import load_predictor
-    from wsdetect.inspector.pipeline import _file_sids, emit_eve
+    from wsdetect.inspector.pipeline import emit_eve
 
     overrides = {"model_path": args.model}
     if args.rules_dir:
@@ -390,8 +390,8 @@ def cmd_inspect_once(args, out, err) -> int:
     config = load_config(args.config, overrides)
     model = load_predictor(config.model_path)
     started = _time.perf_counter()
-    sid_for = _file_sids(args.rules_dir) if args.rules_dir else None
-    result = inspect_pcap(args.pcap, model, config, sid_for=sid_for)
+    table = RuleTable.load(args.rules_dir, config.sid_start) if args.rules_dir else None
+    result = inspect_pcap(args.pcap, model, config, table=table)
     elapsed_ms = (_time.perf_counter() - started) * 1000.0
     if args.eve:
         emit_eve(result.alerts, args.eve)
@@ -399,7 +399,7 @@ def cmd_inspect_once(args, out, err) -> int:
         for alert in result.alerts:
             print(json.dumps(alert.to_eve()), file=out)
     if result.rules and args.rules_dir:
-        write_rules(result.rules, args.rules_dir)
+        write_rules(result.rules, args.rules_dir, table)
     elif result.rules:
         for rule in result.rules:
             print(rule.render(), file=out)

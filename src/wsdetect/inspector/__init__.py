@@ -1,8 +1,9 @@
 """DeepInspector: pcap inspection, alerting and rule generation.
 
 The daemon receives pcap paths over a local stream socket, classifies
-every flow with the traffic model, and for each webshell-classified
-flow emits an EVE-style alert plus a block rule for the source IP.
+every flow with the traffic model in one worker process per core, and
+for each webshell-classified flow emits an EVE-style alert plus a block
+rule for the source IP.
 """
 
 from wsdetect.inspector.config import InspectorConfig, load_config
@@ -11,6 +12,7 @@ from wsdetect.inspector.pipeline import (
     Blacklist,
     GeneratedRule,
     InspectionResult,
+    RuleTable,
     StubPredictor,
     emit_eve,
     inspect_pcap,
@@ -26,6 +28,7 @@ __all__ = [
     "InspectionResult",
     "InspectorConfig",
     "InspectorDaemon",
+    "RuleTable",
     "StubPredictor",
     "emit_eve",
     "inspect_pcap",

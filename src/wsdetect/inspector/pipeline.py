@@ -1,6 +1,13 @@
 """The detection pipeline: pcap -> flows -> features -> verdicts ->
 EVE alerts + generated rules + blacklist updates.
 
+It runs in two halves. `classify_pcap` reads a capture and classifies
+its flows into plain `Verdicts` columns; it needs only the model, so the
+daemon runs it in worker processes. `inspect_flows` turns verdicts into
+alerts, rules and blacklist hits against one `RuleTable`; it holds the
+shared state, so the daemon runs it in its own process. `inspect_pcap`
+is the two in a row.
+
 Per webshell-classified flow: one alert. Per (source IP, action): one
 rule; repeat detections of the same source bump the blacklist counter
 and, across rule-file writes, the rule's revision.
@@ -9,6 +16,7 @@ and, across rule-file writes, the rule's revision.
 from __future__ import annotations
 
 import json
+import os
 import re
 import threading
 import time
@@ -20,8 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from wsdetect.flowmeter import assemble_flows, feature_matrix, read_pcap
-from wsdetect.flowmeter.flows import Flow
 from wsdetect.inspector.config import InspectorConfig
+from wsdetect.tensornet import load_model
 from wsdetect.trafficmodel import TabularDataset, TabularDnn, dnn_predict
 
 RULE_FILE_NAME = "webshell-generated.rules"
@@ -164,10 +172,58 @@ class StubPredictor:
         return probs, np.full(n, self.forced_class, dtype=np.intp)
 
 
+def load_predictor(model_path: str):
+    """A model path, or "stub"/"stub:webshell"/"stub:benign" for the
+    fixed-verdict predictor."""
+    if model_path in ("stub", "stub:webshell"):
+        return StubPredictor(forced_class=1)
+    if model_path == "stub:benign":
+        return StubPredictor(forced_class=0)
+    return load_model(model_path)
+
+
 def _predict(model, dataset: TabularDataset):
     if isinstance(model, TabularDnn):
         return dnn_predict(model, dataset)
     return model.predict(dataset)
+
+
+@dataclass
+class Verdicts:
+    """The flows of one capture, classified: one entry per flow in flow
+    order in each column, plus the capture's packet counters. Plain
+    lists, so a worker process pickles them cheaply."""
+
+    src_ip: list[str]
+    src_port: list[int]
+    dst_ip: list[str]
+    dst_port: list[int]
+    protocol: list[int]
+    first_ts: list[int]
+    p_webshell: list[float]
+    cls: list[int]
+    packets: int = 0
+    skipped_packets: int = 0
+    fragments: int = 0
+
+
+def classify_pcap(pcap_path: str | Path, model) -> Verdicts:
+    """read_pcap -> assemble_flows -> feature_matrix -> predict."""
+    capture = read_pcap(pcap_path)
+    flows = assemble_flows(capture.packets)
+    p_webshell, classes = [], []
+    if flows:
+        dataset = TabularDataset(
+            [(flow.dst_port, flow.protocol) for flow in flows],
+            feature_matrix(flows), np.zeros(len(flows), np.intp))
+        probs, predicted = _predict(model, dataset)
+        p_webshell, classes = probs[:, 1].tolist(), predicted.tolist()
+    return Verdicts(
+        [flow.src_ip for flow in flows], [flow.src_port for flow in flows],
+        [flow.dst_ip for flow in flows], [flow.dst_port for flow in flows],
+        [flow.protocol for flow in flows], [flow.first_ts for flow in flows],
+        p_webshell, classes, packets=len(capture.packets),
+        skipped_packets=capture.skipped, fragments=capture.fragments)
 
 
 @dataclass
@@ -188,52 +244,96 @@ class InspectionResult:
                 "fragments": self.fragments, "ms": round(elapsed_ms, 3)}
 
 
-# Held while a new source gets its sid, so that connection threads
-# sharing one `sid_for` map never hand out the same sid.
-_SID_LOCK = threading.Lock()
+class RuleTable:
+    """The generated rule file, held in memory.
 
-
-def inspect_flows(flows: list[Flow], model, config: InspectorConfig,
-                  blacklist: Blacklist | None = None,
-                  sid_for: dict[tuple[str, str], int] | None = None,
-                  ) -> InspectionResult:
-    """Classify assembled flows and build alerts + rules for class 1.
-
-    `sid_for` maps the (source IP, action) of each rule already assigned,
-    the key of a line in the rule file, to its sid, so repeated
-    inspections keep stable signature ids.
+    `rules` maps each (source IP, action) given a sid to its rule, and
+    `next_sid` is one past the highest sid handed out, so sids are
+    unique by construction. `write_rules` bumps revisions here and
+    renders the file from here; a rule is in the file once it has been
+    written (rev >= 1), in the order of its first write. Not locked:
+    callers that share a table across threads serialise its use, as the
+    daemon does.
     """
-    result = InspectionResult(flows=len(flows))
-    if not flows:
-        return result
-    dataset = TabularDataset(
-        [(flow.dst_port, flow.protocol) for flow in flows],
-        feature_matrix(flows), np.zeros(len(flows), np.intp))
-    probs, classes = _predict(model, dataset)
 
-    sid_for = {} if sid_for is None else sid_for
+    def __init__(self, sid_start: int = 0, rules: list[GeneratedRule] = ()):
+        self.rules: dict[tuple[str, str], GeneratedRule] = {}
+        # the rendered line of each written rule, in file order
+        self.lines: dict[tuple[str, str], str] = {}
+        for rule in rules:
+            key = (rule.src_ip, rule.action)
+            self.rules[key] = rule
+            self.lines[key] = rule.render() + "\n"
+        self.next_sid = max([sid_start, *(rule.sid + 1 for rule in rules)])
+
+    @classmethod
+    def load(cls, rules_dir: str | Path, sid_start: int = 0) -> RuleTable:
+        """The table of the rule file under `rules_dir`; empty if there
+        is none."""
+        path = Path(rules_dir) / RULE_FILE_NAME
+        if not path.exists():
+            return cls(sid_start)
+        return cls(sid_start, [
+            parse_rule_line(line)
+            for line in path.read_text(encoding="utf-8").splitlines()
+            if line.strip() and not line.lstrip().startswith("#")])
+
+    def sid(self, key: tuple[str, str]) -> int:
+        """The sid of (source IP, action); a new source takes the next
+        free one."""
+        rule = self.rules.get(key)
+        if rule is None:
+            rule = self.rules[key] = GeneratedRule(
+                action=key[1], src_ip=key[0], sid=self.next_sid, rev=0)
+            self.next_sid += 1
+        return rule.sid
+
+    def merge(self, rules: list[GeneratedRule]) -> None:
+        """Bump each rule's revision: rev 1 for a source not yet written."""
+        for new in rules:
+            key = (new.src_ip, new.action)
+            self.sid(key)
+            rule = self.rules[key]
+            if rule.rev == 0:
+                rule.msg = new.msg
+            rule.rev += 1
+            self.lines[key] = rule.render() + "\n"
+
+    def render(self) -> str:
+        return "".join(self.lines.values())
+
+
+def inspect_flows(verdicts: Verdicts, config: InspectorConfig,
+                  blacklist: Blacklist | None = None,
+                  table: RuleTable | None = None) -> InspectionResult:
+    """Alerts and rules for the flows classified 1.
+
+    `table` gives each source its sid, so repeated inspections keep
+    stable signature ids, the ones the rule file keeps.
+    """
+    result = InspectionResult(
+        flows=len(verdicts.cls), packets=verdicts.packets,
+        skipped_packets=verdicts.skipped_packets, fragments=verdicts.fragments)
+    table = RuleTable(config.sid_start) if table is None else table
+    action = config.rule_action
     emitted: dict[tuple[str, str], GeneratedRule] = {}
-    for flow, cls, prob in zip(flows, classes, probs):
+    for src_ip, src_port, dst_ip, dst_port, proto, first_ts, p, cls in zip(
+            verdicts.src_ip, verdicts.src_port, verdicts.dst_ip, verdicts.dst_port,
+            verdicts.protocol, verdicts.first_ts, verdicts.p_webshell, verdicts.cls):
         if cls != 1:
             result.benign += 1
             continue
         result.webshell += 1
-        src_ip = flow.src_ip
-        key = (src_ip, config.rule_action)
-        if key not in sid_for:
-            with _SID_LOCK:
-                if key not in sid_for:  # one past the highest sid in use
-                    sid_for[key] = max([config.sid_start - 1, *sid_for.values()]) + 1
-        sid = sid_for[key]
+        key = (src_ip, action)
+        rule = emitted.get(key)
+        if rule is None:
+            rule = emitted[key] = GeneratedRule(
+                action=action, src_ip=src_ip, sid=table.sid(key))
         result.alerts.append(Alert(
-            timestamp_us=flow.first_ts,
-            src_ip=src_ip, src_port=flow.src_port,
-            dest_ip=flow.dst_ip, dest_port=flow.dst_port,
-            proto=_PROTO_NAMES.get(flow.protocol, str(flow.protocol)),
-            signature_id=sid, p_webshell=float(prob[1])))
-        if key not in emitted:
-            emitted[key] = GeneratedRule(
-                action=config.rule_action, src_ip=src_ip, sid=sid)
+            timestamp_us=first_ts, src_ip=src_ip, src_port=src_port,
+            dest_ip=dst_ip, dest_port=dst_port,
+            proto=_PROTO_NAMES.get(proto, str(proto)),
+            signature_id=rule.sid, p_webshell=p))
         if blacklist is not None:
             blacklist.hit(src_ip)
     result.rules = list(emitted.values())
@@ -242,17 +342,10 @@ def inspect_flows(flows: list[Flow], model, config: InspectorConfig,
 
 def inspect_pcap(pcap_path: str | Path, model, config: InspectorConfig,
                  blacklist: Blacklist | None = None,
-                 sid_for: dict[tuple[str, str], int] | None = None,
-                 ) -> InspectionResult:
+                 table: RuleTable | None = None) -> InspectionResult:
     """Full pipeline for one capture file."""
-    capture = read_pcap(pcap_path)
-    flows = assemble_flows(capture.packets)
-    result = inspect_flows(flows, model, config, blacklist=blacklist,
-                           sid_for=sid_for)
-    result.packets = len(capture.packets)
-    result.skipped_packets = capture.skipped
-    result.fragments = capture.fragments
-    return result
+    return inspect_flows(classify_pcap(pcap_path, model), config,
+                         blacklist=blacklist, table=table)
 
 
 def emit_eve(alerts: list[Alert], sink) -> int:
@@ -269,63 +362,29 @@ def emit_eve(alerts: list[Alert], sink) -> int:
     return len(alerts)
 
 
-def write_rules(rules: list[GeneratedRule], rules_dir: str | Path) -> Path | None:
+def write_rules(rules: list[GeneratedRule], rules_dir: str | Path,
+                table: RuleTable | None = None) -> Path | None:
     """Write/merge the generated rule file under `rules_dir`.
 
-    Semantics per source: a new (src_ip, action) appends with rev 1; an
-    already-present one keeps its sid and increments rev. With no rules
-    to write the file is left untouched (returns None).
+    Semantics per source: a new (src_ip, action) appends with rev 1 and
+    the next free sid; an already-present one keeps its sid and
+    increments rev. `table` holds the file's rules; without one, the
+    file is read first, and sids are handed out from the lowest sid in
+    `rules` up. The file is written whole to a temporary file beside it,
+    then moved into place, so a reader sees the old file or the new one,
+    never a part. With no rules to write the file is left untouched
+    (returns None).
     """
     if not rules:
         return None
     directory = Path(rules_dir)
     if not directory.is_dir():
         raise InspectorError(f"rules directory {directory} does not exist")
+    if table is None:
+        table = RuleTable.load(directory, min(rule.sid for rule in rules))
+    table.merge(rules)
     path = directory / RULE_FILE_NAME
-
-    existing: dict[tuple[str, str], GeneratedRule] = {}
-    order: list[tuple[str, str]] = []
-    for rule in _read_rules(path):
-        existing[(rule.src_ip, rule.action)] = rule
-        order.append((rule.src_ip, rule.action))
-
-    taken = {r.sid for r in existing.values()}
-    for rule in rules:
-        key = (rule.src_ip, rule.action)
-        if key in existing:
-            existing[key].rev += 1
-        else:
-            sid = rule.sid
-            while sid in taken:  # a fresh run may reuse sid_start
-                sid = max(taken) + 1
-            taken.add(sid)
-            existing[key] = GeneratedRule(
-                action=rule.action, src_ip=rule.src_ip, sid=sid,
-                rev=1, msg=rule.msg)
-            order.append(key)
-
-    sids = [r.sid for r in existing.values()]
-    if len(sids) != len(set(sids)):
-        raise InspectorError("duplicate sid in generated rules (internal bug)")
-
-    with open(path, "w", encoding="utf-8") as fh:
-        for key in order:
-            fh.write(existing[key].render() + "\n")
+    temporary = directory / f".{RULE_FILE_NAME}.{os.getpid()}.{threading.get_ident()}"
+    temporary.write_text(table.render(), encoding="utf-8")
+    os.replace(temporary, path)
     return path
-
-
-def _read_rules(path: Path) -> list[GeneratedRule]:
-    """The rules of a generated rule file in file order; none if absent."""
-    if not path.exists():
-        return []
-    return [parse_rule_line(line)
-            for line in path.read_text(encoding="utf-8").splitlines()
-            if line.strip() and not line.lstrip().startswith("#")]
-
-
-def _file_sids(rules_dir: str | Path) -> dict[tuple[str, str], int]:
-    """(source IP, action) -> sid of each rule already in the rule file
-    under `rules_dir`: alerts then carry the sid the file keeps, and a
-    new source gets a sid past every one in use."""
-    return {(rule.src_ip, rule.action): rule.sid
-            for rule in _read_rules(Path(rules_dir) / RULE_FILE_NAME)}

@@ -13,7 +13,9 @@ Anything outside the subset (string counts, offsets, filesize, module
 references, other modifiers) is a parse error, not a silent skip. So is
 a regex body that does not compile: each is compiled here, once, the
 way the matcher runs it (see :class:`RegexBody`), and its error is
-reported at the regex token.
+reported at the regex token. So is a condition nested more than
+MAX_CONDITION_DEPTH levels deep, or an integer of more than
+MAX_INTEGER_DIGITS digits, at the token past the limit.
 
 The text is lexed once, by one ``findall`` of a master regex, into a
 flat list of token strings; the parser walks that list by index and
@@ -76,6 +78,14 @@ _UNSUPPORTED_KEYWORDS = {
 }
 
 _RESERVED = frozenset(_KEYWORDS | _UNSUPPORTED_KEYWORDS)
+
+# A condition nests at most this deep, counting each 'not' and each
+# parenthesis as one level: the parser recurses once per level, and
+# must fail with a syntax error, not Python's recursion limit.
+MAX_CONDITION_DEPTH = 100
+
+# An integer has at most this many digits, enough for any 64-bit value.
+MAX_INTEGER_DIGITS = 20
 
 # Words a modifier position accepts or rejects by name; rule-structure
 # keywords end the modifier list instead.
@@ -201,6 +211,8 @@ class _Parser:
         # condition refers to one it lacks
         self.declared: set[str] = set()
         self.invalid = False
+        # the 'not's and parentheses open around the current condition
+        self.depth = 0
 
     # --- errors --------------------------------------------------------
 
@@ -348,6 +360,7 @@ class _Parser:
         strings: tuple[Pattern, ...] = ()
         seen = self.declared = set()
         self.invalid = False
+        self.depth = 0
         if toks[i] == "meta":
             if toks[i + 1] != ":":
                 raise self._expected(i + 1, "':'")
@@ -438,6 +451,9 @@ class _Parser:
         token = self.toks[k]
         if token[-1] not in _DIGITS:  # run into a name
             raise self._bad_token(k)
+        if len(token) > MAX_INTEGER_DIGITS:
+            raise self._fail(
+                k, f"integer too long ({len(token)} > {MAX_INTEGER_DIGITS} digits)")
         return int(token)
 
     def _pattern_head_error(self, k: int) -> RuleSyntaxError:
@@ -509,14 +525,21 @@ class _Parser:
             if toks[i + 1] != "of":
                 raise self._expected(i + 1, "'of'")
             return self._parse_of_target(count, i + 2)
-        if token == "(":
-            inner, i = self._parse_expr(i + 1)
-            if toks[i] != ")":
-                raise self._expected(i, "')'")
-            return inner, i + 1
-        if token == "not":
-            operand, i = self._parse_term(i + 1)
-            return Not(operand), i
+        if token == "(" or token == "not":
+            if self.depth == MAX_CONDITION_DEPTH:
+                raise self._fail(
+                    i, f"condition nested deeper than {MAX_CONDITION_DEPTH} levels")
+            self.depth += 1
+            if token == "(":
+                inner, i = self._parse_expr(i + 1)
+                if toks[i] != ")":
+                    raise self._expected(i, "')'")
+                i += 1
+            else:
+                operand, i = self._parse_term(i + 1)
+                inner = Not(operand)
+            self.depth -= 1
+            return inner, i
         if token == "true" or token == "false":
             return BoolLiteral(token == "true"), i + 1
         if token == "#" or token == "@":

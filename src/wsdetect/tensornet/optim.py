@@ -8,6 +8,8 @@ import numpy as np
 
 from wsdetect.tensornet.graph import FlatParams
 
+_FLOAT_MAX = np.finfo(np.float64).max
+
 
 @dataclass
 class AdamState:
@@ -28,7 +30,8 @@ def adam_step(state: AdamState, flat: FlatParams) -> AdamState:
     """One Adam update of `flat.params` from `flat.grads`, in place.
 
     The step counter increments before the update. Non-finite gradients
-    fail fast, naming their parameter, before anything changes. Every
+    fail fast, naming their parameter, before anything changes. Finite
+    gradients too large to square keep the second moment finite. Every
     entry goes through the same elementwise operations in the same order
     as a per-array update, written into preallocated buffers.
     """
@@ -49,13 +52,27 @@ def adam_step(state: AdamState, flat: FlatParams) -> AdamState:
     m, v = state.m, state.v
     m *= b1
     m += np.multiply(1.0 - b1, g, out=step)
-    v *= b2
-    np.multiply(1.0 - b2, g, out=step)
-    v += np.multiply(step, g, out=step)
+    overflow = []
+    with np.errstate(over="call", call=lambda kind, flag: overflow.append(kind)):
+        v *= b2
+        np.multiply(1.0 - b2, g, out=step)
+        v += np.multiply(step, g, out=step)
+        np.divide(v, bias2, out=denom)
+    if overflow:
+        # A gradient above about 4e155 overflows g * g. Left at inf, v
+        # stays inf and its entry never moves again, so v, and v over its
+        # bias correction, are held at the largest finite float instead.
+        # Entries where neither overflowed are unchanged, bit for bit. The
+        # held entry's next steps are oversized (about 7.5e5 * lr after a
+        # 1e160 gradient, where exact Adam moves it by about lr): v no
+        # longer knows the gradient's true size.
+        with np.errstate(over="ignore"):
+            np.minimum(v, _FLOAT_MAX, out=v)
+            np.divide(v, bias2, out=denom)
+            np.minimum(denom, _FLOAT_MAX, out=denom)
     # p -= lr * (m / bias1) / (sqrt(v / bias2) + eps)
     np.divide(m, bias1, out=step)
     np.multiply(state.lr, step, out=step)
-    np.divide(v, bias2, out=denom)
     np.sqrt(denom, out=denom)
     denom += state.eps
     p -= np.divide(step, denom, out=step)

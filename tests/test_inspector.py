@@ -1,5 +1,6 @@
 """Inspection pipeline, EVE output, rule files, socket daemon."""
 
+import contextlib
 import json
 import logging
 import random
@@ -19,15 +20,30 @@ from wsdetect.inspector import (
     GeneratedRule,
     InspectorConfig,
     InspectorDaemon,
+    RuleTable,
     StubPredictor,
     emit_eve,
     inspect_pcap,
     load_config,
     parse_rule_line,
-    serve,
     write_rules,
 )
 from wsdetect.inspector.config import ConfigError, ENV_CONFIG_PATH
+from wsdetect.inspector.daemon import MAX_REQUEST_BYTES, running
+
+
+@contextlib.contextmanager
+def serving(config):
+    """The daemon with its worker processes, served on a thread; shut
+    down, its workers waited for, on exit."""
+    with running(config) as server:
+        thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+        thread.start()
+        try:
+            yield server
+        finally:
+            server.shutdown()
+            thread.join(timeout=10)
 
 
 class TestConfig:
@@ -120,11 +136,11 @@ class TestInspectPcap:
 
     def test_sids_stable_across_runs(self, two_flow_pcap):
         config = InspectorConfig()
-        sid_for = {}
+        table = RuleTable(config.sid_start)
         first = inspect_pcap(two_flow_pcap, StubPredictor(1), config,
-                             sid_for=sid_for)
+                             table=table)
         second = inspect_pcap(two_flow_pcap, StubPredictor(1), config,
-                              sid_for=sid_for)
+                              table=table)
         assert [r.sid for r in first.rules] == [r.sid for r in second.rules]
 
     def test_alert_sids_agree_with_existing_rule_file(self, two_flow_pcap, tmp_path):
@@ -301,12 +317,8 @@ class TestDaemon:
         config = InspectorConfig(
             socket_path=str(tmp_path / "inspector.sock"),
             rules_dir=str(tmp_path), model_path="stub")
-        ready = threading.Event()
-        thread = threading.Thread(
-            target=serve, args=(config,), kwargs={"ready": ready}, daemon=True)
-        thread.start()
-        assert ready.wait(timeout=5.0)
-        yield config
+        with serving(config):
+            yield config
 
     def _request(self, config, lines):
         client = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
@@ -339,6 +351,30 @@ class TestDaemon:
     def test_malformed_then_next_request_still_served(self, running_daemon):
         responses = self._request(running_daemon, ["{", '{"op":"ping"}'])
         assert responses == [{"error": "parse"}, {"ok": True}]
+
+    def test_overlong_request_line_refused(self, running_daemon):
+        # 1 MB with no newline: one error reply, then the daemon closes
+        # the connection instead of buffering the line
+        client = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        client.settimeout(30)
+        client.connect(running_daemon.socket_path)
+        try:
+            client.sendall(b"x" * 2**20)
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # closed before it read everything
+        reader = client.makefile("rb")
+        assert json.loads(reader.readline()) == {"error": "request too long"}
+        assert reader.readline() == b""
+        reader.close()
+        client.close()
+        assert self._request(running_daemon, ['{"op":"ping"}']) == [{"ok": True}]
+
+    def test_request_line_at_the_limit_served(self, running_daemon):
+        head = '{"op": "ping", "pad": "'
+        line = head + "x" * (MAX_REQUEST_BYTES - len(head) - 2) + '"}'
+        assert len(line.encode()) == MAX_REQUEST_BYTES
+        assert self._request(running_daemon, [line, line + " "]) == [
+            {"ok": True}, {"error": "request too long"}]
 
     def test_unknown_op(self, running_daemon):
         responses = self._request(running_daemon, ['{"op":"dance"}'])

@@ -22,8 +22,10 @@ from wsdetect.rulelang import (
     parse_rules,
     scan_tree,
 )
+from tests.rulelang_check import beyond_oracle
 from wsdetect.rulelang import matcher
 from wsdetect.rulelang.matcher import evaluate_condition
+from wsdetect.rulelang.parser import MAX_CONDITION_DEPTH, MAX_INTEGER_DIGITS
 from wsdetect.rulelang.model import (
     And,
     BoolLiteral,
@@ -136,6 +138,31 @@ class TestParsing:
         ):
             with pytest.raises(RuleSyntaxError):
                 parse_rules(text)
+
+    def test_nesting_past_the_depth_limit_is_a_syntax_error(self):
+        # one level below the limit parses; past it the error is at the
+        # first 'not' or '(' too many, not a RecursionError
+        inside = "not " * (MAX_CONDITION_DEPTH - 1) + "( true )"
+        assert parse_rules(f"rule r {{ condition: {inside} }}").rules[0].name == "r"
+        for opener in ("not ", "( "):
+            text = beyond_oracle("rule r {\n  condition: " + opener * 2000 + "true }")
+            with pytest.raises(RuleSyntaxError, match="nested deeper than") as info:
+                parse_rules(text)
+            assert (info.value.line, info.value.column) == (
+                2, 14 + len(opener) * MAX_CONDITION_DEPTH)
+
+    def test_overlong_integer_is_a_syntax_error(self):
+        digits = "9" * MAX_INTEGER_DIGITS
+        ruleset = parse_rules(
+            f'rule r {{ meta: n = {digits} strings: $a = "x" condition: 1 of them }}')
+        assert ruleset.rules[0].meta == (("n", digits),)
+        for text in (
+                'rule r { strings: $a = "x" condition: ' + "1" * 5000 + " of them }",
+                "rule r { meta: n = -" + "7" * 5000 + " condition: true }",
+                "rule r { meta: n = " + "1" * (MAX_INTEGER_DIGITS + 1) + " condition: true }"):
+            with pytest.raises(RuleSyntaxError, match="integer too long") as info:
+                parse_rules(beyond_oracle(text))
+            assert info.value.column == text.index("1" if "1" in text else "7") + 1
 
     def test_comments_are_skipped(self):
         text = """

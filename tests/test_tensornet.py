@@ -368,9 +368,28 @@ class TestAdam:
         flat.grads[:] = 1e308
         flat.grads[::2] = -1e308
         state = tn.AdamState()
-        with np.errstate(over="ignore"):  # v overflows to inf, as before
+        with np.errstate(over="ignore"):  # (1 - beta2) * g * g overflows
             tn.adam_step(state, flat)
         assert state.t == 1
+
+    def test_entry_moves_again_after_one_huge_gradient(self):
+        # 1e160 squared overflows: left at inf, v would hold the entry
+        # still for good; the other entry is updated as if alone
+        flat = _flat(np.full(2, 0.5), 1.0)
+        flat.grads[0] = 1e160
+        alone = _flat(np.full(1, 0.5), 1.0)
+        state, alone_state = tn.AdamState(), tn.AdamState()
+        tn.adam_step(state, flat)
+        tn.adam_step(alone_state, alone)
+        assert np.isfinite(state.v).all()
+        after_spike = flat.params[0]
+        for _ in range(5):
+            flat.grads[:] = 1.0
+            tn.adam_step(state, flat)
+            tn.adam_step(alone_state, alone)
+        assert np.isfinite(flat.params).all()
+        assert flat.params[0] != after_spike
+        assert flat.params[1] == alone.params[0]
 
 
 class TestKeepWhere:
