@@ -101,13 +101,13 @@ def cmd_oci_extract(args, out, err) -> int:
 # --- training ----------------------------------------------------------
 
 def _labelled_dataset(csv_path: str):
-    """Read a labelled feature CSV: (the read result, its dataset)."""
+    """Read a labelled feature CSV: (its cleaned cell count, its dataset)."""
     from wsdetect.flowmeter import label_to_class, read_csv
     from wsdetect.trafficmodel import TabularDataset
 
-    loaded = read_csv(csv_path)
-    labels = [label_to_class(rec.label) for rec in loaded.records]
-    return loaded, TabularDataset.from_records(loaded.records, labels)
+    table, cleaned_cells = read_csv(csv_path, labelled=True)
+    labels = [label_to_class(label) for label in table.labels]
+    return cleaned_cells, TabularDataset(table.categoricals, table.continuous, labels)
 
 
 def _training_speed(history) -> dict:
@@ -152,7 +152,7 @@ def cmd_train_flow(args, out, err) -> int:
     from wsdetect.tensornet import save_model
     from wsdetect.trafficmodel import TabularConfig, train_dnn
 
-    loaded, dataset = _labelled_dataset(args.csv)
+    cleaned_cells, dataset = _labelled_dataset(args.csv)
     config = TabularConfig(weighted=args.weighted, seed=args.seed,
                            epochs=args.epochs if args.epochs is not None else 2,
                            batch_size=args.batch_size if args.batch_size is not None else 64)
@@ -160,7 +160,7 @@ def cmd_train_flow(args, out, err) -> int:
     save_model(model, args.out)
     final = history.epochs[-1] if history.epochs else None
     _emit({"model": args.out, "records": len(dataset),
-           "cleaned_cells": loaded.cleaned_cells,
+           "cleaned_cells": cleaned_cells,
            "final_loss": round(final.loss, 6) if final else None,
            "final_accuracy": round(final.accuracy, 4) if final else None,
            **_training_speed(history)},
@@ -211,16 +211,16 @@ def cmd_predict_flow(args, out, err) -> int:
     from wsdetect.trafficmodel import TabularDataset, dnn_predict
 
     model = load_model(args.model)
-    loaded = read_csv(args.csv)
-    dataset = TabularDataset.from_records(loaded.records,
-                                          labels=[0] * len(loaded.records))
+    table, _ = read_csv(args.csv)
+    dataset = TabularDataset(table.categoricals, table.continuous,
+                             [0] * len(table.flow_id))
     probs, classes = dnn_predict(model, dataset)
     detections = 0
-    for rec, cls, p in zip(loaded.records, classes, probs):
+    for flow_id, cls, p in zip(table.flow_id, classes, probs):
         label = "Webshell" if cls == 1 else "Benign"
         detections += cls == 1
         print(json.dumps({
-            "flow_id": rec.flow_id, "label": label,
+            "flow_id": flow_id, "label": label,
             "p_webshell": round(float(p[1]), 6)}), file=out)
     return EXIT_DETECTED if detections else EXIT_OK
 
@@ -230,7 +230,7 @@ def cmd_predict_flow(args, out, err) -> int:
 def cmd_flows_extract(args, out, err) -> int:
     from wsdetect.flowmeter import (
         assemble_flows,
-        feature_records,
+        feature_table,
         read_pcap,
         write_csv,
         write_jsonl,
@@ -239,13 +239,13 @@ def cmd_flows_extract(args, out, err) -> int:
     capture = read_pcap(args.pcap)
     flows = assemble_flows(capture.packets,
                            flow_timeout_us=args.flow_timeout * 1_000_000)
-    records = feature_records(flows)
+    table = feature_table(flows)
     if args.out.endswith(".jsonl") or args.json:
-        write_jsonl(records, args.out)
+        write_jsonl(table, args.out)
     else:
-        write_csv(records, args.out)
+        write_csv(table, args.out)
     _emit({"packets": len(capture.packets), "skipped": capture.skipped,
-           "fragments": capture.fragments, "flows": len(records),
+           "fragments": capture.fragments, "flows": len(flows),
            "out": args.out}, args, out)
     return EXIT_OK
 

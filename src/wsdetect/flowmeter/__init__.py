@@ -2,7 +2,8 @@
 
 The feature set is CICFlowMeter-compatible: 83 named fields per flow of
 which 79 feed the traffic model (Dst Port and Protocol as categoricals,
-77 continuous including the epoch timestamp)."""
+77 continuous including the epoch timestamp), held column by column in
+one `FlowTable` from capture to CSV to model."""
 
 from wsdetect.flowmeter.pcapfile import Packets, PcapError, PcapResult, read_pcap
 from wsdetect.flowmeter.flows import Flow, assemble_flows
@@ -10,33 +11,29 @@ from wsdetect.flowmeter.features import (
     CATEGORICAL_NAMES,
     CONTINUOUS_NAMES,
     CSV_COLUMNS,
-    FeatureRecord,
+    FlowTable,
     compute_features,
-    continuous_vector,
     feature_matrix,
-    feature_records,
+    feature_table,
     label_to_class,
-    model_inputs,
 )
-from wsdetect.flowmeter.fio import CsvReadResult, read_csv, write_csv, write_jsonl
+from wsdetect.flowmeter.fio import CsvFormatError, read_csv, write_csv, write_jsonl
 
 __all__ = [
     "CATEGORICAL_NAMES",
     "CONTINUOUS_NAMES",
     "CSV_COLUMNS",
-    "CsvReadResult",
+    "CsvFormatError",
     "Flow",
-    "FeatureRecord",
+    "FlowTable",
     "Packets",
     "PcapError",
     "PcapResult",
     "assemble_flows",
     "compute_features",
-    "continuous_vector",
     "feature_matrix",
-    "feature_records",
+    "feature_table",
     "label_to_class",
-    "model_inputs",
     "read_csv",
     "read_pcap",
     "write_csv",

@@ -20,6 +20,11 @@ here and tested:
   * timestamps are epoch microseconds internally; CSV and model inputs
     carry epoch seconds
 
+A `FlowTable` holds flows column by column: the identification
+columns, the two categoricals, the continuous matrix and the labels.
+`feature_table` builds one from flows, `fio.read_csv` from a feature
+CSV, and the traffic model reads its two matrices as they are.
+
 `feature_matrix` computes the [flows, 77] continuous matrix: one row
 per flow, the columns of CONTINUOUS_NAMES in order, Timestamp in epoch
 seconds first. It reads the `Packets` columns (time, addresses, ports,
@@ -43,7 +48,7 @@ values equal, to the bit, to a per-flow loop:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,22 +97,16 @@ _SUBFLOW_GAP_US = 1_000_000   # a gap above this starts a new subflow
 
 
 @dataclass
-class FeatureRecord:
-    """One flow's 83 named fields. `features` holds the continuous
-    values after Timestamp, keyed by their exact column names."""
+class FlowTable:
+    """Every flow's 83 fields, column by column, one row per flow. Only
+    `categoricals` and `continuous` reach the traffic model."""
 
-    flow_id: str
-    src_ip: str
-    src_port: int
-    dst_port: int
-    protocol: int
-    timestamp_us: int
-    label: str = ""
-    features: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def timestamp_s(self) -> float:
-        return self.timestamp_us / 1e6
+    flow_id: list[str]
+    src_ip: list[str]
+    src_port: np.ndarray      # [n] int64
+    categoricals: np.ndarray  # [n, 2] int64: Dst Port, Protocol
+    continuous: np.ndarray    # [n, 77] float64, CONTINUOUS_NAMES order
+    labels: list[str]         # "" where a flow has none
 
 
 def _group_stats(groups: np.ndarray, values: np.ndarray, size: int):
@@ -280,37 +279,22 @@ def feature_matrix(flows: list[Flow]) -> np.ndarray:
     return np.ascontiguousarray(out.T)
 
 
-def feature_records(flows: list[Flow]) -> list[FeatureRecord]:
-    """All 83 fields of each flow, from one `feature_matrix`."""
-    return [FeatureRecord(
-        flow_id=flow.flow_id,
-        src_ip=flow.src_ip,
-        src_port=flow.src_port,
-        dst_port=flow.dst_port,
-        protocol=flow.protocol,
-        timestamp_us=flow.first_ts,
-        features=dict(zip(CONTINUOUS_NAMES[1:], row[1:])),
-    ) for flow, row in zip(flows, feature_matrix(flows).tolist())]
+def feature_table(flows: list[Flow]) -> FlowTable:
+    """All 83 fields of each flow, from one `feature_matrix`; no labels."""
+    return FlowTable(
+        flow_id=[flow.flow_id for flow in flows],
+        src_ip=[flow.src_ip for flow in flows],
+        src_port=np.array([flow.src_port for flow in flows], np.int64),
+        categoricals=np.array([(flow.dst_port, flow.protocol) for flow in flows],
+                              np.int64).reshape(-1, 2),
+        continuous=feature_matrix(flows),
+        labels=[""] * len(flows))
 
 
-def compute_features(flow: Flow) -> FeatureRecord:
-    """All 83 fields for one flow."""
-    return feature_records([flow])[0]
-
-
-def continuous_vector(record: FeatureRecord) -> list[float]:
-    """The 77 continuous values, in column order, timestamp first as
-    epoch seconds."""
-    return [record.timestamp_s] + [
-        record.features[name] for name in CONTINUOUS_NAMES[1:]]
-
-
-def model_inputs(record: FeatureRecord) -> tuple[tuple[int, int], list[float]]:
-    """(categoricals, continuous) for the traffic model.
-
-    Flow ID, Src IP, Src Port and Label never reach the model.
-    """
-    return (record.dst_port, record.protocol), continuous_vector(record)
+def compute_features(flow: Flow) -> FlowTable:
+    """One flow's table. Kept only for `bench/prepare.py`, which calls it
+    per flow, until the benchmark change (ROADMAP item 2) drops it."""
+    return feature_table([flow])
 
 
 def label_to_class(label: str) -> int:

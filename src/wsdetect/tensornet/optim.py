@@ -9,6 +9,7 @@ import numpy as np
 from wsdetect.tensornet.graph import FlatParams
 
 _FLOAT_MAX = np.finfo(np.float64).max
+_GRAD_CLIP = 1e150  # squares to 1e300, far below _FLOAT_MAX
 
 
 @dataclass
@@ -31,7 +32,7 @@ def adam_step(state: AdamState, flat: FlatParams) -> AdamState:
 
     The step counter increments before the update. Non-finite gradients
     fail fast, naming their parameter, before anything changes. Finite
-    gradients too large to square keep the second moment finite. Every
+    gradients too large to square are clipped for both moments. Every
     entry goes through the same elementwise operations in the same order
     as a per-array update, written into preallocated buffers.
     """
@@ -50,22 +51,30 @@ def adam_step(state: AdamState, flat: FlatParams) -> AdamState:
     bias1 = 1.0 - b1 ** state.t
     bias2 = 1.0 - b2 ** state.t
     m, v = state.m, state.v
-    m *= b1
-    m += np.multiply(1.0 - b1, g, out=step)
     overflow = []
     with np.errstate(over="call", call=lambda kind, flag: overflow.append(kind)):
-        v *= b2
         np.multiply(1.0 - b2, g, out=step)
-        v += np.multiply(step, g, out=step)
+        np.multiply(step, g, out=step)
+        if overflow:
+            # A gradient above about 4e155 overflows (1 - beta2) * g * g.
+            # Left at inf, v would hold its entry still for good; clamped
+            # alone, v would forget the gradient's size and the next steps
+            # would be far above lr. So this step's gradients are clipped
+            # to +-1e150 for both moments: m and v stay at one scale and
+            # the entry moves about lr per step. Gradients within the clip
+            # are unchanged, bit for bit.
+            g = np.clip(g, -_GRAD_CLIP, _GRAD_CLIP, out=denom)
+            np.multiply(1.0 - b2, g, out=step)
+            np.multiply(step, g, out=step)
+        m *= b1
+        m += np.multiply(1.0 - b1, g, out=denom)
+        v *= b2
+        v += step
         np.divide(v, bias2, out=denom)
     if overflow:
-        # A gradient above about 4e155 overflows g * g. Left at inf, v
-        # stays inf and its entry never moves again, so v, and v over its
-        # bias correction, are held at the largest finite float instead.
-        # Entries where neither overflowed are unchanged, bit for bit. The
-        # held entry's next steps are oversized (about 7.5e5 * lr after a
-        # 1e160 gradient, where exact Adam moves it by about lr): v no
-        # longer knows the gradient's true size.
+        # a run of gradients just below 4e155, unclipped, can still carry
+        # v, or v over its bias correction, past the largest float: both
+        # are held there, so the entry keeps moving
         with np.errstate(over="ignore"):
             np.minimum(v, _FLOAT_MAX, out=v)
             np.divide(v, bias2, out=denom)

@@ -22,13 +22,7 @@ from wsdetect.evalkit import (
     metrics,
     stratified_folds,
 )
-from wsdetect.flowmeter import (
-    CATEGORICAL_NAMES,
-    CONTINUOUS_NAMES,
-    FeatureRecord,
-    label_to_class,
-    model_inputs,
-)
+from wsdetect.flowmeter import CATEGORICAL_NAMES, CONTINUOUS_NAMES, FlowTable
 from wsdetect.tensornet.graph import register_model_kind
 
 
@@ -104,16 +98,11 @@ class TabularDataset:
                               self.labels[idx], schema=self.schema)
 
     @classmethod
-    def from_records(cls, records: list[FeatureRecord],
-                     labels: list[int] | None = None) -> "TabularDataset":
-        cats, conts = [], []
-        for rec in records:
-            c, v = model_inputs(rec)
-            cats.append(c)
-            conts.append(v)
-        if labels is None:
-            labels = [label_to_class(rec.label) for rec in records]
-        return cls(np.asarray(cats), np.asarray(conts), np.asarray(labels))
+    def from_records(cls, tables: list[FlowTable], labels) -> "TabularDataset":
+        """The tables' rows, one after another. Kept only for
+        `bench/prepare.py` until the benchmark change (ROADMAP item 2)."""
+        return cls(np.concatenate([t.categoricals for t in tables]),
+                   np.concatenate([t.continuous for t in tables]), labels)
 
 
 class TabularDnn(tn.ModelGraph):

@@ -15,15 +15,15 @@ import socket
 import pytest
 
 from tests import flowmeter_oracle as oracle
+from tests.fio_oracle import continuous_vector
 from wsdetect.flowmeter import (
     CONTINUOUS_NAMES,
     Packets,
     PcapError,
     assemble_flows,
     compute_features,
-    continuous_vector,
     feature_matrix,
-    feature_records,
+    feature_table,
     read_pcap,
 )
 from wsdetect.flowmeter.flows import DEFAULT_FLOW_TIMEOUT_US
@@ -48,12 +48,21 @@ def _oracle_row(packet: oracle.PacketMeta) -> tuple:
             packet.payload_length, packet.tcp_flags, packet.tcp_window)
 
 
-def _csv_fields(record) -> tuple:
-    """A feature record's 83 CSV fields, Label last."""
+def record_fields(record) -> tuple:
+    """An oracle feature record's 83 CSV fields, Label last."""
     return (record.flow_id, record.src_ip, record.src_port, record.dst_port,
             record.protocol, record.timestamp_s,
             *(record.features[name] for name in CONTINUOUS_NAMES[1:]),
             record.label)
+
+
+def table_fields(table) -> list[tuple]:
+    """A flow table's rows as 83-field tuples, in `record_fields` order."""
+    return [(flow_id, src_ip, src_port, *categoricals, *values, label)
+            for flow_id, src_ip, src_port, categoricals, values, label in zip(
+                table.flow_id, table.src_ip, table.src_port.tolist(),
+                table.categoricals.tolist(), table.continuous.tolist(),
+                table.labels)]
 
 
 def assert_matches_oracle(path, flow_timeout_us=DEFAULT_FLOW_TIMEOUT_US,
@@ -80,8 +89,8 @@ def assert_matches_oracle(path, flow_timeout_us=DEFAULT_FLOW_TIMEOUT_US,
     expected_records = [oracle.compute_features(f) for f in expected_flows]
     assert feature_matrix(flows).tolist() == \
         [continuous_vector(r) for r in expected_records]
-    assert [_csv_fields(r) for r in feature_records(flows)] == \
-        [_csv_fields(r) for r in expected_records]
+    assert table_fields(feature_table(flows)) == \
+        [record_fields(r) for r in expected_records]
     if every_flow:
-        assert [_csv_fields(compute_features(f)) for f in flows] == \
-            [_csv_fields(r) for r in expected_records]
+        assert [row for f in flows for row in table_fields(compute_features(f))] == \
+            [record_fields(r) for r in expected_records]

@@ -21,7 +21,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from wsdetect.flowmeter.features import CONTINUOUS_NAMES, FeatureRecord
+from tests.fio_oracle import FeatureRecord
+from wsdetect.flowmeter.features import CONTINUOUS_NAMES
 from wsdetect.flowmeter.pcapfile import PcapError
 
 MAGIC_US_BE = 0xA1B2C3D4

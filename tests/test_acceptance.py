@@ -371,18 +371,21 @@ def test_c09_rule_engine_fidelity(b374k_rule_text):
 
 
 def test_c10_flow_feature_oracle(three_packet_pcap):
-    from wsdetect.flowmeter import assemble_flows, compute_features, read_pcap
+    from wsdetect.flowmeter import CONTINUOUS_NAMES, assemble_flows, feature_table, read_pcap
+
+    def features(flow) -> dict[str, float]:
+        values = feature_table([flow]).continuous[0, 1:].tolist()
+        return dict(zip(CONTINUOUS_NAMES[1:], values))
 
     flows = assemble_flows(read_pcap(three_packet_pcap).packets)
-    record = compute_features(flows[0])
-    v = record.features
+    v = features(flows[0])
     assert v["Flow Duration"] == pytest.approx(1_000_000, rel=1e-4)
     assert v["Flow IAT Mean"] == pytest.approx(500_000, rel=1e-4)
     assert v["Fwd Pkt Len Std"] == pytest.approx(70.7107, rel=1e-4)
     assert v["Flow Byts/s"] == pytest.approx(360.0, rel=1e-4)
 
     single = assemble_flows(read_pcap(three_packet_pcap).packets[:1])[0]
-    degenerate = compute_features(single).features
+    degenerate = features(single)
     assert degenerate["Flow Duration"] == 0.0
     for name, value in degenerate.items():
         assert value == value and abs(value) != float("inf"), name
@@ -403,9 +406,9 @@ def test_c11_public_dataset_reproduction():
     from wsdetect.flowmeter import label_to_class, read_csv
     from wsdetect.trafficmodel import TabularConfig, TabularDataset, kfold_cv
 
-    loaded = read_csv(os.environ[IDS2018_ENV])
-    labels = [label_to_class(rec.label) for rec in loaded.records]
-    dataset = TabularDataset.from_records(loaded.records, labels)
+    table, _ = read_csv(os.environ[IDS2018_ENV], labelled=True)
+    labels = [label_to_class(label) for label in table.labels]
+    dataset = TabularDataset(table.categoricals, table.continuous, labels)
     report = kfold_cv(dataset, 5, TabularConfig(weighted=True), seed=0)
     assert report.averages["accuracy"] >= 99.5
     assert report.averages["fpr"] <= 0.1

@@ -1,6 +1,7 @@
 """PCAP decoding, flow assembly and the feature oracle."""
 
 import random
+import re
 import socket
 import tempfile
 from pathlib import Path
@@ -23,11 +24,10 @@ from wsdetect.flowmeter import (
     CSV_COLUMNS,
     Packets,
     PcapError,
+    CsvFormatError,
     assemble_flows,
-    compute_features,
-    continuous_vector,
+    feature_table,
     label_to_class,
-    model_inputs,
     read_csv,
     read_pcap,
     write_csv,
@@ -59,6 +59,12 @@ def _table(rows) -> Packets:
 
 def _flows(rows, **kwargs):
     return assemble_flows(_table(rows), **kwargs)
+
+
+def _features(flow) -> dict[str, float]:
+    """One flow's continuous values after Timestamp, by column name."""
+    values = feature_table([flow]).continuous[0, 1:].tolist()
+    return dict(zip(CONTINUOUS_NAMES[1:], values))
 
 
 class TestReadPcap:
@@ -222,7 +228,7 @@ class TestAssembleFlows:
         flows = _flows(packets)
         assert len(flows) == 1
         flow = flows[0]
-        v = compute_features(flow).features
+        v = _features(flow)
         assert (v["Tot Fwd Pkts"], v["Tot Bwd Pkts"]) == (2, 1)
         assert flow.src_ip == "10.0.0.1"  # first packet defines forward
 
@@ -251,7 +257,7 @@ class TestAssembleFlows:
     def test_single_packet_flow(self):
         flows = _flows([_pkt(42)])
         assert [flow.stop - flow.start for flow in flows] == [1]
-        assert compute_features(flows[0]).features["Flow Duration"] == 0
+        assert _features(flows[0])["Flow Duration"] == 0
 
     def test_deterministic_order(self):
         packets = [
@@ -271,7 +277,7 @@ class TestComputeFeatures:
                  dport=4444, payload=60),
             _pkt(1_000_000, payload=200),
         ])[0]
-        v = compute_features(flow).features
+        v = _features(flow)
         assert v["Tot Fwd Pkts"] == 2
         assert v["Tot Bwd Pkts"] == 1
         assert v["TotLen Fwd Pkts"] == 300
@@ -284,8 +290,7 @@ class TestComputeFeatures:
         assert v["Down/Up Ratio"] == 0.0
 
     def test_single_packet_degenerate(self):
-        record = compute_features(_flows([_pkt(1_000)])[0])
-        v = record.features
+        v = _features(_flows([_pkt(1_000)])[0])
         assert v["Flow Duration"] == 0
         for name in ("Flow IAT Mean", "Flow IAT Std", "Flow IAT Max",
                      "Flow IAT Min", "Flow Byts/s", "Flow Pkts/s",
@@ -299,7 +304,7 @@ class TestComputeFeatures:
             _pkt(0, flags=SYN),
             _pkt(1000, flags=ACK | FIN),
         ])[0]
-        v = compute_features(flow).features
+        v = _features(flow)
         assert v["SYN Flag Cnt"] == 1
         assert v["FIN Flag Cnt"] == 1
         assert v["ACK Flag Cnt"] == 1
@@ -310,14 +315,14 @@ class TestComputeFeatures:
             _pkt(10, src="10.0.0.2", sport=80, dst="10.0.0.1", dport=4444,
                  flags=URG),
         ])[0]
-        v = compute_features(flow).features
+        v = _features(flow)
         assert v["Fwd PSH Flags"] == 1
         assert v["Bwd PSH Flags"] == 0
         assert v["Bwd URG Flags"] == 1
 
     def test_header_lengths(self):
         flow = _flows([_pkt(0), _pkt(10)])[0]
-        v = compute_features(flow).features
+        v = _features(flow)
         assert v["Fwd Header Len"] == 80  # 2 * (20 ip + 20 tcp)
 
     def test_init_window_bytes(self):
@@ -326,13 +331,13 @@ class TestComputeFeatures:
             _pkt(10, src="10.0.0.2", sport=80, dst="10.0.0.1", dport=4444,
                  window=2222),
         ])[0]
-        v = compute_features(flow).features
+        v = _features(flow)
         assert v["Init Fwd Win Byts"] == 1111
         assert v["Init Bwd Win Byts"] == 2222
 
     def test_no_bwd_packets_zeroes(self):
         flow = _flows([_pkt(0), _pkt(10)])[0]
-        v = compute_features(flow).features
+        v = _features(flow)
         assert v["Init Bwd Win Byts"] == 0
         assert v["Bwd Pkt Len Mean"] == 0
         assert v["Down/Up Ratio"] == 0
@@ -341,7 +346,7 @@ class TestComputeFeatures:
         # five fwd payload packets 10ms apart: one bulk of 5 packets
         packets = [_pkt(i * 10_000, payload=50) for i in range(5)]
         flow = _flows(packets)[0]
-        v = compute_features(flow).features
+        v = _features(flow)
         assert v["Fwd Pkts/b Avg"] == 5
         assert v["Fwd Byts/b Avg"] == 250
         assert v["Fwd Blk Rate Avg"] == pytest.approx(250 / 0.04, rel=1e-9)
@@ -349,7 +354,7 @@ class TestComputeFeatures:
 
     def test_bulk_needs_four_packets(self):
         packets = [_pkt(i * 10_000, payload=50) for i in range(3)]
-        v = compute_features(_flows(packets)[0]).features
+        v = _features(_flows(packets)[0])
         assert v["Fwd Byts/b Avg"] == 0
 
     def test_bulk_broken_by_direction_change(self):
@@ -359,21 +364,21 @@ class TestComputeFeatures:
                  dport=4444, payload=10),
             _pkt(30_000, payload=50), _pkt(40_000, payload=50),
         ]
-        v = compute_features(_flows(packets)[0]).features
+        v = _features(_flows(packets)[0])
         assert v["Fwd Byts/b Avg"] == 0  # runs of 2 and 2, never 4
 
     def test_subflow_counts(self):
         # gap of 2 s > 1 s splits into 2 subflows
         packets = [_pkt(0, payload=40), _pkt(100_000, payload=40),
                    _pkt(2_200_000, payload=40), _pkt(2_300_000, payload=40)]
-        v = compute_features(_flows(packets)[0]).features
+        v = _features(_flows(packets)[0])
         assert v["Subflow Fwd Pkts"] == 2.0  # 4 packets / 2 subflows
         assert v["Subflow Fwd Byts"] == 80.0
 
     def test_active_idle_split(self):
         # 6 s gap with 5 s activity timeout: two active segments + one idle
         packets = [_pkt(0), _pkt(1_000_000), _pkt(7_000_000), _pkt(7_500_000)]
-        v = compute_features(_flows(packets)[0]).features
+        v = _features(_flows(packets)[0])
         assert v["Idle Mean"] == 6_000_000
         assert v["Active Mean"] == pytest.approx((1_000_000 + 500_000) / 2)
         assert v["Active Max"] == 1_000_000
@@ -383,7 +388,7 @@ class TestComputeFeatures:
         flow = _flows([
             _pkt(0, payload=0), _pkt(10, payload=33, l4_hdr=32),
         ])[0]
-        v = compute_features(flow).features
+        v = _features(flow)
         assert v["Fwd Act Data Pkts"] == 1
         assert v["Fwd Seg Size Min"] == 20
 
@@ -398,8 +403,8 @@ class TestComputeFeatures:
                  payload=20),
             _pkt(1000, payload=10),
         ]
-        a = compute_features(_flows(fwd_first)[0]).features
-        b = compute_features(_flows(bwd_first)[0]).features
+        a = _features(_flows(fwd_first)[0])
+        b = _features(_flows(bwd_first)[0])
         for name in ("Flow Duration", "Flow Byts/s", "Flow Pkts/s",
                      "Pkt Len Mean", "Pkt Len Std", "Pkt Len Min",
                      "Pkt Len Max"):
@@ -423,7 +428,7 @@ class TestComputeFeatures:
                     dport=80 if direction else 4444,
                     payload=rng.randint(0, 1400)))
             for flow in _flows(packets):
-                v = compute_features(flow).features
+                v = _features(flow)
                 for prefix in ("Fwd Pkt Len", "Bwd Pkt Len", "Flow IAT",
                                "Fwd IAT", "Bwd IAT", "Active", "Idle"):
                     lo = v.get(f"{prefix} Min", 0.0)
@@ -437,9 +442,7 @@ class TestComputeFeatures:
 
     def test_purity(self):
         flow = _flows([_pkt(0), _pkt(500)])[0]
-        first = compute_features(flow)
-        second = compute_features(flow)
-        assert first.features == second.features
+        assert _features(flow) == _features(flow)
 
     def test_concatenated_pcaps_equal_merged_assembly(self):
         part1 = [_pkt(0), _pkt(1000)]
@@ -455,25 +458,22 @@ class TestComputeFeatures:
 
 
 class TestModelInputs:
-    def _record(self):
-        return compute_features(_flows([_pkt(0), _pkt(1000)])[0])
-
     def test_shapes(self):
-        cats, cont = model_inputs(self._record())
-        assert cats == (80, 6)
-        assert len(cont) == 77
+        table = feature_table(_flows([_pkt(0), _pkt(1000)]))
+        assert table.categoricals.tolist() == [[80, 6]]
+        assert table.continuous.shape == (1, 77)
 
     def test_timestamp_in_seconds(self):
-        record = compute_features(_flows([_pkt(2_500_000)])[0])
-        vector = continuous_vector(record)
-        assert vector[0] == pytest.approx(2.5)
+        table = feature_table(_flows([_pkt(2_500_000)]))
+        assert table.continuous[0, 0] == pytest.approx(2.5)
 
     def test_src_ip_never_used(self):
-        a = compute_features(_flows([
-            _pkt(0), _pkt(1000)])[0])
-        b = compute_features(_flows([
-            _pkt(0, src="99.99.99.99"), _pkt(1000, src="99.99.99.99")])[0])
-        assert model_inputs(a) == model_inputs(b)
+        a = feature_table(_flows([
+            _pkt(0), _pkt(1000)]))
+        b = feature_table(_flows([
+            _pkt(0, src="99.99.99.99"), _pkt(1000, src="99.99.99.99")]))
+        assert a.categoricals.tolist() == b.categoricals.tolist()
+        assert a.continuous.tolist() == b.continuous.tolist()
 
     def test_label_mapping(self):
         assert label_to_class("Benign") == 0
@@ -485,35 +485,32 @@ class TestModelInputs:
 
 
 class TestCsvRoundTrip:
-    def _records(self, n=10):
+    def _flow_table(self, n=10):
         rng = random.Random(3)
-        records = []
-        for i in range(n):
-            packets = [
-                _pkt(i * 10_000_000 + j * 1000, payload=rng.randint(0, 500))
-                for j in range(rng.randint(1, 6))]
-            rec = compute_features(_flows(packets)[0])
-            rec.label = "Benign" if i % 2 else "Webshell"
-            records.append(rec)
-        return records
+        packets = [
+            _pkt(i * 10_000_000 + j * 1000, sport=1000 + i,
+                 payload=rng.randint(0, 500))
+            for i in range(n) for j in range(rng.randint(1, 6))]
+        table = feature_table(_flows(packets))
+        table.labels = ["Benign" if i % 2 else "Webshell" for i in range(n)]
+        return table
 
     def test_roundtrip_within_tolerance(self, tmp_path):
-        records = self._records()
+        table = self._flow_table()
         path = tmp_path / "features.csv"
-        write_csv(records, path)
-        loaded = read_csv(path)
-        assert loaded.cleaned_cells == 0
-        assert len(loaded.records) == len(records)
-        for original, parsed in zip(records, loaded.records):
-            assert parsed.label == original.label
-            assert parsed.dst_port == original.dst_port
-            for name in CONTINUOUS_NAMES[1:]:
-                assert parsed.features[name] == pytest.approx(
-                    original.features[name], rel=1e-6, abs=1e-6), name
+        write_csv(table, path)
+        loaded, cleaned_cells = read_csv(path)
+        assert cleaned_cells == 0
+        assert len(loaded.flow_id) == len(table.flow_id) == 10
+        assert loaded.labels == table.labels
+        assert loaded.categoricals.tolist() == table.categoricals.tolist()
+        for name, parsed, original in zip(
+                CONTINUOUS_NAMES[1:], loaded.continuous.T[1:], table.continuous.T[1:]):
+            assert parsed == pytest.approx(original, rel=1e-6, abs=1e-6), name
 
     def test_header_is_exactly_the_83_columns(self, tmp_path):
         path = tmp_path / "features.csv"
-        write_csv(self._records(2), path)
+        write_csv(self._flow_table(2), path)
         header = path.read_text().splitlines()[0].split(",")
         assert tuple(header) == CSV_COLUMNS
         assert len(header) == 83
@@ -528,11 +525,10 @@ class TestCsvRoundTrip:
         row += ["Bot"]
         path = tmp_path / "public.csv"
         path.write_text(",".join(header) + "\n" + ",".join(row) + "\n")
-        loaded = read_csv(path)
-        rec = loaded.records[0]
-        assert rec.dst_port == 8080
-        assert label_to_class(rec.label) == 1
-        assert rec.timestamp_us == 1519980458_000000  # 2018-03-02T08:47:38Z
+        loaded, _ = read_csv(path)
+        assert loaded.categoricals[0, 0] == 8080
+        assert label_to_class(loaded.labels[0]) == 1
+        assert loaded.continuous[0, 0] == 1519980458.0  # 2018-03-02T08:47:38Z
 
     def test_infinity_and_nan_cleaned(self, tmp_path):
         header = ["Dst Port", "Protocol", "Timestamp", *CONTINUOUS_NAMES[1:],
@@ -544,11 +540,10 @@ class TestCsvRoundTrip:
         row += filler + ["Benign"]
         path = tmp_path / "dirty.csv"
         path.write_text(",".join(header) + "\n" + ",".join(row) + "\n")
-        loaded = read_csv(path)
-        assert loaded.cleaned_cells == 2
-        rec = loaded.records[0]
-        assert rec.features[CONTINUOUS_NAMES[1]] == 0.0
-        assert rec.features[CONTINUOUS_NAMES[2]] == 0.0
+        loaded, cleaned_cells = read_csv(path)
+        assert cleaned_cells == 2
+        assert loaded.continuous[0, 1] == 0.0
+        assert loaded.continuous[0, 2] == 0.0
 
     def test_missing_column_named(self, tmp_path):
         path = tmp_path / "short.csv"
@@ -567,10 +562,104 @@ class TestCsvRoundTrip:
     def test_jsonl_mirrors_names(self, tmp_path):
         import json
 
-        records = self._records(2)
         path = tmp_path / "features.jsonl"
-        write_jsonl(records, path)
+        write_jsonl(self._flow_table(2), path)
         lines = path.read_text().splitlines()
         assert len(lines) == 2
         obj = json.loads(lines[0])
         assert set(obj) == set(CSV_COLUMNS)
+
+
+def _row(**cells) -> list[str]:
+    """A valid row of the 83-column layout, with `cells` by column name."""
+    row = dict(zip(CSV_COLUMNS, ["f", "1.2.3.4", "1", "80", "6", "1000.5",
+                                 *["1"] * 76, "Benign"]))
+    row.update(cells)
+    return list(row.values())
+
+
+def _write(path, *rows) -> Path:
+    """`rows` under the 83-column header, one line each."""
+    path.write_text("\n".join(",".join(row) for row in [CSV_COLUMNS, *rows]) + "\n")
+    return path
+
+
+def _raises(path, message: str):
+    """Expect a `CsvFormatError` that starts by naming `path`."""
+    return pytest.raises(CsvFormatError, match=re.escape(f"{path}: {message}"))
+
+
+class TestCsvErrors:
+    """Each odd row or file is a `CsvFormatError` naming its path and line."""
+
+    def test_short_row(self, tmp_path):
+        path = _write(tmp_path / "short.csv", _row(), _row()[:5])
+        with _raises(path, "line 3: 5 cells, the header has 83"):
+            read_csv(path)
+
+    def test_long_row(self, tmp_path):
+        path = _write(tmp_path / "long.csv", _row(), _row(), _row() + ["extra"])
+        with _raises(path, "line 4: 84 cells"):
+            read_csv(path)
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        _write(path, _row(), _row(**{"Flow ID": "café"}))
+        path.write_bytes(path.read_bytes().replace("é".encode(), "é".encode("latin-1")))
+        with _raises(path, "line 3: not UTF-8 text"):
+            read_csv(path)
+
+    def test_utf8_text_is_read(self, tmp_path):
+        path = _write(tmp_path / "utf8.csv", _row(**{"Flow ID": "café"}))
+        assert read_csv(path)[0].flow_id == ["café"]
+
+    @pytest.mark.parametrize("size, fails", [(131_072, False), (131_073, True)])
+    def test_field_size_limit(self, tmp_path, size, fails):
+        path = _write(tmp_path / "wide.csv", _row(), _row(**{"Flow ID": "x" * size}))
+        if fails:
+            with _raises(path, "line 3: field larger"):
+                read_csv(path)
+        else:
+            assert len(read_csv(path)[0].flow_id[1]) == size
+
+    def test_bad_value_names_line_and_column(self, tmp_path):
+        path = _write(tmp_path / "bad.csv", _row(), _row(**{"Flow IAT Max": "12abc"}))
+        with _raises(path, "line 3: bad value '12abc' in column 'Flow IAT Max'"):
+            read_csv(path)
+
+    @pytest.mark.parametrize("column, cell", [
+        ("Dst Port", "1e23"), ("Dst Port", "-5"), ("Dst Port", "65536"),
+        ("Dst Port", "inf"), ("Src Port", "70000"), ("Src Port", "-1"),
+        ("Protocol", "256"), ("Protocol", "-1")])
+    def test_integer_out_of_range(self, tmp_path, column, cell):
+        path = _write(tmp_path / "range.csv", _row(), _row(**{column: cell}))
+        with _raises(path, f"line 3: {column} {cell!r} is outside"):
+            read_csv(path)
+
+    def test_integers_at_their_limits(self, tmp_path):
+        path = _write(tmp_path / "edge.csv",
+                      _row(**{"Src Port": "0", "Dst Port": "65535", "Protocol": "255"}),
+                      _row(**{"Src Port": "65535", "Dst Port": "0", "Protocol": "0"}))
+        table, _ = read_csv(path)
+        assert table.src_port.tolist() == [0, 65535]
+        assert table.categoricals.tolist() == [[65535, 255], [0, 0]]
+
+    def test_empty_label_when_labelled(self, tmp_path):
+        path = _write(tmp_path / "unlabelled.csv", _row(), _row(Label=" "))
+        assert read_csv(path)[0].labels == ["Benign", ""]
+        with _raises(path, "line 3: empty Label"):
+            read_csv(path, labelled=True)
+
+    def test_label_column_required_when_labelled(self, tmp_path):
+        path = tmp_path / "nolabel.csv"
+        path.write_text(",".join(CSV_COLUMNS[:-1]) + "\n"
+                        + ",".join(_row()[:-1]) + "\n")
+        assert len(read_csv(path)[0].labels) == 1
+        with pytest.raises(CsvFormatError, match="missing required column.*Label"):
+            read_csv(path, labelled=True)
+
+    @pytest.mark.parametrize("cell", ["Infinity", "-inf", "NaN", "", "1e400", "yesterday"])
+    def test_unreadable_timestamp_cleaned(self, tmp_path, cell):
+        path = _write(tmp_path / "ts.csv", _row(Timestamp=cell))
+        table, cleaned_cells = read_csv(path)
+        assert (table.continuous[0, 0], cleaned_cells) == (0.0, 1)

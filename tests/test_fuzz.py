@@ -101,7 +101,7 @@ class TestPcapFuzz:
 
     def test_mutated_valid_capture_through_full_pipeline(self, tmp_path):
         from tests.conftest import ethernet_ipv4_tcp, pcap_bytes
-        from wsdetect.flowmeter import assemble_flows, compute_features
+        from wsdetect.flowmeter import assemble_flows, feature_table
 
         base = pcap_bytes(
             [(0, ethernet_ipv4_tcp("1.2.3.4", 10, "5.6.7.8", 20, 30)),
@@ -119,6 +119,5 @@ class TestPcapFuzz:
                 continue
             # whatever decoded must survive feature math with finite values
             for flow in assemble_flows(result.packets):
-                values = compute_features(flow).features
-                assert all(v == v and abs(v) != float("inf")
-                           for v in values.values())
+                values = feature_table([flow]).continuous[0, 1:].tolist()
+                assert all(v == v and abs(v) != float("inf") for v in values)

@@ -391,6 +391,25 @@ class TestAdam:
         assert flat.params[0] != after_spike
         assert flat.params[1] == alone.params[0]
 
+    def test_one_huge_gradient_then_small_ones_move_about_lr(self):
+        # exact Adam is scale-free: each of the six steps moves about lr
+        flat = _flat(np.full(1, 0.5), 1e160)
+        state = tn.AdamState(lr=1e-3)
+        tn.adam_step(state, flat)
+        for _ in range(5):
+            flat.grads[:] = 1.0
+            tn.adam_step(state, flat)
+        assert abs(flat.params[0] - 0.5) < 10 * state.lr
+
+    def test_run_of_gradients_below_the_overflow_stays_finite(self):
+        # 4e155 squares without overflow, but v sums past the largest float
+        flat = _flat(np.full(1, 0.5), 4e155)
+        state = tn.AdamState()
+        with np.errstate(over="raise"):
+            for _ in range(5):
+                tn.adam_step(state, flat)
+        assert np.isfinite(state.v).all() and np.isfinite(flat.params).all()
+
 
 class TestKeepWhere:
     @given(st.integers(1, 40).flatmap(lambda n: st.tuples(
