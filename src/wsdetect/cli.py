@@ -25,7 +25,7 @@ def _print_table(rows: list[tuple[str, object]], out) -> None:
 
 
 def _emit(payload: dict, args, out) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(payload), file=out)
     else:
         _print_table(list(payload.items()), out)
@@ -110,62 +110,53 @@ def _labelled_dataset(csv_path: str):
     return cleaned_cells, TabularDataset(table.categoricals, table.continuous, labels)
 
 
-def _training_speed(history) -> dict:
-    """Total training wall time and the last epoch's samples/s."""
+def _given(args, *names) -> dict:
+    """The named flags that were given; the library defaults the rest."""
+    return {name: getattr(args, name) for name in names
+            if getattr(args, name) is not None}
+
+
+def _save_fit(model, history, args, out, **fields) -> int:
+    """Save the trained model to `--out` and report the fit."""
+    from wsdetect.tensornet import save_model
+
+    save_model(model, args.out)
     final = history.epochs[-1] if history.epochs else None
-    return {"train_seconds": round(history.seconds, 6),
-            "samples_per_s": round(final.samples_per_s, 1) if final else None}
+    _emit({"model": args.out, **fields,
+           "final_loss": round(final.loss, 6) if final else None,
+           "final_accuracy": round(final.accuracy, 4) if final else None,
+           "train_seconds": round(history.seconds, 6),
+           "samples_per_s": round(final.samples_per_s, 1) if final else None},
+          args, out)
+    return EXIT_OK
 
 
 def cmd_train_src(args, out, err) -> int:
     from wsdetect.opcode import read_corpus_csv
     from wsdetect.srcmodel import CnnConfig, train_cnn
-    from wsdetect.tensornet import save_model
 
     corpus = read_corpus_csv(args.corpus)
     if not corpus.vectors:
         print("error: empty corpus", file=err)
         return EXIT_ERROR
     vocab = _load_vocab(args.language, args.vocab)
-    max_length = len(corpus.vectors[0])
     preset = CnnConfig.aspnet if args.language == "cil" else CnnConfig.php
-    overrides = {}
-    if args.epochs is not None:
-        overrides["epochs"] = args.epochs
-    if args.batch_size is not None:
-        overrides["batch_size"] = args.batch_size
-    config = preset(vocab_size=len(vocab), max_length=max_length,
-                    seed=args.seed, **overrides)
+    config = preset(vocab_size=len(vocab), max_length=len(corpus.vectors[0]),
+                    seed=args.seed, **_given(args, "epochs", "batch_size"))
     model, history = train_cnn(corpus.vectors, corpus.labels, config,
                                language=args.language, vocab=vocab)
-    save_model(model, args.out)
-    final = history.epochs[-1] if history.epochs else None
-    _emit({"model": args.out, "epochs": len(history),
-           "final_loss": round(final.loss, 6) if final else None,
-           "final_accuracy": round(final.accuracy, 4) if final else None,
-           **_training_speed(history)},
-          args, out)
-    return EXIT_OK
+    return _save_fit(model, history, args, out, epochs=len(history))
 
 
 def cmd_train_flow(args, out, err) -> int:
-    from wsdetect.tensornet import save_model
     from wsdetect.trafficmodel import TabularConfig, train_dnn
 
     cleaned_cells, dataset = _labelled_dataset(args.csv)
     config = TabularConfig(weighted=args.weighted, seed=args.seed,
-                           epochs=args.epochs if args.epochs is not None else 2,
-                           batch_size=args.batch_size if args.batch_size is not None else 64)
+                           **_given(args, "epochs", "batch_size"))
     model, history = train_dnn(dataset, config)
-    save_model(model, args.out)
-    final = history.epochs[-1] if history.epochs else None
-    _emit({"model": args.out, "records": len(dataset),
-           "cleaned_cells": cleaned_cells,
-           "final_loss": round(final.loss, 6) if final else None,
-           "final_accuracy": round(final.accuracy, 4) if final else None,
-           **_training_speed(history)},
-          args, out)
-    return EXIT_OK
+    return _save_fit(model, history, args, out, records=len(dataset),
+                     cleaned_cells=cleaned_cells)
 
 
 # --- prediction ---------------------------------------------------------
@@ -240,10 +231,8 @@ def cmd_flows_extract(args, out, err) -> int:
     flows = assemble_flows(capture.packets,
                            flow_timeout_us=args.flow_timeout * 1_000_000)
     table = feature_table(flows)
-    if args.out.endswith(".jsonl") or args.json:
-        write_jsonl(table, args.out)
-    else:
-        write_csv(table, args.out)
+    write = write_jsonl if args.out.endswith(".jsonl") else write_csv
+    write(table, args.out)
     _emit({"packets": len(capture.packets), "skipped": capture.skipped,
            "fragments": capture.fragments, "flows": len(flows),
            "out": args.out}, args, out)
@@ -318,8 +307,6 @@ def cmd_tune_grid(args, out, err) -> int:
 def cmd_dataset_dedup(args, out, err) -> int:
     from wsdetect.evalkit import dedup
 
-    from wsdetect.evalkit import content_hash
-
     paths = [str(p) for p in Path(args.root).rglob("*") if p.is_file()]
     report = dedup(paths)
     if args.manifest:
@@ -329,9 +316,9 @@ def cmd_dataset_dedup(args, out, err) -> int:
             writer = _csv.writer(fh)
             writer.writerow(["path", "status", "duplicate_of", "hash"])
             for kept in report.kept:
-                writer.writerow([kept, "kept", "", content_hash(kept)])
+                writer.writerow([kept, "kept", "", report.digests[kept]])
             for dup, kept_as in report.removed:
-                writer.writerow([dup, "duplicate", kept_as, content_hash(dup)])
+                writer.writerow([dup, "duplicate", kept_as, report.digests[dup]])
     _emit({"kept": len(report.kept), "removed": len(report.removed),
            "unreadable": len(report.unreadable)}, args, out)
     return EXIT_OK
@@ -382,12 +369,9 @@ def cmd_inspect_once(args, out, err) -> int:
     from wsdetect.inspector.daemon import load_predictor
     from wsdetect.inspector.pipeline import emit_eve
 
-    overrides = {"model_path": args.model}
-    if args.rules_dir:
-        overrides["rules_dir"] = args.rules_dir
-    if args.mode:
-        overrides["mode"] = args.mode
-    config = load_config(args.config, overrides)
+    config = load_config(args.config, {"model_path": args.model,
+                                       "rules_dir": args.rules_dir,
+                                       "mode": args.mode})
     model = load_predictor(config.model_path)
     started = _time.perf_counter()
     table = RuleTable.load(args.rules_dir, config.sid_start) if args.rules_dir else None
@@ -410,16 +394,10 @@ def cmd_inspect_once(args, out, err) -> int:
 def cmd_inspect_serve(args, out, err) -> int:
     from wsdetect.inspector import load_config, serve
 
-    overrides = {}
-    if args.model:
-        overrides["model_path"] = args.model
-    if args.socket:
-        overrides["socket_path"] = args.socket
-    if args.rules_dir:
-        overrides["rules_dir"] = args.rules_dir
-    if args.eve:
-        overrides["eve_path"] = args.eve
-    config = load_config(args.config, overrides)
+    config = load_config(args.config, {"model_path": args.model,
+                                       "socket_path": args.socket,
+                                       "rules_dir": args.rules_dir,
+                                       "eve_path": args.eve})
     try:
         serve(config)
     except KeyboardInterrupt:
@@ -437,137 +415,131 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", default=None, help="JSON config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--json", action="store_true",
-                       help="machine-readable JSON output")
-        p.add_argument("--seed", type=int, default=0)
+    def group(name, help):
+        return sub.add_parser(name, help=help).add_subparsers(
+            dest="subcommand", required=True)
+
+    def command(parent, name, help, func, report=False, seeded=False):
+        """A subcommand running `func`. Only a command that prints a report
+        takes --json, and only one with a seeded path takes --seed."""
+        p = parent.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        if report:
+            p.add_argument("--json", action="store_true",
+                           help="machine-readable JSON output")
+        if seeded:
+            p.add_argument("--seed", type=int, default=0)
         return p
 
-    rules = sub.add_parser("rules", help="signature rule operations")
-    rules_sub = rules.add_subparsers(dest="subcommand", required=True)
-    p = common(rules_sub.add_parser("check", help="parse/validate rule files"))
+    rules = group("rules", "signature rule operations")
+    p = command(rules, "check", "parse/validate rule files", cmd_rules_check)
     p.add_argument("files", nargs="+")
-    p.set_defaults(func=cmd_rules_check)
-    p = common(rules_sub.add_parser("scan", help="scan a directory tree"))
+    p = command(rules, "scan", "scan a directory tree", cmd_rules_scan, report=True)
     p.add_argument("--rules", required=True)
     p.add_argument("--root", required=True)
     p.add_argument("--ext", action="append", default=None,
                    help="only scan these extensions (repeatable)")
-    p.set_defaults(func=cmd_rules_scan)
 
-    oci = sub.add_parser("oci", help="opcode vectorization")
-    oci_sub = oci.add_subparsers(dest="subcommand", required=True)
-    p = common(oci_sub.add_parser("extract", help="vectorize disassembly files"))
+    oci = group("oci", "opcode vectorization")
+    p = command(oci, "extract", "vectorize disassembly files", cmd_oci_extract)
     p.add_argument("--language", choices=("php", "cil"), required=True)
     p.add_argument("--vocab", default=None, help="vocabulary file (default: built-in)")
     p.add_argument("--max-length", type=int, default=2000)
     p.add_argument("--label", type=int, default=0, choices=(0, 1))
     p.add_argument("--out", required=True)
     p.add_argument("files", nargs="+")
-    p.set_defaults(func=cmd_oci_extract)
 
-    train = sub.add_parser("train", help="train a detector")
-    train_sub = train.add_subparsers(dest="subcommand", required=True)
-    p = common(train_sub.add_parser("src", help="opcode CNN from a corpus CSV"))
+    train = group("train", "train a detector")
+    p = command(train, "src", "opcode CNN from a corpus CSV", cmd_train_src,
+                report=True, seeded=True)
     p.add_argument("--corpus", required=True, help="output of `oci extract`")
     p.add_argument("--language", choices=("php", "cil"), required=True)
     p.add_argument("--vocab", default=None)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train_src)
-    p = common(train_sub.add_parser("flow", help="traffic DNN from a feature CSV"))
+    p = command(train, "flow", "traffic DNN from a feature CSV", cmd_train_flow,
+                report=True, seeded=True)
     p.add_argument("--csv", required=True)
     p.add_argument("--weighted", action="store_true",
                    help="class-weighted loss for imbalanced data")
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train_flow)
 
-    predict = sub.add_parser("predict", help="classify with a trained model")
-    predict_sub = predict.add_subparsers(dest="subcommand", required=True)
-    p = common(predict_sub.add_parser("src", help="hybrid/CNN verdicts for files"))
+    predict = group("predict", "classify with a trained model")
+    p = command(predict, "src", "hybrid/CNN verdicts for files", cmd_predict_src)
     p.add_argument("--model", required=True)
     p.add_argument("--rules", default=None,
                    help="rule file/dir for the hybrid short-circuit")
     p.add_argument("--language", choices=("php", "cil"), default=None)
     p.add_argument("--vocab", default=None)
     p.add_argument("files", nargs="+")
-    p.set_defaults(func=cmd_predict_src)
-    p = common(predict_sub.add_parser("flow", help="verdicts for a feature CSV"))
+    p = command(predict, "flow", "verdicts for a feature CSV", cmd_predict_flow)
     p.add_argument("--model", required=True)
     p.add_argument("--csv", required=True)
-    p.set_defaults(func=cmd_predict_flow)
 
-    flows = sub.add_parser("flows", help="flow feature extraction")
-    flows_sub = flows.add_subparsers(dest="subcommand", required=True)
-    p = common(flows_sub.add_parser("extract", help="pcap -> feature CSV"))
+    flows = group("flows", "flow feature extraction")
+    p = command(flows, "extract", "pcap -> feature CSV (JSON lines for .jsonl)",
+                cmd_flows_extract, report=True)
     p.add_argument("--pcap", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--flow-timeout", type=int, default=120,
                    help="flow idle timeout, seconds")
-    p.set_defaults(func=cmd_flows_extract)
 
-    ev = sub.add_parser("eval", help="metrics and cross-validation")
-    ev_sub = ev.add_subparsers(dest="subcommand", required=True)
-    p = common(ev_sub.add_parser("metrics", help="panel from a confusion matrix"))
+    ev = group("eval", "metrics and cross-validation")
+    p = command(ev, "metrics", "panel from a confusion matrix", cmd_eval_metrics,
+                report=True)
     p.add_argument("--tp", type=int, required=True)
     p.add_argument("--fp", type=int, required=True)
     p.add_argument("--fn", type=int, required=True)
     p.add_argument("--tn", type=int, required=True)
-    p.set_defaults(func=cmd_eval_metrics)
-    p = common(ev_sub.add_parser("kfold", help="k-fold CV of the traffic DNN"))
+    p = command(ev, "kfold", "k-fold CV of the traffic DNN", cmd_eval_kfold,
+                report=True, seeded=True)
     p.add_argument("--csv", required=True)
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--weighted", action="store_true")
-    p.set_defaults(func=cmd_eval_kfold)
 
-    tune = sub.add_parser("tune", help="hyperparameter search")
-    tune_sub = tune.add_subparsers(dest="subcommand", required=True)
-    p = common(tune_sub.add_parser("grid", help="grid search over a space file"))
+    tune = group("tune", "hyperparameter search")
+    p = command(tune, "grid", "grid search over a space file", cmd_tune_grid,
+                report=True, seeded=True)
     p.add_argument("--csv", required=True)
     p.add_argument("--space", required=True,
                    help='JSON like {"learning_rate": {"range": [0.001, 0.1], '
                         '"steps": 3}, "batch_size": {"choice": [32, 64]}}')
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--weighted", action="store_true")
-    p.set_defaults(func=cmd_tune_grid)
 
-    ds = sub.add_parser("dataset", help="corpus hygiene")
-    ds_sub = ds.add_subparsers(dest="subcommand", required=True)
-    p = common(ds_sub.add_parser("dedup", help="drop byte-identical files"))
+    ds = group("dataset", "corpus hygiene")
+    p = command(ds, "dedup", "drop byte-identical files", cmd_dataset_dedup,
+                report=True)
     p.add_argument("--root", required=True)
     p.add_argument("--manifest", default=None, help="write a CSV manifest")
-    p.set_defaults(func=cmd_dataset_dedup)
-    p = common(ds_sub.add_parser("split", help="train/test split manifest"))
+    p = command(ds, "split", "train/test split manifest", cmd_dataset_split,
+                report=True, seeded=True)
     p.add_argument("--root", required=True)
     p.add_argument("--ratio", type=float, default=0.8)
     p.add_argument("--by-source", action="store_true",
                    help="assign whole first-level directories to one side")
     p.add_argument("--manifest", required=True)
-    p.set_defaults(func=cmd_dataset_split)
-    p = common(ds_sub.add_parser("clean", help="triage candidates against rules"))
+    p = command(ds, "clean", "triage candidates against rules", cmd_dataset_clean)
     p.add_argument("--rules", required=True)
     p.add_argument("files", nargs="+")
-    p.set_defaults(func=cmd_dataset_clean)
 
-    inspect = sub.add_parser("inspect", help="traffic inspection")
-    inspect_sub = inspect.add_subparsers(dest="subcommand", required=True)
-    p = common(inspect_sub.add_parser("once", help="inspect one pcap file"))
+    inspect = group("inspect", "traffic inspection")
+    p = command(inspect, "once", "inspect one pcap file", cmd_inspect_once,
+                report=True)
     p.add_argument("--pcap", required=True)
     p.add_argument("--model", required=True,
                    help="WSNET1 checkpoint, or stub / stub:benign")
     p.add_argument("--rules-dir", default=None)
     p.add_argument("--eve", default=None, help="append alerts to this EVE file")
     p.add_argument("--mode", choices=("ips", "ids"), default=None)
-    p.set_defaults(func=cmd_inspect_once)
-    p = common(inspect_sub.add_parser("serve", help="run the socket daemon"))
+    p = command(inspect, "serve", "run the socket daemon", cmd_inspect_serve)
     p.add_argument("--model", default=None)
     p.add_argument("--socket", default=None)
     p.add_argument("--rules-dir", default=None)
     p.add_argument("--eve", default=None)
-    p.set_defaults(func=cmd_inspect_serve)
 
     return parser
 

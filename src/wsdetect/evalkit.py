@@ -189,11 +189,13 @@ class DedupReport:
     kept: list[str] = field(default_factory=list)
     removed: list[tuple[str, str]] = field(default_factory=list)  # (dup, kept-as)
     unreadable: list[str] = field(default_factory=list)
+    digests: dict[str, str] = field(default_factory=dict)  # path -> sha256 hex
 
 
 def dedup(paths: list[str | Path]) -> DedupReport:
     """Drop byte-identical files; the first occurrence in sorted path
-    order is kept. Unreadable files are recorded, not fatal."""
+    order is kept. Unreadable files are recorded, not fatal. `digests`
+    holds the sha256 of every file read."""
     report = DedupReport()
     seen: dict[str, str] = {}
     for path in sorted(str(p) for p in paths):
@@ -202,6 +204,7 @@ def dedup(paths: list[str | Path]) -> DedupReport:
         except OSError:
             report.unreadable.append(path)
             continue
+        report.digests[path] = digest
         if digest in seen:
             report.removed.append((path, seen[digest]))
         else:

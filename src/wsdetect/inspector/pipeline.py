@@ -309,7 +309,8 @@ def inspect_flows(verdicts: Verdicts, config: InspectorConfig,
     """Alerts and rules for the flows classified 1.
 
     `table` gives each source its sid, so repeated inspections keep
-    stable signature ids, the ones the rule file keeps.
+    stable signature ids, the ones the rule file keeps. Each rule
+    carries the sid, rev and msg that writing it to `table` renders.
     """
     result = InspectionResult(
         flows=len(verdicts.cls), packets=verdicts.packets,
@@ -327,8 +328,12 @@ def inspect_flows(verdicts: Verdicts, config: InspectorConfig,
         key = (src_ip, action)
         rule = emitted.get(key)
         if rule is None:
+            # the line the table's next write renders for this source
+            table.sid(key)
+            held = table.rules[key]
             rule = emitted[key] = GeneratedRule(
-                action=action, src_ip=src_ip, sid=table.sid(key))
+                action=action, src_ip=src_ip, sid=held.sid, rev=held.rev + 1,
+                msg=held.msg)
         result.alerts.append(Alert(
             timestamp_us=first_ts, src_ip=src_ip, src_port=src_port,
             dest_ip=dst_ip, dest_port=dst_port,

@@ -247,6 +247,9 @@ def train_dnn(train: TabularDataset, config: TabularConfig,
               ) -> tuple[TabularDnn, tn.FitHistory]:
     """Build and fit; with `config.weighted` the loss uses the balancing
     class weights computed from this training split."""
+    if len(train) == 0:
+        # before build_dnn, whose statistics of no rows are NaN
+        raise TrafficModelError("cannot fit on an empty dataset")
     weights = None
     if config.weighted:
         n_benign = int((train.labels == 0).sum())

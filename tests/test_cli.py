@@ -447,3 +447,212 @@ class TestTune:
         payload = json.loads(out)
         assert len(payload["leaderboard"]) == 2
         assert payload["best"]["learning_rate"] in (0.003, 0.01)
+
+
+# Every option each subcommand accepts; an option added to the parser
+# has to be added here too.
+SURFACE = {
+    "rules check": ["files"],
+    "rules scan": ["--ext", "--json", "--root", "--rules"],
+    "oci extract": ["--label", "--language", "--max-length", "--out", "--vocab",
+                    "files"],
+    "train src": ["--batch-size", "--corpus", "--epochs", "--json", "--language",
+                  "--out", "--seed", "--vocab"],
+    "train flow": ["--batch-size", "--csv", "--epochs", "--json", "--out",
+                   "--seed", "--weighted"],
+    "predict src": ["--language", "--model", "--rules", "--vocab", "files"],
+    "predict flow": ["--csv", "--model"],
+    "flows extract": ["--flow-timeout", "--json", "--out", "--pcap"],
+    "eval metrics": ["--fn", "--fp", "--json", "--tn", "--tp"],
+    "eval kfold": ["--csv", "--json", "--k", "--seed", "--weighted"],
+    "tune grid": ["--csv", "--json", "--k", "--seed", "--space", "--weighted"],
+    "dataset dedup": ["--json", "--manifest", "--root"],
+    "dataset split": ["--by-source", "--json", "--manifest", "--ratio", "--root",
+                      "--seed"],
+    "dataset clean": ["--rules", "files"],
+    "inspect once": ["--eve", "--json", "--mode", "--model", "--pcap",
+                     "--rules-dir"],
+    "inspect serve": ["--eve", "--model", "--rules-dir", "--socket"],
+}
+
+# The smallest argv each subcommand parses.
+MINIMAL_ARGV = {
+    "rules check": ["r.yar"],
+    "rules scan": ["--rules", "r.yar", "--root", "d"],
+    "oci extract": ["--language", "php", "--out", "c.csv", "a.txt"],
+    "train src": ["--corpus", "c.csv", "--language", "php", "--out", "m.bin"],
+    "train flow": ["--csv", "f.csv", "--out", "m.bin"],
+    "predict src": ["--model", "m.bin", "a.txt"],
+    "predict flow": ["--model", "m.bin", "--csv", "f.csv"],
+    "flows extract": ["--pcap", "t.pcap", "--out", "f.csv"],
+    "eval metrics": ["--tp", "1", "--fp", "1", "--fn", "1", "--tn", "1"],
+    "eval kfold": ["--csv", "f.csv"],
+    "tune grid": ["--csv", "f.csv", "--space", "s.json"],
+    "dataset dedup": ["--root", "d"],
+    "dataset split": ["--root", "d", "--manifest", "m.csv"],
+    "dataset clean": ["--rules", "r.yar", "a.txt"],
+    "inspect once": ["--pcap", "t.pcap", "--model", "stub"],
+    "inspect serve": [],
+}
+
+
+def _subcommands(parser):
+    import argparse
+
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
+class TestSurface:
+    def test_inventory(self):
+        from wsdetect.cli import build_parser
+
+        parser = build_parser()
+        found = {}
+        for group, group_parser in _subcommands(parser).items():
+            for name, sub in _subcommands(group_parser).items():
+                found[f"{group} {name}"] = sorted(
+                    option for action in sub._actions if action.dest != "help"
+                    for option in (action.option_strings or [action.dest]))
+        assert found == SURFACE
+        assert sum(map(len, found.values())) == 74
+        assert [a.option_strings for a in parser._actions
+                if a.option_strings and a.dest != "help"] == [["--config"]]
+
+    @pytest.mark.parametrize("command", sorted(SURFACE))
+    def test_help_exits_zero(self, command, capsys):
+        assert run([*command.split(), "--help"]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: wsdetect " + command)
+
+    @pytest.mark.parametrize("command,flag", [
+        (command, flag) for command in sorted(SURFACE)
+        for flag in ("--json", "--seed") if flag not in SURFACE[command]])
+    def test_removed_flags_are_usage_errors(self, command, flag):
+        from wsdetect.cli import build_parser
+
+        argv = [*command.split(), *MINIMAL_ARGV[command]]
+        build_parser().parse_args(argv)
+        given = [flag, "9"] if flag == "--seed" else [flag]
+        assert _run(argv + given)[0] == EXIT_USAGE
+
+    def test_benchmark_argv_shapes_parse(self):
+        from wsdetect.cli import build_parser, cmd_inspect_serve, cmd_predict_src
+
+        parser = build_parser()
+        args = parser.parse_args(["predict", "src", "--model", "m.bin",
+                                  "--rules", "r.yar", "a.txt", "b.txt"])
+        assert (args.func, args.model, args.rules, args.files) == (
+            cmd_predict_src, "m.bin", "r.yar", ["a.txt", "b.txt"])
+        args = parser.parse_args(["inspect", "serve", "--model", "m.bin",
+                                  "--socket", "s.sock", "--rules-dir", "rules",
+                                  "--eve", "eve.json"])
+        assert (args.func, args.model, args.socket, args.rules_dir, args.eve) == (
+            cmd_inspect_serve, "m.bin", "s.sock", "rules", "eve.json")
+
+
+class TestFlowsExtractFormat:
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_csv_unless_jsonl_whatever_json_says(self, two_flow_pcap, tmp_path,
+                                                 json_flag):
+        from wsdetect.flowmeter import CSV_COLUMNS
+
+        out_csv = tmp_path / "f.csv"
+        code, out, err = _run(["flows", "extract", "--pcap", str(two_flow_pcap),
+                               "--out", str(out_csv), *json_flag])
+        assert code == EXIT_OK, err
+        lines = out_csv.read_text().splitlines()
+        assert lines[0].split(",") == list(CSV_COLUMNS)
+        assert len(CSV_COLUMNS) == 83
+        assert len(lines) == 3
+        if json_flag:
+            assert json.loads(out)["flows"] == 2
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_jsonl_suffix_writes_json_lines(self, two_flow_pcap, tmp_path,
+                                            json_flag):
+        out_jsonl = tmp_path / "f.jsonl"
+        code, _, err = _run(["flows", "extract", "--pcap", str(two_flow_pcap),
+                             "--out", str(out_jsonl), *json_flag])
+        assert code == EXIT_OK, err
+        rows = [json.loads(line) for line in out_jsonl.read_text().splitlines()]
+        assert len(rows) == 2
+        assert {row["Src IP"] for row in rows} == {"192.168.1.10", "192.168.1.20"}
+
+
+class TestLibraryDefaults:
+    def test_train_flow_passes_only_given_flags(self, tmp_path, monkeypatch):
+        import wsdetect.trafficmodel as trafficmodel
+
+        seen = []
+
+        def fake_train(dataset, config):
+            seen.append(config)
+            raise RuntimeError("stop")
+
+        monkeypatch.setattr(trafficmodel, "train_dnn", fake_train)
+        monkeypatch.setattr("wsdetect.cli._labelled_dataset",
+                            lambda path: (0, None))
+        argv = ["train", "flow", "--csv", "f.csv", "--out", str(tmp_path / "m")]
+        assert _run(argv)[0] == EXIT_ERROR
+        assert _run(argv + ["--epochs", "3", "--seed", "4"])[0] == EXIT_ERROR
+        assert seen == [trafficmodel.TabularConfig(),
+                        trafficmodel.TabularConfig(epochs=3, seed=4)]
+
+    def test_inspect_serve_hands_flags_to_load_config(self, tmp_path, monkeypatch):
+        import wsdetect.inspector as inspector
+
+        seen = []
+        monkeypatch.setattr(inspector, "serve", seen.append)
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"eve_path": "file-eve.json",
+                                      "socket_path": "file.sock"}))
+        code, _, err = _run(["--config", str(config), "inspect", "serve",
+                             "--eve", "", "--model", "m.bin"])
+        assert code == EXIT_OK, err
+        # an unset flag keeps the file's value; an empty one reaches the config
+        assert (seen[0].eve_path, seen[0].socket_path, seen[0].model_path) == (
+            "", "file.sock", "m.bin")
+
+
+class TestEmptyTraining:
+    def test_header_only_csv_is_one_error_and_no_warning(self, tmp_path):
+        import warnings
+
+        from wsdetect.flowmeter import CSV_COLUMNS
+
+        csv_path = tmp_path / "empty.csv"
+        csv_path.write_text(",".join(CSV_COLUMNS) + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = _run(["train", "flow", "--csv", str(csv_path),
+                                   "--out", str(tmp_path / "m.bin")])
+        assert code == EXIT_ERROR
+        assert err == "error: cannot fit on an empty dataset\n"
+        assert [str(w.message) for w in caught] == []
+        assert not (tmp_path / "m.bin").exists()
+
+
+class TestDedupManifest:
+    def test_manifest_hashes_are_each_files_sha256(self, tmp_path):
+        import csv
+        import hashlib
+
+        root = tmp_path / "corpus"
+        (root / "sub").mkdir(parents=True)
+        for name, data in (("a", b"one"), ("b", b"one"), ("sub/c", b"two"),
+                           ("d", b"")):
+            (root / name).write_bytes(data)
+        manifest = tmp_path / "dedup.csv"
+        code, _, err = _run(["dataset", "dedup", "--root", str(root),
+                             "--manifest", str(manifest)])
+        assert code == EXIT_OK, err
+        with open(manifest, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 4
+        for row in rows:
+            expected = hashlib.sha256(open(row["path"], "rb").read()).hexdigest()
+            assert row["hash"] == expected, row["path"]
+        assert sorted(row["status"] for row in rows) == [
+            "duplicate", "kept", "kept", "kept"]

@@ -163,6 +163,22 @@ class TestInspectPcap:
         assert written[("1.1.1.1", "drop")] == 3000001
         assert written[("192.168.1.20", "alert")] == 3000009
 
+    def test_reply_rules_equal_the_rule_file_lines(self, two_flow_pcap, tmp_path):
+        # one source of the capture is already in the file, with its own
+        # msg and rev; the reply must render what each write left there
+        path = tmp_path / "webshell-generated.rules"
+        path.write_text(GeneratedRule("drop", "192.168.1.10", 3000004, rev=5,
+                                      msg="Seen before").render() + "\n")
+        daemon = InspectorDaemon(InspectorConfig(rules_dir=str(tmp_path),
+                                                 model_path="stub"))
+        for request in range(3):
+            response = daemon.inspect(str(two_flow_pcap))
+            lines = path.read_text().splitlines()
+            assert response["rules"] == lines
+            assert [parse_rule_line(line).rev for line in lines] == [
+                6 + request, 1 + request]
+        assert parse_rule_line(lines[0]).msg == "Seen before"
+
     def test_ids_mode_generates_alert_rules(self, two_flow_pcap):
         result = inspect_pcap(two_flow_pcap, StubPredictor(1),
                               InspectorConfig(mode="ids"))

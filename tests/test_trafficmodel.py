@@ -149,6 +149,15 @@ class TestTraining:
         with pytest.raises(TrafficModelError):
             train_dnn(single, TabularConfig(weighted=True))
 
+    def test_empty_dataset_rejected_before_build(self):
+        import warnings
+
+        empty = _gaussian_dataset(60).subset(np.array([], dtype=np.intp))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrafficModelError, match="empty dataset"):
+                train_dnn(empty, TabularConfig())
+
     def test_weighted_equals_unweighted_on_balanced_data(self):
         data = _gaussian_dataset(200, seed=3)  # exactly balanced
         assert (data.labels == 1).sum() == 100
