@@ -369,21 +369,25 @@ def cmd_inspect_once(args, out, err) -> int:
     from wsdetect.inspector.daemon import load_predictor
     from wsdetect.inspector.pipeline import emit_eve
 
+    # without a rules directory from a flag or the config, generated
+    # rules go to stdout: the daemon's default directory is never written
     config = load_config(args.config, {"model_path": args.model,
                                        "rules_dir": args.rules_dir,
-                                       "mode": args.mode})
+                                       "eve_path": args.eve,
+                                       "mode": args.mode},
+                         defaults={"rules_dir": ""})
     model = load_predictor(config.model_path)
     started = _time.perf_counter()
-    table = RuleTable.load(args.rules_dir, config.sid_start) if args.rules_dir else None
+    table = RuleTable.load(config.rules_dir, config.sid_start) if config.rules_dir else None
     result = inspect_pcap(args.pcap, model, config, table=table)
     elapsed_ms = (_time.perf_counter() - started) * 1000.0
-    if args.eve:
-        emit_eve(result.alerts, args.eve)
+    if config.eve_path:
+        emit_eve(result.alerts, config.eve_path)
     else:
         for alert in result.alerts:
             print(json.dumps(alert.to_eve()), file=out)
-    if result.rules and args.rules_dir:
-        write_rules(result.rules, args.rules_dir, table)
+    if result.rules and config.rules_dir:
+        write_rules(result.rules, config.rules_dir, table)
     elif result.rules:
         for rule in result.rules:
             print(rule.render(), file=out)

@@ -36,10 +36,12 @@ class InspectorConfig:
 
 
 def load_config(path: str | Path | None = None, overrides: dict | None = None,
-                ) -> InspectorConfig:
+                defaults: dict | None = None) -> InspectorConfig:
     """Config from a JSON file plus overrides. With no explicit path the
-    WS_INSPECTOR_CONFIG environment variable is consulted."""
-    data: dict = {}
+    WS_INSPECTOR_CONFIG environment variable is consulted. `defaults`
+    replaces the `InspectorConfig` default of each key it names, for a
+    caller whose default differs from the daemon's."""
+    data: dict = dict(defaults or {})
     if path is None:
         path = os.environ.get(ENV_CONFIG_PATH) or None
     if path is not None:

@@ -72,8 +72,8 @@ class CnnConfig:
 
 class OpcodeCnn(tn.ModelGraph):
     """Embedding -> three ConvMaxPool layers (conv -> max over time ->
-    ReLU), one per kernel width, concatenated -> dropout -> dense ->
-    2 logits."""
+    ReLU), one per kernel width, run as one `conv_max_pool` forward and
+    concatenated -> dropout -> dense -> 2 logits."""
 
     kind = "opcode_cnn"
 
@@ -106,8 +106,7 @@ class OpcodeCnn(tn.ModelGraph):
                 f"expected vectors of length {self.config.max_length}, "
                 f"got {x.shape[1]}")
         embedded = self.embedding.forward(x, mode, rng)
-        merged = np.concatenate(
-            [conv.forward(embedded, mode, rng) for conv in self.convs], axis=1)
+        merged = tn.conv_max_pool(self.convs, embedded)
         dropped = self.dropout.forward(merged, mode, rng)
         return self.dense.forward(dropped, mode, rng)
 
@@ -176,14 +175,18 @@ def train_cnn(vectors, labels, config: CnnConfig, language: str = "custom",
 
 def cnn_predict(model: OpcodeCnn, oci) -> tuple[float, float]:
     """(p_benign, p_webshell) for one vector, in eval mode."""
-    matrix = _as_matrix([oci], model.config.max_length)
-    probs = tn.softmax(model.forward(matrix, mode="eval"))
-    return float(probs[0, 0]), float(probs[0, 1])
+    p_benign, p_webshell = cnn_predict_batch(model, [oci])[0].tolist()
+    return p_benign, p_webshell
 
 
 def cnn_predict_batch(model: OpcodeCnn, vectors) -> np.ndarray:
+    """[n, 2] probabilities in eval mode. Each row runs through its own
+    forward: numpy takes another BLAS path for a one-row head product
+    than for a batch, so a row's verdict would otherwise depend on the
+    vectors scored with it."""
     matrix = _as_matrix(vectors, model.config.max_length)
-    return tn.softmax(model.forward(matrix, mode="eval"))
+    return np.array([tn.softmax(model.forward(row, mode="eval"))[0]
+                     for row in matrix]).reshape(len(matrix), 2)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Minimal dense neural-network core (float64, CPU) for the two detectors.
 
 Implements exactly the layer set the detection models need: embeddings,
-one fused 1-D convolution -> global max pooling -> ReLU layer, ReLU,
+one fused 1-D convolution -> global max pooling -> ReLU layer whose
+kernel widths share one window matrix per sample, ReLU,
 dense layers, batch norm, dropout. Backward passes are written out by
 hand and validated against central finite differences (see
 `grad_check`).
@@ -14,6 +15,7 @@ from wsdetect.tensornet.layers import (
     Dropout,
     Embedding,
     ReLU,
+    conv_max_pool,
 )
 from wsdetect.tensornet.losses import (
     DECISION_THRESHOLD,
@@ -49,6 +51,7 @@ __all__ = [
     "SoftmaxCrossEntropy",
     "adam_step",
     "class_weights",
+    "conv_max_pool",
     "cross_entropy",
     "fit",
     "grad_check",

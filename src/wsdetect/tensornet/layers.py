@@ -110,19 +110,9 @@ class ConvMaxPool(Layer):
     tie rule), and the backward pass routes its gradient through that
     one window only, gated on a positive peak.
 
-    The forward works one sample at a time with time as the last axis:
-    an [F, T] product of about 2 MB stays in cache, and the argmax over
-    time then reads contiguous memory instead of striding through a
-    [batch, T, F] array.
-
-    Only live windows are multiplied out. A window that starts after a
-    sample's last nonzero row sees zero rows only, so all such windows
-    share one value per filter, `idle`: b, or NaN where a weight is not
-    finite. The product runs over the windows that start earlier; then
-    the first idle window takes a filter's max where np.argmax over the
-    pair (best live value, idle) picks it, so a tie stays on the live
-    window. Padding is found in the embedded rows, not in token ids, so
-    this holds for any input.
+    The forward is `conv_max_pool` with this one layer; a model with
+    several widths over one input calls `conv_max_pool` with all of
+    them, so they share one window matrix per sample.
     """
 
     def __init__(self, in_channels, out_channels, kernel, rng):
@@ -137,44 +127,7 @@ class ConvMaxPool(Layer):
         self.out_channels = out_channels
 
     def forward(self, x, mode="eval", rng=None):
-        x = np.asarray(x, dtype=np.float64)
-        batch, length, channels = x.shape
-        k = self.kernel
-        if channels != self.in_channels:
-            raise ShapeError(f"expected {self.in_channels} channels, got {channels}")
-        if length < k:
-            raise ShapeError(f"input length {length} shorter than kernel {k}")
-        t_out = length - k + 1
-        # w_flat[f, j*C + c] = w[f, c, j]
-        w_flat = self.params["w"].transpose(0, 2, 1).reshape(self.out_channels,
-                                                             k * channels)
-        b = self.params["b"]
-        idle = w_flat @ np.zeros(k * channels) + b
-        # live windows per sample: those starting at or before its last
-        # nonzero row, which is length - 1 less its trailing zero rows
-        nonzero = x.any(axis=2)
-        live = np.minimum(length - nonzero[:, ::-1].argmax(axis=1), t_out) \
-            * nonzero.any(axis=1)
-        # a sample with no live window peaks at its first idle window
-        argmax = np.zeros((batch, self.out_channels), dtype=np.intp)
-        peak = np.tile(idle, (batch, 1))
-        filters = np.arange(self.out_channels)
-        for n, t in enumerate(live.tolist()):
-            if not t:
-                continue
-            xt = x[n, :t + k - 1].T
-            # cols[j*C + c, s] = x[n, s + j, c]
-            cols = np.concatenate([xt[:, j:j + t] for j in range(k)])
-            h = w_flat @ cols
-            h += b[:, None]
-            argmax[n] = h.argmax(axis=1)
-            peak[n] = h[filters, argmax[n]]
-            if t < t_out:
-                wins = np.argmax((peak[n], idle), axis=0).astype(bool)
-                argmax[n, wins] = t
-                peak[n, wins] = idle[wins]
-        self._x, self._argmax, self._gate = x, argmax, peak > 0
-        return _keep_where(self._gate, peak)
+        return conv_max_pool([self], x)
 
     def backward(self, dout):
         x, argmax = self._x, self._argmax
@@ -197,6 +150,85 @@ class ConvMaxPool(Layer):
                                 minlength=length * channels).reshape(length, channels)
         self.grads["b"] += d.sum(axis=0)
         return dx
+
+
+def conv_max_pool(convs, x):
+    """The forward of the `ConvMaxPool` layers `convs` over one input
+    x[batch, L, C]: their outputs side by side, [batch, sum of F].
+
+    It works one sample at a time with time as the last axis: an [F, T]
+    product of about 2 MB stays in cache, and the argmax over time then
+    reads contiguous memory instead of striding through a [batch, T, F]
+    array.
+
+    Per sample, one window matrix at the widest kernel K serves every
+    layer: row 0 is ones and row 1 + j*C + c holds x[n, s + j, c] in
+    column s. A layer of kernel k multiplies [b | w_flat], F x (1 + k*C),
+    with the first 1 + k*C rows, so its bias is added inside the product
+    and the argmax runs on the sums as they come out of it. The matrix
+    is one buffer, reused for every sample and as wide as the narrowest
+    kernel's windows whatever the batch, so a sample's products, and
+    hence its peaks, are the same alone and in any batch.
+
+    Only live windows are multiplied out. A window that starts after a
+    sample's last nonzero row sees zero rows only, so all such windows
+    share one value per filter, `idle`: b, or NaN where a weight is not
+    finite. Each layer's product runs over the windows that start
+    earlier; then the first idle window takes a filter's max where
+    np.argmax over the pair (best live value, idle) picks it, so a tie
+    stays on the live window. Padding is found in the embedded rows,
+    not in token ids, so this holds for any input.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    batch, length, channels = x.shape
+    for conv in convs:
+        if channels != conv.in_channels:
+            raise ShapeError(f"expected {conv.in_channels} channels, got {channels}")
+        if length < conv.kernel:
+            raise ShapeError(f"input length {length} shorter than kernel {conv.kernel}")
+    widest = max(conv.kernel for conv in convs)
+    width = length - min(conv.kernel for conv in convs) + 1
+    windows = np.empty((1 + widest * channels, width))
+    windows[0] = 1.0
+    taps = windows[1:].reshape(widest, channels, width)
+    pools = []
+    for conv in convs:
+        depth = 1 + conv.kernel * channels
+        # wb[f, 0] = b[f], wb[f, 1 + j*C + c] = w[f, c, j]
+        wb = np.column_stack([conv.params["b"], conv.params["w"].transpose(0, 2, 1)
+                              .reshape(conv.out_channels, depth - 1)])
+        idle = wb @ np.eye(1, depth)[0]  # a window over zero rows
+        # a sample with no live window peaks at its first idle window
+        pools.append((wb, depth, length - conv.kernel + 1, idle,
+                       np.zeros((batch, conv.out_channels), dtype=np.intp),
+                       np.tile(idle, (batch, 1))))
+    # live length per sample: through its last nonzero row, 0 if none
+    nonzero = x.any(axis=2)
+    spans = (length - nonzero[:, ::-1].argmax(axis=1)) * nonzero.any(axis=1)
+    for n, span in enumerate(spans.tolist()):
+        if not span:
+            continue
+        # the rows the widest kernel's live windows read, time last
+        xt = np.ascontiguousarray(x[n, :min(span + widest - 1, length)].T)
+        for j in range(widest):
+            # columns past length - j are never read: a kernel that
+            # reads row j has fewer windows than that
+            cols = min(span, width, length - j)
+            taps[j, :, :cols] = xt[:, j:j + cols]
+        for wb, depth, t_out, idle, argmax, peak in pools:
+            t = min(span, t_out)
+            h = wb @ windows[:depth, :t]
+            argmax[n] = h.argmax(axis=1)
+            peak[n] = h[np.arange(len(h)), argmax[n]]
+            if t < t_out:
+                wins = np.argmax((peak[n], idle), axis=0).astype(bool)
+                argmax[n, wins] = t
+                peak[n, wins] = idle[wins]
+    outputs = []
+    for conv, (*_, argmax, peak) in zip(convs, pools):
+        conv._x, conv._argmax, conv._gate = x, argmax, peak > 0
+        outputs.append(_keep_where(conv._gate, peak))
+    return np.concatenate(outputs, axis=1)
 
 
 class ReLU(Layer):

@@ -1,6 +1,5 @@
 """The tensornet training step as it was before the flat parameter
-buffer, and the `ConvMaxPool` forward as it was before it skipped idle
-windows, kept as test oracles.
+buffer, and two earlier `ConvMaxPool` forwards, kept as test oracles.
 
 Adam runs per named array with dict moments; every gradient array is
 re-allocated on each step; ReLU and `ConvMaxPool` select with
@@ -9,8 +8,11 @@ re-allocated on each step; ReLU and `ConvMaxPool` select with
 a test can require both to agree bit for bit.
 
 `conv_max_pool_forward` multiplies out every window of every sample,
-padding included; `tests/test_tensornet_oracle.py` compares the live-
-window forward with it.
+padding included. `conv_max_pool_live_forward` is the per-layer forward
+as it was before the kernel widths shared one window matrix: each layer
+scans the padding, copies its own windows, multiplies out the live ones
+and then adds its bias in a separate pass. `tests/test_tensornet_oracle.py`
+compares `tensornet.conv_max_pool` with both.
 """
 
 from __future__ import annotations
@@ -116,6 +118,42 @@ def conv_max_pool_forward(self, x, mode="eval", rng=None):
         h += b
         argmax[n] = h.argmax(axis=1)
         peak[n] = h[filters, argmax[n]]
+    self._x, self._argmax, self._gate = x, argmax, peak > 0
+    return np.where(self._gate, peak, 0.0)
+
+
+def conv_max_pool_live_forward(self, x, mode="eval", rng=None):
+    x = np.asarray(x, dtype=np.float64)
+    batch, length, channels = x.shape
+    k = self.kernel
+    if channels != self.in_channels:
+        raise layers.ShapeError(f"expected {self.in_channels} channels, got {channels}")
+    if length < k:
+        raise layers.ShapeError(f"input length {length} shorter than kernel {k}")
+    t_out = length - k + 1
+    w_flat = self.params["w"].transpose(0, 2, 1).reshape(self.out_channels,
+                                                         k * channels)
+    b = self.params["b"]
+    idle = w_flat @ np.zeros(k * channels) + b
+    nonzero = x.any(axis=2)
+    live = np.minimum(length - nonzero[:, ::-1].argmax(axis=1), t_out) \
+        * nonzero.any(axis=1)
+    argmax = np.zeros((batch, self.out_channels), dtype=np.intp)
+    peak = np.tile(idle, (batch, 1))
+    filters = np.arange(self.out_channels)
+    for n, t in enumerate(live.tolist()):
+        if not t:
+            continue
+        xt = x[n, :t + k - 1].T
+        cols = np.concatenate([xt[:, j:j + t] for j in range(k)])
+        h = w_flat @ cols
+        h += b[:, None]
+        argmax[n] = h.argmax(axis=1)
+        peak[n] = h[filters, argmax[n]]
+        if t < t_out:
+            wins = np.argmax((peak[n], idle), axis=0).astype(bool)
+            argmax[n, wins] = t
+            peak[n, wins] = idle[wins]
     self._x, self._argmax, self._gate = x, argmax, peak > 0
     return np.where(self._gate, peak, 0.0)
 

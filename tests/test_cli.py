@@ -372,6 +372,60 @@ class TestInspectOnce:
         assert code == EXIT_OK
         assert out == ""
 
+    def _config(self, tmp_path, monkeypatch, **keys):
+        monkeypatch.delenv("WS_INSPECTOR_CONFIG", raising=False)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(keys))
+        return str(path)
+
+    def test_config_names_the_rules_dir_and_eve_file(self, two_flow_pcap, tmp_path,
+                                                     monkeypatch):
+        rules_dir, eve = tmp_path / "rd", tmp_path / "e.json"
+        rules_dir.mkdir()
+        config = self._config(tmp_path, monkeypatch, rules_dir=str(rules_dir),
+                              eve_path=str(eve))
+        code, out, err = _run(["--config", config, "inspect", "once",
+                               "--pcap", str(two_flow_pcap), "--model", "stub"])
+        assert code == EXIT_DETECTED, err
+        assert out == ""
+        assert len(eve.read_text().splitlines()) == 2
+        assert len((rules_dir / "webshell-generated.rules").read_text().splitlines()) == 2
+
+    def test_flags_override_the_config_keys(self, two_flow_pcap, tmp_path, monkeypatch):
+        for name in ("rd", "flag-rd"):
+            (tmp_path / name).mkdir()
+        config = self._config(tmp_path, monkeypatch, rules_dir=str(tmp_path / "rd"),
+                              eve_path=str(tmp_path / "e.json"))
+        code, out, err = _run(["--config", config, "inspect", "once",
+                               "--pcap", str(two_flow_pcap), "--model", "stub",
+                               "--rules-dir", str(tmp_path / "flag-rd"),
+                               "--eve", str(tmp_path / "flag-e.json")])
+        assert code == EXIT_DETECTED, err
+        assert not (tmp_path / "e.json").exists()
+        assert not any((tmp_path / "rd").iterdir())
+        assert len((tmp_path / "flag-e.json").read_text().splitlines()) == 2
+        assert (tmp_path / "flag-rd" / "webshell-generated.rules").exists()
+
+    def test_without_flag_or_key_rules_and_alerts_go_to_stdout(self, two_flow_pcap,
+                                                               tmp_path, monkeypatch):
+        config = self._config(tmp_path, monkeypatch, mode="ids")
+        code, out, err = _run(["--config", config, "inspect", "once",
+                               "--pcap", str(two_flow_pcap), "--model", "stub"])
+        assert code == EXIT_DETECTED, err
+        lines = out.splitlines()
+        assert [json.loads(line)["alert"]["category"] for line in lines[:2]] == \
+            ["Webshell"] * 2
+        assert len(lines) == 4 and lines[2].startswith("alert ip 192.168.1.10")
+
+    def test_a_configured_rules_dir_that_does_not_exist_is_an_error(
+            self, two_flow_pcap, tmp_path, monkeypatch):
+        config = self._config(tmp_path, monkeypatch, rules_dir=str(tmp_path / "missing"))
+        code, out, err = _run(["--config", config, "inspect", "once",
+                               "--pcap", str(two_flow_pcap), "--model", "stub"])
+        assert code == EXIT_ERROR
+        assert "does not exist" in err
+        assert not (tmp_path / "missing").exists()
+
 
 class TestDataset:
     def test_dedup_command(self, tmp_path):

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from wsdetect import tensornet as tn
 from wsdetect.opcode import OciVector, OpcodeVocabulary, oiva, OpcodeListing
 from wsdetect.rulelang import parse_rules
 from wsdetect.srcmodel import (
@@ -153,6 +154,7 @@ class TestPredict:
                    for _ in range(20)]
         probs = cnn_predict_batch(model, vectors)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+        assert cnn_predict_batch(model, []).shape == (0, 2)
 
     def test_eval_mode_deterministic_despite_dropout(self):
         model = build_cnn(_tiny_config(dropout_rate=0.9))
@@ -172,19 +174,40 @@ class TestPredict:
         x[np.arange(length) >= unpadded[:, None]] = 0
 
         def peaks(rows):
-            embedded = model.embedding.forward(rows)
-            return np.concatenate(
-                [conv.forward(embedded) for conv in model.convs], axis=1)
+            return tn.conv_max_pool(model.convs, model.embedding.forward(rows))
 
         alone = [slice(i, i + 1) for i in range(len(x))]
-        assert np.array_equal(
-            peaks(x), np.concatenate([peaks(x[rows]) for rows in alone]))
-        # the dense head is one BLAS product, whose rounding may depend
-        # on the batch shape
+        assert peaks(x).tobytes() == np.concatenate(
+            [peaks(x[rows]) for rows in alone]).tobytes()
+        # the dense head of a training batch is one BLAS product, whose
+        # rounding may depend on the batch shape
         logits = model.forward(x)
         assert np.allclose(
             logits, np.concatenate([model.forward(x[rows]) for rows in alone]),
             rtol=0.0, atol=1e-12)
+        # the predict functions score each row on its own
+        vectors = [OciVector(tuple(row)) for row in x]
+        probs = cnn_predict_batch(model, vectors)
+        assert [tuple(p) for p in probs.tolist()] == [
+            cnn_predict(model, v) for v in vectors]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_batched_verdicts_equal_one_row_verdicts(self, seed):
+        # a random-normal dense head makes numpy's one-row and batched
+        # products round differently; a verdict must not depend on the
+        # other files scanned with it
+        model = build_cnn(CnnConfig.php(vocab_size=len(VOCAB), max_length=60,
+                                        seed=seed))
+        rng = np.random.default_rng(seed)
+        model.dense.params["w"][:] = rng.normal(size=model.dense.params["w"].shape)
+        model.dense.params["b"][:] = rng.normal(size=2)
+        rows = rng.integers(0, len(VOCAB) + 1, size=(16, 60))
+        vectors = [OciVector(tuple(row)) for row in rows]
+        probs = cnn_predict_batch(model, vectors)
+        for i in (0, 5, 15):
+            assert tuple(probs[i].tolist()) == cnn_predict(model, vectors[i])
+            again = cnn_predict_batch(model, [vectors[i]] + vectors[:i][::-1])
+            assert again[0].tobytes() == probs[i].tobytes()
 
 
 def _forced_model(p_webshell: float):

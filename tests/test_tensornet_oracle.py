@@ -1,8 +1,11 @@
 """Training on the flat parameter buffer against `tests/tensornet_oracle.py`:
 bit-identical fits and checkpoints, and buffers shared, never copied.
-`ConvMaxPool`'s live-window forward against the full-window one: equal
-where every sum is exact, within 1e-12 elsewhere (the BLAS product may
-round a column differently at another width), with the same argmax."""
+`tensornet.conv_max_pool`, all kernel widths over one window matrix with
+the bias inside the product, against two per-layer oracles, the
+full-window forward and the live-window one with its separate bias
+pass: equal where every sum is exact, within 1e-12 elsewhere (the bias
+inside the product rounds in another order), with the same argmax,
+gates and gradients."""
 
 import numpy as np
 import pytest
@@ -138,52 +141,134 @@ def test_zero_grads_zeroes_in_place():
     assert not model.flat().grads.any()
 
 
-# --- ConvMaxPool: live windows only, against the full-window forward ---------
+# --- ConvMaxPool: the shared forward against both oracles -------------------
 
-def _pool_pair(channels, filters, k, seed=0):
-    """The same ConvMaxPool twice: one runs the current forward, the
-    other `oracle.conv_max_pool_forward`."""
-    layer = tn.ConvMaxPool(channels, filters, k, np.random.default_rng(seed))
-    reference = tn.ConvMaxPool(channels, filters, k, np.random.default_rng(seed))
-    reference.forward = oracle.conv_max_pool_forward.__get__(reference)
-    return layer, reference
+ORACLES = {"full": oracle.conv_max_pool_forward,
+           "live": oracle.conv_max_pool_live_forward}
+QUARTERS = [0.0, -0.0, 0.25, -0.5, 1.0, -1.5, 2.0]
 
 
-def _assert_pools_agree(layer, reference, x, exact):
-    out, ref = layer.forward(x), reference.forward(x)
-    if exact:
-        assert np.array_equal(out, ref, equal_nan=True)
-    else:
-        assert np.max(np.abs(out - ref), initial=0.0) <= 1e-12
-    assert np.array_equal(layer._argmax, reference._argmax)
-    assert np.array_equal(layer._gate, reference._gate)
+def _pools(channels, filters, kernels, seed=0):
+    """One ConvMaxPool per kernel width, as `OpcodeCnn` builds them."""
+    rng = np.random.default_rng(seed)
+    return [tn.ConvMaxPool(channels, filters, k, rng) for k in kernels]
+
+
+def _oracle_copies(pools, forward):
+    copies = []
+    for pool in pools:
+        copy = tn.ConvMaxPool(pool.in_channels, pool.out_channels, pool.kernel,
+                              np.random.default_rng(0))
+        copy.params["w"][:] = pool.params["w"]
+        copy.params["b"][:] = pool.params["b"]
+        copy.forward = forward.__get__(copy)
+        copies.append(copy)
+    return copies
+
+
+def _assert_pools_agree(pools, x, exact):
+    """`tn.conv_max_pool` over `pools` against each layer's forward on
+    both oracles. The argmax, gates and every gradient must be equal;
+    the outputs bit for bit when `exact`, else within 1e-12 (the bias
+    inside the product rounds the sum in another order)."""
+    out = tn.conv_max_pool(pools, x)
     dout = np.random.default_rng(1).normal(size=out.shape)
-    assert np.array_equal(layer.backward(dout), reference.backward(dout), equal_nan=True)
-    assert np.array_equal(layer.grads["w"], reference.grads["w"], equal_nan=True)
+    douts = np.split(dout, np.cumsum([p.out_channels for p in pools])[:-1], axis=1)
+    grads = [(p.backward(d), p.grads["w"].copy(), p.grads["b"].copy())
+             for p, d in zip(pools, douts)]
+    for name, forward in ORACLES.items():
+        copies = _oracle_copies(pools, forward)
+        ref = np.concatenate([c.forward(x) for c in copies], axis=1)
+        if exact:
+            assert out.tobytes() == ref.tobytes(), name
+        else:
+            assert np.allclose(out, ref, rtol=0.0, atol=1e-12), name
+        for pool, copy, d, (dx, gw, gb) in zip(pools, copies, douts, grads):
+            assert np.array_equal(pool._argmax, copy._argmax), name
+            assert np.array_equal(pool._gate, copy._gate), name
+            assert np.array_equal(copy.backward(d), dx, equal_nan=True), name
+            assert np.array_equal(copy.grads["w"], gw, equal_nan=True), name
+            assert np.array_equal(copy.grads["b"], gb, equal_nan=True), name
+
+
+def _set_params(pools, data, values, specials=()):
+    """Draw every weight and bias from `values`, then up to three
+    weights from `specials`."""
+    for pool in pools:
+        pool.params["w"][:] = data.draw(arrays(np.float64, pool.params["w"].shape,
+                                               elements=st.sampled_from(values)))
+        pool.params["b"][:] = data.draw(arrays(np.float64, pool.out_channels,
+                                               elements=st.sampled_from(values)))
+    if specials:
+        for _ in range(data.draw(st.integers(0, 3))):
+            w = pools[data.draw(st.integers(0, len(pools) - 1))].params["w"]
+            w[tuple(data.draw(st.integers(0, n - 1)) for n in w.shape)] = \
+                data.draw(st.sampled_from(specials))
+
+
+def _pad(x, data):
+    """Zero each sample's trailing rows, of any count from none to all."""
+    length = x.shape[1]
+    for n in range(len(x)):
+        x[n, length - data.draw(st.integers(0, length)):] = 0.0
+    return x
 
 
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_live_windows_match_the_full_forward_exactly(data):
-    """Quarter-integer inputs and weights keep every sum exact, so ties
-    are real ties: the output, the argmax and the gradients must equal
-    the oracle's bit for bit."""
+    """One layer, the `ConvMaxPool.forward` case. Quarter-integer inputs
+    and weights keep every sum exact, so ties are real ties: the output,
+    the argmax and the gradients must equal both oracles' bit for bit."""
     batch = data.draw(st.integers(1, 4))
     channels = data.draw(st.integers(1, 3))
-    filters = data.draw(st.integers(1, 5))
     k = data.draw(st.integers(1, 4))
     length = data.draw(st.integers(k, 12))
-    values = st.sampled_from([0.0, -0.0, 0.25, -0.5, 1.0, -1.5, 2.0])
-    x = data.draw(arrays(np.float64, (batch, length, channels), elements=values))
-    for n in range(batch):  # padding: trailing rows zeroed, of any count
-        x[n, length - data.draw(st.integers(0, length)):] = 0.0
-    layer, reference = _pool_pair(channels, filters, k)
-    w = data.draw(arrays(np.float64, (filters, channels, k), elements=values))
-    b = data.draw(arrays(np.float64, filters, elements=values))
-    for pool in (layer, reference):
-        pool.params["w"][:] = w
-        pool.params["b"][:] = b
-    _assert_pools_agree(layer, reference, x, exact=True)
+    x = _pad(data.draw(arrays(np.float64, (batch, length, channels),
+                              elements=st.sampled_from(QUARTERS))), data)
+    pools = _pools(channels, data.draw(st.integers(1, 5)), [k])
+    _set_params(pools, data, QUARTERS)
+    assert np.array_equal(pools[0].forward(x), tn.conv_max_pool(pools, x))
+    _assert_pools_agree(pools, x, exact=True)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_shared_forward_matches_both_oracles_exactly(data):
+    """Kernel triples (k, k+1, k+2) for k from 1 to 4, which covers both
+    presets; rows with no padding (the widths' live lengths differ),
+    partial padding or all padding; lengths from the widest kernel up;
+    ±inf and NaN weights. Quarter-integer values keep every sum exact."""
+    k = data.draw(st.integers(1, 4))
+    batch = data.draw(st.integers(1, 4))
+    channels = data.draw(st.integers(1, 3))
+    length = data.draw(st.integers(k + 2, 12))
+    x = _pad(data.draw(arrays(np.float64, (batch, length, channels),
+                              elements=st.sampled_from(QUARTERS))), data)
+    pools = _pools(channels, data.draw(st.integers(1, 5)), (k, k + 1, k + 2))
+    _set_params(pools, data, QUARTERS, specials=(np.inf, -np.inf, np.nan))
+    _assert_pools_agree(pools, x, exact=True)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_shared_forward_matches_both_oracles_on_normal_values(data):
+    """Random normal inputs and parameters, with interior zero rows
+    (windows over them alone tie with the idle ones) and any padding:
+    equal argmax and gates, outputs within 1e-12."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    k = data.draw(st.integers(1, 4))
+    batch = data.draw(st.integers(1, 4))
+    channels = data.draw(st.integers(1, 8))
+    length = data.draw(st.integers(k + 2, 40))
+    x = rng.normal(size=(batch, length, channels))
+    x[rng.random((batch, length)) < data.draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    pools = _pools(channels, data.draw(st.integers(1, 16)), (k, k + 1, k + 2),
+                   seed=data.draw(st.integers(0, 99)))
+    for pool in pools:
+        pool.params["b"][:] = rng.normal(size=pool.out_channels)
+    _assert_pools_agree(pools, _pad(x, data), exact=False)
 
 
 def _rows(*live, length=9, channels=3, seed=2):
@@ -208,46 +293,54 @@ def _rows(*live, length=9, channels=3, seed=2):
     ("1", "1000000", "0000001"),
 ])
 def test_live_windows_match_the_full_forward(live):
-    layer, reference = _pool_pair(3, 16, 3)
-    layer.params["b"][:] = reference.params["b"][:] = \
-        np.random.default_rng(3).normal(size=16)
-    _assert_pools_agree(layer, reference, _rows(*live), exact=False)
+    for kernels in ([3], [3, 4, 5]):
+        pools = _pools(3, 16, kernels)
+        for pool in pools:
+            pool.params["b"][:] = np.random.default_rng(3).normal(size=16)
+        _assert_pools_agree(pools, _rows(*live), exact=False)
 
 
 def test_a_tie_with_the_idle_windows_stays_on_the_live_window():
     """Token 2's embedding row is zero, so a window over it alone is
     exactly b, as every padding window is. Where each window holding
     data is below b, the max ties between that live window and the idle
-    ones: it must stay on the live window, as in the full forward."""
-    rng = np.random.default_rng(4)
-    embed = tn.Embedding(6, 4, rng, frozen_padding=True)
-    embed.params["weight"][2] = 0.0
+    ones: it must stay on the live window, as in both oracles. With
+    quarter-integer embeddings and parameters every sum is exact and the
+    outputs are equal bit for bit; with normal ones, within 1e-12."""
     tokens = np.array([[5, 2, 2, 2, 4, 0, 0, 0, 0, 0],
                        [2, 2, 2, 0, 0, 0, 0, 0, 0, 0],
                        [3, 2, 2, 2, 2, 2, 2, 2, 2, 1]])
-    x = embed.forward(tokens)
-    layer, reference = _pool_pair(4, 32, 2, seed=5)
-    layer.params["b"][:] = reference.params["b"][:] = rng.normal(size=32)
-    _assert_pools_agree(layer, reference, x, exact=True)
-    # the tie did happen: some filter peaks at an interior window over
-    # zero rows, before the first idle window
-    assert (layer._argmax[0] == 1).any() or (layer._argmax[0] == 2).any()
-    assert np.all(layer._argmax[1] == 0)
+    for exact in (True, False):
+        rng = np.random.default_rng(4)
+        embed = tn.Embedding(6, 4, rng, frozen_padding=True)
+        embed.params["weight"][2] = 0.0
+        pools = _pools(4, 32, [2], seed=5)
+        pools[0].params["b"][:] = rng.normal(size=32)
+        if exact:
+            for array in (embed.params["weight"], *pools[0].params.values()):
+                array[:] = rng.integers(-6, 7, size=array.shape) / 4
+            embed.params["weight"][[0, 2]] = 0.0
+        _assert_pools_agree(pools, embed.forward(tokens), exact=exact)
+        # the tie did happen: some filter peaks at an interior window
+        # over zero rows, before the first idle window
+        argmax = pools[0]._argmax
+        assert (argmax[0] == 1).any() or (argmax[0] == 2).any()
+        assert np.all(argmax[1] == 0)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_non_finite_weights_match_the_full_forward():
     """A window over zero rows is NaN in a filter with an inf or NaN
     weight, the idle ones too, and np.argmax takes the first NaN: after
-    live windows of ±inf, the first idle one. The full forward does the
-    same."""
-    layer, reference = _pool_pair(3, 6, 2)
-    for pool in (layer, reference):
-        pool.params["w"][1, 0, 0] = np.inf
-        pool.params["w"][4, 2, 1] = np.nan
-        pool.params["b"][:] = 0.5
-    _assert_pools_agree(layer, reference, _rows("1111", "1101", "", "111111111"),
-                        exact=True)
+    live windows of ±inf, the first idle one. Both oracles do the same."""
+    for kernels in ([2], [2, 3, 4]):
+        pools = _pools(3, 6, kernels)
+        for pool in pools:
+            pool.params["w"][1, 0, 0] = np.inf
+            pool.params["w"][4, 2, 1] = np.nan
+            pool.params["b"][:] = 0.5
+        _assert_pools_agree(pools, _rows("1111", "1101", "", "111111111"),
+                            exact=False)
 
 
 def test_cnn_logits_match_the_full_forward_on_padded_rows():
@@ -258,6 +351,8 @@ def test_cnn_logits_match_the_full_forward_on_padded_rows():
     for n, live in enumerate([0, 1, 2, 3, 5, 17, 60, 117, 118, 119, 120, 90]):
         rows[n, :live] = rng.integers(1, 41, size=live)
     logits = model.forward(rows)
-    for conv in model.convs:
-        conv.forward = oracle.conv_max_pool_forward.__get__(conv)
-    assert np.max(np.abs(model.forward(rows) - logits)) <= 1e-12
+    embedded = model.embedding.forward(rows)
+    for forward in ORACLES.values():
+        merged = np.concatenate(
+            [c.forward(embedded) for c in _oracle_copies(model.convs, forward)], axis=1)
+        assert np.max(np.abs(model.dense.forward(merged) - logits)) <= 1e-12
