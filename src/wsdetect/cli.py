@@ -140,9 +140,9 @@ def cmd_train_src(args, out, err) -> int:
         print("error: empty corpus", file=err)
         return EXIT_ERROR
     vocab = _load_vocab(args.language, args.vocab)
-    preset = CnnConfig.aspnet if args.language == "cil" else CnnConfig.php
-    config = preset(vocab_size=len(vocab), max_length=len(corpus.vectors[0]),
-                    seed=args.seed, **_given(args, "epochs", "batch_size"))
+    config = CnnConfig.for_language(
+        args.language, len(vocab), len(corpus.vectors[0]), seed=args.seed,
+        **_given(args, "epochs", "batch_size"))
     model, history = train_cnn(corpus.vectors, corpus.labels, config,
                                language=args.language, vocab=vocab)
     return _save_fit(model, history, args, out, epochs=len(history))
@@ -163,10 +163,10 @@ def cmd_train_flow(args, out, err) -> int:
 
 def cmd_predict_src(args, out, err) -> int:
     from wsdetect.rulelang import CompiledRuleSet
-    from wsdetect.srcmodel import OpcodeParseError, cnn_verdict, hybrid_detect
+    from wsdetect.srcmodel import OpcodeCnn, OpcodeParseError, cnn_verdict, hybrid_detect
     from wsdetect.tensornet import load_model
 
-    model = load_model(args.model)
+    model = load_model(args.model, expect=OpcodeCnn)
     language = args.language or model.language
     vocab = _load_vocab(language, args.vocab)
     # built once: the matcher would rebuild its key tables for every file
@@ -199,9 +199,9 @@ def cmd_predict_src(args, out, err) -> int:
 def cmd_predict_flow(args, out, err) -> int:
     from wsdetect.flowmeter import read_csv
     from wsdetect.tensornet import load_model
-    from wsdetect.trafficmodel import TabularDataset, dnn_predict
+    from wsdetect.trafficmodel import TabularDataset, TabularDnn, dnn_predict
 
-    model = load_model(args.model)
+    model = load_model(args.model, expect=TabularDnn)
     table, _ = read_csv(args.csv)
     dataset = TabularDataset(table.categoricals, table.continuous,
                              [0] * len(table.flow_id))
@@ -412,6 +412,8 @@ def cmd_inspect_serve(args, out, err) -> int:
 # --- parser wiring ---------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    from wsdetect.opcode import LANGUAGES
+
     parser = argparse.ArgumentParser(
         prog="wsdetect",
         description="Hybrid webshell detection: signature rules + opcode CNN "
@@ -446,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     oci = group("oci", "opcode vectorization")
     p = command(oci, "extract", "vectorize disassembly files", cmd_oci_extract)
-    p.add_argument("--language", choices=("php", "cil"), required=True)
+    p.add_argument("--language", choices=LANGUAGES, required=True)
     p.add_argument("--vocab", default=None, help="vocabulary file (default: built-in)")
     p.add_argument("--max-length", type=int, default=2000)
     p.add_argument("--label", type=int, default=0, choices=(0, 1))
@@ -457,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command(train, "src", "opcode CNN from a corpus CSV", cmd_train_src,
                 report=True, seeded=True)
     p.add_argument("--corpus", required=True, help="output of `oci extract`")
-    p.add_argument("--language", choices=("php", "cil"), required=True)
+    p.add_argument("--language", choices=LANGUAGES, required=True)
     p.add_argument("--vocab", default=None)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--batch-size", type=int, default=None)
@@ -476,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--rules", default=None,
                    help="rule file/dir for the hybrid short-circuit")
-    p.add_argument("--language", choices=("php", "cil"), default=None)
+    p.add_argument("--language", choices=LANGUAGES, default=None)
     p.add_argument("--vocab", default=None)
     p.add_argument("files", nargs="+")
     p = command(predict, "flow", "verdicts for a feature CSV", cmd_predict_flow)

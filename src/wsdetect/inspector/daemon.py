@@ -77,6 +77,9 @@ class InspectorDaemon:
         self.classify = classify
         self.blacklist = Blacklist(ttl_s=config.blacklist_ttl_s)
         self.table = RuleTable.load(config.rules_dir, config.sid_start)
+        if not Path(config.rules_dir).is_dir():
+            log.warning("rules directory %s does not exist: generated rules "
+                        "are not written", config.rules_dir)
         self._lock = threading.Lock()
 
     def handle_request(self, request: dict) -> dict:

@@ -179,7 +179,7 @@ def load_predictor(model_path: str):
         return StubPredictor(forced_class=1)
     if model_path == "stub:benign":
         return StubPredictor(forced_class=0)
-    return load_model(model_path)
+    return load_model(model_path, expect=TabularDnn)
 
 
 def _predict(model, dataset: TabularDataset):

@@ -28,11 +28,12 @@ class OpcodeVocabulary:
 
     def __post_init__(self):
         if not self.mnemonics:
-            raise OpcodeError("vocabulary is empty")
-        if len(set(self.mnemonics)) != len(self.mnemonics):
-            raise OpcodeError("vocabulary contains duplicate mnemonics")
-        object.__setattr__(
-            self, "_index", {m: i + 1 for i, m in enumerate(self.mnemonics)})
+            raise OpcodeError("vocabulary has no mnemonics")
+        index: dict[str, int] = {}
+        for i, m in enumerate(self.mnemonics, 1):
+            if index.setdefault(m, i) != i:
+                raise OpcodeError(f"duplicate mnemonic {m!r} in vocabulary")
+        object.__setattr__(self, "_index", index)
 
     def __len__(self) -> int:
         return len(self.mnemonics)
@@ -60,29 +61,11 @@ class OciVector:
 def load_vocabulary(path: str | Path, language: str = "custom") -> OpcodeVocabulary:
     """Load a one-mnemonic-per-line vocabulary file. '#' starts a comment."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    mnemonics = []
-    for raw in lines:
-        entry = raw.split("#", 1)[0].strip()
-        if entry:
-            mnemonics.append(entry)
-    if not mnemonics:
-        raise OpcodeError(f"vocabulary file {path} has no mnemonics")
-    seen = set()
-    for m in mnemonics:
-        if m in seen:
-            raise OpcodeError(f"duplicate mnemonic {m!r} in {path}")
-        seen.add(m)
-    return OpcodeVocabulary(tuple(mnemonics), language=language)
-
-
-def builtin_vocabulary(language: str) -> OpcodeVocabulary:
-    """The vocabularies shipped with the package ("php" and "cil")."""
-    names = {"php": "php_opcodes.txt", "cil": "cil_opcodes.txt"}
-    if language not in names:
-        raise OpcodeError(f"no built-in vocabulary for language {language!r}")
-    ref = resources.files("wsdetect.data").joinpath(names[language])
-    with resources.as_file(ref) as path:
-        return load_vocabulary(path, language=language)
+    entries = (raw.split("#", 1)[0].strip() for raw in lines)
+    try:
+        return OpcodeVocabulary(tuple(e for e in entries if e), language=language)
+    except OpcodeError as exc:
+        raise OpcodeError(f"{path}: {exc}") from None
 
 
 # --- disassembly frontends -------------------------------------------------
@@ -131,15 +114,32 @@ def parse_cil(text: str) -> OpcodeListing:
     return OpcodeListing(mnemonics)
 
 
-_PARSERS = {"php": parse_vld, "cil": parse_cil}
+# Each opcode language: its listing parser and its built-in vocabulary
+# file in `wsdetect.data`.
+LANGUAGES = {
+    "php": (parse_vld, "php_opcodes.txt"),
+    "cil": (parse_cil, "cil_opcodes.txt"),
+}
+
+
+def _language(language: str) -> tuple:
+    try:
+        return LANGUAGES[language]
+    except KeyError:
+        raise OpcodeError(f"unknown opcode language {language!r}") from None
 
 
 def parse_listing(text: str, language: str) -> OpcodeListing:
-    try:
-        parser = _PARSERS[language]
-    except KeyError:
-        raise OpcodeError(f"unknown opcode language {language!r}") from None
-    return parser(text)
+    parse, _ = _language(language)
+    return parse(text)
+
+
+def builtin_vocabulary(language: str) -> OpcodeVocabulary:
+    """The vocabulary shipped with the package for `language`."""
+    _, filename = _language(language)
+    ref = resources.files("wsdetect.data").joinpath(filename)
+    with resources.as_file(ref) as path:
+        return load_vocabulary(path, language=language)
 
 
 # --- vectorization ---------------------------------------------------------
@@ -212,6 +212,9 @@ def write_corpus_csv(corpus: VectorizedCorpus, path: str | Path) -> None:
 
 
 def read_corpus_csv(path: str | Path) -> VectorizedCorpus:
+    """Read a `write_corpus_csv` file. A row whose width differs from the
+    header's, a cell that is not an integer, or a label other than 0 or 1
+    is an `OpcodeError` naming the path and line."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -219,7 +222,15 @@ def read_corpus_csv(path: str | Path) -> VectorizedCorpus:
             raise OpcodeError(f"{path}: not a vectorized-corpus CSV")
         corpus = VectorizedCorpus(vectors=[], labels=[], paths=[])
         for row in reader:
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} cells, the header has {len(header)}")
+                label, *indices = map(int, row[1:])
+                if label not in (0, 1):
+                    raise ValueError(f"label {label} is not 0 or 1")
+            except ValueError as exc:
+                raise OpcodeError(f"{path}:{reader.line_num}: {exc}") from None
             corpus.paths.append(row[0])
-            corpus.labels.append(int(row[1]))
-            corpus.vectors.append(OciVector(tuple(int(v) for v in row[2:])))
+            corpus.labels.append(label)
+            corpus.vectors.append(OciVector(tuple(indices)))
     return corpus

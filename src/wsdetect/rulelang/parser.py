@@ -207,10 +207,10 @@ class _Parser:
         self.toks = toks
         # one StringRef per pattern id, shared by the file's conditions
         self.refs: dict[str, StringRef] = {}
-        # the pattern ids of the rule being parsed, and whether its
-        # condition refers to one it lacks
+        # the pattern ids of the rule being parsed, and the message of
+        # the first reference in its condition they cannot satisfy
         self.declared: set[str] = set()
-        self.invalid = False
+        self.reference_error: str | None = None
         # the 'not's and parentheses open around the current condition
         self.depth = 0
 
@@ -359,7 +359,7 @@ class _Parser:
         meta: tuple[tuple[str, str], ...] = ()
         strings: tuple[Pattern, ...] = ()
         seen = self.declared = set()
-        self.invalid = False
+        self.reference_error = None
         self.depth = 0
         if toks[i] == "meta":
             if toks[i + 1] != ":":
@@ -429,10 +429,9 @@ class _Parser:
         condition, i = self._parse_expr(i + 2)
         if toks[i] != "}":
             raise self._expected(i, "'}'")
-        rule = Rule(name, meta, strings, condition)
-        if self.invalid:
-            raise self._semantic_error(rule, i + 1)
-        return rule, i + 1
+        if self.reference_error:
+            raise self._fail(i + 1, self.reference_error)
+        return Rule(name, meta, strings, condition), i + 1
 
     def _meta_number(self, k: int) -> tuple[str, int]:
         """An integer meta value from token `k` as text, and the index
@@ -505,9 +504,9 @@ class _Parser:
         return left, i
 
     def _parse_term(self, i: int) -> tuple[Condition, int]:
-        """A primary condition under any number of 'not'. A reference
-        the rule's patterns cannot satisfy marks the rule invalid (see
-        `_semantic_error`)."""
+        """A primary condition under any number of 'not'. The first
+        reference the rule's patterns cannot satisfy is kept in
+        `reference_error`, and raised after the rule's closing '}'."""
         toks = self.toks
         token = toks[i]
         first = token[0]
@@ -515,7 +514,7 @@ class _Parser:
             if token == "$":
                 raise self._bad_token(i)
             if token not in self.declared:
-                self.invalid = True
+                self._unsatisfied(f"condition references undeclared pattern {token}")
             ref = self.refs.get(token)
             if ref is None:
                 ref = self.refs[token] = StringRef(token)
@@ -552,8 +551,7 @@ class _Parser:
     def _parse_of_target(self, count: int, i: int) -> tuple[OfExpr, int]:
         toks = self.toks
         if toks[i] == "them":
-            if not 1 <= count <= len(self.declared):
-                self.invalid = True
+            self._check_count(count, len(self.declared))
             return OfExpr(count, None), i + 1
         if toks[i] != "(":
             raise self._fail(i, "expected 'them' or a pattern list after 'of'")
@@ -565,43 +563,29 @@ class _Parser:
                 raise self._fail(i, "expected pattern id in 'of' list")
             if ident == "$":
                 raise self._bad_token(i)
+            if ident not in self.declared:
+                self._unsatisfied(f"'of' list references undeclared pattern {ident}")
             idents.append(ident)
             i += 1
             if toks[i] != ",":
                 break
         if toks[i] != ")":
             raise self._expected(i, "')'")
-        if not 1 <= count <= len(idents) or not self.declared.issuperset(idents):
-            self.invalid = True
+        self._check_count(count, len(idents))
         return OfExpr(count, tuple(idents)), i + 1
 
-    # --- semantic checks ----------------------------------------------
+    def _check_count(self, count: int, available: int) -> None:
+        """Keep the error of 'N of' over `available` patterns, if any."""
+        if count < 1:
+            self._unsatisfied("'N of' requires N >= 1")
+        elif count > available:
+            self._unsatisfied(
+                f"'{count} of' exceeds the {available} available patterns")
 
-    def _semantic_error(self, rule: Rule, k: int) -> RuleSyntaxError:
-        """The first reference in `rule` that its patterns cannot
-        satisfy, as an error at token `k`."""
-        declared = set(rule.pattern_ids())
-
-        def walk(node: Condition) -> str | None:
-            if isinstance(node, StringRef):
-                if node.ident not in declared:
-                    return f"condition references undeclared pattern {node.ident}"
-            elif isinstance(node, OfExpr):
-                targets = rule.pattern_ids() if node.targets is None else node.targets
-                for ident in targets:
-                    if ident not in declared:
-                        return f"'of' list references undeclared pattern {ident}"
-                if node.count < 1:
-                    return "'N of' requires N >= 1"
-                if node.count > len(targets):
-                    return f"'{node.count} of' exceeds the {len(targets)} available patterns"
-            elif isinstance(node, (And, Or)):
-                return walk(node.left) or walk(node.right)
-            elif isinstance(node, Not):
-                return walk(node.operand)
-            return None
-
-        return self._fail(k, walk(rule.condition))
+    def _unsatisfied(self, message: str) -> None:
+        """Keep `message` as the rule's reference error, unless it has one."""
+        if self.reference_error is None:
+            self.reference_error = message
 
 
 def parse_rules(text: str) -> RuleSet:

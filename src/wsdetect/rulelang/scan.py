@@ -10,6 +10,9 @@ from wsdetect.rulelang.matcher import CompiledRuleSet, match_buffer
 from wsdetect.rulelang.model import MatchReport, RuleError, RuleSet, RuleSyntaxError
 from wsdetect.rulelang.parser import parse_rules, parse_sources
 
+# the file name suffix of the rule files in a rules directory
+RULE_FILE_SUFFIX = ".yar"
+
 
 @dataclass
 class ScanError:
@@ -81,13 +84,13 @@ def load_rules_file(path: str | Path) -> RuleSet:
     return parse_rules(_read_rule_text(path))
 
 
-def load_rules_dir(path: str | Path, suffix: str = ".yar") -> RuleSet:
-    """Every rule file in a directory, sorted by filename, as one rule
-    set. Errors name the file they are in (see `parse_sources`)."""
+def load_rules_dir(path: str | Path) -> RuleSet:
+    """Every RULE_FILE_SUFFIX file in a directory, sorted by filename, as
+    one rule set. Errors name the file they are in (see `parse_sources`)."""
     directory = Path(path)
     if not directory.is_dir():
         raise RuleError(f"rules directory {directory} does not exist")
-    files = sorted(p for p in directory.iterdir() if p.suffix == suffix)
+    files = sorted(p for p in directory.iterdir() if p.suffix == RULE_FILE_SUFFIX)
     if not files:
-        raise RuleError(f"no {suffix} files in {directory}")
+        raise RuleError(f"no {RULE_FILE_SUFFIX} files in {directory}")
     return parse_sources((str(p), _read_rule_text(p)) for p in files)

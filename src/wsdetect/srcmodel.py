@@ -15,7 +15,6 @@ import numpy as np
 from wsdetect import tensornet as tn
 from wsdetect.opcode import OciVector, OpcodeVocabulary, oiva, parse_listing
 from wsdetect.rulelang import CompiledRuleSet, MatchReport, RuleSet, match_buffer
-from wsdetect.tensornet.graph import register_model_kind
 
 
 class SrcModelError(Exception):
@@ -35,7 +34,7 @@ class CnnConfig:
     """Tuned hyperparameters of the opcode CNN.
 
     PHP defaults; the ASP.NET preset differs in kernel sizes, batch size
-    and epochs (see `aspnet`).
+    and epochs (see `for_language`).
     """
 
     vocab_size: int
@@ -64,10 +63,14 @@ class CnnConfig:
         return cls(vocab_size=vocab_size, max_length=max_length, **overrides)
 
     @classmethod
-    def aspnet(cls, vocab_size: int, max_length: int, **overrides) -> "CnnConfig":
-        defaults = dict(kernel_sizes=(4, 5, 6), batch_size=64, epochs=32)
-        defaults.update(overrides)
-        return cls(vocab_size=vocab_size, max_length=max_length, **defaults)
+    def for_language(cls, language: str, vocab_size: int, max_length: int,
+                     **overrides) -> "CnnConfig":
+        """The preset of an opcode language: `php` for any but CIL, whose
+        ASP.NET preset differs in kernel sizes, batch size and epochs."""
+        if language == "cil":
+            overrides = {"kernel_sizes": (4, 5, 6), "batch_size": 64, "epochs": 32,
+                         **overrides}
+        return cls(vocab_size=vocab_size, max_length=max_length, **overrides)
 
 
 class OpcodeCnn(tn.ModelGraph):
@@ -134,9 +137,6 @@ class OpcodeCnn(tn.ModelGraph):
         vocab_hash = header.pop("vocab_hash", "")
         header["kernel_sizes"] = tuple(header["kernel_sizes"])
         return cls(CnnConfig(**header), language=language, vocab_hash=vocab_hash)
-
-
-register_model_kind(OpcodeCnn.kind, OpcodeCnn)
 
 
 def vocabulary_hash(vocab: OpcodeVocabulary) -> str:

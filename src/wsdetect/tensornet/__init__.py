@@ -30,7 +30,6 @@ from wsdetect.tensornet.graph import (
     FlatParams,
     ModelGraph,
     load_model,
-    register_model_kind,
     save_model,
 )
 from wsdetect.tensornet.train import FitHistory, fit, grad_check
@@ -56,7 +55,6 @@ __all__ = [
     "fit",
     "grad_check",
     "load_model",
-    "register_model_kind",
     "save_model",
     "softmax",
 ]

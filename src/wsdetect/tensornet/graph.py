@@ -5,7 +5,8 @@ header length, a JSON header (model kind, config, array manifest,
 model-specific extras), then every array as raw little-endian float64
 in manifest order. Loading requires each of the model's arrays exactly
 once, in its model shape, and nothing after the last one; any malformed
-header or config raises `CheckpointError` naming the file.
+header or config, or a model kind other than the caller expects, raises
+`CheckpointError` naming the file.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import bisect
 import json
 import os
+import pkgutil
 import struct
 from pathlib import Path
 
@@ -136,11 +138,12 @@ class ModelGraph:
         raise NotImplementedError
 
 
-_MODEL_KINDS: dict[str, type[ModelGraph]] = {}
-
-
-def register_model_kind(kind: str, cls: type[ModelGraph]) -> None:
-    _MODEL_KINDS[kind] = cls
+# Each checkpoint kind, as the "module:class" that defines it; the
+# module is imported when a checkpoint of its kind is loaded.
+MODEL_KINDS = {
+    "opcode_cnn": "wsdetect.srcmodel:OpcodeCnn",
+    "tabular_dnn": "wsdetect.trafficmodel:TabularDnn",
+}
 
 
 def save_model(model: ModelGraph, path: str | Path) -> None:
@@ -190,17 +193,23 @@ def _read_header(fh, path) -> dict:
     return header
 
 
-def load_model(path: str | Path) -> ModelGraph:
+def load_model(path: str | Path, expect: type[ModelGraph] = ModelGraph) -> ModelGraph:
+    """The model saved at `path`, which must be an `expect` (any kind by
+    default)."""
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise CheckpointError(f"{path}: not a WSNET1 checkpoint")
         header = _read_header(fh, path)
         kind = header.get("kind")
-        if not isinstance(kind, str) or kind not in _MODEL_KINDS:
+        if not isinstance(kind, str) or kind not in MODEL_KINDS:
             raise CheckpointError(f"{path}: unknown model kind {kind!r}")
+        cls = pkgutil.resolve_name(MODEL_KINDS[kind])
+        if not issubclass(cls, expect):
+            raise CheckpointError(
+                f"{path}: model kind is {kind!r}, expected {expect.kind!r}")
         try:
-            model = _MODEL_KINDS[kind].from_config(header["config"])
+            model = cls.from_config(header["config"])
         except Exception as exc:
             # from_config runs model code on values read from the file:
             # whatever it raises (TypeError, KeyError, SrcModelError, ...)

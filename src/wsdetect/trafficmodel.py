@@ -23,7 +23,6 @@ from wsdetect.evalkit import (
     stratified_folds,
 )
 from wsdetect.flowmeter import CATEGORICAL_NAMES, CONTINUOUS_NAMES, FlowTable
-from wsdetect.tensornet.graph import register_model_kind
 
 
 class TrafficModelError(Exception):
@@ -224,9 +223,6 @@ class TabularDnn(tn.ModelGraph):
                    np.asarray(header["norm_mean"]),
                    np.asarray(header["norm_scale"]),
                    schema_hash=header["schema_hash"])
-
-
-register_model_kind(TabularDnn.kind, TabularDnn)
 
 
 def build_dnn(config: TabularConfig, train: TabularDataset) -> TabularDnn:

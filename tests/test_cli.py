@@ -710,3 +710,84 @@ class TestDedupManifest:
             assert row["hash"] == expected, row["path"]
         assert sorted(row["status"] for row in rows) == [
             "duplicate", "kept", "kept", "kept"]
+
+
+class TestCheckpointKinds:
+    """Each command loads the checkpoint kind it needs; another kind is
+    one error line naming the file and both kinds."""
+
+    @pytest.fixture
+    def checkpoints(self, tmp_path):
+        import numpy as np
+
+        from wsdetect.opcode import builtin_vocabulary
+        from wsdetect.srcmodel import CnnConfig, build_cnn
+        from wsdetect.tensornet import save_model
+        from wsdetect.trafficmodel import TabularConfig, TabularDataset, build_dnn
+
+        cnn, dnn = tmp_path / "cnn.bin", tmp_path / "dnn.bin"
+        vocab = builtin_vocabulary("php")
+        config = CnnConfig.php(vocab_size=len(vocab), max_length=6, num_filters=2)
+        save_model(build_cnn(config, language="php", vocab=vocab), cnn)
+        rng = np.random.default_rng(0)
+        data = TabularDataset(np.column_stack([rng.choice([80, 443], size=8),
+                                               rng.choice([6, 17], size=8)]),
+                              rng.normal(size=(8, 77)), rng.integers(0, 2, size=8))
+        save_model(build_dnn(TabularConfig(hidden=(4, 2)), data), dnn)
+        return cnn, dnn
+
+    @staticmethod
+    def _refused(argv, path, kind, expected):
+        code, out, err = _run(argv)
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err == (f"error: {path}: model kind is {kind!r}, "
+                       f"expected {expected!r}\n")
+
+    def test_predict_src_refuses_a_dnn(self, checkpoints, tmp_path):
+        _, dnn = checkpoints
+        dump = tmp_path / "a.vld"
+        dump.write_text("line 1 0 E > ECHO 'x'\n")
+        self._refused(["predict", "src", "--model", str(dnn), "--language", "php",
+                       str(dump)], dnn, "tabular_dnn", "opcode_cnn")
+
+    def test_predict_flow_refuses_a_cnn(self, checkpoints, two_flow_pcap, tmp_path):
+        cnn, _ = checkpoints
+        csv_path = tmp_path / "flows.csv"
+        assert _run(["flows", "extract", "--pcap", str(two_flow_pcap),
+                     "--out", str(csv_path)])[0] == EXIT_OK
+        self._refused(["predict", "flow", "--model", str(cnn), "--csv", str(csv_path)],
+                      cnn, "opcode_cnn", "tabular_dnn")
+
+    def test_inspect_once_refuses_a_cnn(self, checkpoints, two_flow_pcap):
+        cnn, _ = checkpoints
+        self._refused(["inspect", "once", "--pcap", str(two_flow_pcap),
+                       "--model", str(cnn)], cnn, "opcode_cnn", "tabular_dnn")
+
+    def test_each_command_loads_its_own_kind(self, checkpoints, two_flow_pcap,
+                                             tmp_path):
+        cnn, dnn = checkpoints
+        dump = tmp_path / "a.vld"
+        dump.write_text("line 1 0 E > ECHO 'x'\n")
+        code, _, err = _run(["predict", "src", "--model", str(cnn), str(dump)])
+        assert code in (EXIT_OK, EXIT_DETECTED), err
+        code, _, err = _run(["inspect", "once", "--pcap", str(two_flow_pcap),
+                             "--model", str(dnn)])
+        assert code in (EXIT_OK, EXIT_DETECTED), err
+
+
+class TestCorpusErrors:
+    @pytest.mark.parametrize("row, message", [
+        ("b,1,3,x", "invalid literal for int() with base 10: 'x'"),
+        ("b,1,3", "3 cells, the header has 4"),
+        ("b,1,3,4,5", "5 cells, the header has 4"),
+        ("b,7,3,4", "label 7 is not 0 or 1"),
+    ], ids=["not_an_integer", "short_row", "long_row", "label_out_of_range"])
+    def test_train_src_names_the_path_and_line(self, tmp_path, row, message):
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_text(f"path,label,oci_0,oci_1\na,0,1,2\n{row}\n")
+        code, out, err = _run(["train", "src", "--corpus", str(corpus),
+                               "--language", "php", "--out", str(tmp_path / "m.bin")])
+        assert code == EXIT_ERROR
+        assert err == f"error: {corpus}:3: {message}\n"
+        assert not (tmp_path / "m.bin").exists()

@@ -350,6 +350,26 @@ class TestDaemon:
         client.close()
         return [json.loads(l) for l in data.decode().splitlines()]
 
+    def test_a_missing_rules_dir_is_warned_once_at_start(self, tmp_path, two_flow_pcap,
+                                                          caplog):
+        missing = tmp_path / "rules"
+        with caplog.at_level(logging.WARNING, logger="wsdetect.inspector"):
+            daemon = InspectorDaemon(InspectorConfig(rules_dir=str(missing),
+                                                     model_path="stub"))
+            replies = [daemon.inspect(str(two_flow_pcap)) for _ in range(2)]
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING
+        assert record.getMessage() == (f"rules directory {missing} does not exist: "
+                                       "generated rules are not written")
+        # the rules are still generated and answered, only not written
+        assert [len(reply["rules"]) for reply in replies] == [2, 2]
+        assert not missing.exists()
+
+    def test_an_existing_rules_dir_is_not_warned(self, tmp_path, caplog):
+        with caplog.at_level(logging.WARNING, logger="wsdetect.inspector"):
+            InspectorDaemon(InspectorConfig(rules_dir=str(tmp_path), model_path="stub"))
+        assert caplog.records == []
+
     def test_ping(self, running_daemon):
         assert self._request(running_daemon, ['{"op":"ping"}']) == [{"ok": True}]
 

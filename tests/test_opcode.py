@@ -1,6 +1,7 @@
 """Opcode parsing and OIVA vectorization."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from wsdetect.opcode import (
     _VLD_OP,
+    LANGUAGES,
     OpcodeError,
     OpcodeListing,
     OpcodeVocabulary,
@@ -15,6 +17,7 @@ from wsdetect.opcode import (
     load_vocabulary,
     oiva,
     parse_cil,
+    parse_listing,
     parse_vld,
     read_corpus_csv,
     vectorize_corpus,
@@ -95,6 +98,35 @@ class TestVocabulary:
         path = tmp_path / "v.txt"
         path.write_text("# header\nECHO  # trailing\n\nADD\n")
         assert load_vocabulary(path).mnemonics == ("ECHO", "ADD")
+
+    @pytest.mark.parametrize("text, message", [
+        ("# only a comment\n", "vocabulary has no mnemonics"),
+        ("ECHO\nADD\nECHO\nADD\n", "duplicate mnemonic 'ECHO' in vocabulary"),
+    ], ids=["empty", "duplicate"])
+    def test_file_errors_are_the_vocabulary_errors_with_the_path(
+            self, tmp_path, text, message):
+        path = tmp_path / "v.txt"
+        path.write_text(text)
+        with pytest.raises(OpcodeError, match=re.escape(message)) as direct:
+            OpcodeVocabulary(tuple(text.split("#")[0].split()))
+        assert str(direct.value) == message
+        with pytest.raises(OpcodeError) as loaded:
+            load_vocabulary(path)
+        assert str(loaded.value) == f"{path}: {message}"
+
+
+class TestLanguages:
+    @pytest.mark.parametrize("language", sorted(LANGUAGES))
+    def test_each_language_has_a_parser_and_a_builtin_vocabulary(self, language):
+        vocab = builtin_vocabulary(language)
+        assert vocab.language == language and len(vocab) > 0
+        assert parse_listing("", language).mnemonics == []
+
+    def test_unknown_language(self):
+        for call in (lambda: builtin_vocabulary("java"),
+                     lambda: parse_listing("", "java")):
+            with pytest.raises(OpcodeError, match="unknown opcode language 'java'"):
+                call()
 
 
 class TestParseVld:
@@ -324,3 +356,21 @@ class TestCorpus:
         assert loaded.vectors == corpus.vectors
         assert loaded.labels == corpus.labels
         assert loaded.paths == corpus.paths
+
+    @pytest.mark.parametrize("row, message", [
+        ("b,1,3,x", "invalid literal for int() with base 10: 'x'"),
+        ("b,x,3,4", "invalid literal for int() with base 10: 'x'"),
+        ("b,1,,4", "invalid literal for int() with base 10: ''"),
+        ("b,1,3", "3 cells, the header has 4"),
+        ("b", "1 cells, the header has 4"),
+        ("b,1,3,4,5", "5 cells, the header has 4"),
+        ("b,7,3,4", "label 7 is not 0 or 1"),
+        ("b,-1,3,4", "label -1 is not 0 or 1"),
+        ("", "0 cells, the header has 4"),
+    ])
+    def test_a_bad_row_names_the_path_and_line(self, tmp_path, row, message):
+        path = tmp_path / "corpus.csv"
+        path.write_text(f"path,label,oci_0,oci_1\na,0,1,2\n{row}\n")
+        with pytest.raises(OpcodeError) as info:
+            read_corpus_csv(path)
+        assert str(info.value) == f"{path}:3: {message}"

@@ -75,6 +75,26 @@ class TestParsing:
         with pytest.raises(RuleSyntaxError, match="undeclared"):
             parse_rules('rule r { strings: $a = "x" condition: $b }')
 
+    @pytest.mark.parametrize("text, error", [
+        # the first unsatisfiable reference, at the token after the rule
+        ('rule r { strings: $a = "x" condition: $b or 3 of ($a, $c) }\n'
+         'rule q { condition: true }',
+         ("condition references undeclared pattern $b", 2, 1)),
+        ('rule r { strings: $a = "x" condition: 0 of them and $b }',
+         ("'N of' requires N >= 1", 1, 57)),
+        # a syntax error later in the rule comes first
+        ('rule r { strings: $a = "x" condition: $b and @ }',
+         ("string counts and offsets are outside the supported subset", 1, 46)),
+        # so does the lexical error of the token after the rule
+        ('rule r { strings: $a = "x" condition: 2 of ($a, $z) }  9x',
+         ("identifier can't start with a digit", 1, 56)),
+    ], ids=["first_of_two", "count_before_ref", "syntax_error_later",
+            "bad_token_after"])
+    def test_reference_errors_are_raised_at_the_rule_end(self, text, error):
+        with pytest.raises(RuleSyntaxError) as info:
+            parse_rules(text)
+        assert (info.value.message, info.value.line, info.value.column) == error
+
     def test_duplicate_rule_names(self):
         text = "rule r { condition: true }\nrule r { condition: false }"
         with pytest.raises(RuleSyntaxError, match="duplicate rule name") as info:

@@ -45,7 +45,7 @@ class TestConfig:
         assert config.epochs == 64
 
     def test_aspnet_preset(self):
-        config = CnnConfig.aspnet(vocab_size=229, max_length=100)
+        config = CnnConfig.for_language("cil", vocab_size=229, max_length=100)
         assert config.kernel_sizes == (4, 5, 6)
         assert config.batch_size == 64
         assert config.epochs == 32

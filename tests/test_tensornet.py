@@ -2,8 +2,11 @@
 
 import json
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -666,4 +669,46 @@ class TestCheckpoint:
         _tiny_cnn_checkpoint(path)
         _edit_checkpoint(path, lambda manifest, payload: payload + bytes(8))
         with pytest.raises(CheckpointError, match="trailing"):
+            tn.load_model(path)
+
+    def test_a_fresh_interpreter_loads_either_kind(self, tmp_path):
+        # the kind's module is imported by the load, whatever was imported before
+        cnn, dnn = tmp_path / "cnn.bin", tmp_path / "dnn.bin"
+        _tiny_cnn_checkpoint(cnn)
+        tn.save_model(_small_dnn(), dnn)
+        script = ("import sys\n"
+                  "from wsdetect import tensornet as tn\n"
+                  "assert 'wsdetect.srcmodel' not in sys.modules\n"
+                  "assert 'wsdetect.trafficmodel' not in sys.modules\n"
+                  "print(*(type(tn.load_model(p)).__name__ for p in sys.argv[1:]))\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+        proc = subprocess.run([sys.executable, "-c", script, str(cnn), str(dnn)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["OpcodeCnn", "TabularDnn"]
+
+    def test_an_unexpected_kind_names_both_kinds(self, tmp_path):
+        from wsdetect.srcmodel import OpcodeCnn
+        from wsdetect.trafficmodel import TabularDnn
+
+        cnn, dnn = tmp_path / "cnn.bin", tmp_path / "dnn.bin"
+        _tiny_cnn_checkpoint(cnn)
+        tn.save_model(_small_dnn(), dnn)
+        assert isinstance(tn.load_model(cnn, expect=OpcodeCnn), OpcodeCnn)
+        assert isinstance(tn.load_model(dnn, expect=TabularDnn), TabularDnn)
+        with pytest.raises(CheckpointError, match=re.escape(
+                f"{cnn}: model kind is 'opcode_cnn', expected 'tabular_dnn'")):
+            tn.load_model(cnn, expect=TabularDnn)
+        with pytest.raises(CheckpointError, match=re.escape(
+                f"{dnn}: model kind is 'tabular_dnn', expected 'opcode_cnn'")):
+            tn.load_model(dnn, expect=OpcodeCnn)
+
+    def test_an_unknown_kind_rejected(self, tmp_path):
+        path = tmp_path / "model.bin"
+        _tiny_cnn_checkpoint(path)
+        _rewrite_checkpoint(path, lambda header, payload: (
+            _header_edit(lambda h: h.update(kind="ModelGraph"))(header), payload))
+        with pytest.raises(CheckpointError, match="unknown model kind 'ModelGraph'"):
             tn.load_model(path)
