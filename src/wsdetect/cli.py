@@ -135,11 +135,11 @@ def cmd_train_src(args, out, err) -> int:
     from wsdetect.opcode import read_corpus_csv
     from wsdetect.srcmodel import CnnConfig, train_cnn
 
-    corpus = read_corpus_csv(args.corpus)
+    vocab = _load_vocab(args.language, args.vocab)
+    corpus = read_corpus_csv(args.corpus, len(vocab))
     if not corpus.vectors:
         print("error: empty corpus", file=err)
         return EXIT_ERROR
-    vocab = _load_vocab(args.language, args.vocab)
     config = CnnConfig.for_language(
         args.language, len(vocab), len(corpus.vectors[0]), seed=args.seed,
         **_given(args, "epochs", "batch_size"))
@@ -163,12 +163,19 @@ def cmd_train_flow(args, out, err) -> int:
 
 def cmd_predict_src(args, out, err) -> int:
     from wsdetect.rulelang import CompiledRuleSet
-    from wsdetect.srcmodel import OpcodeCnn, OpcodeParseError, cnn_verdict, hybrid_detect
+    from wsdetect.srcmodel import (
+        OpcodeCnn,
+        OpcodeParseError,
+        check_model_pairing,
+        cnn_verdict,
+        hybrid_detect,
+    )
     from wsdetect.tensornet import load_model
 
     model = load_model(args.model, expect=OpcodeCnn)
     language = args.language or model.language
     vocab = _load_vocab(language, args.vocab)
+    check_model_pairing(model, language, vocab)  # one error, before any file
     # built once: the matcher would rebuild its key tables for every file
     rules = CompiledRuleSet(_load_ruleset(args.rules)) if args.rules else None
     detections = 0

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+
 
 class OpcodeError(Exception):
     pass
@@ -48,14 +50,34 @@ class OpcodeListing:
     mnemonics: list[str]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OciVector:
-    """Zero-padded vector of 1-based opcode indices (padding is a suffix)."""
+    """Zero-padded vector of 1-based opcode indices (padding is a suffix).
 
-    indices: tuple[int, ...]
+    `indices` is a read-only intp array, built once from any integer
+    sequence, so a batch of vectors stacks into a model input without
+    converting Python ints. Two vectors are equal when their indices are.
+    """
+
+    indices: np.ndarray
+
+    def __post_init__(self):
+        indices = np.array(self.indices, dtype=np.intp)
+        if indices.ndim != 1:
+            raise OpcodeError("an OCI vector is one row of indices")
+        indices.flags.writeable = False
+        object.__setattr__(self, "indices", indices)
 
     def __len__(self) -> int:
         return len(self.indices)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, OciVector):
+            return NotImplemented
+        return np.array_equal(self.indices, other.indices)
+
+    def __hash__(self) -> int:
+        return hash(self.indices.tobytes())
 
 
 def load_vocabulary(path: str | Path, language: str = "custom") -> OpcodeVocabulary:
@@ -161,8 +183,9 @@ def oiva(listing: OpcodeListing, vocab: OpcodeVocabulary, max_length: int) -> Oc
             indices.append(idx)
             if len(indices) == max_length:
                 break
-    indices.extend([0] * (max_length - len(indices)))
-    return OciVector(tuple(indices))
+    padded = np.zeros(max_length, dtype=np.intp)
+    padded[:len(indices)] = indices
+    return OciVector(padded)
 
 
 @dataclass
@@ -211,26 +234,52 @@ def write_corpus_csv(corpus: VectorizedCorpus, path: str | Path) -> None:
             writer.writerow([p, label, *vec.indices])
 
 
-def read_corpus_csv(path: str | Path) -> VectorizedCorpus:
-    """Read a `write_corpus_csv` file. A row whose width differs from the
-    header's, a cell that is not an integer, or a label other than 0 or 1
-    is an `OpcodeError` naming the path and line."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[:2] != ["path", "label"]:
-            raise OpcodeError(f"{path}: not a vectorized-corpus CSV")
-        corpus = VectorizedCorpus(vectors=[], labels=[], paths=[])
-        for row in reader:
+def _utf8_lines(fh, path):
+    """The lines of `fh`, opened with errors="surrogateescape"; a line
+    that is not UTF-8 is an `OpcodeError` naming the path and line."""
+    for number, line in enumerate(fh, 1):
+        if not line.isascii():
             try:
-                if len(row) != len(header):
-                    raise ValueError(f"{len(row)} cells, the header has {len(header)}")
-                label, *indices = map(int, row[1:])
-                if label not in (0, 1):
-                    raise ValueError(f"label {label} is not 0 or 1")
-            except ValueError as exc:
-                raise OpcodeError(f"{path}:{reader.line_num}: {exc}") from None
-            corpus.paths.append(row[0])
-            corpus.labels.append(label)
-            corpus.vectors.append(OciVector(tuple(indices)))
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise OpcodeError(f"{path}:{number}: not UTF-8 text") from None
+        yield line
+
+
+def read_corpus_csv(path: str | Path, vocab_size: int) -> VectorizedCorpus:
+    """Read a `write_corpus_csv` file written for a vocabulary of
+    `vocab_size` mnemonics. A line that is not UTF-8 or not CSV, a row
+    whose width differs from the header's, a cell that is not an
+    integer, a label other than 0 or 1, or an index outside
+    0..vocab_size is an `OpcodeError` naming the path and line."""
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        reader = csv.reader(_utf8_lines(fh, path))
+        try:
+            return _read_corpus(reader, path, vocab_size)
+        except csv.Error as exc:
+            raise OpcodeError(f"{path}:{reader.line_num}: {exc}") from None
+
+
+def _read_corpus(reader, path, vocab_size: int) -> VectorizedCorpus:
+    header = next(reader, None)
+    if not header or header[:2] != ["path", "label"]:
+        raise OpcodeError(f"{path}: not a vectorized-corpus CSV")
+    corpus = VectorizedCorpus(vectors=[], labels=[], paths=[])
+    for row in reader:
+        try:
+            if len(row) != len(header):
+                raise ValueError(f"{len(row)} cells, the header has {len(header)}")
+            label = int(row[1])
+            indices = np.array(row[2:], dtype=np.intp)
+            if label not in (0, 1):
+                raise ValueError(f"label {label} is not 0 or 1")
+            outside = (indices < 0) | (indices > vocab_size)
+            if outside.any():
+                raise ValueError(f"index {indices[outside.argmax()]} is outside "
+                                 f"0..{vocab_size}, the vocabulary's range")
+        except (ValueError, OverflowError) as exc:
+            raise OpcodeError(f"{path}:{reader.line_num}: {exc}") from None
+        corpus.paths.append(row[0])
+        corpus.labels.append(label)
+        corpus.vectors.append(OciVector(indices))
     return corpus

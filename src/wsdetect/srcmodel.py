@@ -76,7 +76,12 @@ class CnnConfig:
 class OpcodeCnn(tn.ModelGraph):
     """Embedding -> three ConvMaxPool layers (conv -> max over time ->
     ReLU), one per kernel width, run as one `conv_max_pool` forward and
-    concatenated -> dropout -> dense -> 2 logits."""
+    concatenated -> dropout -> dense -> 2 logits.
+
+    The backward forms no gradient of the embedded input: one
+    `conv_max_pool_backward` fills the conv gradients and scatters each
+    filter's peak gradient straight into the embedding table, one
+    histogram of (token, filter) per kernel tap."""
 
     kind = "opcode_cnn"
 
@@ -115,9 +120,7 @@ class OpcodeCnn(tn.ModelGraph):
 
     def backward(self, dlogits):
         d_merged = self.dropout.backward(self.dense.backward(dlogits))
-        d_parts = np.split(d_merged, len(self.convs), axis=1)
-        self.embedding.backward(
-            sum(conv.backward(d) for conv, d in zip(self.convs, d_parts)))
+        tn.conv_max_pool_backward(self.convs, d_merged, self.embedding)
 
     def config_header(self) -> dict:
         cfg = self.config
@@ -151,14 +154,14 @@ def build_cnn(config: CnnConfig, language: str = "custom",
 
 
 def _as_matrix(vectors, max_length: int) -> np.ndarray:
-    rows = []
-    for vec in vectors:
-        indices = vec.indices if isinstance(vec, OciVector) else tuple(vec)
-        if len(indices) != max_length:
+    """Stack OCI vectors, or integer sequences, into [n, max_length]."""
+    rows = [vec.indices if isinstance(vec, OciVector) else np.asarray(vec, dtype=np.intp)
+            for vec in vectors]
+    for row in rows:
+        if len(row) != max_length:
             raise SrcModelError(
-                f"vector length {len(indices)} != max_length {max_length}")
-        rows.append(indices)
-    return np.asarray(rows, dtype=np.intp)
+                f"vector length {len(row)} != max_length {max_length}")
+    return np.array(rows, dtype=np.intp).reshape(len(rows), max_length)
 
 
 def train_cnn(vectors, labels, config: CnnConfig, language: str = "custom",
@@ -209,14 +212,20 @@ class Verdict:
             raise ValueError("p_webshell out of [0, 1]")
 
 
-def _check_model_pairing(model: OpcodeCnn, language: str,
-                         vocab: OpcodeVocabulary) -> None:
+def check_model_pairing(model: OpcodeCnn, language: str,
+                        vocab: OpcodeVocabulary) -> None:
+    """Refuse a model trained for another language or vocabulary, or one
+    whose embedding table has no row for some index of `vocab`."""
     if model.language not in ("", "custom") and model.language != language:
         raise SrcModelError(
             f"model was trained for {model.language!r}, not {language!r}")
     if model.vocab_hash and model.vocab_hash != vocabulary_hash(vocab):
         raise SrcModelError(
             "vocabulary does not match the one the model was trained with")
+    if model.config.vocab_size < len(vocab):
+        raise SrcModelError(
+            f"model has embeddings for {model.config.vocab_size} opcodes, "
+            f"the vocabulary has {len(vocab)}")
 
 
 def cnn_verdict(model: OpcodeCnn, data: bytes, language: str,
@@ -227,7 +236,7 @@ def cnn_verdict(model: OpcodeCnn, data: bytes, language: str,
     A dump with no recognizable opcode rows raises `OpcodeParseError`
     rather than defaulting to a benign verdict.
     """
-    _check_model_pairing(model, language, vocab)
+    check_model_pairing(model, language, vocab)
     text = data.decode("utf-8", errors="replace")
     listing = parse_listing(text, language)
     if not listing.mnemonics:
@@ -248,7 +257,7 @@ def hybrid_detect(rules: RuleSet | CompiledRuleSet, model: OpcodeCnn,
     they are treated as the language's opcode dump text, vectorized and
     classified.
     """
-    _check_model_pairing(model, language, vocab)
+    check_model_pairing(model, language, vocab)
     report: MatchReport = match_buffer(rules, data, subject_id=subject_id)
     if report:
         return Verdict(label="Webshell", source="rules", p_webshell=1.0,

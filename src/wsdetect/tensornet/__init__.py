@@ -2,7 +2,8 @@
 
 Implements exactly the layer set the detection models need: embeddings,
 one fused 1-D convolution -> global max pooling -> ReLU layer whose
-kernel widths share one window matrix per sample, ReLU,
+kernel widths share one window matrix per sample and whose backward
+scatters straight into the embedding table, ReLU,
 dense layers, batch norm, dropout. Backward passes are written out by
 hand and validated against central finite differences (see
 `grad_check`).
@@ -16,6 +17,7 @@ from wsdetect.tensornet.layers import (
     Embedding,
     ReLU,
     conv_max_pool,
+    conv_max_pool_backward,
 )
 from wsdetect.tensornet.losses import (
     DECISION_THRESHOLD,
@@ -51,6 +53,7 @@ __all__ = [
     "adam_step",
     "class_weights",
     "conv_max_pool",
+    "conv_max_pool_backward",
     "cross_entropy",
     "fit",
     "grad_check",

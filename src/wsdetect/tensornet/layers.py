@@ -110,9 +110,12 @@ class ConvMaxPool(Layer):
     tie rule), and the backward pass routes its gradient through that
     one window only, gated on a positive peak.
 
-    The forward is `conv_max_pool` with this one layer; a model with
-    several widths over one input calls `conv_max_pool` with all of
-    them, so they share one window matrix per sample.
+    The forward is `conv_max_pool` with this one layer and the backward
+    `conv_max_pool_backward`; a model with several widths over one input
+    calls them with all of them, so they share one window matrix per
+    sample. The backward fills the w and b gradients and returns no
+    input gradient: over an embedding lookup, `conv_max_pool_backward`
+    scatters each filter's peak gradient straight into the table.
     """
 
     def __init__(self, in_channels, out_channels, kernel, rng):
@@ -130,26 +133,7 @@ class ConvMaxPool(Layer):
         return conv_max_pool([self], x)
 
     def backward(self, dout):
-        x, argmax = self._x, self._argmax
-        d = _keep_where(self._gate, dout)
-        batch, length, channels = x.shape
-        rows = np.arange(batch)[:, None]
-        for j in range(self.kernel):
-            # the window of filter f in sample b starts at argmax[b, f]
-            self.grads["w"][:, :, j] += np.einsum(
-                "bf,bfc->fc", d, x[rows, argmax + j])
-        # per sample, one flat histogram over cells t*C + c with entries
-        # ordered j, f, c: each cell sums its terms in the order of a
-        # per-j scatter. taps[j, f, c] = w[f, c, j]
-        taps = self.params["w"].transpose(2, 0, 1)
-        offsets = np.arange(self.kernel)[:, None, None] * channels + np.arange(channels)
-        dx = np.empty_like(x)
-        for n in range(batch):
-            cells = argmax[n][:, None] * channels + offsets
-            dx[n] = np.bincount(cells.ravel(), weights=(d[n][:, None] * taps).ravel(),
-                                minlength=length * channels).reshape(length, channels)
-        self.grads["b"] += d.sum(axis=0)
-        return dx
+        conv_max_pool_backward([self], dout)
 
 
 def conv_max_pool(convs, x):
@@ -178,6 +162,9 @@ def conv_max_pool(convs, x):
     np.argmax over the pair (best live value, idle) picks it, so a tie
     stays on the live window. Padding is found in the embedded rows,
     not in token ids, so this holds for any input.
+
+    Each layer keeps x, its argmax and its gates (peak > 0) for
+    `conv_max_pool_backward`, which reads only the peak windows.
     """
     x = np.asarray(x, dtype=np.float64)
     batch, length, channels = x.shape
@@ -229,6 +216,50 @@ def conv_max_pool(convs, x):
         conv._x, conv._argmax, conv._gate = x, argmax, peak > 0
         outputs.append(_keep_where(conv._gate, peak))
     return np.concatenate(outputs, axis=1)
+
+
+def conv_max_pool_backward(convs, dout, embedding=None):
+    """The backward of the last `conv_max_pool(convs, x)`, with dout
+    [batch, sum of F] laid out as its output; returns nothing.
+
+    Each filter's gradient, gated on a positive peak, flows through its
+    peak window only: tap j of filter f in sample n reads row
+    argmax[n, f] + j. So w[f, :, j] gains d[n, f] * x[n, argmax + j]
+    and b[f] gains d[n, f], as in a dense backward.
+
+    No input gradient is formed. When x is `embedding`'s lookup of the
+    tokens it last saw, the rows are tokens, and per tap j the gated
+    gradients are summed per (token, filter) in one histogram
+    S[V, F]; the table then gains S @ w[:, :, j]. That is the dense
+    dx[n, t] = sum of d[n, f] * w[f, :, j] over the windows reading
+    row t, binned by token, with the sums taken in another order
+    (within 1e-12 of it in the tests). The frozen padding row stays
+    zero. A non-finite w[f, c, j] makes channel c of every row
+    non-finite, where the dense path marks only the rows of the tokens
+    its windows read; either way Adam refuses the step.
+    """
+    if embedding is not None:
+        tokens = embedding._x.reshape(-1)
+        table = embedding.grads["weight"]
+    start = 0
+    for conv in convs:
+        batch, length, channels = conv._x.shape
+        x = conv._x.reshape(-1, channels)
+        filters = conv.out_channels
+        d = _keep_where(conv._gate, dout[:, start:start + filters])
+        start += filters
+        cells = np.arange(filters)
+        # row of x read by tap 0 of filter f in sample n, flattened
+        at = np.arange(batch)[:, None] * length + conv._argmax
+        for j in range(conv.kernel):
+            conv.grads["w"][:, :, j] += np.einsum("bf,bfc->fc", d, x.take(at + j, axis=0))
+            if embedding is not None:
+                hist = np.bincount((tokens.take(at + j) * filters + cells).ravel(),
+                                   weights=d.ravel(), minlength=len(table) * filters)
+                table += hist.reshape(len(table), filters) @ conv.params["w"][:, :, j]
+        conv.grads["b"] += d.sum(axis=0)
+    if embedding is not None and embedding.frozen_padding:
+        table[0] = 0.0
 
 
 class ReLU(Layer):

@@ -1,5 +1,6 @@
 """The tensornet training step as it was before the flat parameter
-buffer, and two earlier `ConvMaxPool` forwards, kept as test oracles.
+buffer, two earlier `ConvMaxPool` forwards and the dense-gradient CNN
+backward, kept as test oracles.
 
 Adam runs per named array with dict moments; every gradient array is
 re-allocated on each step; ReLU and `ConvMaxPool` select with
@@ -13,6 +14,12 @@ as it was before the kernel widths shared one window matrix: each layer
 scans the padding, copies its own windows, multiplies out the live ones
 and then adds its bias in a separate pass. `tests/test_tensornet_oracle.py`
 compares `tensornet.conv_max_pool` with both.
+
+`embedded_conv_dense_backward` is the CNN backward as it was before
+`tensornet.conv_max_pool_backward` scattered into the embedding table:
+each layer builds a dense dx[batch, L, C] with one histogram per sample,
+the layers' dx are summed, and `Embedding.backward` bins the sum by
+token.
 """
 
 from __future__ import annotations
@@ -156,6 +163,37 @@ def conv_max_pool_live_forward(self, x, mode="eval", rng=None):
             peak[n, wins] = idle[wins]
     self._x, self._argmax, self._gate = x, argmax, peak > 0
     return np.where(self._gate, peak, 0.0)
+
+
+def conv_max_pool_dense_backward(self, dout):
+    x, argmax = self._x, self._argmax
+    d = layers._keep_where(self._gate, dout)
+    batch, length, channels = x.shape
+    rows = np.arange(batch)[:, None]
+    for j in range(self.kernel):
+        # the window of filter f in sample b starts at argmax[b, f]
+        self.grads["w"][:, :, j] += np.einsum(
+            "bf,bfc->fc", d, x[rows, argmax + j])
+    # per sample, one flat histogram over cells t*C + c with entries
+    # ordered j, f, c: each cell sums its terms in the order of a
+    # per-j scatter. taps[j, f, c] = w[f, c, j]
+    taps = self.params["w"].transpose(2, 0, 1)
+    offsets = np.arange(self.kernel)[:, None, None] * channels + np.arange(channels)
+    dx = np.empty_like(x)
+    for n in range(batch):
+        cells = argmax[n][:, None] * channels + offsets
+        dx[n] = np.bincount(cells.ravel(), weights=(d[n][:, None] * taps).ravel(),
+                            minlength=length * channels).reshape(length, channels)
+    self.grads["b"] += d.sum(axis=0)
+    return dx
+
+
+def embedded_conv_dense_backward(convs, dout, embedding):
+    """The backward of `conv_max_pool(convs, embedding.forward(tokens))`
+    through a dense input gradient."""
+    douts = np.split(dout, np.cumsum([c.out_channels for c in convs])[:-1], axis=1)
+    embedding.backward(sum(conv_max_pool_dense_backward(conv, d)
+                           for conv, d in zip(convs, douts)))
 
 
 def where_select(mask, x):

@@ -6,6 +6,10 @@ import json
 import pytest
 
 from wsdetect.cli import EXIT_DETECTED, EXIT_ERROR, EXIT_OK, EXIT_USAGE, run
+from wsdetect.opcode import builtin_vocabulary
+
+
+PHP_OPCODES = len(builtin_vocabulary("php"))
 
 
 def _run(argv):
@@ -782,7 +786,11 @@ class TestCorpusErrors:
         ("b,1,3", "3 cells, the header has 4"),
         ("b,1,3,4,5", "5 cells, the header has 4"),
         ("b,7,3,4", "label 7 is not 0 or 1"),
-    ], ids=["not_an_integer", "short_row", "long_row", "label_out_of_range"])
+        (f"b,1,3,{PHP_OPCODES + 1}",
+         f"index {PHP_OPCODES + 1} is outside 0..{PHP_OPCODES}, the vocabulary's range"),
+        ("b,1,-2,4", f"index -2 is outside 0..{PHP_OPCODES}, the vocabulary's range"),
+    ], ids=["not_an_integer", "short_row", "long_row", "label_out_of_range",
+            "index_past_the_vocabulary", "negative_index"])
     def test_train_src_names_the_path_and_line(self, tmp_path, row, message):
         corpus = tmp_path / "corpus.csv"
         corpus.write_text(f"path,label,oci_0,oci_1\na,0,1,2\n{row}\n")
@@ -791,3 +799,33 @@ class TestCorpusErrors:
         assert code == EXIT_ERROR
         assert err == f"error: {corpus}:3: {message}\n"
         assert not (tmp_path / "m.bin").exists()
+
+    def test_train_src_names_a_line_that_is_not_utf8(self, tmp_path):
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_bytes(b"path,label,oci_0,oci_1\na,0,1,2\nb\xff,1,3,4\n")
+        code, out, err = _run(["train", "src", "--corpus", str(corpus),
+                               "--language", "php", "--out", str(tmp_path / "m.bin")])
+        assert code == EXIT_ERROR
+        assert err == f"error: {corpus}:3: not UTF-8 text\n"
+
+
+class TestModelPairing:
+    def test_a_model_smaller_than_the_vocabulary_is_one_error_before_any_file(
+            self, tmp_path):
+        """A CNN saved without a vocabulary hash has no row for the top
+        opcodes of a larger vocabulary: one pairing error, no verdicts,
+        even when the first file cannot be read."""
+        from wsdetect.srcmodel import CnnConfig, build_cnn
+        from wsdetect.tensornet import save_model
+
+        model = tmp_path / "small.bin"
+        config = CnnConfig.php(vocab_size=PHP_OPCODES - 10, max_length=6, num_filters=2)
+        save_model(build_cnn(config, language="php"), model)
+        dump = tmp_path / "a.vld"
+        dump.write_text("line 1 0 E > ECHO 'x'\n")
+        code, out, err = _run(["predict", "src", "--model", str(model),
+                               str(tmp_path / "missing.vld"), str(dump)])
+        assert code == EXIT_ERROR
+        assert out == ""
+        assert err == (f"error: model has embeddings for {PHP_OPCODES - 10} opcodes, "
+                       f"the vocabulary has {PHP_OPCODES}\n")

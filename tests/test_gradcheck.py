@@ -102,17 +102,28 @@ def test_weighted_loss_gradient():
 
 
 def test_full_cnn_graph():
+    """Both presets' kernel triples. Row 3's padding starts at 3, inside
+    the last live window of the widest kernel, so its windows' taps
+    reach the frozen padding row, whose gradient stays zero; row 4 is
+    all padding. Nonzero biases keep the idle windows, whose value is
+    the bias, off the ReLU's kink at 0."""
     from wsdetect.srcmodel import CnnConfig, build_cnn
 
-    config = CnnConfig(vocab_size=5, max_length=9, embedding_dim=3,
-                       kernel_sizes=(2, 3, 4), num_filters=2,
-                       dropout_rate=0.5, seed=6)
-    model = build_cnn(config)
-    rng = np.random.default_rng(7)
-    x = rng.integers(0, 6, size=(4, 9))
-    x[:, 7:] = 0  # padded tails exercise the frozen zero row
-    y = np.array([0, 1, 0, 1])
-    assert grad_check(model, x, y) < TOL
+    for kernels in ((2, 3, 4), (4, 5, 6)):
+        config = CnnConfig(vocab_size=5, max_length=9, embedding_dim=3,
+                           kernel_sizes=kernels, num_filters=2,
+                           dropout_rate=0.5, seed=6)
+        model = build_cnn(config)
+        rng = np.random.default_rng(7)
+        for conv in model.convs:
+            conv.params["b"][:] = rng.normal(0.0, 0.5, size=2)
+        x = rng.integers(1, 6, size=(5, 9))
+        x[:, 7:] = 0  # padded tails exercise the frozen zero row
+        x[3, 3:] = 0
+        x[4] = 0  # all padding
+        y = np.array([0, 1, 0, 1, 1])
+        assert grad_check(model, x, y) < TOL, kernels
+        assert not model.embedding.grads["weight"][0].any()
 
 
 def test_full_dnn_graph():

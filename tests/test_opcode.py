@@ -3,6 +3,7 @@
 import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from wsdetect.opcode import (
     _VLD_OP,
     LANGUAGES,
+    OciVector,
     OpcodeError,
     OpcodeListing,
     OpcodeVocabulary,
@@ -237,29 +239,50 @@ class TestOiva:
     def test_hand_traced(self):
         vocab = OpcodeVocabulary(("ECHO", "ADD", "RETURN"), "php")
         vec = oiva(OpcodeListing(["ADD", "ECHO", "RETURN"]), vocab, 5)
-        assert vec.indices == (2, 1, 3, 0, 0)
+        assert vec.indices.tolist() == [2, 1, 3, 0, 0]
 
     def test_empty_listing(self):
         vocab = OpcodeVocabulary(("ADD",))
-        assert oiva(OpcodeListing([]), vocab, 4).indices == (0, 0, 0, 0)
+        assert oiva(OpcodeListing([]), vocab, 4).indices.tolist() == [0, 0, 0, 0]
 
     def test_truncation_keeps_prefix(self):
         vocab = OpcodeVocabulary(("ADD",))
-        assert oiva(OpcodeListing(["ADD"] * 3), vocab, 2).indices == (1, 1)
+        assert oiva(OpcodeListing(["ADD"] * 3), vocab, 2).indices.tolist() == [1, 1]
 
     def test_out_of_vocabulary_skipped(self):
         vocab = OpcodeVocabulary(("ADD",))
         vec = oiva(OpcodeListing(["NOP", "ADD", "NOPE"]), vocab, 3)
-        assert vec.indices == (1, 0, 0)
+        assert vec.indices.tolist() == [1, 0, 0]
 
     def test_whole_token_no_substring_hit(self):
         vocab = OpcodeVocabulary(("ADD",))
         vec = oiva(OpcodeListing(["ADD_STRING"]), vocab, 2)
-        assert vec.indices == (0, 0)
+        assert vec.indices.tolist() == [0, 0]
 
     def test_max_length_validation(self):
         with pytest.raises(OpcodeError):
             oiva(OpcodeListing([]), OpcodeVocabulary(("A",)), 0)
+
+
+class TestOciVector:
+    def test_built_from_any_integer_sequence(self):
+        vec = OciVector((2, 1, 0))
+        assert vec == OciVector([2, 1, 0]) == OciVector(np.array([2, 1, 0]))
+        assert vec != OciVector((2, 1, 1)) and vec != OciVector((2, 1))
+        assert len(vec) == 3 and vec.indices.dtype == np.intp
+        assert hash(vec) == hash(OciVector([2, 1, 0]))
+
+    def test_indices_are_read_only(self):
+        source = np.array([1, 0])
+        vec = OciVector(source)
+        source[0] = 5
+        assert vec.indices.tolist() == [1, 0]
+        with pytest.raises(ValueError):
+            vec.indices[0] = 3
+
+    def test_one_row_only(self):
+        with pytest.raises(OpcodeError):
+            OciVector([[1, 2], [3, 4]])
 
 
 def _naive_oiva(mnemonics, vocab_list, max_length):
@@ -280,7 +303,7 @@ class TestOivaProperties:
         max_length = data.draw(st.integers(1, 60))
         vocab = OpcodeVocabulary(tuple(vocab_list))
         got = oiva(OpcodeListing(list(listing)), vocab, max_length)
-        assert got.indices == _naive_oiva(listing, vocab_list, max_length)
+        assert tuple(got.indices.tolist()) == _naive_oiva(listing, vocab_list, max_length)
         assert len(got.indices) == max_length
         assert all(0 <= i <= len(vocab_list) for i in got.indices)
 
@@ -312,7 +335,7 @@ class TestOivaProperties:
         first = oiva(listing, v1, 6).indices
         second = oiva(listing, v2, 6).indices
         assert [i != 0 for i in first] == [i != 0 for i in second]
-        assert first != second
+        assert first.tolist() != second.tolist()
 
 
 class TestCorpus:
@@ -324,8 +347,8 @@ class TestCorpus:
         vocab = OpcodeVocabulary(("nop", "add", "ret"), "cil")
         corpus = vectorize_corpus([(a, 0), (b, 1)], "cil", vocab, 4)
         assert corpus.labels == [0, 1]
-        assert corpus.vectors[0].indices == (1, 3, 0, 0)
-        assert corpus.vectors[1].indices == (2, 0, 0, 0)
+        assert corpus.vectors[0].indices.tolist() == [1, 3, 0, 0]
+        assert corpus.vectors[1].indices.tolist() == [2, 0, 0, 0]
         assert corpus.failures == []
 
     def test_unreadable_file_recorded(self, tmp_path):
@@ -352,7 +375,7 @@ class TestCorpus:
         corpus = vectorize_corpus([(f, 1)], "cil", vocab, 4)
         out = tmp_path / "corpus.csv"
         write_corpus_csv(corpus, out)
-        loaded = read_corpus_csv(out)
+        loaded = read_corpus_csv(out, len(vocab))
         assert loaded.vectors == corpus.vectors
         assert loaded.labels == corpus.labels
         assert loaded.paths == corpus.paths
@@ -372,5 +395,34 @@ class TestCorpus:
         path = tmp_path / "corpus.csv"
         path.write_text(f"path,label,oci_0,oci_1\na,0,1,2\n{row}\n")
         with pytest.raises(OpcodeError) as info:
-            read_corpus_csv(path)
+            read_corpus_csv(path, 4)
         assert str(info.value) == f"{path}:3: {message}"
+
+    @pytest.mark.parametrize("row, index", [("b,1,5,4", 5), ("b,1,3,-1", -1)])
+    def test_an_index_outside_the_vocabulary_names_the_path_and_line(
+            self, tmp_path, row, index):
+        path = tmp_path / "corpus.csv"
+        path.write_text(f"path,label,oci_0,oci_1\na,0,4,0\n{row}\n")
+        with pytest.raises(OpcodeError) as info:
+            read_corpus_csv(path, 4)
+        assert str(info.value) == \
+            f"{path}:3: index {index} is outside 0..4, the vocabulary's range"
+
+    @pytest.mark.parametrize("text, line", [
+        (b"path,label,oci_0\na,0,1\n\xff,1,2\n", 3),
+        (b"path,label,oci_\xe9\n", 1),
+        (b"path,label,oci_0\n" + b"a,0,1\n" * 5000 + b"b\xc3,1,2\n", 5002),
+    ], ids=["row", "header", "past_the_first_read"])
+    def test_a_line_that_is_not_utf8_names_the_path_and_line(self, tmp_path, text, line):
+        path = tmp_path / "corpus.csv"
+        path.write_bytes(text)
+        with pytest.raises(OpcodeError) as info:
+            read_corpus_csv(path, 4)
+        assert str(info.value) == f"{path}:{line}: not UTF-8 text"
+
+    def test_a_csv_error_names_the_path_and_line(self, tmp_path):
+        path = tmp_path / "corpus.csv"
+        path.write_text("path,label,oci_0\na,0,1\n" + "b" * 200_000 + ",1,2\n")
+        with pytest.raises(OpcodeError) as info:
+            read_corpus_csv(path, 4)
+        assert str(info.value) == f"{path}:3: field larger than field limit (131072)"

@@ -259,6 +259,12 @@ class TestHybridDetect:
         with pytest.raises(SrcModelError, match="vocabulary"):
             hybrid_detect(RULES, model, b"1 0 E > ECHO", "php", other)
 
+    def test_model_smaller_than_the_vocabulary_rejected(self):
+        model = build_cnn(_tiny_config())  # no vocabulary hash
+        larger = OpcodeVocabulary(VOCAB.mnemonics + ("EXTRA",))
+        with pytest.raises(SrcModelError, match="embeddings for 5 opcodes"):
+            hybrid_detect(RULES, model, b"1 0 E > ECHO", "php", larger)
+
     def test_language_mismatch_rejected(self):
         model = build_cnn(_tiny_config(), language="php", vocab=VOCAB)
         with pytest.raises(SrcModelError, match="trained for"):

@@ -137,6 +137,15 @@ def _identity_pool(channels):
     return layer
 
 
+def _table(rows):
+    """A frozen-padding embedding whose table is `rows` below a zero row 0."""
+    rows = np.asarray(rows, dtype=np.float64)
+    table = tn.Embedding(len(rows) + 1, rows.shape[1], np.random.default_rng(0),
+                         frozen_padding=True)
+    table.params["weight"][1:] = rows
+    return table
+
+
 def _naive_conv_max_pool(x, w, b, dout):
     """Triple-loop reference: forward output, dx, dw, db."""
     batch, length, channels = x.shape
@@ -207,10 +216,10 @@ class TestGlobalMaxPool:
 
     def test_tie_routes_gradient_to_first(self):
         layer = _identity_pool(1)
-        x = np.array([[[2.0], [2.0], [1.0]]])  # tie between rows 0 and 1
-        layer.forward(x)
-        dx = layer.backward(np.array([[1.0]]))
-        assert np.allclose(dx[0, :, 0], [1.0, 0.0, 0.0])
+        table = _table([[2.0], [2.0], [1.0]])
+        layer.forward(table.forward(np.array([[1, 2, 3]])))  # rows 0 and 1 tie
+        tn.conv_max_pool_backward([layer], np.array([[1.0]]), table)
+        assert np.array_equal(table.grads["weight"][:, 0], [0.0, 1.0, 0.0, 0.0])
 
 
 class TestConvMaxPool:
@@ -218,10 +227,12 @@ class TestConvMaxPool:
         layer = _conv_max_pool(2, 3, 2)
         layer.params["w"][:] = 1.0
         layer.params["b"][:] = -0.5
-        x = -np.abs(np.random.default_rng(0).normal(size=(2, 5, 2)))
+        rng = np.random.default_rng(0)
+        table = _table(-np.abs(rng.normal(size=(4, 2))))
+        x = table.forward(rng.integers(1, 5, size=(2, 5)))
         assert np.array_equal(layer.forward(x), np.zeros((2, 3)))
-        dx = layer.backward(np.ones((2, 3)))
-        assert not dx.any()
+        tn.conv_max_pool_backward([layer], np.ones((2, 3)), table)
+        assert not table.grads["weight"].any()
         assert not layer.grads["w"].any() and not layer.grads["b"].any()
 
     def test_channel_mismatch_rejected(self):
@@ -238,7 +249,12 @@ class TestConvMaxPool:
         length = data.draw(st.integers(k, 6))
         # small integers keep every sum exact, so ties are real ties
         ints = st.integers(-3, 3).map(float)
-        x = data.draw(arrays(np.float64, (batch, length, channels), elements=ints))
+        # x is a table lookup: tokens may repeat, and token 0 is padding
+        vocab = data.draw(st.integers(1, batch * length))
+        table = _table(data.draw(arrays(np.float64, (vocab, channels), elements=ints)))
+        tokens = data.draw(arrays(np.intp, (batch, length),
+                                  elements=st.integers(0, vocab)))
+        x = table.forward(tokens)
         w = data.draw(arrays(np.float64, (filters, channels, k), elements=ints))
         b = data.draw(arrays(np.float64, filters, elements=ints))
         dout = data.draw(arrays(np.float64, (batch, filters), elements=ints))
@@ -246,8 +262,13 @@ class TestConvMaxPool:
         layer.params["w"][:] = w
         layer.params["b"][:] = b
         out, dx, dw, db = _naive_conv_max_pool(x, w, b, dout)
+        # the naive dx, binned by token, with the padding row frozen
+        dtable = np.zeros_like(table.params["weight"])
+        np.add.at(dtable, tokens, dx)
+        dtable[0] = 0.0
         assert np.array_equal(layer.forward(x), out)
-        assert np.array_equal(layer.backward(dout), dx)
+        tn.conv_max_pool_backward([layer], dout, table)
+        assert np.array_equal(table.grads["weight"], dtable)
         assert np.array_equal(layer.grads["w"], dw)
         assert np.array_equal(layer.grads["b"], db)
 

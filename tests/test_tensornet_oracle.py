@@ -5,7 +5,10 @@ the bias inside the product, against two per-layer oracles, the
 full-window forward and the live-window one with its separate bias
 pass: equal where every sum is exact, within 1e-12 elsewhere (the bias
 inside the product rounds in another order), with the same argmax,
-gates and gradients."""
+gates and conv gradients. `tensornet.conv_max_pool_backward`, one
+scatter of each filter's peak gradient into the embedding table, against
+the dense input gradient binned by `Embedding.backward`: conv gradients
+bit for bit, the table's within 1e-12."""
 
 import numpy as np
 import pytest
@@ -154,28 +157,34 @@ def _pools(channels, filters, kernels, seed=0):
     return [tn.ConvMaxPool(channels, filters, k, rng) for k in kernels]
 
 
+def _copy(pool):
+    copy = tn.ConvMaxPool(pool.in_channels, pool.out_channels, pool.kernel,
+                          np.random.default_rng(0))
+    copy.params["w"][:] = pool.params["w"]
+    copy.params["b"][:] = pool.params["b"]
+    return copy
+
+
 def _oracle_copies(pools, forward):
-    copies = []
-    for pool in pools:
-        copy = tn.ConvMaxPool(pool.in_channels, pool.out_channels, pool.kernel,
-                              np.random.default_rng(0))
-        copy.params["w"][:] = pool.params["w"]
-        copy.params["b"][:] = pool.params["b"]
+    copies = [_copy(pool) for pool in pools]
+    for copy in copies:
         copy.forward = forward.__get__(copy)
-        copies.append(copy)
     return copies
+
+
+def _split(dout, pools):
+    return np.split(dout, np.cumsum([p.out_channels for p in pools])[:-1], axis=1)
 
 
 def _assert_pools_agree(pools, x, exact):
     """`tn.conv_max_pool` over `pools` against each layer's forward on
-    both oracles. The argmax, gates and every gradient must be equal;
-    the outputs bit for bit when `exact`, else within 1e-12 (the bias
-    inside the product rounds the sum in another order)."""
+    both oracles. The argmax, gates and the conv gradients of the dense
+    backward must be equal; the outputs bit for bit when `exact`, else
+    within 1e-12 (the bias inside the product rounds the sum in another
+    order)."""
     out = tn.conv_max_pool(pools, x)
     dout = np.random.default_rng(1).normal(size=out.shape)
-    douts = np.split(dout, np.cumsum([p.out_channels for p in pools])[:-1], axis=1)
-    grads = [(p.backward(d), p.grads["w"].copy(), p.grads["b"].copy())
-             for p, d in zip(pools, douts)]
+    tn.conv_max_pool_backward(pools, dout)
     for name, forward in ORACLES.items():
         copies = _oracle_copies(pools, forward)
         ref = np.concatenate([c.forward(x) for c in copies], axis=1)
@@ -183,12 +192,12 @@ def _assert_pools_agree(pools, x, exact):
             assert out.tobytes() == ref.tobytes(), name
         else:
             assert np.allclose(out, ref, rtol=0.0, atol=1e-12), name
-        for pool, copy, d, (dx, gw, gb) in zip(pools, copies, douts, grads):
+        for pool, copy, d in zip(pools, copies, _split(dout, pools)):
             assert np.array_equal(pool._argmax, copy._argmax), name
             assert np.array_equal(pool._gate, copy._gate), name
-            assert np.array_equal(copy.backward(d), dx, equal_nan=True), name
-            assert np.array_equal(copy.grads["w"], gw, equal_nan=True), name
-            assert np.array_equal(copy.grads["b"], gb, equal_nan=True), name
+            oracle.conv_max_pool_dense_backward(copy, d)
+            assert np.array_equal(copy.grads["w"], pool.grads["w"], equal_nan=True), name
+            assert np.array_equal(copy.grads["b"], pool.grads["b"], equal_nan=True), name
 
 
 def _set_params(pools, data, values, specials=()):
@@ -326,6 +335,9 @@ def test_a_tie_with_the_idle_windows_stays_on_the_live_window():
         argmax = pools[0]._argmax
         assert (argmax[0] == 1).any() or (argmax[0] == 2).any()
         assert np.all(argmax[1] == 0)
+        fused, dense = _scatter_and_dense(pools, embed, tokens)
+        assert np.allclose(fused, dense, rtol=0.0, atol=1e-12)
+        assert fused[2].any()  # the tied windows' token took gradient
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -356,3 +368,107 @@ def test_cnn_logits_match_the_full_forward_on_padded_rows():
         merged = np.concatenate(
             [c.forward(embedded) for c in _oracle_copies(model.convs, forward)], axis=1)
         assert np.max(np.abs(model.dense.forward(merged) - logits)) <= 1e-12
+
+
+# --- The CNN backward: one scatter into the table against the dense dx ------
+
+def _scatter_and_dense(pools, embedding, tokens, seed=1):
+    """One forward of `pools` over `embedding`'s lookup of `tokens`, then
+    `tn.conv_max_pool_backward` into `embedding`; the same on fresh
+    copies of both with the dense backward of `tests/tensornet_oracle.py`.
+    The argmax and the conv gradients must be equal bit for bit, and the
+    frozen padding row zero on both sides. Returns the table gradients,
+    the scatter's first."""
+    for pool in pools:
+        pool.zero_grads()
+    embedding.zero_grads()
+    convs = [_copy(pool) for pool in pools]
+    table = tn.Embedding(embedding.num_embeddings, embedding.dim,
+                         np.random.default_rng(0), frozen_padding=True)
+    table.params["weight"][:] = embedding.params["weight"]
+    out = tn.conv_max_pool(pools, embedding.forward(tokens))
+    dout = np.random.default_rng(seed).normal(size=out.shape)
+    tn.conv_max_pool_backward(pools, dout, embedding)
+    tn.conv_max_pool(convs, table.forward(tokens))
+    oracle.embedded_conv_dense_backward(convs, dout, table)
+    for pool, conv in zip(pools, convs):
+        assert np.array_equal(pool._argmax, conv._argmax)
+        assert pool.grads["w"].tobytes() == conv.grads["w"].tobytes()
+        assert pool.grads["b"].tobytes() == conv.grads["b"].tobytes()
+    fused, dense = embedding.grads["weight"], table.grads["weight"]
+    assert not fused[0].any() and not dense[0].any()
+    return fused, dense
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_scatter_backward_matches_the_dense_oracle(data):
+    """Kernel triples (k, k+1, k+2) for k from 1 to 4, which covers both
+    presets; rows with no padding, partial padding or all padding; a
+    token whose embedding row may be zero, so that windows over it alone
+    tie with the idle ones. Quarter-integer tables and parameters keep
+    the forward's sums exact, so the ties are real. Conv gradients are
+    equal bit for bit, the embedding gradient within 1e-12."""
+    k = data.draw(st.integers(1, 4))
+    batch = data.draw(st.integers(1, 4))
+    channels = data.draw(st.integers(1, 3))
+    vocab = data.draw(st.integers(1, 6))
+    length = data.draw(st.integers(k + 2, 12))
+    embedding = tn.Embedding(vocab + 1, channels, np.random.default_rng(0),
+                             frozen_padding=True)
+    embedding.params["weight"][1:] = data.draw(arrays(
+        np.float64, (vocab, channels), elements=st.sampled_from(QUARTERS)))
+    if data.draw(st.booleans()):
+        embedding.params["weight"][1] = 0.0
+    tokens = data.draw(arrays(np.intp, (batch, length),
+                              elements=st.integers(1, vocab)))
+    for n in range(batch):
+        tokens[n, length - data.draw(st.integers(0, length)):] = 0
+    pools = _pools(channels, data.draw(st.integers(1, 5)), (k, k + 1, k + 2))
+    _set_params(pools, data, QUARTERS)
+    fused, dense = _scatter_and_dense(pools, embedding, tokens,
+                                      seed=data.draw(st.integers(0, 99)))
+    assert np.allclose(fused, dense, rtol=0.0, atol=1e-12)
+
+
+def test_scatter_backward_matches_the_dense_oracle_at_the_bench_shape():
+    """One PHP-preset batch as training sees it: 96 rows of 2,000 tokens
+    over 180 opcodes with 128 filters per width, live lengths from 300
+    up. The table gradient is within 1e-12 of the dense one."""
+    rng = np.random.default_rng(11)
+    tokens = np.zeros((96, 2000), dtype=np.intp)
+    for n, live in enumerate(rng.integers(300, 2001, size=96)):
+        tokens[n, :live] = rng.integers(1, 181, size=live)
+    embedding = tn.Embedding(181, 8, rng, frozen_padding=True)
+    pools = _pools(8, 128, (3, 4, 5), seed=12)
+    fused, dense = _scatter_and_dense(pools, embedding, tokens)
+    assert np.allclose(fused, dense, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_a_non_finite_weight_marks_its_channel_in_every_table_row():
+    """The one documented difference from the dense path. With
+    w[f, c, j] inf or NaN, the scatter adds S @ w[:, :, j], whose channel
+    c is non-finite in every row, since 0 * inf is NaN; the dense path
+    marks only the rows of the tokens its windows read. So the scatter's
+    non-finite entries are channel c of every row but the frozen one,
+    the dense path's are a strict subset of them, and every other entry
+    agrees within 1e-12."""
+    tokens = np.array([[1, 2, 3, 2, 1, 0, 0, 0, 0],
+                       [3, 3, 1, 0, 0, 0, 0, 0, 0],
+                       [0, 0, 0, 0, 0, 0, 0, 0, 0],
+                       [2, 1, 3, 1, 2, 3, 1, 2, 3]])
+    embedding = tn.Embedding(8, 3, np.random.default_rng(3), frozen_padding=True)
+    for kernels in ([2], [2, 3, 4]):
+        pools = _pools(3, 6, kernels)
+        pools[0].params["w"][1, 0, 0] = np.inf
+        pools[-1].params["w"][4, 2, 1] = np.nan
+        for pool in pools:
+            pool.params["b"][:] = 0.5
+        fused, dense = _scatter_and_dense(pools, embedding, tokens)
+        marked = np.zeros(fused.shape, dtype=bool)
+        marked[1:, [0, 2]] = True
+        assert np.array_equal(~np.isfinite(fused), marked)
+        assert not (~np.isfinite(dense) & ~marked).any()
+        assert (~np.isfinite(dense)).sum() < marked.sum()
+        assert np.allclose(fused[~marked], dense[~marked], rtol=0.0, atol=1e-12)
