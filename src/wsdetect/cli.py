@@ -372,7 +372,7 @@ def cmd_dataset_clean(args, out, err) -> int:
 def cmd_inspect_once(args, out, err) -> int:
     import time as _time
 
-    from wsdetect.inspector import RuleTable, inspect_pcap, load_config, write_rules
+    from wsdetect.inspector import SourceTable, inspect_pcap, load_config, write_rules
     from wsdetect.inspector.daemon import load_predictor
     from wsdetect.inspector.pipeline import emit_eve
 
@@ -385,7 +385,8 @@ def cmd_inspect_once(args, out, err) -> int:
                          defaults={"rules_dir": ""})
     model = load_predictor(config.model_path)
     started = _time.perf_counter()
-    table = RuleTable.load(config.rules_dir, config.sid_start) if config.rules_dir else None
+    table = SourceTable.load(config.rules_dir, config.sid_start,
+                             config.blacklist_ttl_s) if config.rules_dir else None
     result = inspect_pcap(args.pcap, model, config, table=table)
     elapsed_ms = (_time.perf_counter() - started) * 1000.0
     if config.eve_path:

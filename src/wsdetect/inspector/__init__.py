@@ -9,10 +9,9 @@ rule for the source IP.
 from wsdetect.inspector.config import InspectorConfig, load_config
 from wsdetect.inspector.pipeline import (
     Alert,
-    Blacklist,
     GeneratedRule,
     InspectionResult,
-    RuleTable,
+    SourceTable,
     StubPredictor,
     emit_eve,
     inspect_pcap,
@@ -23,12 +22,11 @@ from wsdetect.inspector.daemon import InspectorDaemon, serve
 
 __all__ = [
     "Alert",
-    "Blacklist",
     "GeneratedRule",
     "InspectionResult",
     "InspectorConfig",
     "InspectorDaemon",
-    "RuleTable",
+    "SourceTable",
     "StubPredictor",
     "emit_eve",
     "inspect_pcap",

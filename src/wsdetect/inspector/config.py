@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -22,17 +23,28 @@ class InspectorConfig:
     model_path: str = ""
     sid_start: int = 3_000_001
     mode: str = "ips"  # "ips" drops, "ids" only alerts
-    blacklist_ttl_s: int = 86_400
+    blacklist_ttl_s: float = 86_400
     eve_path: str = ""
 
     def __post_init__(self):
         if self.mode not in ("ips", "ids"):
             raise ConfigError("mode must be 'ips' or 'ids'")
+        if not isinstance(self.deep_inspecting, bool):
+            raise ConfigError("deep_inspecting must be true or false")
+        if not _is_int(self.sid_start) or self.sid_start < 0:
+            raise ConfigError("sid_start must be a non-negative integer")
+        ttl = self.blacklist_ttl_s
+        if not (_is_int(ttl) or isinstance(ttl, float)) or not 0 < ttl < math.inf:
+            raise ConfigError("blacklist_ttl_s must be a positive number of seconds")
 
     @property
     def rule_action(self) -> str:
         # passive deployments cannot drop anything: rules degrade to alert
         return "drop" if self.mode == "ips" else "alert"
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def load_config(path: str | Path | None = None, overrides: dict | None = None,

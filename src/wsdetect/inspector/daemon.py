@@ -7,22 +7,32 @@ Protocol, one JSON object per line:
                                               "stats": {flows, webshell, benign,
                                                         packets, skipped_packets,
                                                         fragments, ms}}
-  {"op": "blacklist"}                     -> {"blacklist": {ip: {...}, ...}}
+  {"op": "blacklist"}                     -> {"blacklist": {ip: {first_seen,
+                                                             hit_count,
+                                                             expiry}, ...}}
 
-Malformed JSON answers {"error": "parse"} and the connection stays up. A
-line longer than MAX_REQUEST_BYTES answers {"error": "request too long"}
-and the connection is closed. Requests on one connection are handled in
-order; connections are served concurrently.
+An inspection whose capture cannot be classified, or whose rule file or
+EVE sink cannot be written, answers {"error": "..."} and logs a warning
+with the traceback. Malformed JSON answers {"error": "parse"} and the
+connection stays up. A line longer than MAX_REQUEST_BYTES answers
+{"error": "request too long"} and the connection is closed. Requests on
+one connection are handled in order; connections are served
+concurrently.
 
 Processes: `serve` runs one parent and one inspection worker process per
 usable core (see `wsdetect.inspector.worker`). The parent holds the
-socket, one thread per connection, the blacklist, the EVE sink and the
-rule table; each worker holds a copy of the model and runs
-`classify_pcap`, the CPU-heavy half of an inspection, with one BLAS
-thread. So inspections run in parallel instead of taking turns on one
-interpreter lock. Each worker costs about 43 MB of memory on top of the
-parent's 40 MB. The alerts, sids, rule-file write and EVE lines of a
-request are made in the parent under one lock.
+socket, one thread per connection, the EVE sink and one `SourceTable`,
+the per-source state behind both the blacklist and the rule file; each
+worker holds a copy of the model and runs `classify_pcap`, the
+CPU-heavy half of an inspection, with one BLAS thread. So inspections
+run in parallel instead of taking turns on one interpreter lock. Each
+worker costs about 43 MB of memory on top of the parent's 40 MB. The
+alerts, sids, rule-file write and EVE lines of a request, and the
+`blacklist` op's read, are made in the parent under one lock.
+
+The table forgets a source `blacklist_ttl_s` after its last hit, so the
+parent's memory follows the sources seen within one TTL, not uptime;
+the forgotten source's rule leaves the rule file at the next write.
 """
 
 from __future__ import annotations
@@ -41,8 +51,7 @@ from pathlib import Path
 
 from wsdetect.inspector.config import InspectorConfig
 from wsdetect.inspector.pipeline import (
-    Blacklist,
-    RuleTable,
+    SourceTable,
     Verdicts,
     classify_pcap,
     emit_eve,
@@ -75,8 +84,8 @@ class InspectorDaemon:
                 model = load_predictor(config.model_path)
             classify = functools.partial(classify_pcap, model=model)
         self.classify = classify
-        self.blacklist = Blacklist(ttl_s=config.blacklist_ttl_s)
-        self.table = RuleTable.load(config.rules_dir, config.sid_start)
+        self.table = SourceTable.load(config.rules_dir, config.sid_start,
+                                      config.blacklist_ttl_s)
         if not Path(config.rules_dir).is_dir():
             log.warning("rules directory %s does not exist: generated rules "
                         "are not written", config.rules_dir)
@@ -87,11 +96,11 @@ class InspectorDaemon:
         if op == "ping":
             return {"ok": True}
         if op == "blacklist":
-            return {"blacklist": {
-                ip: {"first_seen": entry.first_seen,
-                     "hit_count": entry.hit_count,
-                     "expiry": entry.expiry}
-                for ip, entry in self.blacklist.active().items()}}
+            with self._lock:
+                return {"blacklist": {
+                    ip: {"first_seen": rule.first_seen,
+                         "hit_count": rule.hit_count, "expiry": rule.expiry}
+                    for ip, rule in self.table.blacklist().items()}}
         if op == "inspect":
             if not self.config.deep_inspecting:
                 return {"error": "deep inspection is disabled by configuration"}
@@ -103,18 +112,18 @@ class InspectorDaemon:
 
     def inspect(self, pcap_path: str) -> dict:
         started = time.perf_counter()
+        config = self.config
         try:
             verdicts = self.classify(str(pcap_path))
+            with self._lock:
+                result = inspect_flows(verdicts, config, self.table)
+                if result.rules and Path(config.rules_dir).is_dir():
+                    write_rules(result.rules, config.rules_dir, self.table)
+                if result.alerts and config.eve_path:
+                    emit_eve(result.alerts, config.eve_path)
         except Exception as exc:
             log.warning("inspect %s failed: %s", pcap_path, exc, exc_info=True)
             return {"error": str(exc)}
-        config = self.config
-        with self._lock:
-            result = inspect_flows(verdicts, config, self.blacklist, self.table)
-            if result.rules and Path(config.rules_dir).is_dir():
-                write_rules(result.rules, config.rules_dir, self.table)
-            if result.alerts and config.eve_path:
-                emit_eve(result.alerts, config.eve_path)
         elapsed_ms = (time.perf_counter() - started) * 1000.0
         return {
             "alerts": [a.to_eve() for a in result.alerts],

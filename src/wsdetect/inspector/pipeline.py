@@ -4,13 +4,13 @@ EVE alerts + generated rules + blacklist updates.
 It runs in two halves. `classify_pcap` reads a capture and classifies
 its flows into plain `Verdicts` columns; it needs only the model, so the
 daemon runs it in worker processes. `inspect_flows` turns verdicts into
-alerts, rules and blacklist hits against one `RuleTable`; it holds the
-shared state, so the daemon runs it in its own process. `inspect_pcap`
-is the two in a row.
+alerts, rules and hits on one `SourceTable`; it holds the shared state,
+so the daemon runs it in its own process. `inspect_pcap` is both.
 
-Per webshell-classified flow: one alert. Per (source IP, action): one
-rule; repeat detections of the same source bump the blacklist counter
-and, across rule-file writes, the rule's revision.
+Per webshell-classified flow: one alert and one hit on its source. Per
+(source IP, action): one rule and blacklist entry. Repeat detections
+bump the hit count and, across rule-file writes, the rule's revision;
+a source not hit for one TTL leaves the blacklist and the rule file.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import re
 import threading
 import time
 from collections import OrderedDict
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -84,6 +85,10 @@ class GeneratedRule:
     sid: int
     rev: int = 1
     msg: str = ALERT_SIGNATURE
+    # its source's blacklist state, kept in a SourceTable; not compared
+    hit_count: int = field(default=0, compare=False, repr=False)
+    first_seen: float = field(default=0.0, compare=False, repr=False)
+    expiry: float = field(default=0.0, compare=False, repr=False)
 
     def render(self) -> str:
         return (f'{self.action} ip {self.src_ip} any -> $HOME_NET any '
@@ -95,6 +100,7 @@ _RULE_LINE = re.compile(
     r'^(?P<action>drop|alert|reject|pass) ip (?P<src>\S+) any -> \$HOME_NET any '
     r'\(msg:"(?P<msg>[^"]*)"; classtype:web-application-attack; '
     r'sid:(?P<sid>\d+); rev:(?P<rev>\d+);\)$')
+_NEXT_SID_LINE = re.compile(r"^# next-sid: (\d+)$")
 
 
 def parse_rule_line(line: str) -> GeneratedRule:
@@ -105,52 +111,6 @@ def parse_rule_line(line: str) -> GeneratedRule:
     return GeneratedRule(action=m.group("action"), src_ip=m.group("src"),
                          sid=int(m.group("sid")), rev=int(m.group("rev")),
                          msg=m.group("msg"))
-
-
-@dataclass
-class BlacklistEntry:
-    first_seen: float
-    hit_count: int
-    expiry: float
-
-
-@dataclass
-class Blacklist:
-    """Attack sources with TTL. Expired entries are never reported, and
-    each hit or read drops them, so the blacklist holds only the sources
-    hit within the last TTL. Safe to share between threads."""
-
-    ttl_s: float = 86_400.0
-    # earliest expiry first: every hit moves its source to the end
-    entries: OrderedDict[str, BlacklistEntry] = field(default_factory=OrderedDict)
-    _lock: threading.Lock = field(default_factory=threading.Lock, init=False,
-                                  repr=False, compare=False)
-
-    def hit(self, src_ip: str, now: float | None = None) -> BlacklistEntry:
-        now = time.time() if now is None else now
-        with self._lock:
-            self._evict(now)
-            entry = self.entries.get(src_ip)
-            if entry is None or entry.expiry <= now:
-                entry = BlacklistEntry(first_seen=now, hit_count=0,
-                                       expiry=now + self.ttl_s)
-                self.entries[src_ip] = entry
-            self.entries.move_to_end(src_ip)
-            entry.hit_count += 1
-            entry.expiry = now + self.ttl_s
-            return entry
-
-    def active(self, now: float | None = None) -> dict[str, BlacklistEntry]:
-        now = time.time() if now is None else now
-        with self._lock:
-            self._evict(now)
-            return {ip: e for ip, e in self.entries.items() if e.expiry > now}
-
-    def _evict(self, now: float) -> None:
-        # a clock that steps back can leave an expired entry behind a
-        # live one until that one expires; active() still filters it
-        while self.entries and next(iter(self.entries.values())).expiry <= now:
-            self.entries.popitem(last=False)
 
 
 class StubPredictor:
@@ -182,12 +142,6 @@ def load_predictor(model_path: str):
     return load_model(model_path, expect=TabularDnn)
 
 
-def _predict(model, dataset: TabularDataset):
-    if isinstance(model, TabularDnn):
-        return dnn_predict(model, dataset)
-    return model.predict(dataset)
-
-
 @dataclass
 class Verdicts:
     """The flows of one capture, classified: one entry per flow in flow
@@ -216,7 +170,8 @@ def classify_pcap(pcap_path: str | Path, model) -> Verdicts:
         dataset = TabularDataset(
             [(flow.dst_port, flow.protocol) for flow in flows],
             feature_matrix(flows), np.zeros(len(flows), np.intp))
-        probs, predicted = _predict(model, dataset)
+        probs, predicted = (dnn_predict(model, dataset) if isinstance(
+            model, TabularDnn) else model.predict(dataset))
         p_webshell, classes = probs[:, 1].tolist(), predicted.tolist()
     return Verdicts(
         [flow.src_ip for flow in flows], [flow.src_port for flow in flows],
@@ -244,69 +199,114 @@ class InspectionResult:
                 "fragments": self.fragments, "ms": round(elapsed_ms, 3)}
 
 
-class RuleTable:
-    """The generated rule file, held in memory.
-
-    `rules` maps each (source IP, action) given a sid to its rule, and
-    `next_sid` is one past the highest sid handed out, so sids are
-    unique by construction. `write_rules` bumps revisions here and
-    renders the file from here; a rule is in the file once it has been
-    written (rev >= 1), in the order of its first write. Not locked:
-    callers that share a table across threads serialise its use, as the
-    daemon does.
+class SourceTable:
+    """Per (source IP, action), one `GeneratedRule`: sid, rev, msg, hit
+    count, first hit this uptime, and expiry `ttl_s` after its last hit
+    (or its load). Expired entries are dropped, written or not. The rule
+    file renders the written ones in the order of their first write.
+    `next_sid` never goes down, so no sid is handed out twice; the file
+    keeps it in a leading `# next-sid: N` line when it exceeds the
+    highest listed sid + 1. Not locked: callers sharing a table
+    serialise its use, as the daemon does.
     """
 
-    def __init__(self, sid_start: int = 0, rules: list[GeneratedRule] = ()):
-        self.rules: dict[tuple[str, str], GeneratedRule] = {}
+    def __init__(self, ttl_s: float = 86_400.0, sid_start: int = 0,
+                 rules: list[GeneratedRule] = (), next_sid: int = 0,
+                 clock: Callable[[], float] = time.time):
+        self.ttl_s = ttl_s
+        self.clock = clock
+        # earliest expiry first: every hit moves its source to the end
+        self.rules: OrderedDict[tuple[str, str], GeneratedRule] = OrderedDict()
         # the rendered line of each written rule, in file order
         self.lines: dict[tuple[str, str], str] = {}
+        self._dropped = 0  # entries dropped since the dicts were last copied
+        expiry = clock() + ttl_s
         for rule in rules:
             key = (rule.src_ip, rule.action)
+            rule.expiry = expiry
             self.rules[key] = rule
             self.lines[key] = rule.render() + "\n"
-        self.next_sid = max([sid_start, *(rule.sid + 1 for rule in rules)])
+        self.next_sid = max([sid_start, next_sid, *(rule.sid + 1 for rule in rules)])
 
     @classmethod
-    def load(cls, rules_dir: str | Path, sid_start: int = 0) -> RuleTable:
-        """The table of the rule file under `rules_dir`; empty if there
-        is none."""
+    def load(cls, rules_dir: str | Path, sid_start: int = 0,
+             ttl_s: float = 86_400.0) -> SourceTable:
+        """The table of the rule file under `rules_dir` (empty if there
+        is none), each rule live for one TTL from now."""
         path = Path(rules_dir) / RULE_FILE_NAME
-        if not path.exists():
-            return cls(sid_start)
-        return cls(sid_start, [
-            parse_rule_line(line)
-            for line in path.read_text(encoding="utf-8").splitlines()
-            if line.strip() and not line.lstrip().startswith("#")])
+        rules, next_sid = [], 0
+        for line in (path.read_text(encoding="utf-8").splitlines()
+                     if path.exists() else ()):
+            if (m := _NEXT_SID_LINE.match(line)) is not None:
+                next_sid = int(m.group(1))
+            elif line.strip() and not line.lstrip().startswith("#"):
+                rules.append(parse_rule_line(line))
+        return cls(ttl_s, sid_start, rules, next_sid)
 
-    def sid(self, key: tuple[str, str]) -> int:
-        """The sid of (source IP, action); a new source takes the next
-        free one."""
-        rule = self.rules.get(key)
-        if rule is None:
-            rule = self.rules[key] = GeneratedRule(
-                action=key[1], src_ip=key[0], sid=self.next_sid, rev=0)
-            self.next_sid += 1
-        return rule.sid
+    def hit(self, src_ip: str, action: str) -> GeneratedRule:
+        """A detection of the source: its entry, counted and refreshed."""
+        now = self.clock()
+        key = (src_ip, action)
+        rule = self._entry(key, now)
+        if rule.hit_count == 0:
+            rule.first_seen = now
+        rule.hit_count += 1
+        rule.expiry = now + self.ttl_s
+        self.rules.move_to_end(key)
+        return rule
 
     def merge(self, rules: list[GeneratedRule]) -> None:
         """Bump each rule's revision: rev 1 for a source not yet written."""
+        now = self.clock()
         for new in rules:
             key = (new.src_ip, new.action)
-            self.sid(key)
-            rule = self.rules[key]
+            rule = self._entry(key, now)
             if rule.rev == 0:
                 rule.msg = new.msg
             rule.rev += 1
             self.lines[key] = rule.render() + "\n"
 
+    def blacklist(self) -> dict[str, GeneratedRule]:
+        """The live sources hit during this uptime, by IP."""
+        now = self.clock()
+        self._evict(now)
+        return {ip: rule for (ip, _), rule in self.rules.items()
+                if rule.hit_count and rule.expiry > now}
+
     def render(self) -> str:
-        return "".join(self.lines.values())
+        text = "".join(self.lines.values())
+        if self.lines and self.next_sid > 1 + max(
+                self.rules[key].sid for key in self.lines):
+            text = f"# next-sid: {self.next_sid}\n{text}"
+        return text
+
+    def _entry(self, key: tuple[str, str], now: float) -> GeneratedRule:
+        """The live entry of `key`; a new source takes the next free sid."""
+        self._evict(now)
+        rule = self.rules.get(key)
+        # an expired entry is still here if the clock stepped back
+        if rule is None or rule.expiry <= now:
+            self.lines.pop(key, None)
+            rule = self.rules[key] = GeneratedRule(
+                key[1], key[0], self.next_sid, rev=0, expiry=now + self.ttl_s)
+            self.next_sid += 1
+        return rule
+
+    def _evict(self, now: float) -> None:
+        while self.rules and next(iter(self.rules.values())).expiry <= now:
+            key, _ = self.rules.popitem(last=False)
+            self.lines.pop(key, None)
+            self._dropped += 1
+        if self._dropped > len(self.rules):
+            # a dict keeps its size after deletions: copy the survivors
+            self.rules, self.lines = OrderedDict(self.rules), dict(self.lines)
+            self._dropped = 0
 
 
 def inspect_flows(verdicts: Verdicts, config: InspectorConfig,
-                  blacklist: Blacklist | None = None,
-                  table: RuleTable | None = None) -> InspectionResult:
-    """Alerts and rules for the flows classified 1.
+                  table: SourceTable | None = None) -> InspectionResult:
+    """Alerts and rules for the flows classified 1, each a hit on its
+    source in `table`.
 
     `table` gives each source its sid, so repeated inspections keep
     stable signature ids, the ones the rule file keeps. Each rule
@@ -315,9 +315,10 @@ def inspect_flows(verdicts: Verdicts, config: InspectorConfig,
     result = InspectionResult(
         flows=len(verdicts.cls), packets=verdicts.packets,
         skipped_packets=verdicts.skipped_packets, fragments=verdicts.fragments)
-    table = RuleTable(config.sid_start) if table is None else table
+    if table is None:
+        table = SourceTable(config.blacklist_ttl_s, config.sid_start)
     action = config.rule_action
-    emitted: dict[tuple[str, str], GeneratedRule] = {}
+    emitted: dict[str, GeneratedRule] = {}
     for src_ip, src_port, dst_ip, dst_port, proto, first_ts, p, cls in zip(
             verdicts.src_ip, verdicts.src_port, verdicts.dst_ip, verdicts.dst_port,
             verdicts.protocol, verdicts.first_ts, verdicts.p_webshell, verdicts.cls):
@@ -325,32 +326,25 @@ def inspect_flows(verdicts: Verdicts, config: InspectorConfig,
             result.benign += 1
             continue
         result.webshell += 1
-        key = (src_ip, action)
-        rule = emitted.get(key)
+        held = table.hit(src_ip, action)
+        rule = emitted.get(src_ip)
         if rule is None:
             # the line the table's next write renders for this source
-            table.sid(key)
-            held = table.rules[key]
-            rule = emitted[key] = GeneratedRule(
-                action=action, src_ip=src_ip, sid=held.sid, rev=held.rev + 1,
-                msg=held.msg)
+            rule = emitted[src_ip] = GeneratedRule(
+                action, src_ip, held.sid, held.rev + 1, held.msg)
         result.alerts.append(Alert(
             timestamp_us=first_ts, src_ip=src_ip, src_port=src_port,
             dest_ip=dst_ip, dest_port=dst_port,
             proto=_PROTO_NAMES.get(proto, str(proto)),
             signature_id=rule.sid, p_webshell=p))
-        if blacklist is not None:
-            blacklist.hit(src_ip)
     result.rules = list(emitted.values())
     return result
 
 
 def inspect_pcap(pcap_path: str | Path, model, config: InspectorConfig,
-                 blacklist: Blacklist | None = None,
-                 table: RuleTable | None = None) -> InspectionResult:
+                 table: SourceTable | None = None) -> InspectionResult:
     """Full pipeline for one capture file."""
-    return inspect_flows(classify_pcap(pcap_path, model), config,
-                         blacklist=blacklist, table=table)
+    return inspect_flows(classify_pcap(pcap_path, model), config, table)
 
 
 def emit_eve(alerts: list[Alert], sink) -> int:
@@ -368,7 +362,7 @@ def emit_eve(alerts: list[Alert], sink) -> int:
 
 
 def write_rules(rules: list[GeneratedRule], rules_dir: str | Path,
-                table: RuleTable | None = None) -> Path | None:
+                table: SourceTable | None = None) -> Path | None:
     """Write/merge the generated rule file under `rules_dir`.
 
     Semantics per source: a new (src_ip, action) appends with rev 1 and
@@ -377,8 +371,8 @@ def write_rules(rules: list[GeneratedRule], rules_dir: str | Path,
     file is read first, and sids are handed out from the lowest sid in
     `rules` up. The file is written whole to a temporary file beside it,
     then moved into place, so a reader sees the old file or the new one,
-    never a part. With no rules to write the file is left untouched
-    (returns None).
+    never a part; if either step fails, the temporary file is removed.
+    With no rules to write the file is left untouched (returns None).
     """
     if not rules:
         return None
@@ -386,10 +380,14 @@ def write_rules(rules: list[GeneratedRule], rules_dir: str | Path,
     if not directory.is_dir():
         raise InspectorError(f"rules directory {directory} does not exist")
     if table is None:
-        table = RuleTable.load(directory, min(rule.sid for rule in rules))
+        table = SourceTable.load(directory, min(rule.sid for rule in rules))
     table.merge(rules)
     path = directory / RULE_FILE_NAME
     temporary = directory / f".{RULE_FILE_NAME}.{os.getpid()}.{threading.get_ident()}"
-    temporary.write_text(table.render(), encoding="utf-8")
-    os.replace(temporary, path)
+    try:
+        temporary.write_text(table.render(), encoding="utf-8")
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
     return path

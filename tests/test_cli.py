@@ -2,6 +2,7 @@
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -158,8 +159,8 @@ class TestSourcePipeline:
         assert code == EXIT_OK
         # merge the two corpus files
         merged = tmp_path / "corpus.csv"
-        lines = open(csv_web).read().splitlines()
-        lines += open(csv_ben).read().splitlines()[1:]
+        lines = Path(csv_web).read_text().splitlines()
+        lines += Path(csv_ben).read_text().splitlines()[1:]
         merged.write_text("\n".join(lines) + "\n")
 
         model_path = str(tmp_path / "model.bin")
@@ -189,12 +190,12 @@ class TestSourcePipeline:
                              "--max-length", "8", "--label", "1",
                              "--out", str(corpus), str(web)])
         assert code == EXIT_OK, err
-        lines = open(corpus).read().splitlines()
+        lines = Path(corpus).read_text().splitlines()
         # append a benign row by re-running extract and merging
         ben_csv = tmp_path / "ben.csv"
         _run(["oci", "extract", "--language", "cil", "--max-length", "8",
               "--label", "0", "--out", str(ben_csv), str(ben)])
-        lines += open(ben_csv).read().splitlines()[1:]
+        lines += Path(ben_csv).read_text().splitlines()[1:]
         merged = tmp_path / "merged.csv"
         merged.write_text("\n".join(lines) + "\n")
         model_path = str(tmp_path / "cil.bin")
@@ -270,7 +271,7 @@ class TestFlowPipeline:
         assert code == EXIT_OK, err
 
         # label the two flows for a trainable file, then replicate rows
-        lines = open(features).read().splitlines()
+        lines = Path(features).read_text().splitlines()
         header = lines[0].split(",")
         label_idx = header.index("Label")
         rows = []
@@ -484,7 +485,7 @@ class TestTune:
     def test_tiny_grid(self, two_flow_pcap, tmp_path):
         features = str(tmp_path / "f.csv")
         _run(["flows", "extract", "--pcap", str(two_flow_pcap), "--out", features])
-        lines = open(features).read().splitlines()
+        lines = Path(features).read_text().splitlines()
         header = lines[0].split(",")
         label_idx = header.index("Label")
         rows = []
@@ -710,7 +711,7 @@ class TestDedupManifest:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4
         for row in rows:
-            expected = hashlib.sha256(open(row["path"], "rb").read()).hexdigest()
+            expected = hashlib.sha256(Path(row["path"]).read_bytes()).hexdigest()
             assert row["hash"] == expected, row["path"]
         assert sorted(row["status"] for row in rows) == [
             "duplicate", "kept", "kept", "kept"]

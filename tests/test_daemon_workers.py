@@ -24,7 +24,7 @@ from wsdetect.inspector import (
     GeneratedRule,
     InspectorConfig,
     InspectorDaemon,
-    RuleTable,
+    SourceTable,
     parse_rule_line,
     write_rules,
 )
@@ -278,7 +278,7 @@ def test_workers_exit_after_the_daemon_is_killed(daemon_process, captures):
 
 def test_rule_file_readers_never_see_a_partial_file(tmp_path):
     path = tmp_path / "webshell-generated.rules"
-    table = RuleTable(3000001)
+    table = SourceTable(sid_start=3000001)
     write_rules([GeneratedRule("drop", f"10.0.0.{k}", 0) for k in range(50)],
                 tmp_path, table)
     done = threading.Event()

@@ -1,12 +1,15 @@
 """Inspection pipeline, EVE output, rule files, socket daemon."""
 
 import contextlib
+import gc
+import itertools
 import json
 import logging
 import random
 import socket
 import sys
 import threading
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -16,11 +19,10 @@ from tests.conftest import ethernet_ipv4_tcp, ethernet_ipv4_udp, pcap_bytes
 from wsdetect.flowmeter import PcapError
 
 from wsdetect.inspector import (
-    Blacklist,
     GeneratedRule,
     InspectorConfig,
     InspectorDaemon,
-    RuleTable,
+    SourceTable,
     StubPredictor,
     emit_eve,
     inspect_pcap,
@@ -30,6 +32,7 @@ from wsdetect.inspector import (
 )
 from wsdetect.inspector.config import ConfigError, ENV_CONFIG_PATH
 from wsdetect.inspector.daemon import MAX_REQUEST_BYTES, running
+from wsdetect.inspector.pipeline import Verdicts, inspect_flows
 
 
 @contextlib.contextmanager
@@ -74,6 +77,18 @@ class TestConfig:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"nonsense": 1}))
         with pytest.raises(ConfigError, match="nonsense"):
+            load_config(path)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("blacklist_ttl_s", "1d", "positive number"),
+        ("blacklist_ttl_s", -5, "positive number"),
+        ("sid_start", "3000001", "non-negative integer"),
+        ("deep_inspecting", "false", "true or false"),
+    ])
+    def test_mistyped_values_rejected(self, tmp_path, key, value, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: value}))
+        with pytest.raises(ConfigError, match=f"{key} must be .*{message}"):
             load_config(path)
 
     def test_removed_sampling_keys_rejected(self, tmp_path):
@@ -127,16 +142,16 @@ class TestInspectPcap:
         ]
         path = tmp_path / "same_src.pcap"
         path.write_bytes(pcap_bytes(frames))
-        blacklist = Blacklist()
+        table = SourceTable()
         result = inspect_pcap(path, StubPredictor(1), InspectorConfig(),
-                              blacklist=blacklist)
+                              table=table)
         assert len(result.alerts) == 2
         assert len(result.rules) == 1
-        assert blacklist.entries["192.168.1.10"].hit_count == 2
+        assert table.rules[("192.168.1.10", "drop")].hit_count == 2
 
     def test_sids_stable_across_runs(self, two_flow_pcap):
         config = InspectorConfig()
-        table = RuleTable(config.sid_start)
+        table = SourceTable(config.blacklist_ttl_s, config.sid_start)
         first = inspect_pcap(two_flow_pcap, StubPredictor(1), config,
                              table=table)
         second = inspect_pcap(two_flow_pcap, StubPredictor(1), config,
@@ -265,50 +280,100 @@ class TestRuleFile:
             write_rules([GeneratedRule("drop", "1.1.1.1", 1)], tmp_path / "nope")
 
 
+class _Clock:
+    """An injected clock: the time is whatever the test last set."""
+
+    def __init__(self, t=0.0):
+        self.t = t
+
+    def __call__(self):
+        return self.t
+
+
+def _verdicts(src_ips):
+    """One webshell-classified TCP flow per source."""
+    n = len(src_ips)
+    return Verdicts(list(src_ips), [4444] * n, ["10.255.0.1"] * n, [80] * n,
+                    [6] * n, [0] * n, [1.0] * n, [1] * n)
+
+
 class TestBlacklist:
+    """The blacklist side of the source table: expiry, counts, eviction."""
+
     def test_expiry(self):
-        blacklist = Blacklist(ttl_s=10.0)
-        blacklist.hit("1.1.1.1", now=100.0)
-        assert "1.1.1.1" in blacklist.active(now=105.0)
-        assert "1.1.1.1" not in blacklist.active(now=111.0)
+        clock = _Clock(100.0)
+        table = SourceTable(10.0, clock=clock)
+        table.hit("1.1.1.1", "drop")
+        clock.t = 105.0
+        assert "1.1.1.1" in table.blacklist()
+        clock.t = 111.0
+        assert "1.1.1.1" not in table.blacklist()
 
     def test_hit_refreshes_and_counts(self):
-        blacklist = Blacklist(ttl_s=10.0)
-        blacklist.hit("1.1.1.1", now=0.0)
-        blacklist.hit("1.1.1.1", now=8.0)
-        entry = blacklist.active(now=15.0)["1.1.1.1"]
+        clock = _Clock()
+        table = SourceTable(10.0, clock=clock)
+        table.hit("1.1.1.1", "drop")
+        clock.t = 8.0
+        table.hit("1.1.1.1", "drop")
+        clock.t = 15.0
+        entry = table.blacklist()["1.1.1.1"]
         assert entry.hit_count == 2
+        assert (entry.first_seen, entry.expiry) == (0.0, 18.0)
 
     def test_expired_sources_are_evicted(self):
-        blacklist = Blacklist(ttl_s=10.0)
+        clock = _Clock()
+        table = SourceTable(10.0, clock=clock)
         for i in range(1000):
-            blacklist.hit(f"10.{i // 250}.{i % 250}.1", now=i * 10.0)
-            assert len(blacklist.entries) == 1
-        assert list(blacklist.active(now=9990.0)) == ["10.3.249.1"]
+            clock.t = i * 10.0
+            table.hit(f"10.{i // 250}.{i % 250}.1", "drop")
+            assert len(table.rules) == 1
+        clock.t = 9990.0
+        assert list(table.blacklist()) == ["10.3.249.1"]
 
     def test_eviction_keeps_live_sources(self):
-        blacklist = Blacklist(ttl_s=10.0)
-        blacklist.hit("1.1.1.1", now=0.0)
-        blacklist.hit("2.2.2.2", now=5.0)
-        blacklist.hit("1.1.1.1", now=8.0)   # refreshed: now expires last
-        blacklist.hit("3.3.3.3", now=16.0)  # 2.2.2.2 expired at 15
-        assert list(blacklist.entries) == ["1.1.1.1", "3.3.3.3"]
-        assert blacklist.entries["1.1.1.1"].hit_count == 2
-        assert set(blacklist.active(now=18.5)) == {"3.3.3.3"}
-        assert list(blacklist.entries) == ["3.3.3.3"]
+        clock = _Clock()
+        table = SourceTable(10.0, clock=clock)
+        for t, ip in ((0.0, "1.1.1.1"), (5.0, "2.2.2.2"),
+                      (8.0, "1.1.1.1"),   # refreshed: now expires last
+                      (16.0, "3.3.3.3")):  # 2.2.2.2 expired at 15
+            clock.t = t
+            table.hit(ip, "drop")
+        assert [ip for ip, _ in table.rules] == ["1.1.1.1", "3.3.3.3"]
+        assert table.rules[("1.1.1.1", "drop")].hit_count == 2
+        clock.t = 18.5
+        assert set(table.blacklist()) == {"3.3.3.3"}
+        assert [ip for ip, _ in table.rules] == ["3.3.3.3"]
 
-    def test_concurrent_hits_lose_no_update(self):
-        # connection threads share one blacklist: hits, reads and
-        # evictions interleave with a tiny switch interval
-        blacklist = Blacklist(ttl_s=100.0)
-        errors = []
+    def test_concurrent_hits_lose_no_update(self, tmp_path):
+        # connection threads share one table through the daemon: hits,
+        # blacklist reads, rule writes and evictions interleave with a
+        # tiny switch interval. Every capture holds 9.9.9.9 and one
+        # source of its thread's ten; the clock ticks once per reading,
+        # so 9.9.9.9 (hit at least every 10 ticks) stays, and a thread's
+        # source, back 40 or more ticks later, has expired each time
+        captures = []
+        for k in range(8):
+            captures.append([])
+            for j in range(10):
+                path = tmp_path / f"c{k}_{j}.pcap"
+                path.write_bytes(pcap_bytes([
+                    (0, ethernet_ipv4_tcp("9.9.9.9", 4444, "10.255.0.1", 80, 40)),
+                    (1, ethernet_ipv4_tcp(f"10.0.{k}.{j}", 4444, "10.255.0.1", 80, 40))]))
+                captures[k].append(str(path))
+        rules_dir = tmp_path / "rules"
+        rules_dir.mkdir()
+        daemon = InspectorDaemon(InspectorConfig(
+            rules_dir=str(rules_dir), model_path="stub", blacklist_ttl_s=30))
+        ticks = itertools.count()
+        daemon.table.clock = lambda: float(next(ticks))
+        replies, errors = [], []
 
         def worker(k):
             try:
-                for i in range(300):
-                    blacklist.hit("9.9.9.9", now=1000.0)  # evicts the rest
-                    blacklist.hit(f"10.0.{k}.{i % 50}", now=float(i))
-                    blacklist.active(now=float(i))
+                for i in range(30):
+                    replies.append(daemon.handle_request(
+                        {"op": "inspect", "pcap_path": captures[k][i % 10]}))
+                    replies.append(daemon.handle_request({"op": "blacklist"}))
             except Exception as exc:  # a thread's error must fail the test
                 errors.append(exc)
 
@@ -323,8 +388,132 @@ class TestBlacklist:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert errors == []
-        assert blacklist.entries["9.9.9.9"].hit_count == 8 * 300
+        assert errors == [] and not [r for r in replies if "error" in r]
+        assert daemon.table.rules[("9.9.9.9", "drop")].hit_count == 8 * 30
+        assert all("9.9.9.9" in r["blacklist"] for r in replies if "blacklist" in r)
+        # each return of a source took a new sid, and no sid went to two
+        sources_of = {}
+        for reply in replies:
+            for alert in reply.get("alerts", []):
+                sources_of.setdefault(alert["alert"]["signature_id"],
+                                      set()).add(alert["src_ip"])
+        assert len(sources_of) == 1 + 8 * 10 * 3
+        assert all(len(ips) == 1 for ips in sources_of.values())
+        # a blacklist read may have dropped sources since the last write;
+        # the next write lists exactly the live ones
+        daemon.inspect(captures[0][0])
+        text = (rules_dir / "webshell-generated.rules").read_text()
+        assert text == daemon.table.render()
+        listed = [parse_rule_line(line) for line in text.splitlines()
+                  if not line.startswith("# next-sid: ")]
+        assert {r.src_ip for r in listed} == {ip for ip, _ in daemon.table.rules}
+        assert len({r.sid for r in listed}) == len(listed)
+
+
+class TestSourceTable:
+    def test_unwritten_sources_expire_too(self):
+        # no rules directory: sids are handed out, nothing is written
+        clock = _Clock()
+        config = InspectorConfig(blacklist_ttl_s=10)
+        table = SourceTable(config.blacklist_ttl_s, config.sid_start, clock=clock)
+        result = inspect_flows(_verdicts(["10.0.0.1", "10.0.0.2"]), config, table)
+        assert [r.sid for r in result.rules] == [3000001, 3000002]
+        clock.t = 10.0
+        result = inspect_flows(_verdicts(["10.0.0.1"]), config, table)
+        assert list(table.rules) == [("10.0.0.1", "drop")]
+        assert [r.sid for r in result.rules] == [3000003]
+
+    def test_a_hundred_thousand_sources_are_forgotten_one_ttl_later(self, tmp_path):
+        clock = _Clock(1000.0)
+        config = InspectorConfig(rules_dir=str(tmp_path), blacklist_ttl_s=60)
+        table = SourceTable(config.blacklist_ttl_s, config.sid_start, clock=clock)
+
+        def request(src_ips):
+            write_rules(inspect_flows(_verdicts(src_ips), config, table).rules,
+                        tmp_path, table)
+
+        tracemalloc.start()
+        try:
+            request(["10.254.0.1"])
+            gc.collect()
+            baseline = tracemalloc.get_traced_memory()[0]
+            request([f"10.{i >> 16}.{(i >> 8) & 255}.{i & 255}"
+                     for i in range(100_000)])
+            assert len(table.rules) == 100_001
+            clock.t += 60
+            request(["10.254.0.2"])
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - baseline
+        finally:
+            tracemalloc.stop()
+        assert list(table.rules) == [("10.254.0.2", "drop")]
+        assert list(table.blacklist()) == ["10.254.0.2"]
+        text = (tmp_path / "webshell-generated.rules").read_text()
+        assert text == GeneratedRule("drop", "10.254.0.2", 3100002).render() + "\n"
+        assert grown < 10 * 100_000
+
+    def test_a_source_back_after_expiry_gets_a_sid_above_every_earlier_one(
+            self, tmp_path):
+        clock = _Clock()
+        table = SourceTable(10.0, 3000001, clock=clock)
+        path = tmp_path / "webshell-generated.rules"
+
+        def request(t, ip):
+            clock.t = t
+            table.hit(ip, "drop")
+            write_rules([GeneratedRule("drop", ip, 0)], tmp_path, table)
+
+        request(0.0, "1.1.1.1")   # sid 3000001
+        request(5.0, "2.2.2.2")   # sid 3000002
+        request(8.0, "1.1.1.1")   # refreshed: expires at 18
+        request(16.0, "1.1.1.1")  # 2.2.2.2 expired at 15 and left the file
+        assert path.read_text() == "# next-sid: 3000003\n" + GeneratedRule(
+            "drop", "1.1.1.1", 3000001, rev=3).render() + "\n"
+        reloaded = SourceTable.load(tmp_path, 3000001)
+        assert reloaded.render() == path.read_text()
+        assert reloaded.hit("2.2.2.2", "drop").sid == 3000003
+        request(17.0, "2.2.2.2")
+        assert table.rules[("2.2.2.2", "drop")].sid == 3000003
+        # the highest sid is listed again: no next-sid line
+        assert [parse_rule_line(line).sid for line in path.read_text().splitlines()] \
+            == [3000001, 3000003]
+
+    def test_a_rule_file_without_next_sid_loads_and_renders_unchanged(
+            self, tmp_path):
+        # a file of rule lines only, with no next-sid line, in
+        # first-write order, sids not in order
+        text = "".join(line + "\n" for line in (
+            'drop ip 10.0.0.5 any -> $HOME_NET any (msg:"Webshell Attacking"; '
+            'classtype:web-application-attack; sid:3000004; rev:2;)',
+            'alert ip 10.0.0.6 any -> $HOME_NET any (msg:"Webshell Attacking"; '
+            'classtype:web-application-attack; sid:3000001; rev:1;)',
+            'drop ip 10.0.0.7 any -> $HOME_NET any (msg:"Seen before"; '
+            'classtype:web-application-attack; sid:3000002; rev:7;)'))
+        (tmp_path / "webshell-generated.rules").write_text(text)
+        table = SourceTable.load(tmp_path, 3000001)
+        assert table.render() == text
+        assert table.next_sid == 3000005
+        assert table.blacklist() == {}  # loaded, but not hit in this uptime
+        path = write_rules([GeneratedRule("drop", "10.0.0.7", 0)], tmp_path, table)
+        assert path.read_text() == text.replace("rev:7;", "rev:8;")
+
+    def test_a_failed_rule_write_answers_an_error(self, tmp_path, two_flow_pcap,
+                                                  caplog):
+        rules_dir = tmp_path / "rules"
+        rules_dir.mkdir()
+        daemon = InspectorDaemon(InspectorConfig(rules_dir=str(rules_dir),
+                                                 model_path="stub"))
+        assert "error" not in daemon.inspect(str(two_flow_pcap))
+        path = rules_dir / "webshell-generated.rules"
+        path.unlink()
+        path.mkdir()  # the write's os.replace now fails
+        with caplog.at_level(logging.WARNING, logger="wsdetect.inspector"):
+            reply = daemon.handle_request(
+                {"op": "inspect", "pcap_path": str(two_flow_pcap)})
+        assert set(reply) == {"error"} and "Is a directory" in reply["error"]
+        [record] = [r for r in caplog.records if "failed" in r.getMessage()]
+        assert record.exc_info is not None and issubclass(record.exc_info[0], OSError)
+        assert [p.name for p in rules_dir.iterdir()] == [path.name]
 
 
 class TestDaemon:
