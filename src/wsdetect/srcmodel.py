@@ -78,10 +78,14 @@ class OpcodeCnn(tn.ModelGraph):
     ReLU), one per kernel width, run as one `conv_max_pool` forward and
     concatenated -> dropout -> dense -> 2 logits.
 
-    The backward forms no gradient of the embedded input: one
-    `conv_max_pool_backward` fills the conv gradients and scatters each
-    filter's peak gradient straight into the embedding table, one
-    histogram of (token, filter) per kernel tap."""
+    The forward hands the token ids and the embedding table to
+    `conv_max_pool`, which gathers each sample's windows straight from
+    the table: no [batch, L, C] lookup is formed. It refuses ids that
+    are not integers or lie outside the table, and vectors of another
+    length, before any product. The backward forms no gradient of the
+    embedded input: one `conv_max_pool_backward` fills the conv
+    gradients and scatters each filter's peak gradient straight into the
+    embedding table, one histogram of (token, filter) per kernel tap."""
 
     kind = "opcode_cnn"
 
@@ -109,12 +113,11 @@ class OpcodeCnn(tn.ModelGraph):
         x = np.asarray(x)
         if x.ndim == 1:
             x = x[None, :]
-        if x.shape[1] != self.config.max_length:
+        if x.ndim != 2 or x.shape[1] != self.config.max_length:
             raise SrcModelError(
                 f"expected vectors of length {self.config.max_length}, "
-                f"got {x.shape[1]}")
-        embedded = self.embedding.forward(x, mode, rng)
-        merged = tn.conv_max_pool(self.convs, embedded)
+                f"got shape {x.shape}")
+        merged = tn.conv_max_pool(self.convs, x, self.embedding.params["weight"])
         dropped = self.dropout.forward(merged, mode, rng)
         return self.dense.forward(dropped, mode, rng)
 

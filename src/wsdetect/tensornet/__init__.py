@@ -1,10 +1,10 @@
 """Minimal dense neural-network core (float64, CPU) for the two detectors.
 
 Implements exactly the layer set the detection models need: embeddings,
-one fused 1-D convolution -> global max pooling -> ReLU layer whose
-kernel widths share one window matrix per sample and whose backward
-scatters straight into the embedding table, ReLU,
-dense layers, batch norm, dropout. Backward passes are written out by
+one fused 1-D convolution -> global max pooling -> ReLU layer that reads
+token ids and the embedding table, whose kernel widths share one window
+matrix per sample and whose backward scatters straight into the
+embedding table, ReLU, dense layers, batch norm, dropout. Backward passes are written out by
 hand and validated against central finite differences (see
 `grad_check`).
 """

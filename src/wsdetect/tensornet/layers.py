@@ -33,6 +33,17 @@ def _keep_where(mask, x):
     return bits.view(np.float64)
 
 
+def _check_tokens(tokens, rows):
+    """`tokens` as an array, after checking that it holds integer ids
+    into a table of `rows` rows."""
+    tokens = np.asarray(tokens)
+    if not np.issubdtype(tokens.dtype, np.integer):
+        raise ShapeError("embedding input must be integer indices")
+    if tokens.size and (tokens.min() < 0 or tokens.max() >= rows):
+        raise ShapeError(f"embedding index out of range [0, {rows})")
+    return tokens
+
+
 class Layer:
     """Base: parameter dict + gradient dict, one cached forward.
 
@@ -73,13 +84,7 @@ class Embedding(Layer):
         self.dim = dim
 
     def forward(self, x, mode="eval", rng=None):
-        x = np.asarray(x)
-        if not np.issubdtype(x.dtype, np.integer):
-            raise ShapeError("embedding input must be integer indices")
-        if x.size and (x.min() < 0 or x.max() >= self.num_embeddings):
-            raise ShapeError(
-                f"embedding index out of range [0, {self.num_embeddings})")
-        self._x = x
+        self._x = x = _check_tokens(x, self.num_embeddings)
         return self.params["weight"][x]
 
     def backward(self, dout):
@@ -111,11 +116,13 @@ class ConvMaxPool(Layer):
     one window only, gated on a positive peak.
 
     The forward is `conv_max_pool` with this one layer and the backward
-    `conv_max_pool_backward`; a model with several widths over one input
-    calls them with all of them, so they share one window matrix per
-    sample. The backward fills the w and b gradients and returns no
-    input gradient: over an embedding lookup, `conv_max_pool_backward`
-    scatters each filter's peak gradient straight into the table.
+    `conv_max_pool_backward`. `conv_max_pool` reads token ids and a
+    table; `forward` hands it x as a table whose rows are its own
+    positions, `tokens = arange(batch * L).reshape(batch, L)`. A model
+    with several widths over one embedding calls the two with all of
+    them and its table, so they share one window matrix per sample and
+    the backward scatters each filter's peak gradient straight into the
+    table's gradient. No input gradient is returned.
     """
 
     def __init__(self, in_channels, out_channels, kernel, rng):
@@ -130,15 +137,22 @@ class ConvMaxPool(Layer):
         self.out_channels = out_channels
 
     def forward(self, x, mode="eval", rng=None):
-        return conv_max_pool([self], x)
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 3:
+            raise ShapeError(f"expected x[batch, L, C], got shape {x.shape}")
+        batch, length, channels = x.shape
+        positions = np.arange(batch * length).reshape(batch, length)
+        return conv_max_pool([self], positions, x.reshape(-1, channels))
 
     def backward(self, dout):
         conv_max_pool_backward([self], dout)
 
 
-def conv_max_pool(convs, x):
-    """The forward of the `ConvMaxPool` layers `convs` over one input
-    x[batch, L, C]: their outputs side by side, [batch, sum of F].
+def conv_max_pool(convs, tokens, table):
+    """The forward of the `ConvMaxPool` layers `convs` over token ids
+    tokens[batch, L] into table[V, C]: their outputs side by side,
+    [batch, sum of F]. Sample n's row t is table[tokens[n, t]]; no
+    [batch, L, C] lookup is formed.
 
     It works one sample at a time with time as the last axis: an [F, T]
     product of about 2 MB stays in cache, and the argmax over time then
@@ -146,28 +160,38 @@ def conv_max_pool(convs, x):
     array.
 
     Per sample, one window matrix at the widest kernel K serves every
-    layer: row 0 is ones and row 1 + j*C + c holds x[n, s + j, c] in
-    column s. A layer of kernel k multiplies [b | w_flat], F x (1 + k*C),
-    with the first 1 + k*C rows, so its bias is added inside the product
-    and the argmax runs on the sums as they come out of it. The matrix
-    is one buffer, reused for every sample and as wide as the narrowest
+    layer: row 0 is ones and row 1 + j*C + c holds table[tokens[n, s + j], c]
+    in column s, gathered from the table transposed once per call. A
+    layer of kernel k multiplies [b | w_flat], F x (1 + k*C), with the
+    first 1 + k*C rows, so its bias is added inside the product and the
+    argmax runs on the sums as they come out of it. The window matrix
+    and one flat product buffer are allocated once per call and reused
+    for every sample and layer. The matrix is as wide as the narrowest
     kernel's windows whatever the batch, so a sample's products, and
     hence its peaks, are the same alone and in any batch.
 
     Only live windows are multiplied out. A window that starts after a
-    sample's last nonzero row sees zero rows only, so all such windows
-    share one value per filter, `idle`: b, or NaN where a weight is not
-    finite. Each layer's product runs over the windows that start
-    earlier; then the first idle window takes a filter's max where
-    np.argmax over the pair (best live value, idle) picks it, so a tie
-    stays on the live window. Padding is found in the embedded rows,
-    not in token ids, so this holds for any input.
+    sample's last token with a nonzero row sees zero rows only, so all
+    such windows share one value per filter, `idle`: b, or NaN where a
+    weight is not finite. Each layer's product runs over the windows
+    that start earlier. Then, once per layer over the batch, the first
+    idle window takes a filter's max where np.argmax over the pair
+    (best live value, idle) picks it, so a tie stays on the live window.
+    Padding is found from the table's zero rows, not from token 0, so
+    this holds for any table.
 
-    Each layer keeps x, its argmax and its gates (peak > 0) for
-    `conv_max_pool_backward`, which reads only the peak windows.
+    Each layer keeps the tokens, a copy of the table, its argmax and its
+    gates (peak > 0) for `conv_max_pool_backward`, which reads only the
+    peak windows.
     """
-    x = np.asarray(x, dtype=np.float64)
-    batch, length, channels = x.shape
+    table = np.array(table, dtype=np.float64)  # the backward reads this copy
+    if table.ndim != 2:
+        raise ShapeError(f"expected a table[V, C], got shape {table.shape}")
+    tokens = _check_tokens(tokens, len(table))
+    if tokens.ndim != 2:
+        raise ShapeError(f"expected tokens[batch, L], got shape {tokens.shape}")
+    batch, length = tokens.shape
+    channels = table.shape[1]
     for conv in convs:
         if channels != conv.in_channels:
             raise ShapeError(f"expected {conv.in_channels} channels, got {channels}")
@@ -175,9 +199,11 @@ def conv_max_pool(convs, x):
             raise ShapeError(f"input length {length} shorter than kernel {conv.kernel}")
     widest = max(conv.kernel for conv in convs)
     width = length - min(conv.kernel for conv in convs) + 1
+    columns = np.ascontiguousarray(table.T)  # [C, V]: time last once gathered
     windows = np.empty((1 + widest * channels, width))
     windows[0] = 1.0
     taps = windows[1:].reshape(widest, channels, width)
+    flat = np.empty(max(conv.out_channels for conv in convs) * width)
     pools = []
     for conv in convs:
         depth = 1 + conv.kernel * channels
@@ -190,47 +216,52 @@ def conv_max_pool(convs, x):
                        np.zeros((batch, conv.out_channels), dtype=np.intp),
                        np.tile(idle, (batch, 1))))
     # live length per sample: through its last nonzero row, 0 if none
-    nonzero = x.any(axis=2)
+    nonzero = table.any(axis=1)[tokens]
     spans = (length - nonzero[:, ::-1].argmax(axis=1)) * nonzero.any(axis=1)
     for n, span in enumerate(spans.tolist()):
         if not span:
             continue
         # the rows the widest kernel's live windows read, time last
-        xt = np.ascontiguousarray(x[n, :min(span + widest - 1, length)].T)
+        xt = columns.take(tokens[n, :min(span + widest - 1, length)], axis=1)
         for j in range(widest):
             # columns past length - j are never read: a kernel that
             # reads row j has fewer windows than that
             cols = min(span, width, length - j)
             taps[j, :, :cols] = xt[:, j:j + cols]
-        for wb, depth, t_out, idle, argmax, peak in pools:
+        for wb, depth, t_out, _, argmax, peak in pools:
             t = min(span, t_out)
-            h = wb @ windows[:depth, :t]
-            argmax[n] = h.argmax(axis=1)
+            h = np.matmul(wb, windows[:depth, :t], out=flat[:len(wb) * t].reshape(len(wb), t))
+            h.argmax(axis=1, out=argmax[n])
             peak[n] = h[np.arange(len(h)), argmax[n]]
-            if t < t_out:
-                wins = np.argmax((peak[n], idle), axis=0).astype(bool)
-                argmax[n, wins] = t
-                peak[n, wins] = idle[wins]
     outputs = []
-    for conv, (*_, argmax, peak) in zip(convs, pools):
-        conv._x, conv._argmax, conv._gate = x, argmax, peak > 0
+    for conv, (_, _, t_out, idle, argmax, peak) in zip(convs, pools):
+        # samples with idle windows; one with none live still peaks at 0
+        short = np.flatnonzero(spans < t_out)
+        best = peak[short]
+        wins = np.argmax((best, np.broadcast_to(idle, best.shape)), axis=0)
+        rows, filters = wins.nonzero()
+        samples = short[rows]
+        argmax[samples, filters] = spans[samples]
+        peak[samples, filters] = idle[filters]
+        conv._tokens, conv._table, conv._argmax, conv._gate = tokens, table, argmax, peak > 0
         outputs.append(_keep_where(conv._gate, peak))
     return np.concatenate(outputs, axis=1)
 
 
 def conv_max_pool_backward(convs, dout, embedding=None):
-    """The backward of the last `conv_max_pool(convs, x)`, with dout
-    [batch, sum of F] laid out as its output; returns nothing.
+    """The backward of the last `conv_max_pool(convs, tokens, table)`,
+    with dout [batch, sum of F] laid out as its output; returns nothing.
 
     Each filter's gradient, gated on a positive peak, flows through its
-    peak window only: tap j of filter f in sample n reads row
-    argmax[n, f] + j. So w[f, :, j] gains d[n, f] * x[n, argmax + j]
-    and b[f] gains d[n, f], as in a dense backward.
+    peak window only: tap j of filter f in sample n reads the token at
+    argmax[n, f] + j. So w[f, :, j] gains d[n, f] times that token's
+    row, read from the copy of the table the forward kept, and b[f]
+    gains d[n, f], as in a dense backward.
 
-    No input gradient is formed. When x is `embedding`'s lookup of the
-    tokens it last saw, the rows are tokens, and per tap j the gated
-    gradients are summed per (token, filter) in one histogram
-    S[V, F]; the table then gains S @ w[:, :, j]. That is the dense
+    No input gradient is formed. With `embedding`, the layer whose
+    weight was the forward's table, per tap j the gated gradients are
+    summed per (token, filter) in one histogram S[V, F], and the table's
+    gradient then gains S @ w[:, :, j]. That is the dense
     dx[n, t] = sum of d[n, f] * w[f, :, j] over the windows reading
     row t, binned by token, with the sums taken in another order
     (within 1e-12 of it in the tests). The frozen padding row stays
@@ -239,27 +270,31 @@ def conv_max_pool_backward(convs, dout, embedding=None):
     its windows read; either way Adam refuses the step.
     """
     if embedding is not None:
-        tokens = embedding._x.reshape(-1)
-        table = embedding.grads["weight"]
+        grad = embedding.grads["weight"]
     start = 0
     for conv in convs:
-        batch, length, channels = conv._x.shape
-        x = conv._x.reshape(-1, channels)
+        if embedding is not None and len(grad) != len(conv._table):
+            raise ShapeError(f"the forward read a table of {len(conv._table)} rows, "
+                             f"the embedding has {len(grad)}")
+        batch, length = conv._tokens.shape
+        tokens = conv._tokens.reshape(-1)
         filters = conv.out_channels
         d = _keep_where(conv._gate, dout[:, start:start + filters])
         start += filters
         cells = np.arange(filters)
-        # row of x read by tap 0 of filter f in sample n, flattened
+        # position read by tap 0 of filter f in sample n, flattened
         at = np.arange(batch)[:, None] * length + conv._argmax
         for j in range(conv.kernel):
-            conv.grads["w"][:, :, j] += np.einsum("bf,bfc->fc", d, x.take(at + j, axis=0))
+            rows = tokens.take(at + j)
+            conv.grads["w"][:, :, j] += np.einsum("bf,bfc->fc", d,
+                                                  conv._table.take(rows, axis=0))
             if embedding is not None:
-                hist = np.bincount((tokens.take(at + j) * filters + cells).ravel(),
-                                   weights=d.ravel(), minlength=len(table) * filters)
-                table += hist.reshape(len(table), filters) @ conv.params["w"][:, :, j]
+                hist = np.bincount((rows * filters + cells).ravel(),
+                                   weights=d.ravel(), minlength=len(grad) * filters)
+                grad += hist.reshape(len(grad), filters) @ conv.params["w"][:, :, j]
         conv.grads["b"] += d.sum(axis=0)
     if embedding is not None and embedding.frozen_padding:
-        table[0] = 0.0
+        grad[0] = 0.0
 
 
 class ReLU(Layer):

@@ -230,7 +230,7 @@ def build_dnn(config: TabularConfig, train: TabularDataset) -> TabularDnn:
     taken from the given training data."""
     cat_vocabs = []
     for col in range(train.categoricals.shape[1]):
-        values = sorted(set(int(v) for v in train.categoricals[:, col]))
+        values = np.unique(train.categoricals[:, col]).tolist()  # sorted Python ints
         cat_vocabs.append({v: i + 1 for i, v in enumerate(values)})
     mean = train.continuous.mean(axis=0)
     std = train.continuous.std(axis=0, ddof=0)

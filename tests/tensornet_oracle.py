@@ -1,6 +1,7 @@
 """The tensornet training step as it was before the flat parameter
-buffer, two earlier `ConvMaxPool` forwards and the dense-gradient CNN
-backward, kept as test oracles.
+buffer, three earlier `ConvMaxPool` forwards, the dense-gradient CNN
+backward and the scatter backward over an embedded input, kept as test
+oracles.
 
 Adam runs per named array with dict moments; every gradient array is
 re-allocated on each step; ReLU and `ConvMaxPool` select with
@@ -20,6 +21,13 @@ compares `tensornet.conv_max_pool` with both.
 each layer builds a dense dx[batch, L, C] with one histogram per sample,
 the layers' dx are summed, and `Embedding.backward` bins the sum by
 token.
+
+`lookup_conv_max_pool` and `lookup_conv_max_pool_backward` are the
+shared forward and the scatter backward as they were before the forward
+read token ids: `Embedding.forward` builds the [batch, L, C] lookup, the
+window matrices are copied from it, and the backward reads the rows of
+its peak windows from it. `tests/test_tensornet_oracle.py` holds the
+token forward and backward to them bit for bit.
 """
 
 from __future__ import annotations
@@ -194,6 +202,90 @@ def embedded_conv_dense_backward(convs, dout, embedding):
     douts = np.split(dout, np.cumsum([c.out_channels for c in convs])[:-1], axis=1)
     embedding.backward(sum(conv_max_pool_dense_backward(conv, d)
                            for conv, d in zip(convs, douts)))
+
+
+def lookup_conv_max_pool(convs, x):
+    """`tensornet.conv_max_pool` over an embedded input x[batch, L, C],
+    as it was before it read token ids. Each layer keeps x, its argmax
+    and its gates."""
+    x = np.asarray(x, dtype=np.float64)
+    batch, length, channels = x.shape
+    for conv in convs:
+        if channels != conv.in_channels:
+            raise layers.ShapeError(f"expected {conv.in_channels} channels, got {channels}")
+        if length < conv.kernel:
+            raise layers.ShapeError(f"input length {length} shorter than kernel {conv.kernel}")
+    widest = max(conv.kernel for conv in convs)
+    width = length - min(conv.kernel for conv in convs) + 1
+    windows = np.empty((1 + widest * channels, width))
+    windows[0] = 1.0
+    taps = windows[1:].reshape(widest, channels, width)
+    pools = []
+    for conv in convs:
+        depth = 1 + conv.kernel * channels
+        # wb[f, 0] = b[f], wb[f, 1 + j*C + c] = w[f, c, j]
+        wb = np.column_stack([conv.params["b"], conv.params["w"].transpose(0, 2, 1)
+                              .reshape(conv.out_channels, depth - 1)])
+        idle = wb @ np.eye(1, depth)[0]  # a window over zero rows
+        # a sample with no live window peaks at its first idle window
+        pools.append((wb, depth, length - conv.kernel + 1, idle,
+                       np.zeros((batch, conv.out_channels), dtype=np.intp),
+                       np.tile(idle, (batch, 1))))
+    # live length per sample: through its last nonzero row, 0 if none
+    nonzero = x.any(axis=2)
+    spans = (length - nonzero[:, ::-1].argmax(axis=1)) * nonzero.any(axis=1)
+    for n, span in enumerate(spans.tolist()):
+        if not span:
+            continue
+        # the rows the widest kernel's live windows read, time last
+        xt = np.ascontiguousarray(x[n, :min(span + widest - 1, length)].T)
+        for j in range(widest):
+            # columns past length - j are never read: a kernel that
+            # reads row j has fewer windows than that
+            cols = min(span, width, length - j)
+            taps[j, :, :cols] = xt[:, j:j + cols]
+        for wb, depth, t_out, idle, argmax, peak in pools:
+            t = min(span, t_out)
+            h = wb @ windows[:depth, :t]
+            argmax[n] = h.argmax(axis=1)
+            peak[n] = h[np.arange(len(h)), argmax[n]]
+            if t < t_out:
+                wins = np.argmax((peak[n], idle), axis=0).astype(bool)
+                argmax[n, wins] = t
+                peak[n, wins] = idle[wins]
+    outputs = []
+    for conv, (*_, argmax, peak) in zip(convs, pools):
+        conv._x, conv._argmax, conv._gate = x, argmax, peak > 0
+        outputs.append(layers._keep_where(conv._gate, peak))
+    return np.concatenate(outputs, axis=1)
+
+
+def lookup_conv_max_pool_backward(convs, dout, embedding=None):
+    """The backward of the last `lookup_conv_max_pool(convs, x)`: w
+    gradients from the rows of x, and, when x is `embedding`'s lookup
+    of the tokens it last saw, the scatter into its table."""
+    if embedding is not None:
+        tokens = embedding._x.reshape(-1)
+        table = embedding.grads["weight"]
+    start = 0
+    for conv in convs:
+        batch, length, channels = conv._x.shape
+        x = conv._x.reshape(-1, channels)
+        filters = conv.out_channels
+        d = layers._keep_where(conv._gate, dout[:, start:start + filters])
+        start += filters
+        cells = np.arange(filters)
+        # row of x read by tap 0 of filter f in sample n, flattened
+        at = np.arange(batch)[:, None] * length + conv._argmax
+        for j in range(conv.kernel):
+            conv.grads["w"][:, :, j] += np.einsum("bf,bfc->fc", d, x.take(at + j, axis=0))
+            if embedding is not None:
+                hist = np.bincount((tokens.take(at + j) * filters + cells).ravel(),
+                                   weights=d.ravel(), minlength=len(table) * filters)
+                table += hist.reshape(len(table), filters) @ conv.params["w"][:, :, j]
+        conv.grads["b"] += d.sum(axis=0)
+    if embedding is not None and embedding.frozen_padding:
+        table[0] = 0.0
 
 
 def where_select(mask, x):

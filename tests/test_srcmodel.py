@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from wsdetect.srcmodel import (
     hybrid_detect,
     train_cnn,
 )
+from wsdetect.tensornet.layers import ShapeError
 
 RULES = parse_rules('rule sig { strings: $a = "b374k" condition: 1 of them }')
 VOCAB = OpcodeVocabulary(
@@ -98,6 +100,52 @@ class TestBuild:
         assert np.all(model.embedding.params["weight"][0] == 0.0)
 
 
+class TestForward:
+    @pytest.mark.parametrize("rows, error, match", [
+        (np.ones((2, 12)), ShapeError, "integer"),
+        (np.array([[1, 2, -1] + [0] * 9]), ShapeError, "out of range"),
+        (np.array([[1, len(VOCAB) + 1] + [0] * 10]), ShapeError, "out of range"),
+        (np.ones((2, 11), dtype=np.intp), SrcModelError, "length"),
+        (np.ones(13, dtype=np.intp), SrcModelError, "length"),
+    ], ids=["float tokens", "negative index", "index past the vocabulary",
+            "short vectors", "long vector"])
+    def test_bad_input_refused_before_any_product(self, rows, error, match, monkeypatch):
+        model = build_cnn(_tiny_config())
+        products = []
+        matmul = np.matmul
+        monkeypatch.setattr(np, "matmul", lambda *a, **k: products.append(a) or matmul(*a, **k))
+        with pytest.raises(error, match=match):
+            model.forward(rows)
+        assert not products
+        assert not any(hasattr(conv, "_argmax") for conv in model.convs)
+        model.forward(np.ones((2, 12), dtype=np.intp))  # the spy does see products
+        assert products
+
+    def test_a_training_step_traces_under_six_megabytes(self):
+        """One PHP-preset step at the bench's batch shape, 96 rows of
+        2,000 tokens: forward, loss and backward. The forward reads each
+        sample's windows straight from the table, so no [96, 2000, 8]
+        lookup (12.3 MB) is formed or held; the step traces about 4.5 MB
+        at peak, most of it one [128, 1998] product buffer."""
+        model = build_cnn(CnnConfig.php(vocab_size=180, max_length=2000, seed=3))
+        model.parameters()  # the flat buffers are packed outside the trace
+        rng = np.random.default_rng(5)
+        rows = np.zeros((96, 2000), dtype=np.intp)
+        for n, live in enumerate(rng.integers(300, 2001, size=96)):
+            rows[n, :live] = rng.integers(1, 181, size=live)
+        labels = rng.integers(0, 2, size=96)
+        head = tn.SoftmaxCrossEntropy()
+        tracemalloc.start()
+        try:
+            model.zero_grads()
+            head.forward(model.forward(rows, mode="train", rng=rng), labels)
+            model.backward(head.backward())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
+
+
 def _planted_corpus(n=120, max_length=12, seed=0):
     """Class 1 always contains the (ECHO, CONCAT, INCLUDE_OR_EVAL) trigram;
     class 0 never contains it contiguously."""
@@ -174,7 +222,7 @@ class TestPredict:
         x[np.arange(length) >= unpadded[:, None]] = 0
 
         def peaks(rows):
-            return tn.conv_max_pool(model.convs, model.embedding.forward(rows))
+            return tn.conv_max_pool(model.convs, rows, model.embedding.params["weight"])
 
         alone = [slice(i, i + 1) for i in range(len(x))]
         assert peaks(x).tobytes() == np.concatenate(

@@ -217,7 +217,7 @@ class TestGlobalMaxPool:
     def test_tie_routes_gradient_to_first(self):
         layer = _identity_pool(1)
         table = _table([[2.0], [2.0], [1.0]])
-        layer.forward(table.forward(np.array([[1, 2, 3]])))  # rows 0 and 1 tie
+        tn.conv_max_pool([layer], [[1, 2, 3]], table.params["weight"])  # rows 0 and 1 tie
         tn.conv_max_pool_backward([layer], np.array([[1.0]]), table)
         assert np.array_equal(table.grads["weight"][:, 0], [0.0, 1.0, 0.0, 0.0])
 
@@ -229,11 +229,39 @@ class TestConvMaxPool:
         layer.params["b"][:] = -0.5
         rng = np.random.default_rng(0)
         table = _table(-np.abs(rng.normal(size=(4, 2))))
-        x = table.forward(rng.integers(1, 5, size=(2, 5)))
-        assert np.array_equal(layer.forward(x), np.zeros((2, 3)))
+        tokens = rng.integers(1, 5, size=(2, 5))
+        assert np.array_equal(tn.conv_max_pool([layer], tokens, table.params["weight"]),
+                              np.zeros((2, 3)))
         tn.conv_max_pool_backward([layer], np.ones((2, 3)), table)
         assert not table.grads["weight"].any()
         assert not layer.grads["w"].any() and not layer.grads["b"].any()
+
+    def test_backward_reads_the_table_the_forward_saw(self):
+        """An update to the table between the forward and the backward
+        does not reach the w gradients: the forward keeps a copy."""
+        rng = np.random.default_rng(4)
+        tokens = rng.integers(0, 5, size=(3, 7))
+        rows = rng.normal(size=(4, 2))
+
+        def step(update):
+            layer = _conv_max_pool(2, 4, 3)
+            layer.params["b"][:] = 1.0
+            table = _table(rows)
+            tn.conv_max_pool([layer], tokens, table.params["weight"])
+            table.params["weight"][1:] += update
+            tn.conv_max_pool_backward([layer], np.ones((3, 4)), table)
+            assert layer.grads["w"].any()
+            return layer.grads["w"].tobytes(), table.grads["weight"].tobytes()
+
+        assert step(9.0) == step(0.0)
+
+    def test_backward_into_another_table_rejected(self):
+        """After a forward over x's own rows, an embedding's table is not
+        the one the forward read."""
+        layer = _conv_max_pool(2, 4, 3)
+        layer.forward(np.ones((3, 7, 2)))
+        with pytest.raises(ShapeError, match="21 rows"):
+            tn.conv_max_pool_backward([layer], np.ones((3, 4)), _table(np.ones((4, 2))))
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ShapeError, match="channels"):
@@ -267,6 +295,7 @@ class TestConvMaxPool:
         np.add.at(dtable, tokens, dx)
         dtable[0] = 0.0
         assert np.array_equal(layer.forward(x), out)
+        assert np.array_equal(tn.conv_max_pool([layer], tokens, table.params["weight"]), out)
         tn.conv_max_pool_backward([layer], dout, table)
         assert np.array_equal(table.grads["weight"], dtable)
         assert np.array_equal(layer.grads["w"], dw)

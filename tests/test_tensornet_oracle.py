@@ -8,7 +8,9 @@ inside the product rounds in another order), with the same argmax,
 gates and conv gradients. `tensornet.conv_max_pool_backward`, one
 scatter of each filter's peak gradient into the embedding table, against
 the dense input gradient binned by `Embedding.backward`: conv gradients
-bit for bit, the table's within 1e-12."""
+bit for bit, the table's within 1e-12. The forward over token ids and a
+table, and its backward, against the same pair over the [batch, L, C]
+lookup: everything bit for bit."""
 
 import numpy as np
 import pytest
@@ -172,6 +174,13 @@ def _oracle_copies(pools, forward):
     return copies
 
 
+def _positions(x):
+    """x[batch, L, C] as token ids into a table of its own rows, the form
+    `ConvMaxPool.forward` hands to `tn.conv_max_pool`."""
+    batch, length, channels = x.shape
+    return np.arange(batch * length).reshape(batch, length), x.reshape(-1, channels)
+
+
 def _split(dout, pools):
     return np.split(dout, np.cumsum([p.out_channels for p in pools])[:-1], axis=1)
 
@@ -182,7 +191,7 @@ def _assert_pools_agree(pools, x, exact):
     backward must be equal; the outputs bit for bit when `exact`, else
     within 1e-12 (the bias inside the product rounds the sum in another
     order)."""
-    out = tn.conv_max_pool(pools, x)
+    out = tn.conv_max_pool(pools, *_positions(x))
     dout = np.random.default_rng(1).normal(size=out.shape)
     tn.conv_max_pool_backward(pools, dout)
     for name, forward in ORACLES.items():
@@ -237,7 +246,7 @@ def test_live_windows_match_the_full_forward_exactly(data):
                               elements=st.sampled_from(QUARTERS))), data)
     pools = _pools(channels, data.draw(st.integers(1, 5)), [k])
     _set_params(pools, data, QUARTERS)
-    assert np.array_equal(pools[0].forward(x), tn.conv_max_pool(pools, x))
+    assert np.array_equal(pools[0].forward(x), tn.conv_max_pool(pools, *_positions(x)))
     _assert_pools_agree(pools, x, exact=True)
 
 
@@ -373,12 +382,12 @@ def test_cnn_logits_match_the_full_forward_on_padded_rows():
 # --- The CNN backward: one scatter into the table against the dense dx ------
 
 def _scatter_and_dense(pools, embedding, tokens, seed=1):
-    """One forward of `pools` over `embedding`'s lookup of `tokens`, then
+    """One forward of `pools` over `tokens` into `embedding`'s table, then
     `tn.conv_max_pool_backward` into `embedding`; the same on fresh
-    copies of both with the dense backward of `tests/tensornet_oracle.py`.
-    The argmax and the conv gradients must be equal bit for bit, and the
-    frozen padding row zero on both sides. Returns the table gradients,
-    the scatter's first."""
+    copies of both with the lookup forward and the dense backward of
+    `tests/tensornet_oracle.py`. The argmax and the conv gradients must
+    be equal bit for bit, and the frozen padding row zero on both sides.
+    Returns the table gradients, the scatter's first."""
     for pool in pools:
         pool.zero_grads()
     embedding.zero_grads()
@@ -386,10 +395,10 @@ def _scatter_and_dense(pools, embedding, tokens, seed=1):
     table = tn.Embedding(embedding.num_embeddings, embedding.dim,
                          np.random.default_rng(0), frozen_padding=True)
     table.params["weight"][:] = embedding.params["weight"]
-    out = tn.conv_max_pool(pools, embedding.forward(tokens))
+    out = tn.conv_max_pool(pools, tokens, embedding.params["weight"])
     dout = np.random.default_rng(seed).normal(size=out.shape)
     tn.conv_max_pool_backward(pools, dout, embedding)
-    tn.conv_max_pool(convs, table.forward(tokens))
+    oracle.lookup_conv_max_pool(convs, table.forward(tokens))
     oracle.embedded_conv_dense_backward(convs, dout, table)
     for pool, conv in zip(pools, convs):
         assert np.array_equal(pool._argmax, conv._argmax)
@@ -472,3 +481,108 @@ def test_a_non_finite_weight_marks_its_channel_in_every_table_row():
         assert not (~np.isfinite(dense) & ~marked).any()
         assert (~np.isfinite(dense)).sum() < marked.sum()
         assert np.allclose(fused[~marked], dense[~marked], rtol=0.0, atol=1e-12)
+
+
+# --- The forward from token ids against the [batch, L, C] lookup ------------
+
+def _tokens_and_lookup(pools, weight, tokens, frozen_padding=True, seed=1):
+    """`tn.conv_max_pool` over `tokens` into the table `weight`, then
+    `tn.conv_max_pool_backward` into an embedding holding that table;
+    the same on copies with `oracle.lookup_conv_max_pool` over the
+    embedding's lookup and `oracle.lookup_conv_max_pool_backward`.
+    Outputs, argmax, gates, the w and b gradients and the table
+    gradients must be equal bit for bit."""
+    def embedding():
+        layer = tn.Embedding(len(weight), weight.shape[1], np.random.default_rng(0),
+                             frozen_padding=frozen_padding)
+        layer.params["weight"][:] = weight
+        return layer
+
+    fused, looked = embedding(), embedding()
+    convs = [_copy(pool) for pool in pools]
+    out = tn.conv_max_pool(pools, tokens, fused.params["weight"])
+    ref = oracle.lookup_conv_max_pool(convs, looked.forward(tokens))
+    assert out.tobytes() == ref.tobytes()
+    dout = np.random.default_rng(seed).normal(size=out.shape)
+    tn.conv_max_pool_backward(pools, dout, fused)
+    oracle.lookup_conv_max_pool_backward(convs, dout, looked)
+    for pool, conv in zip(pools, convs):
+        assert pool._argmax.tobytes() == conv._argmax.tobytes()
+        assert pool._gate.tobytes() == conv._gate.tobytes()
+        assert pool.grads["w"].tobytes() == conv.grads["w"].tobytes()
+        assert pool.grads["b"].tobytes() == conv.grads["b"].tobytes()
+    assert fused.grads["weight"].tobytes() == looked.grads["weight"].tobytes()
+
+
+def _padded(tokens, lives):
+    """`tokens` with each sample's ids zeroed from its live length on."""
+    tokens = tokens.copy()
+    tokens[np.arange(tokens.shape[1]) >= np.asarray(lives)[:, None]] = 0
+    return tokens
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_token_forward_matches_the_lookup_bit_for_bit(data):
+    """Kernel triples (k, k+1, k+2) for k from 1 to 4; batches of 1 to 3
+    and of 96; live lengths of none, the widest kernel less one, the
+    widest kernel, or any; table rows of quarter values, all zeros (a
+    token that reads as padding) or holding a NaN or an infinity; a
+    frozen zero padding row or a live row 0; ±inf and NaN weights."""
+    k = data.draw(st.integers(1, 4))
+    widest = k + 2
+    batch = data.draw(st.sampled_from([1, 2, 3, 96]))
+    channels = data.draw(st.integers(1, 3))
+    vocab = data.draw(st.integers(1, 6))
+    length = data.draw(st.integers(widest, 12))
+    frozen = data.draw(st.booleans())
+    weight = data.draw(arrays(np.float64, (vocab + 1, channels),
+                              elements=st.sampled_from(QUARTERS)))
+    for row in range(1, vocab + 1):
+        kind = data.draw(st.sampled_from(["values", "zero", "special"]))
+        if kind == "zero":
+            weight[row] = 0.0
+        elif kind == "special":
+            weight[row, data.draw(st.integers(0, channels - 1))] = \
+                data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    if frozen:
+        weight[0] = 0.0
+    live = st.one_of(st.sampled_from([0, widest - 1, widest]), st.integers(0, length))
+    lives = [min(data.draw(live), length) for _ in range(batch)]
+    tokens = _padded(data.draw(arrays(np.intp, (batch, length),
+                                      elements=st.integers(0, vocab))), lives)
+    pools = _pools(channels, data.draw(st.integers(1, 5)), (k, k + 1, k + 2))
+    _set_params(pools, data, QUARTERS, specials=(np.inf, -np.inf, np.nan))
+    _tokens_and_lookup(pools, weight, tokens, frozen_padding=frozen,
+                       seed=data.draw(st.integers(0, 99)))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("lives", [
+    [0, 40, 17],            # an all-padding sample
+    [1, 2, 4, 40],          # live lengths below the widest kernel
+    [5, 5, 40],             # live lengths equal to the widest kernel
+    [23],                   # batch 1
+    list(range(41)) * 2 + list(range(0, 42, 3)),  # batch 96
+])
+@pytest.mark.parametrize("rows", ["normal", "zero row", "nan and inf rows"])
+def test_token_forward_matches_the_lookup_on_each_edge_case(lives, rows):
+    """Normal values at the PHP preset's kernel widths and 8 channels.
+    Token 3's row is zero in "zero row", so it reads as padding, also
+    after the last other live token; tokens 2 and 4 hold a NaN and an
+    infinity in "nan and inf rows"."""
+    rng = np.random.default_rng(len(lives))
+    weight = rng.normal(size=(10, 8))
+    weight[0] = 0.0
+    if rows == "zero row":
+        weight[3] = 0.0
+    elif rows == "nan and inf rows":
+        weight[2, 5], weight[4, 1] = np.nan, np.inf
+    tokens = rng.integers(1, 10, size=(len(lives), 40))
+    tokens[:, [7, 8, 20]] = 3
+    assert len(lives) in (1, 3, 4, 96)
+    pools = _pools(8, 16, (3, 4, 5), seed=len(lives))
+    for pool in pools:
+        pool.params["b"][:] = rng.normal(size=16)
+    _tokens_and_lookup(pools, weight, _padded(tokens, lives))

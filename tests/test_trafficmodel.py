@@ -1,11 +1,15 @@
 """Tabular DNN: construction, training, prediction, cross-validation."""
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wsdetect import tensornet as tn
+from wsdetect.tensornet.graph import MAGIC
 from wsdetect.trafficmodel import (
     CANONICAL_SCHEMA,
     FeatureSchema,
@@ -105,6 +109,30 @@ class TestBuild:
         model = build_dnn(TabularConfig(), data)
         normalized = model.normalize(data.continuous)
         assert np.allclose(normalized[:, 5], 0.0)
+
+
+    def test_seeded_checkpoint_header_is_pinned(self, tmp_path):
+        """A seeded model's checkpoint header, vocabularies included, as
+        it was written when each vocabulary was sorted(set(...)) of its
+        column. The continuous columns are small integers over 256 rows,
+        so the normalization statistics are exact in any summation
+        order."""
+        rng = np.random.default_rng(21)
+        cats = np.column_stack([rng.integers(0, 65536, size=256),
+                                rng.choice([17, 6, 1, 47], size=256)])
+        cats[::7, 0] = 443
+        data = TabularDataset(cats, rng.integers(-8, 9, size=(256, 77)).astype(float),
+                              rng.integers(0, 2, size=256))
+        model = build_dnn(TabularConfig(seed=21), data)
+        for vocab, column in zip(model.cat_vocabs, cats.T):
+            values = sorted(set(int(v) for v in column))
+            assert vocab == {v: i + 1 for i, v in enumerate(values)}
+            assert all(type(v) is int for v in vocab)
+        tn.save_model(model, tmp_path / "dnn.bin")
+        blob = (tmp_path / "dnn.bin").read_bytes()
+        (length,) = struct.unpack("<Q", blob[len(MAGIC):len(MAGIC) + 8])
+        assert hashlib.sha256(blob[:len(MAGIC) + 8 + length]).hexdigest() == \
+            "72bb27a5586ad495afa3d2866be4f3e5c96c5086bfe28526ec0adf7d42816169"
 
 
 class TestCategoricalLookup:
