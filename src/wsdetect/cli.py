@@ -8,6 +8,7 @@ found at least one webshell, 1 on runtime errors, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -419,43 +420,20 @@ def cmd_inspect_serve(args, out, err) -> int:
 
 # --- parser wiring ---------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    from wsdetect.opcode import LANGUAGES
-
-    parser = argparse.ArgumentParser(
-        prog="wsdetect",
-        description="Hybrid webshell detection: signature rules + opcode CNN "
-                    "for source files, flow features + DNN for traffic.")
-    parser.add_argument("--config", default=None, help="JSON config file")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def group(name, help):
-        return sub.add_parser(name, help=help).add_subparsers(
-            dest="subcommand", required=True)
-
-    def command(parent, name, help, func, report=False, seeded=False):
-        """A subcommand running `func`. Only a command that prints a report
-        takes --json, and only one with a seeded path takes --seed."""
-        p = parent.add_parser(name, help=help)
-        p.set_defaults(func=func)
-        if report:
-            p.add_argument("--json", action="store_true",
-                           help="machine-readable JSON output")
-        if seeded:
-            p.add_argument("--seed", type=int, default=0)
-        return p
-
-    rules = group("rules", "signature rule operations")
-    p = command(rules, "check", "parse/validate rule files", cmd_rules_check)
+def _rules_commands(command) -> None:
+    p = command("check", "parse/validate rule files", cmd_rules_check)
     p.add_argument("files", nargs="+")
-    p = command(rules, "scan", "scan a directory tree", cmd_rules_scan, report=True)
+    p = command("scan", "scan a directory tree", cmd_rules_scan, report=True)
     p.add_argument("--rules", required=True)
     p.add_argument("--root", required=True)
     p.add_argument("--ext", action="append", default=None,
                    help="only scan these extensions (repeatable)")
 
-    oci = group("oci", "opcode vectorization")
-    p = command(oci, "extract", "vectorize disassembly files", cmd_oci_extract)
+
+def _oci_commands(command) -> None:
+    from wsdetect.opcode import LANGUAGES
+
+    p = command("extract", "vectorize disassembly files", cmd_oci_extract)
     p.add_argument("--language", choices=LANGUAGES, required=True)
     p.add_argument("--vocab", default=None, help="vocabulary file (default: built-in)")
     p.add_argument("--max-length", type=int, default=2000)
@@ -463,8 +441,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("files", nargs="+")
 
-    train = group("train", "train a detector")
-    p = command(train, "src", "opcode CNN from a corpus CSV", cmd_train_src,
+
+def _train_commands(command) -> None:
+    from wsdetect.opcode import LANGUAGES
+
+    p = command("src", "opcode CNN from a corpus CSV", cmd_train_src,
                 report=True, seeded=True)
     p.add_argument("--corpus", required=True, help="output of `oci extract`")
     p.add_argument("--language", choices=LANGUAGES, required=True)
@@ -472,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--out", required=True)
-    p = command(train, "flow", "traffic DNN from a feature CSV", cmd_train_flow,
+    p = command("flow", "traffic DNN from a feature CSV", cmd_train_flow,
                 report=True, seeded=True)
     p.add_argument("--csv", required=True)
     p.add_argument("--weighted", action="store_true",
@@ -481,41 +462,47 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--out", required=True)
 
-    predict = group("predict", "classify with a trained model")
-    p = command(predict, "src", "hybrid/CNN verdicts for files", cmd_predict_src)
+
+def _predict_commands(command) -> None:
+    from wsdetect.opcode import LANGUAGES
+
+    p = command("src", "hybrid/CNN verdicts for files", cmd_predict_src)
     p.add_argument("--model", required=True)
     p.add_argument("--rules", default=None,
                    help="rule file/dir for the hybrid short-circuit")
     p.add_argument("--language", choices=LANGUAGES, default=None)
     p.add_argument("--vocab", default=None)
     p.add_argument("files", nargs="+")
-    p = command(predict, "flow", "verdicts for a feature CSV", cmd_predict_flow)
+    p = command("flow", "verdicts for a feature CSV", cmd_predict_flow)
     p.add_argument("--model", required=True)
     p.add_argument("--csv", required=True)
 
-    flows = group("flows", "flow feature extraction")
-    p = command(flows, "extract", "pcap -> feature CSV (JSON lines for .jsonl)",
+
+def _flows_commands(command) -> None:
+    p = command("extract", "pcap -> feature CSV (JSON lines for .jsonl)",
                 cmd_flows_extract, report=True)
     p.add_argument("--pcap", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--flow-timeout", type=int, default=120,
                    help="flow idle timeout, seconds")
 
-    ev = group("eval", "metrics and cross-validation")
-    p = command(ev, "metrics", "panel from a confusion matrix", cmd_eval_metrics,
+
+def _eval_commands(command) -> None:
+    p = command("metrics", "panel from a confusion matrix", cmd_eval_metrics,
                 report=True)
     p.add_argument("--tp", type=int, required=True)
     p.add_argument("--fp", type=int, required=True)
     p.add_argument("--fn", type=int, required=True)
     p.add_argument("--tn", type=int, required=True)
-    p = command(ev, "kfold", "k-fold CV of the traffic DNN", cmd_eval_kfold,
+    p = command("kfold", "k-fold CV of the traffic DNN", cmd_eval_kfold,
                 report=True, seeded=True)
     p.add_argument("--csv", required=True)
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--weighted", action="store_true")
 
-    tune = group("tune", "hyperparameter search")
-    p = command(tune, "grid", "grid search over a space file", cmd_tune_grid,
+
+def _tune_commands(command) -> None:
+    p = command("grid", "grid search over a space file", cmd_tune_grid,
                 report=True, seeded=True)
     p.add_argument("--csv", required=True)
     p.add_argument("--space", required=True,
@@ -524,45 +511,105 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--weighted", action="store_true")
 
-    ds = group("dataset", "corpus hygiene")
-    p = command(ds, "dedup", "drop byte-identical files", cmd_dataset_dedup,
+
+def _dataset_commands(command) -> None:
+    p = command("dedup", "drop byte-identical files", cmd_dataset_dedup,
                 report=True)
     p.add_argument("--root", required=True)
     p.add_argument("--manifest", default=None, help="write a CSV manifest")
-    p = command(ds, "split", "train/test split manifest", cmd_dataset_split,
+    p = command("split", "train/test split manifest", cmd_dataset_split,
                 report=True, seeded=True)
     p.add_argument("--root", required=True)
     p.add_argument("--ratio", type=float, default=0.8)
     p.add_argument("--by-source", action="store_true",
                    help="assign whole first-level directories to one side")
     p.add_argument("--manifest", required=True)
-    p = command(ds, "clean", "triage candidates against rules", cmd_dataset_clean)
+    p = command("clean", "triage candidates against rules", cmd_dataset_clean)
     p.add_argument("--rules", required=True)
     p.add_argument("files", nargs="+")
 
-    inspect = group("inspect", "traffic inspection")
-    p = command(inspect, "once", "inspect one pcap file", cmd_inspect_once,
-                report=True)
+
+def _inspect_commands(command) -> None:
+    p = command("once", "inspect one pcap file", cmd_inspect_once, report=True)
     p.add_argument("--pcap", required=True)
     p.add_argument("--model", required=True,
                    help="WSNET1 checkpoint, or stub / stub:benign")
     p.add_argument("--rules-dir", default=None)
     p.add_argument("--eve", default=None, help="append alerts to this EVE file")
     p.add_argument("--mode", choices=("ips", "ids"), default=None)
-    p = command(inspect, "serve", "run the socket daemon", cmd_inspect_serve)
+    p = command("serve", "run the socket daemon", cmd_inspect_serve)
     p.add_argument("--model", default=None)
     p.add_argument("--socket", default=None)
     p.add_argument("--rules-dir", default=None)
     p.add_argument("--eve", default=None)
 
+
+def _command(commands, name, help, func, report=False, seeded=False):
+    """A subcommand of a group's `commands` running `func`. Only a command
+    that prints a report takes --json, and only one with a seeded path
+    takes --seed."""
+    p = commands.add_parser(name, help=help)
+    p.set_defaults(func=func)
+    if report:
+        p.add_argument("--json", action="store_true",
+                       help="machine-readable JSON output")
+    if seeded:
+        p.add_argument("--seed", type=int, default=0)
+    return p
+
+
+# Each command group: its help line and the function adding its commands.
+GROUPS = {
+    "rules": ("signature rule operations", _rules_commands),
+    "oci": ("opcode vectorization", _oci_commands),
+    "train": ("train a detector", _train_commands),
+    "predict": ("classify with a trained model", _predict_commands),
+    "flows": ("flow feature extraction", _flows_commands),
+    "eval": ("metrics and cross-validation", _eval_commands),
+    "tune": ("hyperparameter search", _tune_commands),
+    "dataset": ("corpus hygiene", _dataset_commands),
+    "inspect": ("traffic inspection", _inspect_commands),
+}
+
+
+def build_parser(group: str | None = None) -> argparse.ArgumentParser:
+    """The whole `wsdetect` parser, or with `group`, a name in GROUPS, a
+    parser that builds that group's commands only. It parses a command
+    line starting with the group name as the whole parser does, with the
+    same help, usage errors and exit codes: the root usage line still
+    names every group."""
+    if group is not None and group not in GROUPS:
+        raise ValueError(f"no command group {group!r}")
+    parser = argparse.ArgumentParser(
+        prog="wsdetect",
+        description="Hybrid webshell detection: signature rules + opcode CNN "
+                    "for source files, flow features + DNN for traffic.")
+    parser.add_argument("--config", default=None, help="JSON config file")
+    # a metavar would also rename the group in the "arguments are
+    # required" error, which only the whole parser can raise
+    names = {} if group is None else {"metavar": "{" + ",".join(GROUPS) + "}"}
+    sub = parser.add_subparsers(dest="command", required=True, **names)
+
+    for name, (help, add_commands) in GROUPS.items():
+        if group in (None, name):
+            commands = sub.add_parser(name, help=help).add_subparsers(
+                dest="subcommand", required=True)
+            add_commands(functools.partial(_command, commands))
     return parser
 
 
 def run(argv: list[str], out=None, err=None) -> int:
-    """Parse argv and dispatch. Returns the process exit code."""
+    """Parse argv and dispatch. Returns the process exit code.
+
+    A command line that starts with a group name, with no -h/--help
+    among its first two words, is parsed by that group's parser alone
+    (`build_parser(group)`), which prints what the whole parser would;
+    any other command line (a leading --config, --help or an unknown
+    word) builds the whole parser. Nothing is kept across calls."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = build_parser()
+    lazy = bool(argv) and argv[0] in GROUPS and not {"-h", "--help"} & set(argv[:2])
+    parser = build_parser(argv[0] if lazy else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

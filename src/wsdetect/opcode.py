@@ -9,6 +9,7 @@ reserved for padding so the first opcode is never confused with pad.
 from __future__ import annotations
 
 import csv
+import hashlib
 import re
 from dataclasses import dataclass, field
 from importlib import resources
@@ -23,7 +24,11 @@ class OpcodeError(Exception):
 
 @dataclass(frozen=True)
 class OpcodeVocabulary:
-    """Ordered mnemonic list; index of a mnemonic is its 1-based position."""
+    """Ordered mnemonic list; index of a mnemonic is its 1-based position.
+
+    `digest`, the sha256 hex of the mnemonics joined by newlines, is
+    computed once, when the vocabulary is built; a CNN checkpoint stores
+    it to name the vocabulary it was trained with."""
 
     mnemonics: tuple[str, ...]
     language: str = "custom"
@@ -36,6 +41,8 @@ class OpcodeVocabulary:
             if index.setdefault(m, i) != i:
                 raise OpcodeError(f"duplicate mnemonic {m!r} in vocabulary")
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "digest", hashlib.sha256(
+            "\n".join(self.mnemonics).encode("utf-8")).hexdigest())
 
     def __len__(self) -> int:
         return len(self.mnemonics)
@@ -176,13 +183,8 @@ def oiva(listing: OpcodeListing, vocab: OpcodeVocabulary, max_length: int) -> Oc
     """
     if max_length < 1:
         raise OpcodeError("max_length must be >= 1")
-    indices: list[int] = []
-    for mnemonic in listing.mnemonics:
-        idx = vocab.index_of(mnemonic)
-        if idx is not None:
-            indices.append(idx)
-            if len(indices) == max_length:
-                break
+    indices = [i for i in map(vocab._index.get, listing.mnemonics)
+               if i is not None][:max_length]
     padded = np.zeros(max_length, dtype=np.intp)
     padded[:len(indices)] = indices
     return OciVector(padded)

@@ -1,29 +1,29 @@
 """Pattern search and condition evaluation over byte subjects.
 
-Literal patterns (text strings and hex strings without ``??``) are found
-by exact prefix keys: a needle of length n starts at offset p if and
-only if the subject's first min(n, 8) bytes at p equal the needle's
-key, and ``subject[p:p+n]`` is the needle. Keys are grouped by width,
-and each group has a table of its keys' first byte pairs (of first
-bytes, for width 1). Only at offsets whose pair is in the table is the
-8-byte window read and looked up among the sorted keys; the second test
-is one dict lookup per distinct needle length under a matching key.
-``nocase`` literals are searched the same way in the ASCII-lowercased
-subject.
+Every literal pattern (a text string, or a hex string without ``??``)
+is searched in one pass over the ASCII-lowercased subject, keyed by its
+lowercased bytes. A needle of length n is at offset p if and only if
+the lowered subject's first min(n, 8) bytes at p equal the lowered
+needle's key, ``lower[p:p+n]`` is the lowered needle, and, unless the
+pattern is ``nocase`` or the needle holds no ASCII letter, the subject's
+own ``subject[p:p+n]`` is the needle. Keys are grouped by width, and
+each group has a table of its keys' first byte pairs (of first bytes,
+for width 1). Only at offsets whose pair is in the table is the 8-byte
+window read and looked up among the sorted keys; the second test is one
+dict lookup per distinct needle length under a matching key.
 
-Hex wildcards and regexes are found by one ``finditer`` scan each, run
-only when the subject holds every adjacent byte pair the pattern
-requires. The subject is read in blocks of 65,536 offsets; the pair
-values of a block are computed once, gate the literal search and mark a
-65,536-entry table of the pairs the subject contains (a second one marks
-those of the lowercased subject, for ``nocase`` regexes). A hex pattern
-requires the pairs of its adjacent fixed bytes. A regex requires the
-pairs of its leading literal run: the ASCII characters before its first
-metacharacter, less the last one when a quantifier follows it, and
-nothing when the source holds ``|``; lowercased for ``nocase``. Every
-match starts with that run, or holds those fixed bytes, so a subject
-without one of the pairs has no match and skipping the scan changes no
-occurrence.
+Hex wildcards and regexes are found by one ``finditer`` scan each over
+the subject, run only when the lowered subject holds every lowercased
+adjacent byte pair the pattern requires. The lowered subject is read in
+blocks of 65,536 offsets; the pair values of a block are computed once,
+gate the literal search and mark a 65,536-entry table of the pairs the
+lowered subject contains. A hex pattern requires the pairs of its
+adjacent fixed bytes. A regex requires the pairs of its leading literal
+run: the ASCII characters before its first metacharacter, less the last
+one when a quantifier follows it, and nothing when the source holds
+``|``. Every match starts with that run, or holds those fixed bytes, so
+the lowered subject holds their lowercased pairs; a subject without one
+of them has no match, and skipping the scan changes no occurrence.
 
 A condition reads only which of its rule's patterns occurred. So
 `match_buffer` evaluates it only for rules with an occurring pattern,
@@ -64,6 +64,8 @@ _WORD_BYTES = frozenset(
 _PAIRS = 1 << 16  # adjacent byte pairs, as big-endian 16-bit values
 _REGEX_META = frozenset(".^$*+?{}[]()|\\")
 _QUANTIFIERS = frozenset("?*+{")
+_LOWER = bytes(range(256)).lower()  # each byte's ASCII lowercase
+_ESCAPED = [re.escape(bytes([b])) for b in range(256)]  # each byte as a regex
 
 
 class _Block:
@@ -84,33 +86,19 @@ class _Block:
 
 
 class _Literals:
-    """Every occurrence of a set of byte needles, found by prefix keys."""
+    """Every occurrence of a set of byte needles, found by prefix keys in
+    the lowercased subject."""
 
-    def __init__(self, needles: dict[bytes, list[int]]):
-        self.needles = needles  # needle -> indices of the patterns it serves
-        lengths: dict[bytes, set[int]] = {}
-        for needle in needles:
-            if needle:  # an empty needle has no key and never occurs
-                lengths.setdefault(needle[:_KEY_WIDTH], set()).add(len(needle))
-        # one group per key width: whether it is gated on byte pairs, the
-        # table of its keys' first pairs (first bytes for width 1), the
-        # big-endian keys sorted, and for each key the distinct lengths
-        # of the needles that start with it
-        self.groups = []
-        for width in sorted({len(key) for key in lengths}):
-            keys = sorted(key for key in lengths if len(key) == width)
-            gate = np.zeros(_PAIRS if width > 1 else 256, dtype=bool)
-            gate[[int.from_bytes(key[:2], "big") for key in keys]] = True
-            self.groups.append((
-                width > 1, gate,
-                np.uint64(8 * (_KEY_WIDTH - width)),
-                np.array([int.from_bytes(key, "big") for key in keys], dtype=np.uint64),
-                [sorted(lengths[key]) for key in keys]))
+    def __init__(self, needles: dict[bytes, list[tuple[int, bytes | None]]]):
+        # lowered needle -> (pattern index, needle to confirm in the
+        # subject, or None when any case matches) of each pattern it serves
+        self.needles = needles
+        self.groups = _key_groups(needles)
 
-    def scan(self, subject: bytes, block: _Block,
+    def scan(self, subject: bytes, lower: bytes, block: _Block,
              found: dict[int, list[tuple[int, int]]]) -> None:
-        """Append (offset, length) of each occurrence starting in `block`
-        to `found[pattern]`, offsets ascending."""
+        """Append (offset, length) of each occurrence starting in `block`,
+        a block of `lower`, to `found[pattern]`, offsets ascending."""
         for paired, gate, shift, keys, lengths in self.groups:
             at = np.flatnonzero(gate[block.pairs if paired else block.bytes])
             probe = block.windows[at].astype(np.uint64) >> shift
@@ -121,8 +109,37 @@ class _Literals:
                 for n in lengths[key]:
                     if p + n > len(subject):
                         break  # a slice cut short by the end could equal a shorter needle
-                    for i in self.needles.get(subject[p:p + n], ()):
-                        found.setdefault(i, []).append((p, n))
+                    for i, exact in self.needles.get(lower[p:p + n], ()):
+                        if exact is None or subject[p:p + n] == exact:
+                            found.setdefault(i, []).append((p, n))
+
+
+def _key_groups(needles) -> list[tuple]:
+    """One group per key width of the non-empty `needles`: whether it is
+    gated on byte pairs, the table of its keys' first pairs (first bytes
+    for width 1), the shift that right-aligns a key-width window, the
+    big-endian keys sorted, and for each key the distinct lengths of the
+    needles that start with it. An empty needle has no key and never
+    occurs."""
+    lengths: dict[bytes, set[int]] = {}
+    for needle in needles:
+        if needle:
+            lengths.setdefault(needle[:_KEY_WIDTH], set()).add(len(needle))
+    keys = list(lengths)
+    widths = np.fromiter(map(len, keys), dtype=np.intp, count=len(keys))
+    # each key left-aligned in a big-endian window, zero-padded
+    values = np.frombuffer(b"".join([key.ljust(_KEY_WIDTH, b"\0") for key in keys]),
+                           dtype=">u8").astype(np.uint64)
+    groups = []
+    for width in np.unique(widths).tolist():
+        rows = np.flatnonzero(widths == width)
+        rows = rows[np.argsort(values[rows])]
+        gate = np.zeros(_PAIRS if width > 1 else 256, dtype=bool)
+        gate[values[rows] >> np.uint64(8 * _KEY_WIDTH - (16 if width > 1 else 8))] = True
+        shift = np.uint64(8 * (_KEY_WIDTH - width))
+        groups.append((width > 1, gate, shift, values[rows] >> shift,
+                       [sorted(lengths[keys[j]]) for j in rows.tolist()]))
+    return groups
 
 
 class CompiledRuleSet:
@@ -142,11 +159,9 @@ class CompiledRuleSet:
         self._fullword = [i for i, (_, pat) in enumerate(patterns)
                           if getattr(pat.body, "fullword", False)]
 
-        cs_needles: dict[bytes, list[int]] = {}
-        ci_needles: dict[bytes, list[int]] = {}
+        needles: dict[bytes, list[tuple[int, bytes | None]]] = {}
         # pattern index and regex of each scanned pattern, and the keys of
-        # the pairs it requires: a pair of the lowercased subject is keyed
-        # past _PAIRS
+        # the lowercased pairs it requires
         self._scans: list[tuple[int, re.Pattern[bytes]]] = []
         pair_keys: list[int] = []
         pair_owners: list[int] = []
@@ -154,15 +169,18 @@ class CompiledRuleSet:
         for i, (_, pat) in enumerate(patterns):
             body = pat.body
             if isinstance(body, TextBody):
-                if body.nocase:
-                    ci_needles.setdefault(body.value.lower(), []).append(i)
-                else:
-                    cs_needles.setdefault(body.value, []).append(i)
+                needle, nocase = body.value, body.nocase
+            elif isinstance(body, HexBody) and None not in body.tokens:
+                needle, nocase = bytes(body.tokens), False
+            else:
+                needle = None
+            if needle is not None:
+                lower = needle.lower()
+                # a hit on a needle without ASCII letters needs no confirming
+                exact = None if nocase or lower == needle.upper() else needle
+                needles.setdefault(lower, []).append((i, exact))
                 continue
             if isinstance(body, HexBody):
-                if all(t is not None for t in body.tokens):
-                    cs_needles.setdefault(bytes(body.tokens), []).append(i)
-                    continue
                 keys = _hex_pairs(body)
                 rx = _hex_to_regex(body)
             else:
@@ -172,31 +190,24 @@ class CompiledRuleSet:
             pair_owners += [len(self._scans)] * len(keys)
             self._scans.append((i, rx))
 
-        self._cs = _Literals(cs_needles) if cs_needles else None
-        self._ci = _Literals(ci_needles) if ci_needles else None
+        self._literals = _Literals(needles) if needles else None
         self._pair_keys = np.array(pair_keys, dtype=np.int64)
         self._pair_owners = np.array(pair_owners, dtype=np.int64)
-        self._lower_pairs = any(key >= _PAIRS for key in pair_keys)
 
     def occurrences(self, subject: bytes) -> dict[int, list[tuple[int, int]]]:
         """The (offset, length) occurrences of each pattern that occurs,
         by global pattern index; a pattern that does not occur has no
         entry."""
         found: dict[int, list[tuple[int, int]]] = {}
-        # the pairs each subject holds: present[:_PAIRS] those of the
-        # subject, present[_PAIRS:] those of the lowercased subject
-        present = np.zeros(2 * _PAIRS, dtype=bool)
-        passes = [(subject, self._cs, present[:_PAIRS] if self._scans else None)]
-        if self._ci is not None or self._lower_pairs:
-            passes.append((subject.lower(), self._ci,
-                           present[_PAIRS:] if self._lower_pairs else None))
-        for text, literals, holds in passes:
-            for start in range(0, len(text), _BLOCK_SIZE):
-                block = _Block(text, start)
-                if holds is not None:
-                    holds[block.pairs] = True
-                if literals is not None:
-                    literals.scan(text, block, found)
+        lower = subject.lower()
+        # the lowercased pairs the subject holds
+        present = np.zeros(_PAIRS, dtype=bool) if self._scans else None
+        for start in range(0, len(lower), _BLOCK_SIZE):
+            block = _Block(lower, start)
+            if present is not None:
+                present[block.pairs] = True
+            if self._literals is not None:
+                self._literals.scan(subject, lower, block, found)
         if self._scans:
             # per scan, how many of its required pairs the subject lacks
             missing = np.bincount(self._pair_owners[~present[self._pair_keys]],
@@ -223,14 +234,15 @@ def _pair_values(data: np.ndarray) -> np.ndarray:
 
 
 def _hex_pairs(body: HexBody) -> list[int]:
-    """Keys of the pairs of adjacent fixed bytes of a hex pattern."""
-    return [a << 8 | b for a, b in zip(body.tokens, body.tokens[1:])
+    """Keys of the lowercased pairs of adjacent fixed bytes of a hex
+    pattern."""
+    return [_LOWER[a] << 8 | _LOWER[b] for a, b in zip(body.tokens, body.tokens[1:])
             if a is not None and b is not None]
 
 
 def _regex_pairs(body: RegexBody) -> list[int]:
-    """Keys of the pairs of a regex's leading literal run: every match
-    starts with it. Conservative: the run ends at the first
+    """Keys of the lowercased pairs of a regex's leading literal run:
+    every match starts with it. Conservative: the run ends at the first
     metacharacter or non-ASCII character, loses its last character when
     a quantifier ends it, and is empty when the source holds '|'."""
     if "|" in body.source:
@@ -242,15 +254,13 @@ def _regex_pairs(body: RegexBody) -> list[int]:
                 del run[-1:]
             break
         run.append(ord(ch))
-    if body.nocase:
-        run = bytes(run).lower()
-    base = _PAIRS if body.nocase else 0
-    return [base + (a << 8 | b) for a, b in zip(run, run[1:])]
+    run = bytes(run).lower()
+    return [a << 8 | b for a, b in zip(run, run[1:])]
 
 
 def _hex_to_regex(body: HexBody) -> re.Pattern[bytes]:
-    parts = [b"." if t is None else re.escape(bytes([t])) for t in body.tokens]
-    return re.compile(b"".join(parts), re.DOTALL)
+    return re.compile(b"".join([b"." if t is None else _ESCAPED[t] for t in body.tokens]),
+                      re.DOTALL)
 
 
 def _is_fullword(subject: bytes, offset: int, length: int) -> bool:

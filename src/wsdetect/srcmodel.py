@@ -7,7 +7,6 @@ a rule-matching file.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,15 +144,10 @@ class OpcodeCnn(tn.ModelGraph):
         return cls(CnnConfig(**header), language=language, vocab_hash=vocab_hash)
 
 
-def vocabulary_hash(vocab: OpcodeVocabulary) -> str:
-    joined = "\n".join(vocab.mnemonics).encode("utf-8")
-    return hashlib.sha256(joined).hexdigest()
-
-
 def build_cnn(config: CnnConfig, language: str = "custom",
               vocab: OpcodeVocabulary | None = None) -> OpcodeCnn:
-    vhash = vocabulary_hash(vocab) if vocab is not None else ""
-    return OpcodeCnn(config, language=language, vocab_hash=vhash)
+    return OpcodeCnn(config, language=language,
+                     vocab_hash=vocab.digest if vocab is not None else "")
 
 
 def _as_matrix(vectors, max_length: int) -> np.ndarray:
@@ -222,7 +216,7 @@ def check_model_pairing(model: OpcodeCnn, language: str,
     if model.language not in ("", "custom") and model.language != language:
         raise SrcModelError(
             f"model was trained for {model.language!r}, not {language!r}")
-    if model.vocab_hash and model.vocab_hash != vocabulary_hash(vocab):
+    if model.vocab_hash and model.vocab_hash != vocab.digest:
         raise SrcModelError(
             "vocabulary does not match the one the model was trained with")
     if model.config.vocab_size < len(vocab):

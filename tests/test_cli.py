@@ -263,6 +263,38 @@ class TestSourcePipeline:
         assert sources == ["cnn", "rules", "cnn"]
         assert len(calls) == 1
 
+    def test_predict_hashes_the_vocabulary_once(self, corpus_dir, tmp_path,
+                                                monkeypatch):
+        """The pairing check runs before the first file and again for
+        each file, and reads the hash the vocabulary computed when built."""
+        import hashlib
+
+        root, vocab, files = corpus_dir
+        rules = tmp_path / "sig.yar"
+        rules.write_text('rule sig { strings: $a = "EVAL" condition: $a }')
+        model_path = str(tmp_path / "m.bin")
+        corpus = tmp_path / "c.csv"
+        _run(["oci", "extract", "--language", "php", "--vocab", str(vocab),
+              "--max-length", "6", "--label", "1", "--out", str(corpus),
+              str(files[1][0]), str(files[0][0])])
+        _run(["train", "src", "--corpus", str(corpus), "--language", "php",
+              "--vocab", str(vocab), "--epochs", "1", "--batch-size", "2",
+              "--out", model_path])
+        hashed = []
+        sha256 = hashlib.sha256
+
+        def counting_sha256(data=b"", **kwargs):
+            hashed.append(bytes(data))
+            return sha256(data, **kwargs)
+
+        monkeypatch.setattr(hashlib, "sha256", counting_sha256)
+        code, out, err = _run(["predict", "src", "--model", model_path,
+                               "--vocab", str(vocab), "--rules", str(rules)]
+                              + [str(path) for path, _ in files[:3]])
+        assert code == EXIT_DETECTED, err
+        assert len(out.splitlines()) == 3
+        assert hashed.count(b"ECHO\nCONCAT\nRETURN\nEVAL") == 1
+
 class TestFlowPipeline:
     def test_extract_then_train_then_kfold(self, two_flow_pcap, tmp_path):
         features = str(tmp_path / "features.csv")
@@ -611,6 +643,68 @@ class TestSurface:
             cmd_inspect_serve, "m.bin", "s.sock", "rules", "eve.json")
 
 
+def _group_argvs():
+    """Command lines starting with a group name: the group alone, an
+    unknown command, each command's help and each command's smallest
+    argv with an unknown flag, which the root parser reports."""
+    for group in sorted({command.split()[0] for command in SURFACE}):
+        yield [group]
+        yield [group, "bogus"]
+    for command in sorted(SURFACE):
+        yield [*command.split(), "--help"]
+        yield [*command.split(), *MINIMAL_ARGV[command], "--bogus"]
+
+
+class TestGroupParser:
+    """`run` builds only the parser of the group its command line names,
+    and prints, exits and dispatches as the whole parser does."""
+
+    def test_predict_src_builds_at_most_four_parsers(self, tmp_path, monkeypatch):
+        import argparse
+
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        code, out, err = _run(["predict", "src", "--model", str(tmp_path / "none.bin"),
+                               str(tmp_path / "a.vld")])
+        assert code == EXIT_ERROR and out == "" and err.startswith("error: ")
+        assert len(built) <= 4, built
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["predict", "--help"], ["predict", "src", "--help"], ["predict"],
+        ["bogus"], [], ["predict", "-h", "src"],
+        ["--config", "c.json", "predict", "src", "--model", "none.bin", "a.vld"],
+        ["predict", "src", "--model", "none.bin", "a.vld"],
+        ["eval", "metrics", "--tp", "3", "--fp", "1", "--fn", "1", "--tn", "5"],
+        *_group_argvs()], ids=" ".join)
+    def test_same_output_as_the_whole_parser(self, argv, capsys, monkeypatch):
+        from wsdetect import cli
+
+        def streams(code_out_err):
+            printed = capsys.readouterr()
+            return (*code_out_err, printed.out, printed.err)
+
+        by_group = streams(_run(argv))
+        whole = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda group=None: whole())
+        assert by_group == streams(_run(argv))
+
+    def test_a_group_parser_holds_that_group_only(self):
+        from wsdetect.cli import GROUPS, build_parser
+
+        assert list(_subcommands(build_parser())) == list(GROUPS)
+        predict = _subcommands(build_parser("predict"))
+        assert list(predict) == ["predict"]
+        assert sorted(_subcommands(predict["predict"])) == ["flow", "src"]
+        with pytest.raises(ValueError, match="no command group 'bogus'"):
+            build_parser("bogus")
+
+
 class TestFlowsExtractFormat:
     @pytest.mark.parametrize("json_flag", [[], ["--json"]])
     def test_csv_unless_jsonl_whatever_json_says(self, two_flow_pcap, tmp_path,
@@ -830,3 +924,25 @@ class TestModelPairing:
         assert out == ""
         assert err == (f"error: model has embeddings for {PHP_OPCODES - 10} opcodes, "
                        f"the vocabulary has {PHP_OPCODES}\n")
+
+    def test_a_mismatched_vocabulary_is_one_error_before_any_file(self, tmp_path):
+        from wsdetect.opcode import load_vocabulary
+        from wsdetect.srcmodel import CnnConfig, build_cnn
+        from wsdetect.tensornet import save_model
+
+        trained, other = tmp_path / "trained.txt", tmp_path / "other.txt"
+        trained.write_text("ECHO\nRETURN\n")
+        other.write_text("RETURN\nECHO\n")
+        model = tmp_path / "m.bin"
+        config = CnnConfig.php(vocab_size=2, max_length=6, num_filters=2)
+        save_model(build_cnn(config, language="php",
+                             vocab=load_vocabulary(trained, "php")), model)
+        dump = tmp_path / "a.vld"
+        dump.write_text("line 1 0 E > ECHO 'x'\n")
+        assert _run(["predict", "src", "--model", str(model), "--vocab", str(trained),
+                     str(dump)])[0] in (EXIT_OK, EXIT_DETECTED)
+        code, out, err = _run(["predict", "src", "--model", str(model),
+                               "--vocab", str(other), str(tmp_path / "missing.vld"),
+                               str(dump)])
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == "error: vocabulary does not match the one the model was trained with\n"

@@ -292,7 +292,39 @@ def _naive_oiva(mnemonics, vocab_list, max_length):
     return tuple(ids + [0] * (max_length - len(ids)))
 
 
+def _loop_oiva(listing, vocab, max_length):
+    """The loop `oiva` replaced: one lookup and one append per entry,
+    stopping at `max_length` indices."""
+    indices = []
+    for mnemonic in listing.mnemonics:
+        idx = vocab.index_of(mnemonic)
+        if idx is not None:
+            indices.append(idx)
+            if len(indices) == max_length:
+                break
+    padded = np.zeros(max_length, dtype=np.intp)
+    padded[:len(indices)] = indices
+    return OciVector(padded)
+
+
 class TestOivaProperties:
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_loop_it_replaced(self, data):
+        """Out-of-vocabulary entries, empty listings, and listings with
+        fewer, exactly `max_length` and more in-vocabulary entries."""
+        alphabet = [f"OP{i}" for i in range(12)]
+        vocab = OpcodeVocabulary(tuple(data.draw(st.lists(
+            st.sampled_from(alphabet), min_size=1, max_size=10, unique=True))))
+        listing = OpcodeListing(data.draw(st.lists(st.sampled_from(alphabet), max_size=50)))
+        known = sum(m in vocab.mnemonics for m in listing.mnemonics)
+        max_length = data.draw(st.sampled_from(
+            [max(known - 1, 1), max(known, 1), known + 1]) | st.integers(1, 60))
+        got = oiva(listing, vocab, max_length)
+        want = _loop_oiva(listing, vocab, max_length)
+        assert got == want
+        assert got.indices.dtype == np.intp and not got.indices.flags.writeable
+
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_matches_naive_reference(self, data):

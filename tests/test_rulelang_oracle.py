@@ -13,7 +13,10 @@ adjacent byte pair is missing. `match_buffer` reports against a plain
 per-pattern `finditer` (a lookahead for literals, so overlapping
 occurrences count) with every rule's condition evaluated, on subjects
 where most offsets pass the pair gate, across a block boundary and at
-the end of the subject.
+the end of the subject. Case-sensitive text and hex literals, which are
+looked up in the lowercased subject and confirmed in the subject, against
+the same `finditer` on subjects holding exact and case-flipped copies.
+The key tables against the per-width loop that built them before.
 """
 
 import itertools
@@ -21,6 +24,7 @@ import random
 import re
 from dataclasses import replace
 
+import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -29,14 +33,22 @@ from tests.rulelang_check import assert_parse_matches_oracle
 from wsdetect.rulelang import (
     CompiledRuleSet,
     HexBody,
+    Pattern,
     RegexBody,
+    Rule,
     RuleSet,
     TextBody,
     match_buffer,
     parse_rules,
 )
-from wsdetect.rulelang.matcher import _BLOCK_SIZE, _hex_pairs, _regex_pairs, evaluate_condition
-from wsdetect.rulelang.model import OfExpr
+from wsdetect.rulelang.matcher import (
+    _BLOCK_SIZE,
+    _hex_pairs,
+    _key_groups,
+    _regex_pairs,
+    evaluate_condition,
+)
+from wsdetect.rulelang.model import BoolLiteral, OfExpr
 
 _SUBJECT_BYTES = [bytes([b]) for b in b"abAB.\n\x00\xff"]
 
@@ -186,8 +198,10 @@ def test_scanned_patterns_match_plain_finditer(data):
             assert found.get(i, []) == _finditer_occurrences(body, subject), (body, subject)
 
 
-def _pairs(run: bytes, lower: bool = False) -> list[int]:
-    return [(1 << 16) * lower + (a << 8 | b) for a, b in zip(run, run[1:])]
+def _pairs(run: bytes) -> list[int]:
+    """Keys of the adjacent pairs of a run, case-folded as the subject is."""
+    run = run.lower()
+    return [a << 8 | b for a, b in zip(run, run[1:])]
 
 
 def test_required_pairs_are_taken_conservatively():
@@ -206,9 +220,12 @@ def test_required_pairs_are_taken_conservatively():
     }
     for source, run in cases.items():
         assert _regex_pairs(RegexBody(source)) == _pairs(run), source
-    assert _regex_pairs(RegexBody("AbC", nocase=True)) == _pairs(b"abc", lower=True)
+    # the subject is scanned for pairs once, lowercased, whatever the case
+    assert _regex_pairs(RegexBody("AbC", nocase=True)) == _pairs(b"abc")
+    assert _regex_pairs(RegexBody("AbC")) == _pairs(b"abc")
     assert _hex_pairs(HexBody((0x61, 0x62, None, 0x63, None, 0x64, 0x65))) == \
         _pairs(b"ab") + _pairs(b"de")
+    assert _hex_pairs(HexBody((0x41, 0xC9, 0x5A, None, 0x80))) == _pairs(b"a\xc9z")
 
 
 def test_a_missing_pair_skips_only_patterns_that_need_it():
@@ -369,3 +386,81 @@ def test_occurrences_across_a_block_boundary():
         subject[edge - 1:edge + 2] = b"q1w"
         subject[-4:] = b"TAIL"
         _assert_report_is_plain(ruleset, bytes(subject))
+
+
+_CASED_BYTES = b"aAzZeE\x80\xc9\xe9\xff.0"
+
+
+@st.composite
+def _cased_rules(draw):
+    """One rule of case-sensitive text and hex needles over ASCII letters
+    of both cases and bytes from 0x80, with a few nocase needles."""
+    patterns, needles = [], []
+    for k in range(draw(st.integers(1, 5))):
+        needle = bytes(draw(st.lists(st.sampled_from(_CASED_BYTES), min_size=1, max_size=11)))
+        kind = draw(st.sampled_from(["text", "text", "hex", "nocase"]))
+        body = HexBody(tuple(needle)) if kind == "hex" else \
+            TextBody(needle, nocase=kind == "nocase")
+        patterns.append(Pattern(f"$s{k}", body))
+        needles.append(needle)
+    return RuleSet((Rule("r", (), tuple(patterns), BoolLiteral(True)),)), needles
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_case_sensitive_needles_match_plain_finditer(data):
+    """Literals are looked up in the lowercased subject; a case-sensitive
+    hit counts only where the subject itself holds the needle."""
+    ruleset, needles = data.draw(_cased_rules())
+    pieces = st.sampled_from([bytes([c]) for c in _CASED_BYTES]) | st.sampled_from(
+        needles + [n.swapcase() for n in needles] + [n.lower() for n in needles])
+    subject = b"".join(data.draw(st.lists(pieces, max_size=12)))
+    found = CompiledRuleSet(ruleset).occurrences(subject)
+    for i, pattern in enumerate(ruleset.rules[0].strings):
+        assert found.get(i, []) == _finditer_occurrences(pattern.body, subject), subject
+
+
+def test_a_case_flipped_copy_of_a_case_sensitive_needle_is_no_occurrence():
+    ruleset = RuleSet((Rule("r", (), (
+        Pattern("$t", TextBody(b"EvAl\xc9(")),
+        Pattern("$h", HexBody(tuple(b"Sh\x80LL"))),
+        Pattern("$n", TextBody(b"EvAl\xc9(", nocase=True))), BoolLiteral(True)),))
+    compiled = CompiledRuleSet(ruleset)
+    assert compiled.occurrences(b"eVaL\xc9( sH\x80ll") == {2: [(0, 6)]}
+    assert compiled.occurrences(b"EvAl\xc9( Sh\x80LL") == {
+        0: [(0, 6)], 1: [(7, 5)], 2: [(0, 6)]}
+
+
+def _loop_key_groups(needles) -> list[tuple]:
+    """The key-table builder `_key_groups` replaced: one Python pass per
+    key width, each key converted on its own."""
+    lengths: dict[bytes, set[int]] = {}
+    for needle in needles:
+        if needle:
+            lengths.setdefault(needle[:8], set()).add(len(needle))
+    groups = []
+    for width in sorted({len(key) for key in lengths}):
+        keys = sorted(key for key in lengths if len(key) == width)
+        gate = np.zeros(1 << 16 if width > 1 else 256, dtype=bool)
+        gate[[int.from_bytes(key[:2], "big") for key in keys]] = True
+        groups.append((
+            width > 1, gate, np.uint64(8 * (8 - width)),
+            np.array([int.from_bytes(key, "big") for key in keys], dtype=np.uint64),
+            [sorted(lengths[key]) for key in keys]))
+    return groups
+
+
+_NEEDLES = st.binary(max_size=12) | st.lists(
+    st.sampled_from(b"aA\x00\xff"), max_size=12).map(bytes)
+
+
+@given(st.sets(_NEEDLES, max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_key_groups_equal_the_loop_builder(needles):
+    got, want = _key_groups(needles), _loop_key_groups(needles)
+    assert len(got) == len(want)
+    for (paired, gate, shift, keys, lengths), (w_paired, w_gate, w_shift, w_keys,
+                                               w_lengths) in zip(got, want):
+        assert (paired, shift, lengths) == (w_paired, w_shift, w_lengths)
+        assert gate.dtype == w_gate.dtype and np.array_equal(gate, w_gate)
+        assert keys.dtype == w_keys.dtype and np.array_equal(keys, w_keys)
