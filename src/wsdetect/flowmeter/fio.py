@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from wsdetect.flowmeter.features import CONTINUOUS_NAMES, CSV_COLUMNS, FlowTable
+from wsdetect.textlines import utf8_lines
 
 
 class CsvFormatError(Exception):
@@ -92,19 +93,6 @@ def _parse_timestamp(cell: str) -> float:
     return math.nan
 
 
-def _utf8_lines(fh, path):
-    """The lines of `fh`, opened with errors="surrogateescape": a line
-    holding bytes that are not UTF-8 holds lone surrogates, which do not
-    encode, and fails naming its line."""
-    for number, line in enumerate(fh, 1):
-        if not line.isascii():
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError:
-                raise CsvFormatError(f"{path}: line {number}: not UTF-8 text") from None
-        yield line
-
-
 def read_csv(path: str | Path, labelled: bool = False) -> tuple[FlowTable, int]:
     """Read a feature CSV: its table and the number of cleaned cells.
 
@@ -115,7 +103,7 @@ def read_csv(path: str | Path, labelled: bool = False) -> tuple[FlowTable, int]:
     Src Port as 0. Missing required columns are named in the error.
     """
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        reader = csv.reader(_utf8_lines(fh, path))
+        reader = csv.reader(utf8_lines(fh, path, CsvFormatError))
         try:
             return _read_table(reader, path, labelled)
         except csv.Error as exc:

@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
+from wsdetect.textlines import utf8_lines
+
 
 class OpcodeError(Exception):
     pass
@@ -46,10 +48,6 @@ class OpcodeVocabulary:
 
     def __len__(self) -> int:
         return len(self.mnemonics)
-
-    def index_of(self, mnemonic: str) -> int | None:
-        """1-based index, or None when the mnemonic is out of vocabulary."""
-        return self._index.get(mnemonic)
 
 
 @dataclass
@@ -236,18 +234,6 @@ def write_corpus_csv(corpus: VectorizedCorpus, path: str | Path) -> None:
             writer.writerow([p, label, *vec.indices])
 
 
-def _utf8_lines(fh, path):
-    """The lines of `fh`, opened with errors="surrogateescape"; a line
-    that is not UTF-8 is an `OpcodeError` naming the path and line."""
-    for number, line in enumerate(fh, 1):
-        if not line.isascii():
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError:
-                raise OpcodeError(f"{path}:{number}: not UTF-8 text") from None
-        yield line
-
-
 def read_corpus_csv(path: str | Path, vocab_size: int) -> VectorizedCorpus:
     """Read a `write_corpus_csv` file written for a vocabulary of
     `vocab_size` mnemonics. A line that is not UTF-8 or not CSV, a row
@@ -255,7 +241,7 @@ def read_corpus_csv(path: str | Path, vocab_size: int) -> VectorizedCorpus:
     integer, a label other than 0 or 1, or an index outside
     0..vocab_size is an `OpcodeError` naming the path and line."""
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        reader = csv.reader(_utf8_lines(fh, path))
+        reader = csv.reader(utf8_lines(fh, path, OpcodeError))
         try:
             return _read_corpus(reader, path, vocab_size)
         except csv.Error as exc:

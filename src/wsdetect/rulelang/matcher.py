@@ -6,24 +6,33 @@ lowercased bytes. A needle of length n is at offset p if and only if
 the lowered subject's first min(n, 8) bytes at p equal the lowered
 needle's key, ``lower[p:p+n]`` is the lowered needle, and, unless the
 pattern is ``nocase`` or the needle holds no ASCII letter, the subject's
-own ``subject[p:p+n]`` is the needle. Keys are grouped by width, and
-each group has a table of its keys' first byte pairs (of first bytes,
-for width 1). Only at offsets whose pair is in the table is the 8-byte
-window read and looked up among the sorted keys; the second test is one
-dict lookup per distinct needle length under a matching key.
+own ``subject[p:p+n]`` is the needle.
+
+The lowered subject, padded once with zero bytes, is read through two
+strided views: its big-endian 16-bit pair value and its big-endian
+8-byte window at every offset. It is taken in blocks of 65,536 offsets,
+and a block's pair values are cast to indices in one pass. One table
+lookup per offset keeps the offsets whose pair starts some key or is a
+pair some scan requires; everything after works on those few. Keys are
+grouped by width. An offset reaches a group's window probe only if its
+pair is the first pair of one of the group's keys (its first byte, for
+width 1) and, for keys of width 3 or more, the pair two bytes on (one,
+for width 3) is the pair one of the keys holds there. Each pair table
+is exact for the pairs it tests, so the gates drop no occurrence. The
+window is then looked up among the group's sorted keys, and the second
+test is one dict lookup per distinct needle length under a matching key.
 
 Hex wildcards and regexes are found by one ``finditer`` scan each over
 the subject, run only when the lowered subject holds every lowercased
-adjacent byte pair the pattern requires. The lowered subject is read in
-blocks of 65,536 offsets; the pair values of a block are computed once,
-gate the literal search and mark a 65,536-entry table of the pairs the
-lowered subject contains. A hex pattern requires the pairs of its
-adjacent fixed bytes. A regex requires the pairs of its leading literal
-run: the ASCII characters before its first metacharacter, less the last
-one when a quantifier follows it, and nothing when the source holds
-``|``. Every match starts with that run, or holds those fixed bytes, so
-the lowered subject holds their lowercased pairs; a subject without one
-of them has no match, and skipping the scan changes no occurrence.
+adjacent byte pair the pattern requires; the table of the required pairs
+the subject holds is filled from the kept offsets of each block. A hex
+pattern requires the pairs of its adjacent fixed bytes. A regex requires
+the pairs of its leading literal run: the ASCII characters before its
+first metacharacter, less the last one when a quantifier follows it,
+and nothing when the source holds ``|``. Every match starts with that
+run, or holds those fixed bytes, so the lowered subject holds their
+lowercased pairs; a subject without one of them has no match, and
+skipping the scan changes no occurrence.
 
 A condition reads only which of its rule's patterns occurred. So
 `match_buffer` evaluates it only for rules with an occurring pattern,
@@ -57,6 +66,7 @@ from wsdetect.rulelang.model import (
 
 _KEY_WIDTH = 8  # bytes of a needle's key: one uint64 window
 _BLOCK_SIZE = 1 << 16  # subject offsets keyed per numpy pass
+_LOOKAHEAD = 2  # pairs read past a block's end: a key's second gated pair starts 1 or 2 in
 
 _WORD_BYTES = frozenset(
     b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789")
@@ -70,19 +80,31 @@ _ESCAPED = [re.escape(bytes([b])) for b in range(256)]  # each byte as a regex
 
 class _Block:
     """Offsets `start` to `start + count - 1` of a subject, count at most
-    _BLOCK_SIZE: the byte at each, the pair value at each that has a
-    next byte, and the key-width window at each, zero-padded past the
-    end (a strided view: only the windows indexed are read)."""
+    _BLOCK_SIZE: the pair value at each and at the _LOOKAHEAD offsets
+    after it, as indices cast into `buffer`, and the key-width window at
+    each (a view: only the windows indexed are read). `paired` counts
+    the offsets whose pair lies inside the subject."""
 
-    def __init__(self, subject: bytes, start: int):
-        count = min(_BLOCK_SIZE, len(subject) - start)
-        chunk = subject[start:start + count + _KEY_WIDTH - 1].ljust(
-            count + _KEY_WIDTH - 1, b"\0")
-        data = np.frombuffer(chunk, dtype=np.uint8)
+    def __init__(self, pairs: np.ndarray, windows: np.ndarray, start: int,
+                 buffer: np.ndarray):
+        count = min(_BLOCK_SIZE, len(windows) - start)
         self.start = start
-        self.bytes = data[:count]
-        self.pairs = _pair_values(data[:min(count + 1, len(subject) - start)])
-        self.windows = np.ndarray((count,), dtype=">u8", buffer=chunk, strides=(1,))
+        self.count = count
+        self.paired = min(count, len(windows) - 1 - start)
+        self.pairs = buffer[:count + _LOOKAHEAD]
+        np.copyto(self.pairs, pairs[start:start + count + _LOOKAHEAD])
+        self.windows = windows[start:start + count]
+
+
+def _views(lower: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """The big-endian pair at every offset of `lower` and at the
+    _LOOKAHEAD offsets past its end, and the big-endian key-width window
+    at every offset: two strided views of `lower` padded with zero
+    bytes."""
+    padded = lower + bytes(_KEY_WIDTH)
+    pairs = np.ndarray((len(lower) + _LOOKAHEAD,), dtype=">u2", buffer=padded, strides=(1,))
+    windows = np.ndarray((len(lower),), dtype=">u8", buffer=padded, strides=(1,))
+    return pairs, windows
 
 
 class _Literals:
@@ -95,18 +117,24 @@ class _Literals:
         self.needles = needles
         self.groups = _key_groups(needles)
 
-    def scan(self, subject: bytes, lower: bytes, block: _Block,
-             found: dict[int, list[tuple[int, int]]]) -> None:
+    def scan(self, subject: bytes, lower: bytes, block: _Block, at: np.ndarray,
+             firsts: np.ndarray, found: dict[int, list[tuple[int, int]]]) -> None:
         """Append (offset, length) of each occurrence starting in `block`,
-        a block of `lower`, to `found[pattern]`, offsets ascending."""
-        for paired, gate, shift, keys, lengths in self.groups:
-            at = np.flatnonzero(gate[block.pairs if paired else block.bytes])
-            probe = block.windows[at].astype(np.uint64) >> shift
+        a block of `lower`, to `found[pattern]`, offsets ascending. `at`
+        holds, ascending, the block offsets the rule set's pair gate keeps,
+        among them every offset whose pair starts a key, and `firsts` the
+        pair at each."""
+        pairs = block.pairs
+        for gate, second, step, shift, keys, lengths, bounds in self.groups:
+            here = at[gate[firsts]]
+            if second is not None:
+                here = here[second[pairs[here + step]]]
+            probe = block.windows[here].astype(np.uint64) >> shift
             k = np.searchsorted(keys, probe)
             k[k == len(keys)] = 0
             hit = keys[k] == probe
-            for p, key in zip((at[hit] + block.start).tolist(), k[hit].tolist()):
-                for n in lengths[key]:
+            for p, key in zip((here[hit] + block.start).tolist(), k[hit].tolist()):
+                for n in lengths[bounds[key]:bounds[key + 1]]:
                     if p + n > len(subject):
                         break  # a slice cut short by the end could equal a shorter needle
                     for i, exact in self.needles.get(lower[p:p + n], ()):
@@ -115,30 +143,48 @@ class _Literals:
 
 
 def _key_groups(needles) -> list[tuple]:
-    """One group per key width of the non-empty `needles`: whether it is
-    gated on byte pairs, the table of its keys' first pairs (first bytes
-    for width 1), the shift that right-aligns a key-width window, the
-    big-endian keys sorted, and for each key the distinct lengths of the
-    needles that start with it. An empty needle has no key and never
-    occurs."""
-    lengths: dict[bytes, set[int]] = {}
-    for needle in needles:
-        if needle:
-            lengths.setdefault(needle[:_KEY_WIDTH], set()).add(len(needle))
-    keys = list(lengths)
-    widths = np.fromiter(map(len, keys), dtype=np.intp, count=len(keys))
+    """One group per key width of the non-empty `needles`, widths
+    ascending: the table of its keys' first pairs (for width 1, of every
+    pair that starts with a key's byte); the table of the pairs its keys
+    hold at offset `step`, 1 for width 3 and 2 above, or None below
+    width 3; `step`; the shift that right-aligns a key-width window; the
+    big-endian keys sorted; and the distinct needle lengths of key j,
+    ascending, at `lengths[bounds[j]:bounds[j + 1]]`. An empty needle has
+    no key and never occurs."""
+    nonempty = [needle for needle in needles if needle]
+    lengths = np.fromiter(map(len, nonempty), dtype=np.intp, count=len(nonempty))
+    widths = np.minimum(lengths, _KEY_WIDTH)
     # each key left-aligned in a big-endian window, zero-padded
-    values = np.frombuffer(b"".join([key.ljust(_KEY_WIDTH, b"\0") for key in keys]),
-                           dtype=">u8").astype(np.uint64)
+    values = np.frombuffer(b"".join([needle[:_KEY_WIDTH].ljust(_KEY_WIDTH, b"\0")
+                                     for needle in nonempty]), dtype=">u8").astype(np.uint64)
+    order = np.lexsort((lengths, values, widths))
+    widths, values, lengths = widths[order], values[order], lengths[order]
+    # a row starts a key where its width or value differs from the row
+    # before; it is kept where it starts a key or brings a new length
+    new_key = np.ones(len(order), dtype=bool)
+    new_key[1:] = (widths[1:] != widths[:-1]) | (values[1:] != values[:-1])
+    keep = new_key.copy()
+    keep[1:] |= lengths[1:] != lengths[:-1]
+    widths, values, lengths, new_key = widths[keep], values[keep], lengths[keep], new_key[keep]
     groups = []
-    for width in np.unique(widths).tolist():
-        rows = np.flatnonzero(widths == width)
-        rows = rows[np.argsort(values[rows])]
-        gate = np.zeros(_PAIRS if width > 1 else 256, dtype=bool)
-        gate[values[rows] >> np.uint64(8 * _KEY_WIDTH - (16 if width > 1 else 8))] = True
+    edges = np.flatnonzero(np.diff(widths, prepend=0, append=_KEY_WIDTH + 1)).tolist()
+    for lo, hi in zip(edges, edges[1:]):
+        width = int(widths[lo])
+        starts = np.flatnonzero(new_key[lo:hi])
+        keys = values[lo:hi][starts]
+        gate = np.zeros(_PAIRS, dtype=bool)
+        if width > 1:
+            gate[keys >> 48] = True
+        else:
+            gate.reshape(256, 256)[keys >> 56] = True
+        step = 1 if width == 3 else 2
+        second = None
+        if width >= 3:
+            second = np.zeros(_PAIRS, dtype=bool)
+            second[(keys >> (48 - 8 * step)) & 0xFFFF] = True
         shift = np.uint64(8 * (_KEY_WIDTH - width))
-        groups.append((width > 1, gate, shift, values[rows] >> shift,
-                       [sorted(lengths[keys[j]]) for j in rows.tolist()]))
+        groups.append((gate, second, step, shift, keys >> shift, lengths[lo:hi].tolist(),
+                       starts.tolist() + [hi - lo]))
     return groups
 
 
@@ -193,6 +239,12 @@ class CompiledRuleSet:
         self._literals = _Literals(needles) if needles else None
         self._pair_keys = np.array(pair_keys, dtype=np.int64)
         self._pair_owners = np.array(pair_owners, dtype=np.int64)
+        # the pairs worth a look: those that start a key or that a scan requires
+        self._gate = np.zeros(_PAIRS, dtype=bool)
+        self._gate[self._pair_keys] = True
+        if self._literals is not None:
+            for group in self._literals.groups:
+                self._gate |= group[0]
 
     def occurrences(self, subject: bytes) -> dict[int, list[tuple[int, int]]]:
         """The (offset, length) occurrences of each pattern that occurs,
@@ -200,14 +252,18 @@ class CompiledRuleSet:
         entry."""
         found: dict[int, list[tuple[int, int]]] = {}
         lower = subject.lower()
-        # the lowercased pairs the subject holds
+        pairs, windows = _views(lower)
+        # the pairs the lowered subject holds, of those the gate keeps
         present = np.zeros(_PAIRS, dtype=bool) if self._scans else None
+        buffer = np.empty(min(len(lower), _BLOCK_SIZE) + _LOOKAHEAD, dtype=np.intp)
         for start in range(0, len(lower), _BLOCK_SIZE):
-            block = _Block(lower, start)
+            block = _Block(pairs, windows, start, buffer)
+            at = np.flatnonzero(self._gate[block.pairs[:block.count]])
+            firsts = block.pairs[at]
             if present is not None:
-                present[block.pairs] = True
+                present[firsts[:np.searchsorted(at, block.paired)]] = True
             if self._literals is not None:
-                self._literals.scan(subject, lower, block, found)
+                self._literals.scan(subject, lower, block, at, firsts, found)
         if self._scans:
             # per scan, how many of its required pairs the subject lacks
             missing = np.bincount(self._pair_owners[~present[self._pair_keys]],
@@ -224,13 +280,6 @@ class CompiledRuleSet:
             if spans:
                 found[i] = spans
         return found
-
-
-def _pair_values(data: np.ndarray) -> np.ndarray:
-    """The big-endian 16-bit value of each adjacent pair of uint8 `data`,
-    as indices."""
-    b = data.astype(np.uint16)
-    return ((b[:-1] << 8) | b[1:]).astype(np.intp)
 
 
 def _hex_pairs(body: HexBody) -> list[int]:

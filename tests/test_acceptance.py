@@ -166,7 +166,7 @@ def test_c05_cnn_planted_signal():
     # sanity bound: trigram presence alone decides the class exactly
     def has_trigram(vec):
         ids = [v for v in vec.indices if v != 0]
-        needle = [vocab.index_of(m) for m in trigram]
+        needle = [vocab.mnemonics.index(m) + 1 for m in trigram]
         return any(ids[i:i + 3] == needle for i in range(len(ids) - 2))
 
     oracle_hits = sum(has_trigram(v) == bool(l)

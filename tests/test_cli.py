@@ -9,7 +9,7 @@ import pytest
 from wsdetect.cli import EXIT_DETECTED, EXIT_ERROR, EXIT_OK, EXIT_USAGE, run
 from wsdetect.opcode import builtin_vocabulary
 
-
+DATA = Path(__file__).parent / "data"  # rule files the CI also checks
 PHP_OPCODES = len(builtin_vocabulary("php"))
 
 
@@ -72,6 +72,15 @@ class TestRules:
         bad.write_text("rule 9 { condition: true }")
         assert _run(["rules", "check", str(good)])[0] == EXIT_OK
         assert _run(["rules", "check", str(bad)])[0] == EXIT_ERROR
+
+    def test_check_the_committed_rule_files(self):
+        good, nested = DATA / "webshell.yar", DATA / "nested_quantifier.yar"
+        assert _run(["rules", "check", str(good)]) == (
+            EXIT_OK, f"{good}: 1 rule(s) ok (php_eval_input)\n", "")
+        code, out, err = _run(["rules", "check", str(nested)])
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == f"{nested}: line 5, column 10: invalid regex: the quantifier at " \
+                      "position 10 repeats a group that holds a quantifier or '|'\n"
 
     def test_check_reports_an_undecodable_file_and_goes_on(self, tmp_path):
         bad, good = tmp_path / "bad.yar", tmp_path / "good.yar"

@@ -606,7 +606,7 @@ class TestCsvErrors:
         path = tmp_path / "latin1.csv"
         _write(path, _row(), _row(**{"Flow ID": "café"}))
         path.write_bytes(path.read_bytes().replace("é".encode(), "é".encode("latin-1")))
-        with _raises(path, "line 3: not UTF-8 text"):
+        with pytest.raises(CsvFormatError, match=re.escape(f"{path}:3: not UTF-8 text")):
             read_csv(path)
 
     def test_utf8_text_is_read(self, tmp_path):

@@ -76,10 +76,8 @@ class TestVocabulary:
         path = tmp_path / "v.txt"
         path.write_text("ECHO\nADD\nRETURN\n")
         vocab = load_vocabulary(path)
-        assert vocab.index_of("ECHO") == 1
-        assert vocab.index_of("ADD") == 2
-        assert vocab.index_of("RETURN") == 3
-        assert vocab.index_of("MISSING") is None
+        vec = oiva(OpcodeListing(["RETURN", "MISSING", "ECHO", "ADD"]), vocab, 4)
+        assert vec.indices.tolist() == [3, 1, 2, 0]
 
     def test_builtin_cil_has_229_entries(self):
         assert len(builtin_vocabulary("cil")) == 229
@@ -295,9 +293,10 @@ def _naive_oiva(mnemonics, vocab_list, max_length):
 def _loop_oiva(listing, vocab, max_length):
     """The loop `oiva` replaced: one lookup and one append per entry,
     stopping at `max_length` indices."""
+    index = {mnemonic: i for i, mnemonic in enumerate(vocab.mnemonics, 1)}
     indices = []
     for mnemonic in listing.mnemonics:
-        idx = vocab.index_of(mnemonic)
+        idx = index.get(mnemonic)
         if idx is not None:
             indices.append(idx)
             if len(indices) == max_length:

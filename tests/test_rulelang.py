@@ -141,6 +141,22 @@ class TestParsing:
                             " condition: $a }")
             assert (info.value.line, info.value.column) == (2, 16)
 
+    def test_a_repeated_group_that_holds_a_quantifier_or_alternation_is_rejected(self):
+        # /eval\((a+)+\)/ backtracks exponentially on "eval(" and a run of
+        # "a" with no ")": each extra "a" doubles the time of a scan
+        for body, at in ((r"/eval\((a+)+\)/", 10), ("/(a|b)*/", 5), ("/((ab)+c)*/", 8),
+                         ("/(?:a*){2,}/", 6), ("/(x(a|b)y)?/", 9)):
+            with pytest.raises(RuleSyntaxError, match=re.escape(
+                    f"invalid regex: the quantifier at position {at} repeats a group "
+                    "that holds a quantifier or '|'")) as info:
+                parse_rules(f"rule r {{\n strings: $a = {body}\n condition: $a }}")
+            assert (info.value.line, info.value.column) == (2, 16)
+        # the bench's shape (a literal, a repeated class, a literal), and
+        # repeated groups that hold neither, still parse
+        for body in (r"/ab12[0-9]{3}\/x/", "/(ab)+c/", "/(a+)b|c+/", "/[(a+)]+/",
+                     r"/\(a+\)+/", "/(?:ab){2}(a+)/"):
+            parse_rules(f"rule r {{ strings: $a = {body} condition: $a }}")
+
     def test_unknown_escape_rejected(self):
         with pytest.raises(RuleSyntaxError, match="escape"):
             parse_rules(r'rule e { strings: $a = "bad\q" condition: $a }')

@@ -16,7 +16,9 @@ where most offsets pass the pair gate, across a block boundary and at
 the end of the subject. Case-sensitive text and hex literals, which are
 looked up in the lowercased subject and confirmed in the subject, against
 the same `finditer` on subjects holding exact and case-flipped copies.
-The key tables against the per-width loop that built them before.
+The two pair gates of wider keys at widths 3 and up, across a block
+boundary, at the subject's end and on pairs that differ only in case.
+The key tables against a loop that builds them one key at a time.
 """
 
 import itertools
@@ -431,9 +433,66 @@ def test_a_case_flipped_copy_of_a_case_sensitive_needle_is_no_occurrence():
         0: [(0, 6)], 1: [(7, 5)], 2: [(0, 6)]}
 
 
+def test_width_three_keys_pass_both_pair_gates():
+    """A width-3 key's second gated pair is its bytes 1-2: offsets whose
+    first pair or whose second pair alone matches are no occurrence."""
+    ruleset = parse_rules(
+        'rule r { strings: $s0 = "abc" $s1 = "xBc" nocase $s2 = { 61 62 64 } $s3 = "q" '
+        '$s4 = "ab" $s5 = "abcd" condition: 1 of them }')
+    for subject in [b"abc", b"abx", b"zbc", b"xbc XBC xbC", b"abdabcabc", b"ab",
+                    b"..abc", b"..ab", b"aBc", b"q abcd abc"]:
+        _assert_report_is_plain(ruleset, subject)
+
+
+def test_second_pair_across_a_block_boundary():
+    """Keys whose first pair ends a block and whose second pair starts
+    the next one, for width 3 (second pair one byte on) and wider keys
+    (two bytes on), beside decoys whose first pair alone matches."""
+    ruleset = parse_rules(
+        'rule r { strings: $s0 = "k3z" $s1 = "k4yz" $s2 = "k8abcdef" $s3 = "K9ABCDEFG" nocase '
+        '$s4 = "k4yQ" condition: 1 of them }')
+    edge = _BLOCK_SIZE
+    for needle in [b"k3z", b"k4yz", b"k8abcdef", b"k9abcdefg", b"k4yQ", b"k4yq"]:
+        for at in range(edge - len(needle), edge + 1):
+            subject = bytearray(b"." * (edge + 16))
+            subject[at:at + len(needle)] = needle
+            subject[at - 8:at - 5] = needle[:2] + b"."  # first pair only
+            subject[at + 12:at + 16] = b"k4.z"
+            _assert_report_is_plain(ruleset, bytes(subject))
+
+
+def test_second_pair_in_the_last_bytes_of_the_subject():
+    """A key's second pair at the subject's last two bytes, or cut by its
+    end: the zero padding past the end passes a second pair that ends in
+    zero bytes, and a slice cut by the end can equal a shorter needle,
+    so a needle there must still not be reported."""
+    ruleset = parse_rules(
+        'rule r { strings: $s0 = "wxyz" $s1 = { 77 78 00 00 } $s2 = { 77 00 00 } '
+        '$s3 = "wxy" $s4 = { 78 79 00 } $s5 = "wx" $s6 = "wxyzwxyz" $s7 = "wxyzwxyz12" '
+        'condition: 1 of them }')
+    for subject in [b"..wxyz", b"..wxy", b"..wx", b"..w", b"wxyz", b"..wx\x00",
+                    b"..wx\x00\x00", b"..w\x00", b"..w\x00\x00", b"..xy", b"xy\x00",
+                    b"..wxyzwxyz", b"..wxyzwxyz1", b"wxyzwxyz12"]:
+        _assert_report_is_plain(ruleset, subject)
+
+
+def test_second_pairs_that_differ_only_in_case():
+    """The pair tables hold lowercased pairs; a case-sensitive key is
+    confirmed in the subject, so case-flipped second pairs are no
+    occurrence of it, and are one of a `nocase` key."""
+    ruleset = parse_rules(
+        'rule r { strings: $s0 = "evAL" $s1 = "evaL(" $s2 = "sYsTem" nocase $s3 = "abC" '
+        '$s4 = "abc" condition: 1 of them }')
+    for subject in [b"evAL evAl evaL( EVAL( evAL(", b"system SYSTEM sYsTem", b"abC abc ABC aBc",
+                    b"evAl", b"SYSTEm"]:
+        _assert_report_is_plain(ruleset, subject)
+
+
 def _loop_key_groups(needles) -> list[tuple]:
-    """The key-table builder `_key_groups` replaced: one Python pass per
-    key width, each key converted on its own."""
+    """The key tables built one key at a time: per key width, the keys'
+    first pairs (each first byte followed by any byte, for width 1),
+    their pairs one byte on (width 3) or two (wider), the sorted keys,
+    and each key's needle lengths, sorted."""
     lengths: dict[bytes, set[int]] = {}
     for needle in needles:
         if needle:
@@ -441,12 +500,24 @@ def _loop_key_groups(needles) -> list[tuple]:
     groups = []
     for width in sorted({len(key) for key in lengths}):
         keys = sorted(key for key in lengths if len(key) == width)
-        gate = np.zeros(1 << 16 if width > 1 else 256, dtype=bool)
-        gate[[int.from_bytes(key[:2], "big") for key in keys]] = True
+        gate = np.zeros(1 << 16, dtype=bool)
+        for key in keys:
+            if width == 1:
+                gate[key[0] << 8:(key[0] + 1) << 8] = True
+            else:
+                gate[int.from_bytes(key[:2], "big")] = True
+        step = 1 if width == 3 else 2
+        second = None
+        if width >= 3:
+            second = np.zeros(1 << 16, dtype=bool)
+            second[[int.from_bytes(key[step:step + 2], "big") for key in keys]] = True
+        bounds = [0]
+        for key in keys:
+            bounds.append(bounds[-1] + len(lengths[key]))
         groups.append((
-            width > 1, gate, np.uint64(8 * (8 - width)),
+            gate, second, step, np.uint64(8 * (8 - width)),
             np.array([int.from_bytes(key, "big") for key in keys], dtype=np.uint64),
-            [sorted(lengths[key]) for key in keys]))
+            [n for key in keys for n in sorted(lengths[key])], bounds))
     return groups
 
 
@@ -456,11 +527,14 @@ _NEEDLES = st.binary(max_size=12) | st.lists(
 
 @given(st.sets(_NEEDLES, max_size=40))
 @settings(max_examples=200, deadline=None)
+@example({b"abcdefghX", b"abcdefghY", b"abcdefgh", b"a", b"a\x00", b"abc"})
 def test_key_groups_equal_the_loop_builder(needles):
     got, want = _key_groups(needles), _loop_key_groups(needles)
     assert len(got) == len(want)
-    for (paired, gate, shift, keys, lengths), (w_paired, w_gate, w_shift, w_keys,
-                                               w_lengths) in zip(got, want):
-        assert (paired, shift, lengths) == (w_paired, w_shift, w_lengths)
+    for (gate, second, step, shift, keys, lengths, bounds), (
+            w_gate, w_second, w_step, w_shift, w_keys, w_lengths, w_bounds) in zip(got, want):
+        assert (step, shift, lengths, bounds) == (w_step, w_shift, w_lengths, w_bounds)
         assert gate.dtype == w_gate.dtype and np.array_equal(gate, w_gate)
+        assert (second is None) == (w_second is None)
+        assert second is None or np.array_equal(second, w_second)
         assert keys.dtype == w_keys.dtype and np.array_equal(keys, w_keys)
