@@ -478,12 +478,23 @@ def _predict_commands(command) -> None:
     p.add_argument("--csv", required=True)
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _flows_commands(command) -> None:
     p = command("extract", "pcap -> feature CSV (JSON lines for .jsonl)",
                 cmd_flows_extract, report=True)
     p.add_argument("--pcap", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--flow-timeout", type=int, default=120,
+    p.add_argument("--flow-timeout", type=_positive_int, default=120,
                    help="flow idle timeout, seconds")
 
 

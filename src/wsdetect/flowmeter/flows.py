@@ -48,7 +48,11 @@ class Flow:
 def assemble_flows(packets: Packets,
                    flow_timeout_us: int = DEFAULT_FLOW_TIMEOUT_US,
                    ) -> list[Flow]:
-    """Assemble flows; output ordered by (first packet time, flow id)."""
+    """Assemble flows; output ordered by (first packet time, flow id).
+    A timeout of 0 or less is a `ValueError`: it would split a flow at
+    every packet."""
+    if flow_timeout_us <= 0:
+        raise ValueError(f"flow timeout must be positive, got {flow_timeout_us} us")
     if len(packets) == 0:
         return []
     src, dst = packets.src.astype(np.int64), packets.dst.astype(np.int64)

@@ -27,6 +27,9 @@ class InspectorConfig:
     eve_path: str = ""
 
     def __post_init__(self):
+        for key in ("rules_dir", "socket_path", "model_path", "eve_path"):
+            if not isinstance(getattr(self, key), str):
+                raise ConfigError(f"{key} must be a string path")
         if self.mode not in ("ips", "ids"):
             raise ConfigError("mode must be 'ips' or 'ids'")
         if not isinstance(self.deep_inspecting, bool):

@@ -84,11 +84,14 @@ class InspectorDaemon:
                 model = load_predictor(config.model_path)
             classify = functools.partial(classify_pcap, model=model)
         self.classify = classify
-        self.table = SourceTable.load(config.rules_dir, config.sid_start,
-                                      config.blacklist_ttl_s)
-        if not Path(config.rules_dir).is_dir():
-            log.warning("rules directory %s does not exist: generated rules "
-                        "are not written", config.rules_dir)
+        if not config.rules_dir:  # "" is no rule file, as in `inspect once`
+            self.table = SourceTable(config.blacklist_ttl_s, config.sid_start)
+        else:
+            self.table = SourceTable.load(config.rules_dir, config.sid_start,
+                                          config.blacklist_ttl_s)
+            if not Path(config.rules_dir).is_dir():
+                log.warning("rules directory %s does not exist: generated "
+                            "rules are not written", config.rules_dir)
         self._lock = threading.Lock()
 
     def handle_request(self, request: dict) -> dict:
@@ -117,7 +120,8 @@ class InspectorDaemon:
             verdicts = self.classify(str(pcap_path))
             with self._lock:
                 result = inspect_flows(verdicts, config, self.table)
-                if result.rules and Path(config.rules_dir).is_dir():
+                if (result.rules and config.rules_dir
+                        and Path(config.rules_dir).is_dir()):
                     write_rules(result.rules, config.rules_dir, self.table)
                 if result.alerts and config.eve_path:
                     emit_eve(result.alerts, config.eve_path)

@@ -86,9 +86,11 @@ class OciVector:
 
 
 def load_vocabulary(path: str | Path, language: str = "custom") -> OpcodeVocabulary:
-    """Load a one-mnemonic-per-line vocabulary file. '#' starts a comment."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    entries = (raw.split("#", 1)[0].strip() for raw in lines)
+    """Load a one-mnemonic-per-line vocabulary file. '#' starts a comment.
+    A line that is not UTF-8 is an `OpcodeError` naming the path and line."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        text = "".join(utf8_lines(fh, path, OpcodeError))
+    entries = (raw.split("#", 1)[0].strip() for raw in text.splitlines())
     try:
         return OpcodeVocabulary(tuple(e for e in entries if e), language=language)
     except OpcodeError as exc:

@@ -4,9 +4,9 @@ Implements exactly the layer set the detection models need: embeddings,
 one fused 1-D convolution -> global max pooling -> ReLU layer that reads
 token ids and the embedding table, whose kernel widths share one window
 matrix per sample and whose backward scatters straight into the
-embedding table, ReLU, dense layers, batch norm, dropout. Backward passes are written out by
-hand and validated against central finite differences (see
-`grad_check`).
+embedding table, ReLU, dense layers, batch norm, dropout. Backward
+passes are written out by hand; the tests check them against central
+finite differences (`tests/tensornet_check.py`).
 """
 
 from wsdetect.tensornet.layers import (
@@ -34,7 +34,7 @@ from wsdetect.tensornet.graph import (
     load_model,
     save_model,
 )
-from wsdetect.tensornet.train import FitHistory, fit, grad_check
+from wsdetect.tensornet.train import FitHistory, fit
 
 __all__ = [
     "AdamState",
@@ -56,7 +56,6 @@ __all__ = [
     "conv_max_pool_backward",
     "cross_entropy",
     "fit",
-    "grad_check",
     "load_model",
     "save_model",
     "softmax",

@@ -107,21 +107,6 @@ class ModelGraph:
     def zero_grads(self):
         self.flat().grads.fill(0.0)
 
-    def frozen_masks(self) -> dict[str, np.ndarray]:
-        """Boolean masks of parameter entries pinned at their init value
-        (frozen embedding padding rows). Gradients there are forced to
-        zero, so oracles must skip them."""
-        out = {}
-        for name, layer in self._layers:
-            getter = getattr(layer, "frozen_mask", None)
-            if getter is None:
-                continue
-            for pname in layer.params:
-                mask = getter(pname)
-                if mask is not None:
-                    out[f"{name}.{pname}"] = mask
-        return out
-
     def forward(self, inputs, mode="eval", rng=None):
         raise NotImplementedError
 

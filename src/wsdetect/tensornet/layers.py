@@ -1,12 +1,9 @@
 """Layers with explicit forward/backward. All math in float64.
 
 `mode` is one of:
-  "train"     - dropout active, batch norm uses batch stats and updates
-                its running estimates
-  "eval"      - deterministic: dropout off, batch norm uses running stats
-  "gradcheck" - dropout off, batch norm uses batch stats but leaves the
-                running estimates untouched (so repeated forwards of the
-                finite-difference probe see identical state)
+  "train" - dropout active, batch norm uses batch stats and updates its
+            running estimates
+  "eval"  - deterministic: dropout off, batch norm uses running stats
 """
 
 from __future__ import annotations
@@ -98,13 +95,6 @@ class Embedding(Layer):
             gw[0] = 0.0
         return None  # integer inputs carry no gradient
 
-    def frozen_mask(self, pname):
-        if pname == "weight" and self.frozen_padding:
-            mask = np.zeros((self.num_embeddings, self.dim), dtype=bool)
-            mask[0] = True
-            return mask
-        return None
-
 
 class ConvMaxPool(Layer):
     """Valid-padding 1-D convolution, max over time, then ReLU:
@@ -115,14 +105,12 @@ class ConvMaxPool(Layer):
     tie rule), and the backward pass routes its gradient through that
     one window only, gated on a positive peak.
 
-    The forward is `conv_max_pool` with this one layer and the backward
-    `conv_max_pool_backward`. `conv_max_pool` reads token ids and a
-    table; `forward` hands it x as a table whose rows are its own
-    positions, `tokens = arange(batch * L).reshape(batch, L)`. A model
-    with several widths over one embedding calls the two with all of
-    them and its table, so they share one window matrix per sample and
-    the backward scatters each filter's peak gradient straight into the
-    table's gradient. No input gradient is returned.
+    The layer holds the parameters; `conv_max_pool` and
+    `conv_max_pool_backward` run it. A model with several widths over
+    one embedding calls the two with all of them and its table, so they
+    share one window matrix per sample and the backward scatters each
+    filter's peak gradient straight into the table's gradient. No input
+    gradient is returned.
     """
 
     def __init__(self, in_channels, out_channels, kernel, rng):
@@ -135,17 +123,6 @@ class ConvMaxPool(Layer):
         self.kernel = kernel
         self.in_channels = in_channels
         self.out_channels = out_channels
-
-    def forward(self, x, mode="eval", rng=None):
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 3:
-            raise ShapeError(f"expected x[batch, L, C], got shape {x.shape}")
-        batch, length, channels = x.shape
-        positions = np.arange(batch * length).reshape(batch, length)
-        return conv_max_pool([self], positions, x.reshape(-1, channels))
-
-    def backward(self, dout):
-        conv_max_pool_backward([self], dout)
 
 
 def conv_max_pool(convs, tokens, table):
@@ -342,19 +319,18 @@ class BatchNorm1d(Layer):
 
     def forward(self, x, mode="eval", rng=None):
         x = np.asarray(x, dtype=np.float64)
-        if mode in ("train", "gradcheck"):
+        if mode == "train":
             if x.shape[0] < 2:
                 raise ShapeError("batch norm needs batch size >= 2 in train mode")
             mean = x.mean(axis=0)
             centered = x - mean
             # biased variance, summed and divided exactly as np.var does
             var = (centered * centered).sum(axis=0) / x.shape[0]
-            if mode == "train":
-                m = self.momentum
-                self.buffers["running_mean"] = (
-                    (1 - m) * self.buffers["running_mean"] + m * mean)
-                self.buffers["running_var"] = (
-                    (1 - m) * self.buffers["running_var"] + m * var)
+            m = self.momentum
+            self.buffers["running_mean"] = (
+                (1 - m) * self.buffers["running_mean"] + m * mean)
+            self.buffers["running_var"] = (
+                (1 - m) * self.buffers["running_var"] + m * var)
         else:
             var = self.buffers["running_var"]
             centered = x - self.buffers["running_mean"]

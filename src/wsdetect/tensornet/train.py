@@ -1,4 +1,4 @@
-"""Training loop and the finite-difference gradient oracle."""
+"""The training loop: Adam on softmax cross-entropy, one seeded generator."""
 
 from __future__ import annotations
 
@@ -98,48 +98,3 @@ def fit(model: ModelGraph, inputs, labels, *, epochs: int, batch_size: int,
             epoch=epoch, loss=total_loss / seen, accuracy=correct / seen,
             seconds=seconds, samples_per_s=seen / seconds))
     return history
-
-
-def grad_check(model: ModelGraph, inputs, labels, *, h: float = 1e-5,
-               weights: ClassWeights | None = None) -> float:
-    """Max relative error between analytic and central-difference grads.
-
-    Runs the model in "gradcheck" mode: dropout disabled, batch norm on
-    batch statistics with running estimates untouched, so every probe
-    evaluates the same function.
-    """
-    labels = np.asarray(labels, dtype=np.intp)
-    head = SoftmaxCrossEntropy(weights)
-
-    def loss_only():
-        logits = model.forward(inputs, mode="gradcheck")
-        loss, _ = head.forward(logits, labels)
-        return loss
-
-    model.zero_grads()
-    logits = model.forward(inputs, mode="gradcheck")
-    _, _ = head.forward(logits, labels)
-    model.backward(head.backward())
-    analytic = {name: g.copy() for name, g in model.gradients().items()}
-
-    worst = 0.0
-    params = model.parameters()
-    frozen = model.frozen_masks()
-    for name, p in params.items():
-        flat = p.reshape(-1)
-        a_flat = analytic[name].reshape(-1)
-        skip = frozen[name].reshape(-1) if name in frozen else None
-        for i in range(flat.size):
-            if skip is not None and skip[i]:
-                continue
-            keep = flat[i]
-            flat[i] = keep + h
-            up = loss_only()
-            flat[i] = keep - h
-            down = loss_only()
-            flat[i] = keep
-            numeric = (up - down) / (2.0 * h)
-            a = a_flat[i]
-            err = abs(a - numeric) / max(abs(a) + abs(numeric), 1e-3)
-            worst = max(worst, err)
-    return worst

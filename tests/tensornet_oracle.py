@@ -91,17 +91,16 @@ def relu_forward(self, x, mode="eval", rng=None):
 
 def batchnorm_forward(self, x, mode="eval", rng=None):
     x = np.asarray(x, dtype=np.float64)
-    if mode in ("train", "gradcheck"):
+    if mode == "train":
         if x.shape[0] < 2:
             raise layers.ShapeError("batch norm needs batch size >= 2 in train mode")
         mean = x.mean(axis=0)
         var = x.var(axis=0)
-        if mode == "train":
-            m = self.momentum
-            self.buffers["running_mean"] = (
-                (1 - m) * self.buffers["running_mean"] + m * mean)
-            self.buffers["running_var"] = (
-                (1 - m) * self.buffers["running_var"] + m * var)
+        m = self.momentum
+        self.buffers["running_mean"] = (
+            (1 - m) * self.buffers["running_mean"] + m * mean)
+        self.buffers["running_var"] = (
+            (1 - m) * self.buffers["running_var"] + m * var)
     else:
         mean = self.buffers["running_mean"]
         var = self.buffers["running_var"]

@@ -103,9 +103,9 @@ def test_c03_oiva_equivalence():
 
 def test_c04_gradient_soundness():
     import tests.test_gradcheck as layerwise
+    from tests.tensornet_check import grad_check
     from wsdetect import tensornet as tn
     from wsdetect.srcmodel import CnnConfig, build_cnn
-    from wsdetect.tensornet import grad_check
     from wsdetect.trafficmodel import TabularConfig, TabularDataset, build_dnn
 
     started = time.perf_counter()

@@ -189,6 +189,15 @@ class TestSourcePipeline:
         assert verdicts[1]["label"] == "Benign"
         assert all(v["source"] == "cnn" for v in verdicts)
 
+    def test_extract_names_a_vocabulary_line_that_is_not_utf8(self, tmp_path):
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_bytes(b"ECHO\n\xff\n")
+        code, out, err = _run(["oci", "extract", "--language", "php",
+                               "--vocab", str(vocab), "--out",
+                               str(tmp_path / "c.csv"), str(vocab)])
+        assert code == EXIT_ERROR
+        assert err == f"error: {vocab}:2: not UTF-8 text\n"
+
     def test_cil_pipeline_with_builtin_vocabulary(self, tmp_path):
         web = tmp_path / "shell.cil"
         web.write_text("IL_0000: ldstr \"cmd\"\nIL_0005: call x\nIL_000a: ret\n")
@@ -305,6 +314,17 @@ class TestSourcePipeline:
         assert hashed.count(b"ECHO\nCONCAT\nRETURN\nEVAL") == 1
 
 class TestFlowPipeline:
+    @pytest.mark.parametrize("timeout", ["0", "-5", "soon"])
+    def test_extract_rejects_a_flow_timeout_below_one_second(self, two_flow_pcap,
+                                                              tmp_path, timeout, capsys):
+        out_path = tmp_path / "features.csv"
+        code, _, _ = _run(["flows", "extract", "--pcap", str(two_flow_pcap),
+                           "--out", str(out_path), f"--flow-timeout={timeout}"])
+        assert code == EXIT_USAGE
+        # argparse prints usage errors to the real stderr
+        assert "argument --flow-timeout: " in capsys.readouterr().err
+        assert not out_path.exists()
+
     def test_extract_then_train_then_kfold(self, two_flow_pcap, tmp_path):
         features = str(tmp_path / "features.csv")
         code, _, err = _run(["flows", "extract", "--pcap", str(two_flow_pcap),

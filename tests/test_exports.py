@@ -1,8 +1,12 @@
 """Every name a `wsdetect` subpackage exports in `__all__` resolves, so a
-re-export left behind by a deleted function fails here, at import."""
+re-export left behind by a deleted function fails here, at import; and
+every public function and class under src/wsdetect is read by runtime
+code, so one that only tests or the bench call fails here too."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -22,3 +26,71 @@ def test_every_exported_name_resolves(name):
     exported = package.__all__
     assert len(set(exported)) == len(exported), "a name is listed twice"
     assert [n for n in exported if not hasattr(package, n)] == []
+
+
+# Public names that only bench/ or tests/ call, each until the change
+# named beside it removes that caller.
+UNREFERENCED = {
+    "compute_features",  # bench/ holds it until ROADMAP item 4
+}
+
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _references(tree):
+    """Every name a module's top-level statements read, as a `Name`, an
+    attribute or an import alias, leaving out a definition's reads of
+    its own name."""
+    referenced = set()
+    for node in tree.body:
+        own = node.name if isinstance(node, DEFINITIONS) else None
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                name = sub.id
+            elif isinstance(sub, ast.Attribute):
+                name = sub.attr
+            elif isinstance(sub, ast.alias):
+                name = sub.name.rpartition(".")[2]
+            else:
+                continue
+            if name != own:
+                referenced.add(name)
+    return referenced
+
+
+def _definitions_and_references():
+    """The public top-level functions and classes under src/wsdetect, by
+    name, and every name the package's modules other than `__init__.py`
+    read."""
+    defined, referenced = {}, set()
+    for path in sorted(Path(wsdetect.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, DEFINITIONS) and not node.name.startswith("_"):
+                defined[node.name] = path.name
+        if path.name != "__init__.py":
+            referenced |= _references(tree)
+    return defined, referenced
+
+
+def test_every_public_definition_has_a_runtime_reference():
+    """A public function or class that no runtime module reads is test or
+    bench code living in src/."""
+    defined, referenced = _definitions_and_references()
+    assert UNREFERENCED <= set(defined)
+    assert sorted(UNREFERENCED & referenced) == [], "stale allowlist entry"
+    assert sorted(f"{module}:{name}" for name, module in defined.items()
+                  if name not in referenced | UNREFERENCED) == []
+
+
+def test_a_definition_does_not_reference_itself():
+    tree = ast.parse(
+        "def walk(n):\n    return walk(n - 1)\n"
+        "class Node:\n    def copy(self) -> Node:\n        return Node()\n"
+        "def root():\n    return Node()\n")
+    referenced = _references(tree)
+    assert "walk" not in referenced
+    assert "Node" in referenced
+    assert "Node" not in _references(ast.parse(
+        "class Node:\n    def copy(self) -> Node:\n        return Node()\n"))

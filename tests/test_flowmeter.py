@@ -237,6 +237,16 @@ class TestAssembleFlows:
         flows = _flows(packets, flow_timeout_us=120_000_000)
         assert len(flows) == 2
 
+    @pytest.mark.parametrize("timeout", [0, -5_000_000])
+    def test_a_timeout_below_one_microsecond_is_rejected(self, timeout):
+        """It would split a flow at every packet: six packets 1 ms apart
+        were six flows at 0."""
+        packets = [_pkt(1000 * i) for i in range(6)]
+        with pytest.raises(ValueError, match="flow timeout must be positive"):
+            _flows(packets, flow_timeout_us=timeout)
+        with pytest.raises(ValueError, match="flow timeout must be positive"):
+            _flows([], flow_timeout_us=timeout)
+
     def test_within_timeout_single_flow(self):
         packets = [_pkt(0), _pkt(100_000_000)]
         assert len(_flows(packets, flow_timeout_us=120_000_000)) == 1

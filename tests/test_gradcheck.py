@@ -1,9 +1,10 @@
-"""Finite-difference validation of every backward pass, alone and composed."""
+"""Finite-difference validation of every backward pass, alone and
+composed, in train mode with dropout on."""
 
 import numpy as np
 
+from tests.tensornet_check import conv_over_rows, grad_check
 from wsdetect import tensornet as tn
-from wsdetect.tensornet import grad_check
 
 TOL = 1e-4
 
@@ -55,11 +56,10 @@ def test_conv_relu_pool_stack():
             self.out = self.add_layer("out", tn.Dense(3, 2, rng))
 
         def forward(self, x, mode="eval", rng=None):
-            h = self.conv.forward(x, mode, rng)
-            return self.out.forward(h, mode, rng)
+            return self.out.forward(conv_over_rows([self.conv], x), mode, rng)
 
         def backward(self, dlogits):
-            self.conv.backward(self.out.backward(dlogits))
+            tn.conv_max_pool_backward([self.conv], self.out.backward(dlogits))
 
     x = rng.normal(size=(4, 9, 2))
     y = rng.integers(0, 2, size=4)
@@ -162,3 +162,29 @@ def test_gradcheck_catches_a_broken_backward():
     x = rng.normal(size=(5, 3))
     y = rng.integers(0, 2, size=5)
     assert grad_check(Broken(), x, y) > 0.1
+
+
+def test_gradcheck_sees_the_dropout_mask():
+    """The check runs in train mode: a backward that skips the dropout
+    mask is caught."""
+    rng = np.random.default_rng(14)
+
+    class Unmasked(tn.ModelGraph):
+        kind = "test_unmasked"
+
+        def __init__(self):
+            super().__init__()
+            self.d1 = self.add_layer("d1", tn.Dense(3, 4, rng))
+            self.drop = self.add_layer("drop", tn.Dropout(0.5))
+            self.d2 = self.add_layer("d2", tn.Dense(4, 2, rng))
+
+        def forward(self, x, mode="eval", rng=None):
+            h = self.drop.forward(self.d1.forward(x, mode, rng), mode, rng)
+            return self.d2.forward(h, mode, rng)
+
+        def backward(self, dlogits):
+            self.d1.backward(self.d2.backward(dlogits))  # no dropout mask
+
+    x = rng.normal(size=(5, 3))
+    y = rng.integers(0, 2, size=5)
+    assert grad_check(Unmasked(), x, y) > 0.1

@@ -84,6 +84,10 @@ class TestConfig:
         ("blacklist_ttl_s", -5, "positive number"),
         ("sid_start", "3000001", "non-negative integer"),
         ("deep_inspecting", "false", "true or false"),
+        ("rules_dir", 5, "a string"),
+        ("socket_path", None, "a string"),
+        ("model_path", True, "a string"),
+        ("eve_path", ["x"], "a string"),
     ])
     def test_mistyped_values_rejected(self, tmp_path, key, value, message):
         path = tmp_path / "cfg.json"
@@ -557,6 +561,24 @@ class TestDaemon:
     def test_an_existing_rules_dir_is_not_warned(self, tmp_path, caplog):
         with caplog.at_level(logging.WARNING, logger="wsdetect.inspector"):
             InspectorDaemon(InspectorConfig(rules_dir=str(tmp_path), model_path="stub"))
+        assert caplog.records == []
+
+    def test_an_empty_rules_dir_is_no_rule_file(self, tmp_path, two_flow_pcap,
+                                                 monkeypatch, caplog):
+        """As in `inspect once`, "" loads no rule file, writes none and
+        warns of none, where `Path("")` would be the working directory.
+        The replies still carry the rules."""
+        monkeypatch.chdir(tmp_path)
+        InspectorDaemon(InspectorConfig(rules_dir=".", model_path="stub")).inspect(
+            str(two_flow_pcap))
+        rule_file = tmp_path / "webshell-generated.rules"
+        written = rule_file.read_text()
+        with caplog.at_level(logging.WARNING, logger="wsdetect.inspector"):
+            daemon = InspectorDaemon(InspectorConfig(rules_dir="", model_path="stub"))
+            assert daemon.handle_request({"op": "blacklist"}) == {"blacklist": {}}
+            reply = daemon.inspect(str(two_flow_pcap))
+        assert len(reply["rules"]) == 2
+        assert rule_file.read_text() == written
         assert caplog.records == []
 
     def test_ping(self, running_daemon):

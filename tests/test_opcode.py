@@ -99,6 +99,13 @@ class TestVocabulary:
         path.write_text("# header\nECHO  # trailing\n\nADD\n")
         assert load_vocabulary(path).mnemonics == ("ECHO", "ADD")
 
+    def test_a_line_that_is_not_utf8_names_the_path_and_line(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_bytes(b"ECHO\nADD\nRET\xe9\n")
+        with pytest.raises(OpcodeError) as info:
+            load_vocabulary(path)
+        assert str(info.value) == f"{path}:3: not UTF-8 text"
+
     @pytest.mark.parametrize("text, message", [
         ("# only a comment\n", "vocabulary has no mnemonics"),
         ("ECHO\nADD\nECHO\nADD\n", "duplicate mnemonic 'ECHO' in vocabulary"),

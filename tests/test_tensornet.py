@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from tests.tensornet_check import conv_over_rows
 from wsdetect import tensornet as tn
 from wsdetect.tensornet import layers
 from wsdetect.tensornet.graph import CheckpointError
@@ -176,43 +177,43 @@ class TestConv1d:
         layer = _conv_max_pool(1, 1, 3)
         layer.params["w"][:] = 1.0
         layer.params["b"][:] = 0.0
-        out = layer.forward(np.array([[[1.0], [2.0], [3.0]]]))
+        out = conv_over_rows([layer], np.array([[[1.0], [2.0], [3.0]]]))
         assert out.shape == (1, 1)
         assert out[0, 0] == pytest.approx(6.0)
 
     def test_kernel_one_identity(self):
         layer = _identity_pool(3)
         x = np.array([[[3.0, 1.0, 4.0]]])
-        assert np.array_equal(layer.forward(x), x[:, 0, :])
+        assert np.array_equal(conv_over_rows([layer], x), x[:, 0, :])
 
     def test_zero_weights_bias_everywhere(self):
         layer = _conv_max_pool(2, 3, 2)
         layer.params["w"][:] = 0.0
         layer.params["b"][:] = 5.0
-        out = layer.forward(np.ones((1, 4, 2)))
+        out = conv_over_rows([layer], np.ones((1, 4, 2)))
         assert out.shape == (1, 3)
         assert np.all(out == 5.0)
 
     def test_too_short_input(self):
         layer = _conv_max_pool(1, 1, 3)
         with pytest.raises(ShapeError):
-            layer.forward(np.ones((1, 2, 1)))
+            conv_over_rows([layer], np.ones((1, 2, 1)))
 
 
 class TestGlobalMaxPool:
     """The max-over-time stage of ConvMaxPool (kernel-1 identity conv)."""
 
     def test_columnwise_max(self):
-        out = _identity_pool(2).forward(np.array([[[1.0, 5.0], [3.0, 2.0]]]))
+        out = conv_over_rows([_identity_pool(2)], np.array([[[1.0, 5.0], [3.0, 2.0]]]))
         assert np.allclose(out, [[3.0, 5.0]])
 
     def test_single_row_identity(self):
         row = np.array([[[7.0, 2.0, 0.5]]])
-        assert np.array_equal(_identity_pool(3).forward(row), row[:, 0, :])
+        assert np.array_equal(conv_over_rows([_identity_pool(3)], row), row[:, 0, :])
 
     def test_empty_rejected(self):
         with pytest.raises(ShapeError):
-            _identity_pool(2).forward(np.ones((1, 0, 2)))
+            conv_over_rows([_identity_pool(2)], np.ones((1, 0, 2)))
 
     def test_tie_routes_gradient_to_first(self):
         layer = _identity_pool(1)
@@ -259,13 +260,13 @@ class TestConvMaxPool:
         """After a forward over x's own rows, an embedding's table is not
         the one the forward read."""
         layer = _conv_max_pool(2, 4, 3)
-        layer.forward(np.ones((3, 7, 2)))
+        conv_over_rows([layer], np.ones((3, 7, 2)))
         with pytest.raises(ShapeError, match="21 rows"):
             tn.conv_max_pool_backward([layer], np.ones((3, 4)), _table(np.ones((4, 2))))
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ShapeError, match="channels"):
-            _conv_max_pool(2, 1, 1).forward(np.ones((1, 4, 3)))
+            conv_over_rows([_conv_max_pool(2, 1, 1)], np.ones((1, 4, 3)))
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -294,7 +295,7 @@ class TestConvMaxPool:
         dtable = np.zeros_like(table.params["weight"])
         np.add.at(dtable, tokens, dx)
         dtable[0] = 0.0
-        assert np.array_equal(layer.forward(x), out)
+        assert np.array_equal(conv_over_rows([layer], x), out)
         assert np.array_equal(tn.conv_max_pool([layer], tokens, table.params["weight"]), out)
         tn.conv_max_pool_backward([layer], dout, table)
         assert np.array_equal(table.grads["weight"], dtable)
@@ -330,7 +331,7 @@ class TestBatchNorm:
     def test_running_stats_update_only_in_train(self):
         layer = tn.BatchNorm1d(1)
         x = np.array([[10.0], [20.0]])
-        layer.forward(x, mode="gradcheck")
+        layer.forward(x, mode="eval")
         assert layer.buffers["running_mean"][0] == 0.0
         layer.forward(x, mode="train")
         assert layer.buffers["running_mean"][0] == pytest.approx(1.5)  # 0.9*0 + 0.1*15

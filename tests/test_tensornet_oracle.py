@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tests import tensornet_oracle as oracle
+from tests.tensornet_check import conv_over_rows
 from wsdetect import tensornet as tn
 from wsdetect.srcmodel import CnnConfig, build_cnn
 from wsdetect.trafficmodel import TabularConfig, TabularDataset, build_dnn
@@ -174,13 +175,6 @@ def _oracle_copies(pools, forward):
     return copies
 
 
-def _positions(x):
-    """x[batch, L, C] as token ids into a table of its own rows, the form
-    `ConvMaxPool.forward` hands to `tn.conv_max_pool`."""
-    batch, length, channels = x.shape
-    return np.arange(batch * length).reshape(batch, length), x.reshape(-1, channels)
-
-
 def _split(dout, pools):
     return np.split(dout, np.cumsum([p.out_channels for p in pools])[:-1], axis=1)
 
@@ -191,7 +185,7 @@ def _assert_pools_agree(pools, x, exact):
     backward must be equal; the outputs bit for bit when `exact`, else
     within 1e-12 (the bias inside the product rounds the sum in another
     order)."""
-    out = tn.conv_max_pool(pools, *_positions(x))
+    out = conv_over_rows(pools, x)
     dout = np.random.default_rng(1).normal(size=out.shape)
     tn.conv_max_pool_backward(pools, dout)
     for name, forward in ORACLES.items():
@@ -235,9 +229,9 @@ def _pad(x, data):
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_live_windows_match_the_full_forward_exactly(data):
-    """One layer, the `ConvMaxPool.forward` case. Quarter-integer inputs
-    and weights keep every sum exact, so ties are real ties: the output,
-    the argmax and the gradients must equal both oracles' bit for bit."""
+    """One layer over a dense input. Quarter-integer inputs and weights
+    keep every sum exact, so ties are real ties: the output, the argmax
+    and the gradients must equal both oracles' bit for bit."""
     batch = data.draw(st.integers(1, 4))
     channels = data.draw(st.integers(1, 3))
     k = data.draw(st.integers(1, 4))
@@ -246,7 +240,6 @@ def test_live_windows_match_the_full_forward_exactly(data):
                               elements=st.sampled_from(QUARTERS))), data)
     pools = _pools(channels, data.draw(st.integers(1, 5)), [k])
     _set_params(pools, data, QUARTERS)
-    assert np.array_equal(pools[0].forward(x), tn.conv_max_pool(pools, *_positions(x)))
     _assert_pools_agree(pools, x, exact=True)
 
 
