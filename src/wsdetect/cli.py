@@ -162,14 +162,20 @@ def cmd_train_flow(args, out, err) -> int:
 
 # --- prediction ---------------------------------------------------------
 
+# `predict src` reads and vectorizes at most this many files, then
+# classifies their vectors in one CNN forward
+SRC_BATCH_FILES = 64
+
+
 def cmd_predict_src(args, out, err) -> int:
+    from wsdetect.opcode import OciVector
     from wsdetect.rulelang import CompiledRuleSet
     from wsdetect.srcmodel import (
         OpcodeCnn,
         OpcodeParseError,
         check_model_pairing,
-        cnn_verdict,
-        hybrid_detect,
+        cnn_verdicts,
+        rules_or_vector,
     )
     from wsdetect.tensornet import load_model
 
@@ -179,26 +185,40 @@ def cmd_predict_src(args, out, err) -> int:
     check_model_pairing(model, language, vocab)  # one error, before any file
     # built once: the matcher would rebuild its key tables for every file
     rules = CompiledRuleSet(_load_ruleset(args.rules)) if args.rules else None
+    max_length = model.config.max_length
     detections = 0
     had_error = False
-    for path in args.files:
-        try:
-            data = Path(path).read_bytes()
-            if rules is not None:
-                verdict = hybrid_detect(rules, model, data, language, vocab,
-                                        subject_id=path)
-            else:
-                verdict = cnn_verdict(model, data, language, vocab,
-                                      subject_id=path)
-        except (OSError, OpcodeParseError) as exc:
-            had_error = True
-            print(json.dumps({"path": path, "error": str(exc)}), file=err)
-            continue
-        detections += verdict.label == "Webshell"
-        print(json.dumps({
-            "path": path, "label": verdict.label, "source": verdict.source,
-            "p_webshell": round(verdict.p_webshell, 6),
-            "rules": list(verdict.matched_rules)}), file=out)
+    for start in range(0, len(args.files), SRC_BATCH_FILES):
+        batch = args.files[start:start + SRC_BATCH_FILES]
+        # each file's rule verdict, vector or error message; its bytes are
+        # not kept
+        results = []
+        for path in batch:
+            try:
+                data = Path(path).read_bytes()
+                results.append(rules_or_vector(rules, data, language, vocab,
+                                               max_length, subject_id=path))
+            except (OSError, OpcodeParseError) as exc:
+                # the message, not the exception: its traceback would hold
+                # this frame, and all it references, until a GC pass
+                results.append(str(exc))
+        vectors = [result for result in results if isinstance(result, OciVector)]
+        verdicts = iter(cnn_verdicts(model, vectors))
+        lines, errors = [], []
+        for path, result in zip(batch, results):
+            if isinstance(result, str):
+                had_error = True
+                errors.append(json.dumps({"path": path, "error": result}))
+                continue
+            verdict = next(verdicts) if isinstance(result, OciVector) else result
+            detections += verdict.label == "Webshell"
+            lines.append(json.dumps({
+                "path": path, "label": verdict.label, "source": verdict.source,
+                "p_webshell": round(verdict.p_webshell, 6),
+                "rules": list(verdict.matched_rules)}))
+        for stream, written in ((out, lines), (err, errors)):
+            if written:
+                print("\n".join(written), file=stream)
     if detections:
         return EXIT_DETECTED
     return EXIT_ERROR if had_error else EXIT_OK

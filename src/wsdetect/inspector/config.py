@@ -8,6 +8,8 @@ import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from wsdetect.textlines import utf8_lines
+
 ENV_CONFIG_PATH = "WS_INSPECTOR_CONFIG"
 
 
@@ -55,12 +57,18 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None,
     """Config from a JSON file plus overrides. With no explicit path the
     WS_INSPECTOR_CONFIG environment variable is consulted. `defaults`
     replaces the `InspectorConfig` default of each key it names, for a
-    caller whose default differs from the daemon's."""
+    caller whose default differs from the daemon's. A file that is not
+    UTF-8 or not JSON is a `ConfigError` naming the path and line."""
     data: dict = dict(defaults or {})
     if path is None:
         path = os.environ.get(ENV_CONFIG_PATH) or None
     if path is not None:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            text = "".join(utf8_lines(fh, path, ConfigError))
+        try:
+            raw = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}:{exc.lineno}: not JSON: {exc.msg}") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
         data.update(raw)

@@ -9,6 +9,7 @@ reserved for padding so the first opcode is never confused with pad.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import re
 from dataclasses import dataclass, field
@@ -52,7 +53,17 @@ class OpcodeVocabulary:
 
 @dataclass
 class OpcodeListing:
+    """Opcode mnemonics in listing order, and `rows`, the number of op
+    rows they were read from: a parse that keeps only in-vocabulary
+    mnemonics counts the rows it dropped too. A listing built from
+    mnemonics alone has one row per mnemonic."""
+
     mnemonics: list[str]
+    rows: int | None = None
+
+    def __post_init__(self):
+        if self.rows is None:
+            self.rows = len(self.mnemonics)
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,41 +117,68 @@ _VLD_OP = re.compile(r"^[A-Z][A-Z0-9_]+$")
 _CIL_INSTR = re.compile(r"IL_[0-9A-Fa-f]{4}\s*:\s*([A-Za-z][A-Za-z0-9.]*)")
 
 
-def parse_vld(text: str) -> OpcodeListing:
-    """Extract the opcode column from a VLD dump, one mnemonic per op row.
+def parse_vld(text: str, vocab: OpcodeVocabulary, max_length: int) -> OpcodeListing:
+    """The first `max_length` in-vocabulary mnemonics of a VLD dump's
+    opcode column, one per op row, in row order.
 
-    Op rows look like ``   2     0  E >   ECHO  'hi'``; banner, header
-    and branch-summary lines carry no all-caps opcode token and are
-    skipped. Lines with no recognizable opcode are never an error.
+    Op rows look like ``   2     0  E >   ECHO  'hi'``: the row's first
+    all-caps token is its opcode, and an op/line number must come
+    earlier in the row so stray caps words in free text do not
+    register. Banner, header and branch-summary lines carry no such
+    token and are skipped; lines with no recognizable opcode are never
+    an error. The parse stops at the row that holds the `max_length`-th
+    kept mnemonic.
     """
+    ops = _vld_ops(vocab)
     mnemonics: list[str] = []
     append = mnemonics.append
     is_op = _VLD_OP.match
+    rows = 0
     for line in text.splitlines():
         saw_number = False
         for token in line.split():
             # a token of digits never starts with [A-Z], so this test
-            # skips only regex calls that would fail
+            # skips only lookups and regex calls that would fail
             if token.isdigit():
                 saw_number = True
-            elif is_op(token):
-                # require an op/line number earlier in the row so stray
-                # caps words in free text do not register
+            elif token in ops:
                 if saw_number:
+                    rows += 1
                     append(token)
+                    if len(mnemonics) == max_length:
+                        return OpcodeListing(mnemonics, rows)
                 break
-    return OpcodeListing(mnemonics)
+            elif is_op(token):  # an opcode the vocabulary lacks
+                rows += saw_number
+                break
+    return OpcodeListing(mnemonics, rows)
 
 
-def parse_cil(text: str) -> OpcodeListing:
-    """Extract CIL mnemonics, one per ``IL_xxxx:`` label, in label order.
+@functools.lru_cache(maxsize=8)
+def _vld_ops(vocab: OpcodeVocabulary) -> frozenset[str]:
+    """The mnemonics of `vocab` that a VLD opcode cell can hold."""
+    return frozenset(m for m in vocab.mnemonics if _VLD_OP.match(m))
+
+
+def parse_cil(text: str, vocab: OpcodeVocabulary, max_length: int) -> OpcodeListing:
+    """The first `max_length` in-vocabulary CIL mnemonics, one per
+    ``IL_xxxx:`` label, in label order.
 
     Directives (``.maxstack``, ``.locals``, ``.custom``) and operand
     text never match the instruction shape and are skipped. Works on
     line-wrapped disassembly since the scan is not line-based.
     """
-    mnemonics = [m.group(1) for m in _CIL_INSTR.finditer(text)]
-    return OpcodeListing(mnemonics)
+    index = vocab._index
+    mnemonics: list[str] = []
+    rows = 0
+    for match in _CIL_INSTR.finditer(text):
+        rows += 1
+        mnemonic = match.group(1)
+        if mnemonic in index:
+            mnemonics.append(mnemonic)
+            if len(mnemonics) == max_length:
+                break
+    return OpcodeListing(mnemonics, rows)
 
 
 # Each opcode language: its listing parser and its built-in vocabulary
@@ -158,9 +196,16 @@ def _language(language: str) -> tuple:
         raise OpcodeError(f"unknown opcode language {language!r}") from None
 
 
-def parse_listing(text: str, language: str) -> OpcodeListing:
+def parse_listing(text: str, language: str, vocab: OpcodeVocabulary,
+                  max_length: int) -> OpcodeListing:
+    """The first `max_length` in-vocabulary mnemonics of a `language`
+    listing; op rows past the one holding the last of them are not
+    read. `rows` of the result tells a listing with no op rows (0) from
+    one whose rows are all out of the vocabulary."""
     parse, _ = _language(language)
-    return parse(text)
+    if max_length < 1:
+        raise OpcodeError("max_length must be >= 1")
+    return parse(text, vocab, max_length)
 
 
 def builtin_vocabulary(language: str) -> OpcodeVocabulary:
@@ -217,7 +262,7 @@ def vectorize_corpus(items: list[tuple[str | Path, int]], language: str,
         except OSError as exc:
             corpus.failures.append(VectorizeFailure(path=str(path), reason=str(exc)))
             continue
-        listing = parse_listing(text, language)
+        listing = parse_listing(text, language, vocab, max_length)
         corpus.vectors.append(oiva(listing, vocab, max_length))
         corpus.labels.append(label)
         corpus.paths.append(str(path))

@@ -118,7 +118,15 @@ class OpcodeCnn(tn.ModelGraph):
                 f"got shape {x.shape}")
         merged = tn.conv_max_pool(self.convs, x, self.embedding.params["weight"])
         dropped = self.dropout.forward(merged, mode, rng)
-        return self.dense.forward(dropped, mode, rng)
+        if mode == "train":
+            return self.dense.forward(dropped, mode, rng)
+        # numpy takes another BLAS path for a one-row head product than
+        # for a batch: one product per row keeps each row's logits those
+        # of its one-row forward, whatever it is scored with
+        logits = np.empty((len(dropped), 2))
+        for n in range(len(dropped)):
+            logits[n] = self.dense.forward(dropped[n:n + 1], mode)[0]
+        return logits
 
     def backward(self, dlogits):
         d_merged = self.dropout.backward(self.dense.backward(dlogits))
@@ -173,20 +181,12 @@ def train_cnn(vectors, labels, config: CnnConfig, language: str = "custom",
     return model, history
 
 
-def cnn_predict(model: OpcodeCnn, oci) -> tuple[float, float]:
-    """(p_benign, p_webshell) for one vector, in eval mode."""
-    p_benign, p_webshell = cnn_predict_batch(model, [oci])[0].tolist()
-    return p_benign, p_webshell
-
-
 def cnn_predict_batch(model: OpcodeCnn, vectors) -> np.ndarray:
-    """[n, 2] probabilities in eval mode. Each row runs through its own
-    forward: numpy takes another BLAS path for a one-row head product
-    than for a batch, so a row's verdict would otherwise depend on the
-    vectors scored with it."""
+    """[n, 2] probabilities in eval mode, from one forward. Each row's
+    conv peaks and head product are its own (see `OpcodeCnn.forward`),
+    so a row's probabilities are bit for bit those of a one-row batch."""
     matrix = _as_matrix(vectors, model.config.max_length)
-    return np.array([tn.softmax(model.forward(row, mode="eval"))[0]
-                     for row in matrix]).reshape(len(matrix), 2)
+    return tn.softmax(model.forward(matrix, mode="eval"))
 
 
 @dataclass(frozen=True)
@@ -225,38 +225,36 @@ def check_model_pairing(model: OpcodeCnn, language: str,
             f"the vocabulary has {len(vocab)}")
 
 
-def cnn_verdict(model: OpcodeCnn, data: bytes, language: str,
-                vocab: OpcodeVocabulary,
-                subject_id: str = "<buffer>") -> Verdict:
-    """Classify opcode dump text with the CNN alone.
+def rules_or_vector(rules: RuleSet | CompiledRuleSet | None, data: bytes,
+                    language: str, vocab: OpcodeVocabulary, max_length: int,
+                    subject_id: str = "<buffer>") -> Verdict | OciVector:
+    """The first phase of hybrid detection for one file: its rule
+    verdict, or else its OCI vector for the CNN.
 
-    A dump with no recognizable opcode rows raises `OpcodeParseError`
-    rather than defaulting to a benign verdict.
+    The file bytes are matched as-is against `rules`, when given. With
+    no match they are read as the language's opcode dump text; a dump
+    with no recognizable opcode rows raises `OpcodeParseError` rather
+    than defaulting to a benign verdict. A dump whose rows are all out
+    of the vocabulary is an all-padding vector. The model's pairing
+    with `language` and `vocab` is the caller's to check, once.
     """
-    check_model_pairing(model, language, vocab)
+    if rules is not None:
+        report: MatchReport = match_buffer(rules, data, subject_id=subject_id)
+        if report:
+            return Verdict(label="Webshell", source="rules", p_webshell=1.0,
+                           matched_rules=tuple(report.rule_names))
     text = data.decode("utf-8", errors="replace")
-    listing = parse_listing(text, language)
-    if not listing.mnemonics:
+    listing = parse_listing(text, language, vocab, max_length)
+    if not listing.rows:
         raise OpcodeParseError(
             f"{subject_id}: no {language} opcode rows recognized")
-    vec = oiva(listing, vocab, model.config.max_length)
-    _, p_webshell = cnn_predict(model, vec)
-    label = "Webshell" if p_webshell >= tn.DECISION_THRESHOLD else "Benign"
-    return Verdict(label=label, source="cnn", p_webshell=p_webshell)
+    return oiva(listing, vocab, max_length)
 
 
-def hybrid_detect(rules: RuleSet | CompiledRuleSet, model: OpcodeCnn,
-                  data: bytes, language: str, vocab: OpcodeVocabulary,
-                  subject_id: str = "<buffer>") -> Verdict:
-    """Run rules first; only rule-clean files reach the CNN.
-
-    The file bytes are matched as-is against the ruleset. With no match
-    they are treated as the language's opcode dump text, vectorized and
-    classified.
-    """
-    check_model_pairing(model, language, vocab)
-    report: MatchReport = match_buffer(rules, data, subject_id=subject_id)
-    if report:
-        return Verdict(label="Webshell", source="rules", p_webshell=1.0,
-                       matched_rules=tuple(report.rule_names))
-    return cnn_verdict(model, data, language, vocab, subject_id=subject_id)
+def cnn_verdicts(model: OpcodeCnn, vectors) -> list[Verdict]:
+    """The CNN's verdicts on OCI vectors, in order, from one forward."""
+    if not vectors:
+        return []
+    return [Verdict(label="Webshell" if p >= tn.DECISION_THRESHOLD else "Benign",
+                    source="cnn", p_webshell=p)
+            for p in cnn_predict_batch(model, vectors)[:, 1].tolist()]

@@ -97,10 +97,6 @@ class ModelGraph:
         self.flat()
         return self._named("params")
 
-    def gradients(self) -> dict[str, np.ndarray]:
-        self.flat()
-        return self._named("grads")
-
     def named_buffers(self) -> dict[str, np.ndarray]:
         return self._named("buffers")
 

@@ -56,10 +56,6 @@ class Layer:
         self.params[name] = value
         self.grads[name] = np.zeros_like(value)
 
-    def zero_grads(self):
-        for g in self.grads.values():
-            g.fill(0.0)
-
     def forward(self, x, mode="eval", rng=None):
         raise NotImplementedError
 

@@ -1,7 +1,7 @@
 """Checks of tensornet's hand-written backward passes that the runtime
-does not need: the central-difference gradient check, and the
-convolution over a dense input x[batch, L, C] that the layer tests
-drive.
+does not need: the central-difference gradient check, the convolution
+over a dense input x[batch, L, C] that the layer tests drive, and a
+model's named views into its flat gradient buffer.
 """
 
 from __future__ import annotations
@@ -18,6 +18,13 @@ def conv_over_rows(convs, x):
     batch, length, channels = np.shape(x)
     positions = np.arange(batch * length).reshape(batch, length)
     return tn.conv_max_pool(convs, positions, np.reshape(x, (-1, channels)))
+
+
+def gradients(model: tn.ModelGraph) -> dict[str, np.ndarray]:
+    """`model`'s gradient arrays by name, as views into its flat
+    gradient buffer."""
+    flat = model.flat()
+    return flat.views(flat.grads)
 
 
 def grad_check(model: tn.ModelGraph, inputs, labels, *, h: float = 1e-5,
@@ -40,7 +47,7 @@ def grad_check(model: tn.ModelGraph, inputs, labels, *, h: float = 1e-5,
     model.zero_grads()
     loss()
     model.backward(head.backward())
-    analytic = {name: g.copy() for name, g in model.gradients().items()}
+    analytic = {name: g.copy() for name, g in gradients(model).items()}
     # flat entries of each frozen padding row: the first `dim` of its table
     frozen = {f"{name}.weight": layer.dim for name, layer in model._layers
               if isinstance(layer, tn.Embedding) and layer.frozen_padding}

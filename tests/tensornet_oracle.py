@@ -74,14 +74,17 @@ def adam_step(state: AdamState, params: dict, grads: dict) -> AdamState:
     return state
 
 
-def layer_zero_grads(self):
-    for name, p in self.params.items():
-        self.grads[name] = np.zeros_like(p)
+def layer_gradients(model) -> dict:
+    """Each layer's gradient arrays by model name: those `model_zero_grads`
+    allocated, not the model's flat gradient buffer."""
+    return {f"{name}.{key}": grad for name, layer in model._layers
+            for key, grad in layer.grads.items()}
 
 
 def model_zero_grads(self):
     for _, layer in self._layers:
-        layer.zero_grads()
+        for name, p in layer.params.items():
+            layer.grads[name] = np.zeros_like(p)
 
 
 def relu_forward(self, x, mode="eval", rng=None):
@@ -291,8 +294,7 @@ def where_select(mask, x):
     return np.where(mask, x, 0.0)
 
 
-_SWAPS = ((layers.Layer, "zero_grads", layer_zero_grads),
-          (graph.ModelGraph, "zero_grads", model_zero_grads),
+_SWAPS = ((graph.ModelGraph, "zero_grads", model_zero_grads),
           (layers.ReLU, "forward", relu_forward),
           (layers.BatchNorm1d, "forward", batchnorm_forward),
           (layers, "_keep_where", where_select))
@@ -327,7 +329,7 @@ def fit(model, inputs, labels, *, epochs: int, batch_size: int,
                 logits = model.forward(_slice_inputs(inputs, idx), mode="train", rng=rng)
                 loss, probs = head.forward(logits, batch_labels)
                 model.backward(head.backward())
-                adam_step(opt, model.parameters(), model.gradients())
+                adam_step(opt, model.parameters(), layer_gradients(model))
                 total_loss += loss * len(idx)
                 correct += int((probs.argmax(axis=1) == batch_labels).sum())
                 seen += len(idx)

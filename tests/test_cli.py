@@ -283,8 +283,8 @@ class TestSourcePipeline:
 
     def test_predict_hashes_the_vocabulary_once(self, corpus_dir, tmp_path,
                                                 monkeypatch):
-        """The pairing check runs before the first file and again for
-        each file, and reads the hash the vocabulary computed when built."""
+        """The pairing check runs once, before the first file, and reads
+        the hash the vocabulary computed when built."""
         import hashlib
 
         root, vocab, files = corpus_dir

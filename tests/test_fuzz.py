@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from tests.conftest import random_captures, rule_texts
 from wsdetect.flowmeter import PcapError, assemble_flows, feature_matrix, read_pcap
-from wsdetect.opcode import parse_cil, parse_vld
+from wsdetect.opcode import builtin_vocabulary, parse_cil, parse_vld
 from wsdetect.rulelang import RuleSyntaxError, match_buffer, parse_rules
 
 
@@ -59,13 +59,13 @@ class TestOpcodeParserFuzz:
     @given(st.text(max_size=400))
     @settings(max_examples=200, deadline=None)
     def test_vld_any_text(self, text):
-        listing = parse_vld(text)
+        listing = parse_vld(text, builtin_vocabulary("php"), 2000)
         assert all(m for m in listing.mnemonics)
 
     @given(st.text(max_size=400))
     @settings(max_examples=200, deadline=None)
     def test_cil_any_text(self, text):
-        listing = parse_cil(text)
+        listing = parse_cil(text, builtin_vocabulary("cil"), 2000)
         assert all(m for m in listing.mnemonics)
 
 

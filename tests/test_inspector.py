@@ -95,6 +95,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"{key} must be .*{message}"):
             load_config(path)
 
+    @pytest.mark.parametrize("content, message", [
+        (b'{"mode": ', ":1: not JSON: Expecting value"),
+        (b'{"mode": "ids",\n "sid_start": 7,,}', ":2: not JSON: Expecting property name enclosed in double quotes"),
+        (b'\xff{"mode": "ids"}', ":1: not UTF-8 text"),
+        (b'{"mode": "ids"}\n{"eve_path": "caf\xe9"}', ":2: not UTF-8 text"),
+    ], ids=["truncated", "double comma", "leading 0xff", "latin-1 second line"])
+    def test_a_file_that_is_not_json_or_not_utf8_names_the_path(
+            self, tmp_path, content, message):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == f"{path}{message}"
+
     def test_removed_sampling_keys_rejected(self, tmp_path):
         # the daemon is request-driven, so the old scheduler keys are
         # errors; home_net was never read (the rule template hard-codes it)

@@ -127,31 +127,46 @@ class TestLanguages:
     def test_each_language_has_a_parser_and_a_builtin_vocabulary(self, language):
         vocab = builtin_vocabulary(language)
         assert vocab.language == language and len(vocab) > 0
-        assert parse_listing("", language).mnemonics == []
+        listing = parse_listing("", language, vocab, 10)
+        assert listing.mnemonics == [] and listing.rows == 0
 
     def test_unknown_language(self):
         for call in (lambda: builtin_vocabulary("java"),
-                     lambda: parse_listing("", "java")):
+                     lambda: parse_listing("", "java", OpcodeVocabulary(("A",)), 1)):
             with pytest.raises(OpcodeError, match="unknown opcode language 'java'"):
                 call()
 
 
+# the built-in vocabularies hold every mnemonic these tests expect; the
+# limit is past the length of any listing here
+PHP = builtin_vocabulary("php")
+CIL = builtin_vocabulary("cil")
+
+
+def _vld(text):
+    return parse_vld(text, PHP, 10_000)
+
+
+def _cil(text):
+    return parse_cil(text, CIL, 10_000)
+
+
 class TestParseVld:
     def test_opcode_column_in_line_order(self):
-        listing = parse_vld(VLD_DUMP)
+        listing = _vld(VLD_DUMP)
         assert listing.mnemonics == [
             "ECHO", "CONCAT", "INCLUDE_OR_EVAL", "RETURN", "RETURN"]
 
     def test_empty_text(self):
-        assert parse_vld("").mnemonics == []
+        assert _vld("").mnemonics == []
 
     def test_banner_only(self):
         banner = "\n".join(VLD_DUMP.splitlines()[:8]) + "\n"
-        assert parse_vld(banner).mnemonics == []
+        assert _vld(banner).mnemonics == []
 
     def test_caps_in_operands_not_taken(self):
         line = "   7     9        ASSIGN                            !0, 'UPPER TEXT'\n"
-        assert parse_vld(line).mnemonics == ["ASSIGN"]
+        assert _vld(line).mnemonics == ["ASSIGN"]
 
     def test_multi_function_dump(self):
         dump = (
@@ -174,7 +189,7 @@ class TestParseVld:
             "   6     0  E >   ECHO                  'ok'\n"
             "   7     1      > RETURN                null\n"
             "End of function render\n")
-        assert parse_vld(dump).mnemonics == [
+        assert _vld(dump).mnemonics == [
             "INIT_FCALL", "DO_FCALL", "RETURN", "ECHO", "RETURN"]
 
 
@@ -200,6 +215,8 @@ def _parse_vld_reference(text: str) -> list[str]:
 _VLD_TOKENS = ("0", "7", "12", "\u00b2", "\u0663", "1\u00b2", "ECHO", "INIT_FCALL",
                "A", "A1", "X_", "UPPER", "'UPPER", "TEXT'", "!0,", "$cmd", "null",
                "E", ">", "#*", "Echo", "ECHO2", "2ECHO", "_A")
+# every caps word above, so the parse keeps each one the reference reads
+_VLD_VOCAB = OpcodeVocabulary(tuple(t for t in _VLD_TOKENS if _VLD_OP.match(t)))
 _VLD_SPACES = (" ", "  ", "\t", "\x0b", "\x0c", "\xa0")
 _VLD_BREAKS = ("\n", "\r\n", "\r", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
                "\u2029")
@@ -214,29 +231,29 @@ _VLD_BREAKS = ("\n", "\r\n", "\r", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
 def test_parse_vld_matches_the_regex_first_loop(rows):
     text = "".join("".join(space + token for space, token in row) + end
                    for row, end in rows)
-    assert parse_vld(text).mnemonics == _parse_vld_reference(text)
+    assert parse_vld(text, _VLD_VOCAB, 10_000).mnemonics == _parse_vld_reference(text)
 
 
 class TestParseCil:
     def test_get_request_body(self):
-        listing = parse_cil(CIL_GET_REQUEST)
+        listing = _cil(CIL_GET_REQUEST)
         assert listing.mnemonics[:6] == [
             "call", "stloc.0", "ldloc.0", "brfalse.s", "ldloc.0", "callvirt"]
         assert listing.mnemonics[-2:] == ["ldloc.1", "ret"]
         assert len(listing.mnemonics) == 13
 
     def test_single_nop(self):
-        assert parse_cil("IL_0000: nop").mnemonics == ["nop"]
+        assert _cil("IL_0000: nop").mnemonics == ["nop"]
 
     def test_directives_only(self):
-        assert parse_cil(".maxstack 1\n.locals init (int32 V_0)\n").mnemonics == []
+        assert _cil(".maxstack 1\n.locals init (int32 V_0)\n").mnemonics == []
 
     def test_spaced_colon(self):
-        assert parse_cil("IL_0000 : ldstr \"x\"").mnemonics == ["ldstr"]
+        assert _cil("IL_0000 : ldstr \"x\"").mnemonics == ["ldstr"]
 
     def test_branch_operand_not_taken(self):
         # IL_0016 appears as an operand with no colon after it
-        assert parse_cil("IL_0010: br.s IL_0016\nIL_0016: ret").mnemonics == \
+        assert _cil("IL_0010: br.s IL_0016\nIL_0016: ret").mnemonics == \
             ["br.s", "ret"]
 
 

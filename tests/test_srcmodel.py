@@ -16,9 +16,10 @@ from wsdetect.srcmodel import (
     SrcModelError,
     Verdict,
     build_cnn,
-    cnn_predict,
+    check_model_pairing,
     cnn_predict_batch,
-    hybrid_detect,
+    cnn_verdicts,
+    rules_or_vector,
     train_cnn,
 )
 from wsdetect.tensornet.layers import ShapeError
@@ -26,6 +27,20 @@ from wsdetect.tensornet.layers import ShapeError
 RULES = parse_rules('rule sig { strings: $a = "b374k" condition: 1 of them }')
 VOCAB = OpcodeVocabulary(
     ("ECHO", "CONCAT", "RETURN", "ASSIGN", "INCLUDE_OR_EVAL"), "php")
+
+
+def cnn_predict(model, oci) -> tuple[float, float]:
+    """(p_benign, p_webshell) of one vector, scored alone."""
+    p_benign, p_webshell = cnn_predict_batch(model, [oci])[0].tolist()
+    return p_benign, p_webshell
+
+
+def hybrid_detect(rules, model, data, language, vocab) -> Verdict:
+    """What `predict src` does for one file: the pairing check, the
+    rules or the vector, then the CNN on the vector."""
+    check_model_pairing(model, language, vocab)
+    result = rules_or_vector(rules, data, language, vocab, model.config.max_length)
+    return result if isinstance(result, Verdict) else cnn_verdicts(model, [result])[0]
 
 
 def _tiny_config(**overrides):
@@ -227,12 +242,9 @@ class TestPredict:
         alone = [slice(i, i + 1) for i in range(len(x))]
         assert peaks(x).tobytes() == np.concatenate(
             [peaks(x[rows]) for rows in alone]).tobytes()
-        # the dense head of a training batch is one BLAS product, whose
-        # rounding may depend on the batch shape
-        logits = model.forward(x)
-        assert np.allclose(
-            logits, np.concatenate([model.forward(x[rows]) for rows in alone]),
-            rtol=0.0, atol=1e-12)
+        # an eval forward takes one head product per row
+        assert model.forward(x).tobytes() == np.concatenate(
+            [model.forward(x[rows]) for rows in alone]).tobytes()
         # the predict functions score each row on its own
         vectors = [OciVector(tuple(row)) for row in x]
         probs = cnn_predict_batch(model, vectors)
@@ -300,6 +312,19 @@ class TestHybridDetect:
         garbage = b"\x00\x01\x02 no opcode rows at all"
         with pytest.raises(OpcodeParseError):
             hybrid_detect(RULES, _forced_model(0.5), garbage, "php", VOCAB)
+
+    def test_rows_all_out_of_the_vocabulary_are_an_all_padding_vector(self):
+        # op rows the vocabulary lacks are not "no opcode rows"
+        dump = b"line 1 0 E > NOT_IN_VOCAB 'x'\n     2 1 > ALSO_NOT 1\n"
+        vec = rules_or_vector(RULES, dump, "php", VOCAB, 12)
+        assert vec == OciVector((0,) * 12)
+        with pytest.raises(OpcodeParseError, match="<buffer>: no php opcode rows"):
+            rules_or_vector(RULES, b"NOT_IN_VOCAB without a number\n", "php", VOCAB, 12)
+
+    def test_no_rules_goes_straight_to_the_vector(self):
+        data = b"1 0 E > ECHO b374k\n"
+        assert rules_or_vector(RULES, data, "php", VOCAB, 4).source == "rules"
+        assert rules_or_vector(None, data, "php", VOCAB, 4) == OciVector((1, 0, 0, 0))
 
     def test_vocabulary_mismatch_rejected(self):
         model = build_cnn(_tiny_config(), vocab=VOCAB)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tests import tensornet_oracle as oracle
-from tests.tensornet_check import conv_over_rows
+from tests.tensornet_check import conv_over_rows, gradients
 from wsdetect import tensornet as tn
 from wsdetect.srcmodel import CnnConfig, build_cnn
 from wsdetect.trafficmodel import TabularConfig, TabularDataset, build_dnn
@@ -70,7 +70,7 @@ CASES = {"dnn": _dnn_case, "cnn": _cnn_case}
 
 def _state_bytes(model) -> dict[str, bytes]:
     arrays = {**model.parameters(), **model.named_buffers(),
-              **{f"grad:{k}": v for k, v in model.gradients().items()}}
+              **{f"grad:{k}": v for k, v in oracle.layer_gradients(model).items()}}
     return {name: value.tobytes() for name, value in arrays.items()}
 
 
@@ -105,10 +105,11 @@ def test_oracle_checkpoint_loads_with_identical_logits(case, tmp_path):
 def test_layers_keep_views_into_the_flat_buffers(case):
     build, labels, kwargs = CASES[case]()
     model, inputs = build()
-    before = model.gradients()
+    model.flat()
+    before = oracle.layer_gradients(model)
     tn.fit(model, inputs, labels, **kwargs)
     flat = model.flat()
-    params, grads = model.parameters(), model.gradients()
+    params, grads = model.parameters(), oracle.layer_gradients(model)
     assert list(params) == list(grads) == flat.names
     assert sum(p.size for p in params.values()) == flat.params.size
     for name in params:
@@ -129,22 +130,18 @@ def test_values_set_before_packing_survive_it():
     model.dense.params["w"][...] = 2.5
     model.dense.grads["b"][...] = -1.0
     assert np.all(model.parameters()["dense.w"] == 2.5)
-    assert np.all(model.gradients()["dense.b"] == -1.0)
+    assert np.all(gradients(model)["dense.b"] == -1.0)
     assert np.shares_memory(model.dense.params["w"], model.flat().params)
 
 
 def test_zero_grads_zeroes_in_place():
-    layer = tn.Dense(3, 2, np.random.default_rng(0))
-    before = dict(layer.grads)
-    for g in before.values():
-        g[...] = 1.0
-    layer.zero_grads()
-    assert all(layer.grads[k] is g and not g.any() for k, g in before.items())
-
     model, _ = _cnn_case()[0]()
     model.flat().grads[:] = 1.0
+    before = oracle.layer_gradients(model)
     model.zero_grads()
     assert not model.flat().grads.any()
+    assert all(g is before[k] and not g.any()
+               for k, g in oracle.layer_gradients(model).items())
 
 
 # --- ConvMaxPool: the shared forward against both oracles -------------------
@@ -381,9 +378,9 @@ def _scatter_and_dense(pools, embedding, tokens, seed=1):
     `tests/tensornet_oracle.py`. The argmax and the conv gradients must
     be equal bit for bit, and the frozen padding row zero on both sides.
     Returns the table gradients, the scatter's first."""
-    for pool in pools:
-        pool.zero_grads()
-    embedding.zero_grads()
+    for layer in (*pools, embedding):
+        for grad in layer.grads.values():
+            grad.fill(0.0)
     convs = [_copy(pool) for pool in pools]
     table = tn.Embedding(embedding.num_embeddings, embedding.dim,
                          np.random.default_rng(0), frozen_padding=True)
