@@ -380,12 +380,15 @@ def cmd_dataset_clean(args, out, err) -> int:
     from wsdetect.evalkit import clean_webshell_candidates
 
     ruleset = _load_ruleset(args.rules)
-    confirmed, needs_review = clean_webshell_candidates(args.files, ruleset)
+    confirmed, needs_review, unreadable = clean_webshell_candidates(args.files,
+                                                                    ruleset)
     for path in confirmed:
         print(json.dumps({"path": path, "status": "confirmed"}), file=out)
     for path in needs_review:
         print(json.dumps({"path": path, "status": "needs_review"}), file=out)
-    return EXIT_OK
+    for path, reason in unreadable:
+        print(json.dumps({"path": path, "error": reason}), file=err)
+    return EXIT_ERROR if unreadable else EXIT_OK
 
 
 # --- inspect -------------------------------------------------------------------
@@ -407,7 +410,7 @@ def cmd_inspect_once(args, out, err) -> int:
     model = load_predictor(config.model_path)
     started = _time.perf_counter()
     table = SourceTable.load(config.rules_dir, config.sid_start,
-                             config.blacklist_ttl_s) if config.rules_dir else None
+                             config.blacklist_ttl_s)
     result = inspect_pcap(args.pcap, model, config, table=table)
     elapsed_ms = (_time.perf_counter() - started) * 1000.0
     if config.eve_path:
@@ -456,7 +459,7 @@ def _oci_commands(command) -> None:
     p = command("extract", "vectorize disassembly files", cmd_oci_extract)
     p.add_argument("--language", choices=LANGUAGES, required=True)
     p.add_argument("--vocab", default=None, help="vocabulary file (default: built-in)")
-    p.add_argument("--max-length", type=int, default=2000)
+    p.add_argument("--max-length", type=_positive_int, default=2000)
     p.add_argument("--label", type=int, default=0, choices=(0, 1))
     p.add_argument("--out", required=True)
     p.add_argument("files", nargs="+")

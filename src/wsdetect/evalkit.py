@@ -218,22 +218,29 @@ def content_hash(path: str | Path) -> str:
 
 
 def clean_webshell_candidates(candidates: list[str | Path], rules: RuleSet,
-                              ) -> tuple[list[str], list[str]]:
-    """Triage collected webshell candidates against the signature set.
+                              ) -> tuple[list[str], list[str], list[tuple[str, str]]]:
+    """Triage collected webshell candidates against the signature set:
+    (confirmed, needs review, unreadable as (path, reason)).
 
-    Rule matches are confirmed; everything else goes to the expert
-    review queue, never auto-confirmed.
+    Rule matches are confirmed; everything else read goes to the expert
+    review queue, never auto-confirmed. An unreadable candidate is
+    recorded, not fatal.
     """
     compiled = CompiledRuleSet(rules)
     confirmed: list[str] = []
     needs_review: list[str] = []
+    unreadable: list[tuple[str, str]] = []
     for path in candidates:
-        data = Path(path).read_bytes()
+        try:
+            data = Path(path).read_bytes()
+        except OSError as exc:
+            unreadable.append((str(path), str(exc)))
+            continue
         if match_buffer(compiled, data, subject_id=str(path)):
             confirmed.append(str(path))
         else:
             needs_review.append(str(path))
-    return confirmed, needs_review
+    return confirmed, needs_review, unreadable
 
 
 # --- folds and hyperparameter search ---------------------------------------

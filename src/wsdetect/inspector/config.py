@@ -19,7 +19,6 @@ class ConfigError(Exception):
 
 @dataclass
 class InspectorConfig:
-    deep_inspecting: bool = True
     rules_dir: str = "/etc/NetIDPS/rules"
     socket_path: str = "/run/wsdetect/inspector.sock"
     model_path: str = ""
@@ -34,8 +33,6 @@ class InspectorConfig:
                 raise ConfigError(f"{key} must be a string path")
         if self.mode not in ("ips", "ids"):
             raise ConfigError("mode must be 'ips' or 'ids'")
-        if not isinstance(self.deep_inspecting, bool):
-            raise ConfigError("deep_inspecting must be true or false")
         if not _is_int(self.sid_start) or self.sid_start < 0:
             raise ConfigError("sid_start must be a non-negative integer")
         ttl = self.blacklist_ttl_s

@@ -84,14 +84,11 @@ class InspectorDaemon:
                 model = load_predictor(config.model_path)
             classify = functools.partial(classify_pcap, model=model)
         self.classify = classify
-        if not config.rules_dir:  # "" is no rule file, as in `inspect once`
-            self.table = SourceTable(config.blacklist_ttl_s, config.sid_start)
-        else:
-            self.table = SourceTable.load(config.rules_dir, config.sid_start,
-                                          config.blacklist_ttl_s)
-            if not Path(config.rules_dir).is_dir():
-                log.warning("rules directory %s does not exist: generated "
-                            "rules are not written", config.rules_dir)
+        self.table = SourceTable.load(config.rules_dir, config.sid_start,
+                                      config.blacklist_ttl_s)
+        if not Path(config.rules_dir).is_dir():  # never for "": Path("") is "."
+            log.warning("rules directory %s does not exist: generated "
+                        "rules are not written", config.rules_dir)
         self._lock = threading.Lock()
 
     def handle_request(self, request: dict) -> dict:
@@ -105,8 +102,6 @@ class InspectorDaemon:
                          "hit_count": rule.hit_count, "expiry": rule.expiry}
                     for ip, rule in self.table.blacklist().items()}}
         if op == "inspect":
-            if not self.config.deep_inspecting:
-                return {"error": "deep inspection is disabled by configuration"}
             pcap_path = request.get("pcap_path")
             if not pcap_path:
                 return {"error": "inspect needs a pcap_path"}

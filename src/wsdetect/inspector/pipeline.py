@@ -1,11 +1,12 @@
 """The detection pipeline: pcap -> flows -> features -> verdicts ->
 EVE alerts + generated rules + blacklist updates.
 
-It runs in two halves. `classify_pcap` reads a capture and classifies
-its flows into plain `Verdicts` columns; it needs only the model, so the
-daemon runs it in worker processes. `inspect_flows` turns verdicts into
-alerts, rules and hits on one `SourceTable`; it holds the shared state,
-so the daemon runs it in its own process. `inspect_pcap` is both.
+It runs in two halves. `classify_pcap` reads a capture, classifies its
+flows and keeps the counters plus one plain row per webshell flow
+(`Verdicts`); it needs only the model, so the daemon runs it in worker
+processes. `inspect_flows` turns those rows into alerts, rules and hits
+on one `SourceTable`; it holds the shared state, so the daemon runs it
+in its own process. `inspect_pcap` is both.
 
 Per webshell-classified flow: one alert and one hit on its source. Per
 (source IP, action): one rule and blacklist entry. Repeat detections
@@ -144,41 +145,35 @@ def load_predictor(model_path: str):
 
 @dataclass
 class Verdicts:
-    """The flows of one capture, classified: one entry per flow in flow
-    order in each column, plus the capture's packet counters. Plain
-    lists, so a worker process pickles them cheaply."""
+    """One capture, classified: its flow and packet counters, and one
+    `(src_ip, src_port, dst_ip, dst_port, protocol, first_ts, p_webshell)`
+    row per webshell-classified flow, in flow order. Plain tuples, so a
+    worker process pickles them cheaply."""
 
-    src_ip: list[str]
-    src_port: list[int]
-    dst_ip: list[str]
-    dst_port: list[int]
-    protocol: list[int]
-    first_ts: list[int]
-    p_webshell: list[float]
-    cls: list[int]
-    packets: int = 0
-    skipped_packets: int = 0
-    fragments: int = 0
+    flows: int
+    packets: int
+    skipped_packets: int
+    fragments: int
+    webshell: list[tuple[str, int, str, int, int, int, float]]
 
 
 def classify_pcap(pcap_path: str | Path, model) -> Verdicts:
     """read_pcap -> assemble_flows -> feature_matrix -> predict."""
     capture = read_pcap(pcap_path)
     flows = assemble_flows(capture.packets)
-    p_webshell, classes = [], []
+    rows = []
     if flows:
         dataset = TabularDataset(
             [(flow.dst_port, flow.protocol) for flow in flows],
             feature_matrix(flows), np.zeros(len(flows), np.intp))
         probs, predicted = (dnn_predict(model, dataset) if isinstance(
             model, TabularDnn) else model.predict(dataset))
-        p_webshell, classes = probs[:, 1].tolist(), predicted.tolist()
-    return Verdicts(
-        [flow.src_ip for flow in flows], [flow.src_port for flow in flows],
-        [flow.dst_ip for flow in flows], [flow.dst_port for flow in flows],
-        [flow.protocol for flow in flows], [flow.first_ts for flow in flows],
-        p_webshell, classes, packets=len(capture.packets),
-        skipped_packets=capture.skipped, fragments=capture.fragments)
+        rows = [(flow.src_ip, flow.src_port, flow.dst_ip, flow.dst_port,
+                 flow.protocol, flow.first_ts, p)
+                for flow, p, cls in zip(flows, probs[:, 1].tolist(), predicted.tolist())
+                if cls == 1]
+    return Verdicts(len(flows), len(capture.packets), capture.skipped,
+                    capture.fragments, rows)
 
 
 @dataclass
@@ -231,12 +226,13 @@ class SourceTable:
     @classmethod
     def load(cls, rules_dir: str | Path, sid_start: int = 0,
              ttl_s: float = 86_400.0) -> SourceTable:
-        """The table of the rule file under `rules_dir` (empty if there
-        is none), each rule live for one TTL from now."""
+        """The table of the rule file under `rules_dir`, each rule live
+        for one TTL from now. Empty if there is no file, or if
+        `rules_dir` is "": no rules directory, not the working one."""
         path = Path(rules_dir) / RULE_FILE_NAME
         rules, next_sid = [], 0
         for line in (path.read_text(encoding="utf-8").splitlines()
-                     if path.exists() else ()):
+                     if rules_dir != "" and path.exists() else ()):
             if (m := _NEXT_SID_LINE.match(line)) is not None:
                 next_sid = int(m.group(1))
             elif line.strip() and not line.lstrip().startswith("#"):
@@ -305,27 +301,23 @@ class SourceTable:
 
 def inspect_flows(verdicts: Verdicts, config: InspectorConfig,
                   table: SourceTable | None = None) -> InspectionResult:
-    """Alerts and rules for the flows classified 1, each a hit on its
-    source in `table`.
+    """Alerts and rules for the webshell rows, each a hit on its source
+    in `table`.
 
     `table` gives each source its sid, so repeated inspections keep
     stable signature ids, the ones the rule file keeps. Each rule
     carries the sid, rev and msg that writing it to `table` renders.
     """
+    webshell = len(verdicts.webshell)
     result = InspectionResult(
-        flows=len(verdicts.cls), packets=verdicts.packets,
-        skipped_packets=verdicts.skipped_packets, fragments=verdicts.fragments)
+        flows=verdicts.flows, webshell=webshell, benign=verdicts.flows - webshell,
+        packets=verdicts.packets, skipped_packets=verdicts.skipped_packets,
+        fragments=verdicts.fragments)
     if table is None:
         table = SourceTable(config.blacklist_ttl_s, config.sid_start)
     action = config.rule_action
     emitted: dict[str, GeneratedRule] = {}
-    for src_ip, src_port, dst_ip, dst_port, proto, first_ts, p, cls in zip(
-            verdicts.src_ip, verdicts.src_port, verdicts.dst_ip, verdicts.dst_port,
-            verdicts.protocol, verdicts.first_ts, verdicts.p_webshell, verdicts.cls):
-        if cls != 1:
-            result.benign += 1
-            continue
-        result.webshell += 1
+    for src_ip, src_port, dst_ip, dst_port, proto, first_ts, p in verdicts.webshell:
         held = table.hit(src_ip, action)
         rule = emitted.get(src_ip)
         if rule is None:
@@ -347,17 +339,12 @@ def inspect_pcap(pcap_path: str | Path, model, config: InspectorConfig,
     return inspect_flows(classify_pcap(pcap_path, model), config, table)
 
 
-def emit_eve(alerts: list[Alert], sink) -> int:
-    """Append one JSON line per alert; returns the number written.
-
-    `sink` is an open text file or a path.
-    """
-    if isinstance(sink, (str, Path)):
-        with open(sink, "a", encoding="utf-8") as fh:
-            return emit_eve(alerts, fh)
-    for alert in alerts:
-        sink.write(json.dumps(alert.to_eve()) + "\n")
-    sink.flush()
+def emit_eve(alerts: list[Alert], path: str | Path) -> int:
+    """Append one JSON line per alert to the file at `path`; returns the
+    number written."""
+    with open(path, "a", encoding="utf-8") as fh:
+        for alert in alerts:
+            fh.write(json.dumps(alert.to_eve()) + "\n")
     return len(alerts)
 
 

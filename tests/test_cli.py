@@ -198,6 +198,17 @@ class TestSourcePipeline:
         assert code == EXIT_ERROR
         assert err == f"error: {vocab}:2: not UTF-8 text\n"
 
+    @pytest.mark.parametrize("length", ["0", "-3"])
+    def test_extract_rejects_a_max_length_below_one(self, tmp_path, length, capsys):
+        out_path = tmp_path / "c.csv"
+        code, out, err = _run(["oci", "extract", "--language", "php",
+                               f"--max-length={length}", "--out", str(out_path),
+                               str(DATA / "webshell.yar")])
+        assert (code, out, err) == (EXIT_USAGE, "", "")
+        # argparse prints usage errors to the real stderr
+        assert "argument --max-length: must be at least 1" in capsys.readouterr().err
+        assert not out_path.exists()
+
     def test_cil_pipeline_with_builtin_vocabulary(self, tmp_path):
         web = tmp_path / "shell.cil"
         web.write_text("IL_0000: ldstr \"cmd\"\nIL_0005: call x\nIL_000a: ret\n")
@@ -540,6 +551,20 @@ class TestDataset:
                     for l in out.splitlines()}
         assert statuses[str(hit)] == "confirmed"
         assert statuses[str(miss)] == "needs_review"
+
+    def test_clean_triages_past_an_unreadable_candidate(self, tmp_path):
+        miss = tmp_path / "a.txt"
+        miss.write_bytes(b"innocent")
+        missing = tmp_path / "missing.txt"
+        code, out, err = _run(["dataset", "clean", "--rules",
+                               str(DATA / "webshell.yar"), str(miss), str(missing)])
+        assert code == EXIT_ERROR
+        assert [json.loads(line) for line in out.splitlines()] == [
+            {"path": str(miss), "status": "needs_review"}]
+        [line] = err.splitlines()
+        assert json.loads(line) == {
+            "path": str(missing),
+            "error": f"[Errno 2] No such file or directory: '{missing}'"}
 
 
 class TestTune:

@@ -209,14 +209,14 @@ class TestCleanCandidates:
     def test_matching_confirmed(self, tmp_path):
         path = tmp_path / "shell.php"
         path.write_bytes(b"<?php evil() ?>")
-        confirmed, review = clean_webshell_candidates([path], self.RULES)
-        assert confirmed == [str(path)] and review == []
+        confirmed, review, unreadable = clean_webshell_candidates([path], self.RULES)
+        assert confirmed == [str(path)] and review == [] and unreadable == []
 
     def test_nonmatching_needs_review(self, tmp_path):
         path = tmp_path / "maybe.php"
         path.write_bytes(b"<?php echo 1; ?>")
-        confirmed, review = clean_webshell_candidates([path], self.RULES)
-        assert confirmed == [] and review == [str(path)]
+        confirmed, review, unreadable = clean_webshell_candidates([path], self.RULES)
+        assert confirmed == [] and review == [str(path)] and unreadable == []
 
     def test_mixed_batch(self, tmp_path):
         paths = []
@@ -224,8 +224,20 @@ class TestCleanCandidates:
             p = tmp_path / f"c{i}.php"
             p.write_bytes(b"evil()" if i < 2 else b"fine")
             paths.append(p)
-        confirmed, review = clean_webshell_candidates(paths, self.RULES)
-        assert len(confirmed) == 2 and len(review) == 3
+        confirmed, review, unreadable = clean_webshell_candidates(paths, self.RULES)
+        assert len(confirmed) == 2 and len(review) == 3 and unreadable == []
+
+    def test_unreadable_recorded_with_its_reason(self, tmp_path):
+        # the candidates after an unreadable one are still triaged
+        paths = [tmp_path / "missing.php", tmp_path, tmp_path / "shell.php",
+                 tmp_path / "maybe.php"]
+        paths[2].write_bytes(b"evil()")
+        paths[3].write_bytes(b"fine")
+        confirmed, review, unreadable = clean_webshell_candidates(paths, self.RULES)
+        assert (confirmed, review) == ([str(paths[2])], [str(paths[3])])
+        assert [path for path, _ in unreadable] == [str(paths[0]), str(tmp_path)]
+        assert "No such file" in unreadable[0][1]
+        assert "Is a directory" in unreadable[1][1]
 
 
 class TestSearch:

@@ -8,17 +8,22 @@ import logging
 import random
 import socket
 import sys
+import tempfile
 import threading
 import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tests.conftest import ethernet_ipv4_tcp, ethernet_ipv4_udp, pcap_bytes
-from wsdetect.flowmeter import PcapError
+from wsdetect.flowmeter import PcapError, assemble_flows, feature_matrix, read_pcap
 
 from wsdetect.inspector import (
+    Alert,
     GeneratedRule,
     InspectorConfig,
     InspectorDaemon,
@@ -32,7 +37,8 @@ from wsdetect.inspector import (
 )
 from wsdetect.inspector.config import ConfigError, ENV_CONFIG_PATH
 from wsdetect.inspector.daemon import MAX_REQUEST_BYTES, running
-from wsdetect.inspector.pipeline import Verdicts, inspect_flows
+from wsdetect.inspector.pipeline import Verdicts, classify_pcap, inspect_flows
+from wsdetect.trafficmodel import TabularDataset
 
 
 @contextlib.contextmanager
@@ -83,7 +89,7 @@ class TestConfig:
         ("blacklist_ttl_s", "1d", "positive number"),
         ("blacklist_ttl_s", -5, "positive number"),
         ("sid_start", "3000001", "non-negative integer"),
-        ("deep_inspecting", "false", "true or false"),
+        ("mode", "drop", "'ips' or 'ids'"),
         ("rules_dir", 5, "a string"),
         ("socket_path", None, "a string"),
         ("model_path", True, "a string"),
@@ -111,10 +117,12 @@ class TestConfig:
 
     def test_removed_sampling_keys_rejected(self, tmp_path):
         # the daemon is request-driven, so the old scheduler keys are
-        # errors; home_net was never read (the rule template hard-codes it)
+        # errors; home_net was never read (the rule template hard-codes
+        # it), and deep_inspecting only ever turned the `inspect` op off
         path = tmp_path / "cfg.json"
         for key, value in (("inspection_frequency", 120_000),
-                           ("home_net", ["10.0.0.0/8"])):
+                           ("home_net", ["10.0.0.0/8"]),
+                           ("deep_inspecting", True)):
             path.write_text(json.dumps({key: value}))
             with pytest.raises(ConfigError, match=key):
                 load_config(path)
@@ -310,9 +318,8 @@ class _Clock:
 
 def _verdicts(src_ips):
     """One webshell-classified TCP flow per source."""
-    n = len(src_ips)
-    return Verdicts(list(src_ips), [4444] * n, ["10.255.0.1"] * n, [80] * n,
-                    [6] * n, [0] * n, [1.0] * n, [1] * n)
+    return Verdicts(len(src_ips), 0, 0, 0,
+                    [(ip, 4444, "10.255.0.1", 80, 6, 0, 1.0) for ip in src_ips])
 
 
 class TestBlacklist:
@@ -496,6 +503,13 @@ class TestSourceTable:
         assert [parse_rule_line(line).sid for line in path.read_text().splitlines()] \
             == [3000001, 3000003]
 
+    def test_an_empty_rules_dir_loads_no_file(self, tmp_path, monkeypatch):
+        # "" is no rules directory, not the working directory
+        monkeypatch.chdir(tmp_path)
+        write_rules([GeneratedRule("drop", "10.0.0.5", 3000001)], ".")
+        table = SourceTable.load("", 7)
+        assert table.rules == {} and table.render() == "" and table.next_sid == 7
+
     def test_a_rule_file_without_next_sid_loads_and_renders_unchanged(
             self, tmp_path):
         # a file of rule lines only, with no next-sid line, in
@@ -641,14 +655,6 @@ class TestDaemon:
         responses = self._request(running_daemon, ['{"op":"dance"}'])
         assert "error" in responses[0]
 
-    def test_deep_inspecting_off_refuses_inspect(self, tmp_path, two_flow_pcap):
-        config = InspectorConfig(deep_inspecting=False, model_path="stub")
-        daemon = InspectorDaemon(config)
-        response = daemon.handle_request(
-            {"op": "inspect", "pcap_path": str(two_flow_pcap)})
-        assert "disabled" in response["error"]
-        assert daemon.handle_request({"op": "ping"}) == {"ok": True}
-
     def test_blacklist_reported_after_inspection(self, running_daemon,
                                                  two_flow_pcap):
         self._request(running_daemon, [
@@ -707,6 +713,45 @@ def _session_capture(path, seed):
         frames.append((t, frame))
     path.write_bytes(pcap_bytes(frames))
     return path
+
+
+class TestWebshellRows:
+    """`classify_pcap` hands on the counters and the webshell flows only;
+    what `inspect_flows` makes of them equals a walk over every flow."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(["ips", "ids"]))
+    def test_alerts_and_rules_equal_a_walk_over_every_flow(self, seed, mode):
+        predictor, config = _FeatureHashPredictor(), InspectorConfig(mode=mode)
+        with tempfile.TemporaryDirectory() as scratch:
+            path = _session_capture(Path(scratch) / "s.pcap", seed)
+            flows = assemble_flows(read_pcap(path).packets)
+            probs, classes = predictor.predict(TabularDataset(
+                [(flow.dst_port, flow.protocol) for flow in flows],
+                feature_matrix(flows), np.zeros(len(flows), np.intp)))
+            rows, alerts, sids = [], [], {}
+            for flow, p, cls in zip(flows, probs[:, 1].tolist(), classes.tolist()):
+                if cls != 1:
+                    continue
+                rows.append((flow.src_ip, flow.src_port, flow.dst_ip,
+                             flow.dst_port, flow.protocol, flow.first_ts, p))
+                sid = sids.setdefault(flow.src_ip, config.sid_start + len(sids))
+                alerts.append(Alert(flow.first_ts, flow.src_ip, flow.src_port,
+                                    flow.dst_ip, flow.dst_port,
+                                    {6: "TCP", 17: "UDP"}[flow.protocol], sid, p))
+            lines = [GeneratedRule(config.rule_action, ip, sid).render()
+                     for ip, sid in sids.items()]
+            assert 0 < len(rows) < len(flows)  # the verdicts are mixed
+
+            verdicts = classify_pcap(path, predictor)
+            result = inspect_flows(verdicts, config)
+            written = write_rules(result.rules, scratch)
+            assert verdicts.webshell == rows and verdicts.flows == len(flows)
+            assert result.alerts == alerts
+            assert (result.webshell, result.benign + result.webshell) == (
+                len(rows), len(flows))
+            assert [rule.render() for rule in result.rules] == lines
+            assert written.read_text().splitlines() == lines
 
 
 class TestDaemonConcurrency:
