@@ -65,11 +65,11 @@ def cmd_rules_scan(args, out, err) -> int:
     ruleset = _load_ruleset(args.rules)
     extensions = tuple(e.lstrip(".").lower() for e in args.ext) if args.ext else None
     findings, errors = scan_tree(ruleset, args.root, extensions)
-    for path, report in findings:
+    for path, names in findings:
         if args.json:
-            print(json.dumps({"path": path, "rules": report.rule_names}), file=out)
+            print(json.dumps({"path": path, "rules": names}), file=out)
         else:
-            print(f"{path}: {', '.join(report.rule_names)}", file=out)
+            print(f"{path}: {', '.join(names)}", file=out)
     for bad in errors:
         print(f"error: {bad.path}: {bad.reason}", file=err)
     return EXIT_DETECTED if findings else EXIT_OK
@@ -96,7 +96,7 @@ def cmd_oci_extract(args, out, err) -> int:
     write_corpus_csv(corpus, args.out)
     print(f"{len(corpus.vectors)} vector(s) -> {args.out}"
           f" ({len(corpus.failures)} failure(s))", file=out)
-    return EXIT_OK
+    return EXIT_ERROR if corpus.failures else EXIT_OK
 
 
 # --- training ----------------------------------------------------------
@@ -168,11 +168,10 @@ SRC_BATCH_FILES = 64
 
 
 def cmd_predict_src(args, out, err) -> int:
-    from wsdetect.opcode import OciVector
+    from wsdetect.opcode import OciVector, OpcodeParseError
     from wsdetect.rulelang import CompiledRuleSet
     from wsdetect.srcmodel import (
         OpcodeCnn,
-        OpcodeParseError,
         check_model_pairing,
         cnn_verdicts,
         rules_or_vector,
@@ -197,11 +196,12 @@ def cmd_predict_src(args, out, err) -> int:
             try:
                 data = Path(path).read_bytes()
                 results.append(rules_or_vector(rules, data, language, vocab,
-                                               max_length, subject_id=path))
+                                               max_length))
             except (OSError, OpcodeParseError) as exc:
                 # the message, not the exception: its traceback would hold
-                # this frame, and all it references, until a GC pass
-                results.append(str(exc))
+                # this frame, and all it references, until a GC pass. A
+                # read error names the path, a parse error does not
+                results.append(str(exc) if isinstance(exc, OSError) else f"{path}: {exc}")
         vectors = [result for result in results if isinstance(result, OciVector)]
         verdicts = iter(cnn_verdicts(model, vectors))
         lines, errors = [], []
@@ -413,14 +413,16 @@ def cmd_inspect_once(args, out, err) -> int:
                              config.blacklist_ttl_s)
     result = inspect_pcap(args.pcap, model, config, table=table)
     elapsed_ms = (_time.perf_counter() - started) * 1000.0
+    # the rule file before the EVE file, as the daemon writes them: a
+    # failed rule write appends no alert, so a retry appends none twice
+    if result.rules and config.rules_dir:
+        write_rules(result.rules, config.rules_dir, table)
     if config.eve_path:
         emit_eve(result.alerts, config.eve_path)
     else:
         for alert in result.alerts:
             print(json.dumps(alert.to_eve()), file=out)
-    if result.rules and config.rules_dir:
-        write_rules(result.rules, config.rules_dir, table)
-    elif result.rules:
+    if result.rules and not config.rules_dir:
         for rule in result.rules:
             print(rule.render(), file=out)
     _emit(result.stats(elapsed_ms), args, err)

@@ -236,7 +236,7 @@ def clean_webshell_candidates(candidates: list[str | Path], rules: RuleSet,
         except OSError as exc:
             unreadable.append((str(path), str(exc)))
             continue
-        if match_buffer(compiled, data, subject_id=str(path)):
+        if match_buffer(compiled, data):
             confirmed.append(str(path))
         else:
             needs_review.append(str(path))

@@ -25,6 +25,14 @@ class OpcodeError(Exception):
     pass
 
 
+class OpcodeParseError(OpcodeError):
+    """A listing with no opcode rows: not a dump of the language.
+
+    Raised instead of returning an empty listing, so such a file is
+    never classified as benign nor vectorized into a training row.
+    """
+
+
 @dataclass(frozen=True)
 class OpcodeVocabulary:
     """Ordered mnemonic list; index of a mnemonic is its 1-based position.
@@ -200,12 +208,15 @@ def parse_listing(text: str, language: str, vocab: OpcodeVocabulary,
                   max_length: int) -> OpcodeListing:
     """The first `max_length` in-vocabulary mnemonics of a `language`
     listing; op rows past the one holding the last of them are not
-    read. `rows` of the result tells a listing with no op rows (0) from
-    one whose rows are all out of the vocabulary."""
+    read. A listing with no op rows raises `OpcodeParseError`; one
+    whose rows are all out of the vocabulary has no mnemonics."""
     parse, _ = _language(language)
     if max_length < 1:
         raise OpcodeError("max_length must be >= 1")
-    return parse(text, vocab, max_length)
+    listing = parse(text, vocab, max_length)
+    if not listing.rows:
+        raise OpcodeParseError(f"no {language} opcode rows recognized")
+    return listing
 
 
 def builtin_vocabulary(language: str) -> OpcodeVocabulary:
@@ -253,16 +264,17 @@ def vectorize_corpus(items: list[tuple[str | Path, int]], language: str,
                      vocab: OpcodeVocabulary, max_length: int) -> VectorizedCorpus:
     """Vectorize (path, label) disassembly files; row order = input order.
 
-    Unreadable files are recorded as failures and the batch continues.
+    Unreadable files and files with no opcode rows are recorded as
+    failures and the batch continues.
     """
     corpus = VectorizedCorpus(vectors=[], labels=[], paths=[])
     for path, label in items:
         try:
             text = Path(path).read_text(encoding="utf-8", errors="replace")
-        except OSError as exc:
+            listing = parse_listing(text, language, vocab, max_length)
+        except (OSError, OpcodeParseError) as exc:
             corpus.failures.append(VectorizeFailure(path=str(path), reason=str(exc)))
             continue
-        listing = parse_listing(text, language, vocab, max_length)
         corpus.vectors.append(oiva(listing, vocab, max_length))
         corpus.labels.append(label)
         corpus.paths.append(str(path))

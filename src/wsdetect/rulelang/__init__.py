@@ -9,9 +9,7 @@ Yara: no modules, no string counts, no offsets, no filesize.
 from wsdetect.rulelang.model import (
     Condition,
     HexBody,
-    MatchReport,
     Pattern,
-    PatternMatch,
     RegexBody,
     Rule,
     RuleError,
@@ -27,9 +25,7 @@ __all__ = [
     "CompiledRuleSet",
     "Condition",
     "HexBody",
-    "MatchReport",
     "Pattern",
-    "PatternMatch",
     "RegexBody",
     "Rule",
     "RuleError",

@@ -36,7 +36,7 @@ skipping the scan changes no occurrence.
 
 A condition reads only which of its rule's patterns occurred. So
 `match_buffer` evaluates it only for rules with an occurring pattern,
-and reports the other rules whose condition holds on the empty set
+and names the other rules whose condition holds on the empty set
 (``not $a``, ``0 of them``), a verdict taken once at compile time.
 """
 
@@ -51,12 +51,10 @@ from wsdetect.rulelang.model import (
     BoolLiteral,
     Condition,
     HexBody,
-    MatchReport,
     Not,
     OfExpr,
     Or,
     Pattern,
-    PatternMatch,
     RegexBody,
     Rule,
     RuleSet,
@@ -340,29 +338,30 @@ def evaluate_condition(node: Condition, rule: Rule, present: set[str]) -> bool:
     raise TypeError(f"unknown condition node {node!r}")
 
 
-def match_buffer(rules: RuleSet | CompiledRuleSet, subject: bytes,
-                 subject_id: str = "<buffer>") -> MatchReport:
-    """Match every rule against a byte subject.
+class _RuleNames(list):
+    """A list of rule names that also answers `rule_names`, the attribute
+    `bench/tests/test_bench.py` reads of a match; delete it once that
+    test compares the list itself."""
 
-    A rule is reported iff its condition is true with each string
-    reference valued by "occurs at least once in the subject". Matched
-    rules carry all occurrence offsets of their occurring patterns.
+    @property
+    def rule_names(self) -> list[str]:
+        return list(self)
+
+
+def match_buffer(rules: RuleSet | CompiledRuleSet, subject: bytes) -> list[str]:
+    """The names of the rules that match a byte subject, in rule order.
+
+    A rule matches iff its condition is true with each string reference
+    valued by "occurs at least once in the subject".
     """
     compiled = rules if isinstance(rules, CompiledRuleSet) else CompiledRuleSet(rules)
-    found = compiled.occurrences(subject)
-
-    # per rule with an occurring pattern: pattern id -> offsets, in
-    # declaration order
-    per_rule: dict[int, dict[str, list[int]]] = {}
-    for i in sorted(found):
-        per_rule.setdefault(compiled._rule_of[i], {})[compiled._patterns[i][1].ident] = [
-            off for off, _ in found[i]]
-
-    report = MatchReport(subject=subject_id)
-    for r in sorted(per_rule.keys() | compiled._hold_empty):
-        rule, hits = compiled.ruleset.rules[r], per_rule.get(r, {})
-        if not hits or evaluate_condition(rule.condition, rule, set(hits)):
-            matches = [PatternMatch(pattern_id=ident, offset=off)
-                       for ident, offsets in hits.items() for off in offsets]
-            report.matched.append((rule.name, matches))
-    return report
+    # per rule with an occurring pattern, the ids of those patterns
+    present: dict[int, set[str]] = {}
+    for i in compiled.occurrences(subject):
+        present.setdefault(compiled._rule_of[i], set()).add(compiled._patterns[i][1].ident)
+    names = _RuleNames()
+    for r in sorted(present.keys() | compiled._hold_empty):
+        rule, ids = compiled.ruleset.rules[r], present.get(r)
+        if ids is None or evaluate_condition(rule.condition, rule, ids):
+            names.append(rule.name)
+    return names

@@ -1,4 +1,4 @@
-"""AST and result types for the rule language."""
+"""AST and error types for the rule language."""
 
 from __future__ import annotations
 
@@ -190,25 +190,3 @@ class RuleSet:
     def rule_names(self) -> tuple[str, ...]:
         return tuple(r.name for r in self.rules)
 
-
-@dataclass(frozen=True)
-class PatternMatch:
-    """One pattern occurrence inside a subject."""
-
-    pattern_id: str
-    offset: int
-
-
-@dataclass
-class MatchReport:
-    """Rules matched against one subject (file path or buffer tag)."""
-
-    subject: str
-    matched: list[tuple[str, list[PatternMatch]]] = field(default_factory=list)
-
-    @property
-    def rule_names(self) -> list[str]:
-        return [name for name, _ in self.matched]
-
-    def __bool__(self) -> bool:
-        return bool(self.matched)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from wsdetect.rulelang.matcher import CompiledRuleSet, match_buffer
-from wsdetect.rulelang.model import MatchReport, RuleError, RuleSet, RuleSyntaxError
+from wsdetect.rulelang.model import RuleError, RuleSet, RuleSyntaxError
 from wsdetect.rulelang.parser import parse_rules, parse_sources
 
 # the file name suffix of the rule files in a rules directory
@@ -22,8 +22,9 @@ class ScanError:
 
 def scan_tree(rules: RuleSet, root: str | Path,
               extensions: tuple[str, ...] | None = None,
-              ) -> tuple[list[tuple[str, MatchReport]], list[ScanError]]:
-    """Scan a directory tree and return the files with at least one match.
+              ) -> tuple[list[tuple[str, list[str]]], list[ScanError]]:
+    """Scan a directory tree and return each file with at least one
+    match, with the names of the rules it matched.
 
     Results come back in deterministic lexicographic path order.
     Unreadable files are collected as errors, never silently skipped.
@@ -43,7 +44,7 @@ def scan_tree(rules: RuleSet, root: str | Path,
             paths.append(path)
     paths.sort()
 
-    findings: list[tuple[str, MatchReport]] = []
+    findings: list[tuple[str, list[str]]] = []
     errors: list[ScanError] = []
     for path in paths:
         try:
@@ -51,9 +52,9 @@ def scan_tree(rules: RuleSet, root: str | Path,
         except OSError as exc:
             errors.append(ScanError(path=str(path), reason=str(exc)))
             continue
-        report = match_buffer(compiled, data, subject_id=str(path))
-        if report:
-            findings.append((str(path), report))
+        names = match_buffer(compiled, data)
+        if names:
+            findings.append((str(path), names))
     return findings, errors
 
 

@@ -13,19 +13,11 @@ import numpy as np
 
 from wsdetect import tensornet as tn
 from wsdetect.opcode import OciVector, OpcodeVocabulary, oiva, parse_listing
-from wsdetect.rulelang import CompiledRuleSet, MatchReport, RuleSet, match_buffer
+from wsdetect.rulelang import CompiledRuleSet, RuleSet, match_buffer
 
 
 class SrcModelError(Exception):
     pass
-
-
-class OpcodeParseError(SrcModelError):
-    """No opcode rows recognized in a file that matched no rule.
-
-    Raised instead of returning a verdict so unparseable input is never
-    silently classified benign.
-    """
 
 
 @dataclass(frozen=True)
@@ -226,29 +218,26 @@ def check_model_pairing(model: OpcodeCnn, language: str,
 
 
 def rules_or_vector(rules: RuleSet | CompiledRuleSet | None, data: bytes,
-                    language: str, vocab: OpcodeVocabulary, max_length: int,
-                    subject_id: str = "<buffer>") -> Verdict | OciVector:
+                    language: str, vocab: OpcodeVocabulary,
+                    max_length: int) -> Verdict | OciVector:
     """The first phase of hybrid detection for one file: its rule
     verdict, or else its OCI vector for the CNN.
 
     The file bytes are matched as-is against `rules`, when given. With
     no match they are read as the language's opcode dump text; a dump
-    with no recognizable opcode rows raises `OpcodeParseError` rather
-    than defaulting to a benign verdict. A dump whose rows are all out
-    of the vocabulary is an all-padding vector. The model's pairing
-    with `language` and `vocab` is the caller's to check, once.
+    with no recognizable opcode rows raises `OpcodeParseError` (from
+    `parse_listing`) rather than defaulting to a benign verdict. A dump
+    whose rows are all out of the vocabulary is an all-padding vector.
+    The model's pairing with `language` and `vocab` is the caller's to
+    check, once.
     """
     if rules is not None:
-        report: MatchReport = match_buffer(rules, data, subject_id=subject_id)
-        if report:
+        names = match_buffer(rules, data)
+        if names:
             return Verdict(label="Webshell", source="rules", p_webshell=1.0,
-                           matched_rules=tuple(report.rule_names))
+                           matched_rules=tuple(names))
     text = data.decode("utf-8", errors="replace")
-    listing = parse_listing(text, language, vocab, max_length)
-    if not listing.rows:
-        raise OpcodeParseError(
-            f"{subject_id}: no {language} opcode rows recognized")
-    return oiva(listing, vocab, max_length)
+    return oiva(parse_listing(text, language, vocab, max_length), vocab, max_length)
 
 
 def cnn_verdicts(model: OpcodeCnn, vectors) -> list[Verdict]:

@@ -209,6 +209,23 @@ class TestSourcePipeline:
         assert "argument --max-length: must be at least 1" in capsys.readouterr().err
         assert not out_path.exists()
 
+    def test_extract_exits_one_past_a_failed_input(self, corpus_dir, tmp_path):
+        _, vocab, files = corpus_dir
+        good, notes = str(files[0][0]), tmp_path / "notes.php"
+        notes.write_text("<?php echo 'no op rows'; ?>\n")
+        missing = str(tmp_path / "missing.vld")
+        out_path = tmp_path / "c.csv"
+        code, out, err = _run(["oci", "extract", "--language", "php", "--vocab", str(vocab),
+                               "--max-length", "6", "--out", str(out_path),
+                               str(notes), good, missing])
+        assert code == EXIT_ERROR
+        assert out == f"1 vector(s) -> {out_path} (2 failure(s))\n"
+        first, second = err.splitlines()
+        assert first == f"error: {notes}: no php opcode rows recognized"
+        assert second.startswith(f"error: {missing}: ")
+        assert [row.split(",")[0] for row in out_path.read_text().splitlines()] == \
+            ["path", good]
+
     def test_cil_pipeline_with_builtin_vocabulary(self, tmp_path):
         web = tmp_path / "shell.cil"
         web.write_text("IL_0000: ldstr \"cmd\"\nIL_0005: call x\nIL_000a: ret\n")
@@ -493,6 +510,15 @@ class TestInspectOnce:
         assert [json.loads(line)["alert"]["category"] for line in lines[:2]] == \
             ["Webshell"] * 2
         assert len(lines) == 4 and lines[2].startswith("alert ip 192.168.1.10")
+
+    def test_a_failed_rule_write_appends_no_alert(self, two_flow_pcap, tmp_path):
+        eve = tmp_path / "eve.json"
+        for _ in range(2):
+            code, out, err = _run(["inspect", "once", "--pcap", str(two_flow_pcap),
+                                   "--model", "stub", "--eve", str(eve),
+                                   "--rules-dir", str(tmp_path / "nope")])
+            assert code == EXIT_ERROR and "does not exist" in err
+        assert not eve.exists()
 
     def test_a_configured_rules_dir_that_does_not_exist_is_an_error(
             self, two_flow_pcap, tmp_path, monkeypatch):

@@ -14,6 +14,7 @@ from wsdetect.opcode import (
     OciVector,
     OpcodeError,
     OpcodeListing,
+    OpcodeParseError,
     OpcodeVocabulary,
     builtin_vocabulary,
     load_vocabulary,
@@ -127,8 +128,8 @@ class TestLanguages:
     def test_each_language_has_a_parser_and_a_builtin_vocabulary(self, language):
         vocab = builtin_vocabulary(language)
         assert vocab.language == language and len(vocab) > 0
-        listing = parse_listing("", language, vocab, 10)
-        assert listing.mnemonics == [] and listing.rows == 0
+        with pytest.raises(OpcodeParseError, match=f"^no {language} opcode rows recognized$"):
+            parse_listing("", language, vocab, 10)
 
     def test_unknown_language(self):
         for call in (lambda: builtin_vocabulary("java"),
@@ -414,6 +415,18 @@ class TestCorpus:
             [(ok, 1), (tmp_path / "missing.cil", 0)], "cil", vocab, 2)
         assert len(corpus.vectors) == 1
         assert [f.path for f in corpus.failures] == [str(tmp_path / "missing.cil")]
+
+    def test_a_dump_with_no_op_rows_is_a_failure_not_a_vector(self, tmp_path):
+        ok = tmp_path / "ok.vld"
+        ok.write_text("   2     0  E >   ECHO  'x'\n")
+        notes = tmp_path / "notes.php"
+        notes.write_text("<?php echo 'no op rows'; ?>\n")
+        vocab = OpcodeVocabulary(("ECHO",), "php")
+        corpus = vectorize_corpus([(notes, 1), (ok, 0), (notes, 0)], "php", vocab, 3)
+        assert (corpus.paths, corpus.labels) == ([str(ok)], [0])
+        assert corpus.vectors == [OciVector((1, 0, 0))]
+        assert [(f.path, f.reason) for f in corpus.failures] == \
+            [(str(notes), "no php opcode rows recognized")] * 2
 
     def test_deterministic(self, tmp_path):
         f = tmp_path / "x.cil"

@@ -3,14 +3,16 @@
 `wsdetect.opcode.parse_listing` keeps only in-vocabulary mnemonics and
 stops at the row holding the `max_length`-th; `tests/opcode_oracle.py`
 reads every row and filters afterwards. Both must give the same vector,
-and must agree on whether a listing has any op row at all.
+and `parse_listing` must raise `OpcodeParseError` exactly when the full
+parse finds no op row.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests import opcode_oracle as oracle
-from wsdetect.opcode import OpcodeVocabulary, oiva, parse_listing
+from wsdetect.opcode import OpcodeParseError, OpcodeVocabulary, oiva, parse_listing
 
 # VLD-like tokens: ASCII and Unicode digits, row markers, operand text,
 # and caps words. A vocabulary is drawn from MNEMONICS, so every caps
@@ -70,10 +72,13 @@ def _check(text, language, alphabet, data):
     # fewer, exactly and more in-vocabulary rows than max_length
     max_length = data.draw(st.sampled_from(
         [max(known - 1, 1), max(known, 1), known + 1]) | st.integers(1, 40))
+    if not full:
+        with pytest.raises(OpcodeParseError, match=f"^no {language} opcode rows recognized$"):
+            parse_listing(text, language, vocab, max_length)
+        return
     listing = parse_listing(text, language, vocab, max_length)
     assert oiva(listing, vocab, max_length) == oracle.oiva(full, vocab, max_length)
     assert listing.mnemonics == [m for m in full if m in vocab.mnemonics][:max_length]
-    assert (listing.rows > 0) == bool(full)
     if len(listing.mnemonics) < max_length:
         assert listing.rows == len(full)  # no stop: every row was read
     else:

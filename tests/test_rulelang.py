@@ -226,16 +226,15 @@ class TestMatching:
     def test_substring_offsets(self):
         ruleset = parse_rules('rule r { strings: $a = "b374k" condition: 1 of them }')
         subject = b"...b374k_shell..."
-        report = match_buffer(ruleset, subject)
-        assert report.rule_names == ["r"]
-        offsets = [m.offset for _, ms in report.matched for m in ms]
-        assert offsets == [subject.find(b"b374k")]
+        assert match_buffer(ruleset, subject) == ["r"]
+        assert CompiledRuleSet(ruleset).occurrences(subject) == {
+            0: [(subject.find(b"b374k"), 5)]}
 
     def test_every_occurrence_reported(self):
         ruleset = parse_rules('rule r { strings: $a = "ab" condition: $a }')
-        report = match_buffer(ruleset, b"abxxabxab")
-        offsets = [m.offset for _, ms in report.matched for m in ms]
-        assert offsets == [0, 4, 7]
+        assert match_buffer(ruleset, b"abxxabxab") == ["r"]
+        assert CompiledRuleSet(ruleset).occurrences(b"abxxabxab") == {
+            0: [(0, 2), (4, 2), (7, 2)]}
 
     def test_absent_pattern_no_match(self):
         ruleset = parse_rules('rule r { strings: $a = "b374k" condition: 1 of them }')
@@ -251,8 +250,7 @@ class TestMatching:
         ruleset = parse_rules(
             'rule t { condition: true } '
             'rule s { strings: $a = "x" condition: $a }')
-        report = match_buffer(ruleset, b"")
-        assert report.rule_names == ["t"]
+        assert match_buffer(ruleset, b"") == ["t"]
 
     def test_non_ascii_means_utf8_in_text_and_regex_alike(self):
         for body in ('"café"', "/café/"):
@@ -301,9 +299,9 @@ class TestMatching:
     def test_determinism(self, b374k_rule_text):
         ruleset = parse_rules(b374k_rule_text)
         subject = b"B374k_ Vip_ In_ Beautify_ Just_ For_ Self and more"
-        first = match_buffer(ruleset, subject)
-        second = match_buffer(ruleset, subject)
-        assert first.matched == second.matched
+        assert match_buffer(ruleset, subject) == match_buffer(ruleset, subject)
+        assert CompiledRuleSet(ruleset).occurrences(subject) == \
+            CompiledRuleSet(ruleset).occurrences(subject)
 
 
 class TestOfExprBruteForce:

@@ -9,9 +9,10 @@ text a test parses is checked the same way after that test (see
 Matching: `CompiledRuleSet.occurrences` for hex-wildcard and regex
 patterns against one plain `finditer` per pattern, on subjects built
 from the patterns' own literal runs, whole or cut so that exactly one
-adjacent byte pair is missing. `match_buffer` reports against a plain
-per-pattern `finditer` (a lookahead for literals, so overlapping
-occurrences count) with every rule's condition evaluated, on subjects
+adjacent byte pair is missing. Every pattern's `occurrences`, and the
+rule names `match_buffer` gives, against a plain per-pattern `finditer`
+(a lookahead for literals, so overlapping occurrences count) with every
+rule's condition evaluated on it, on subjects
 where most offsets pass the pair gate, across a block boundary and at
 the end of the subject. Case-sensitive text and hex literals, which are
 looked up in the lowercased subject and confirmed in the subject, against
@@ -254,21 +255,30 @@ def test_a_missing_pair_skips_only_patterns_that_need_it():
     assert compiled.occurrences(b"a") == {4: [(0, 1)]}
 
 
-def _plain_report(ruleset, subject: bytes) -> list:
-    """Every rule's condition on its patterns' plain `finditer` occurrences."""
-    matched = []
+def _plain_report(ruleset, subject: bytes) -> tuple[list[str], dict]:
+    """The names of the rules whose condition holds on their patterns'
+    plain `finditer` occurrences, and those occurrences by global
+    pattern index, as `occurrences` gives them: a pattern that does not
+    occur has no entry."""
+    names, found = [], {}
+    patterns = itertools.count()
     for rule in ruleset.rules:
-        found = {p.ident: _finditer_occurrences(p.body, subject) for p in rule.strings}
-        if evaluate_condition(rule.condition, rule, {i for i, f in found.items() if f}):
-            matched.append((rule.name, [(ident, off) for ident in rule.pattern_ids()
-                                        for off, _ in found[ident]]))
-    return matched
+        present = set()
+        for pattern, i in zip(rule.strings, patterns):
+            spans = _finditer_occurrences(pattern.body, subject)
+            if spans:
+                found[i] = spans
+                present.add(pattern.ident)
+        if evaluate_condition(rule.condition, rule, present):
+            names.append(rule.name)
+    return names, found
 
 
 def _assert_report_is_plain(ruleset, subject: bytes) -> None:
-    report = match_buffer(CompiledRuleSet(ruleset), subject)
-    assert [(name, [(m.pattern_id, m.offset) for m in matches])
-            for name, matches in report.matched] == _plain_report(ruleset, subject), subject
+    compiled = CompiledRuleSet(ruleset)
+    names, found = _plain_report(ruleset, subject)
+    assert match_buffer(compiled, subject) == names, subject
+    assert compiled.occurrences(subject) == found, subject
 
 
 _ALPHABET = b"abAB. 1\x00\xff"
@@ -362,9 +372,9 @@ def test_rules_that_hold_on_the_empty_set_report_without_occurrences():
     ruleset = RuleSet((n, replace(z, condition=OfExpr(0, None)), o, t))
     for subject, names in [(b"", ["n", "z", "t"]), (b"hello", ["n", "z", "t"]),
                            (b"zz", ["z", "o", "t"])]:
-        assert match_buffer(ruleset, subject).rule_names == names
+        assert match_buffer(ruleset, subject) == names
         _assert_report_is_plain(ruleset, subject)
-    assert match_buffer(ruleset, b"hello").matched[0] == ("n", [])
+    assert CompiledRuleSet(ruleset).occurrences(b"hello") == {}
 
 
 def test_fullword_patterns():

@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 
 from wsdetect import tensornet as tn
-from wsdetect.opcode import OciVector, OpcodeVocabulary, oiva, OpcodeListing
+from wsdetect.opcode import OciVector, OpcodeListing, OpcodeParseError, OpcodeVocabulary, oiva
 from wsdetect.rulelang import parse_rules
 from wsdetect.srcmodel import (
     CnnConfig,
-    OpcodeParseError,
     SrcModelError,
     Verdict,
     build_cnn,
@@ -318,7 +317,7 @@ class TestHybridDetect:
         dump = b"line 1 0 E > NOT_IN_VOCAB 'x'\n     2 1 > ALSO_NOT 1\n"
         vec = rules_or_vector(RULES, dump, "php", VOCAB, 12)
         assert vec == OciVector((0,) * 12)
-        with pytest.raises(OpcodeParseError, match="<buffer>: no php opcode rows"):
+        with pytest.raises(OpcodeParseError, match="^no php opcode rows recognized$"):
             rules_or_vector(RULES, b"NOT_IN_VOCAB without a number\n", "php", VOCAB, 12)
 
     def test_no_rules_goes_straight_to_the_vector(self):
