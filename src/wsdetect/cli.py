@@ -199,9 +199,9 @@ def cmd_predict_src(args, out, err) -> int:
                                                max_length))
             except (OSError, OpcodeParseError) as exc:
                 # the message, not the exception: its traceback would hold
-                # this frame, and all it references, until a GC pass. A
-                # read error names the path, a parse error does not
-                results.append(str(exc) if isinstance(exc, OSError) else f"{path}: {exc}")
+                # this frame, and all it references, until a GC pass. The
+                # error line's `path` names the file, so the message does not
+                results.append(getattr(exc, "strerror", None) or str(exc))
         vectors = [result for result in results if isinstance(result, OciVector)]
         verdicts = iter(cnn_verdicts(model, vectors))
         lines, errors = [], []

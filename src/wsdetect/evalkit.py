@@ -234,7 +234,7 @@ def clean_webshell_candidates(candidates: list[str | Path], rules: RuleSet,
         try:
             data = Path(path).read_bytes()
         except OSError as exc:
-            unreadable.append((str(path), str(exc)))
+            unreadable.append((str(path), exc.strerror or str(exc)))
             continue
         if match_buffer(compiled, data):
             confirmed.append(str(path))

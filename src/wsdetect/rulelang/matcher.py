@@ -12,27 +12,23 @@ The lowered subject, padded once with zero bytes, is read through two
 strided views: its big-endian 16-bit pair value and its big-endian
 8-byte window at every offset. It is taken in blocks of 65,536 offsets,
 and a block's pair values are cast to indices in one pass. One table
-lookup per offset keeps the offsets whose pair starts some key or is a
-pair some scan requires; everything after works on those few. Keys are
-grouped by width. An offset reaches a group's window probe only if its
-pair is the first pair of one of the group's keys (its first byte, for
-width 1) and, for keys of width 3 or more, the pair two bytes on (one,
-for width 3) is the pair one of the keys holds there. Each pair table
-is exact for the pairs it tests, so the gates drop no occurrence. The
-window is then looked up among the group's sorted keys, and the second
-test is one dict lookup per distinct needle length under a matching key.
+lookup per offset keeps the offsets whose pair starts some key;
+everything after works on those few. Keys are grouped by width. An
+offset reaches a group's window probe only if its pair is the first
+pair of one of the group's keys (its first byte, for width 1) and, for
+keys of width 3 or more, the pair two bytes on (one, for width 3) is
+the pair one of the keys holds there. Each pair table is exact for the
+pairs it tests, so the gates drop no occurrence. The window is then
+looked up among the group's sorted keys, and the second test is one
+dict lookup per distinct needle length under a matching key.
 
 Hex wildcards and regexes are found by one ``finditer`` scan each over
-the subject, run only when the lowered subject holds every lowercased
-adjacent byte pair the pattern requires; the table of the required pairs
-the subject holds is filled from the kept offsets of each block. A hex
-pattern requires the pairs of its adjacent fixed bytes. A regex requires
-the pairs of its leading literal run: the ASCII characters before its
-first metacharacter, less the last one when a quantifier follows it,
-and nothing when the source holds ``|``. Every match starts with that
-run, or holds those fixed bytes, so the lowered subject holds their
-lowercased pairs; a subject without one of them has no match, and
-skipping the scan changes no occurrence.
+the subject, run only where the literal pass found the pattern's
+required literal of 2 bytes or more, one more needle: a hex pattern's
+longest run of fixed bytes, in the subject's case, or a regex's
+`model._required_literal`, in any case when the regex ignores case and
+in the subject's case otherwise. Every match holds it, so skipping the
+scan changes no occurrence. The literal's own hits are dropped.
 
 A condition reads only which of its rule's patterns occurred. So
 `match_buffer` evaluates it only for rules with an occurring pattern,
@@ -43,6 +39,7 @@ and names the other rules whose condition holds on the empty set
 from __future__ import annotations
 
 import re
+from itertools import groupby
 
 import numpy as np
 
@@ -55,11 +52,11 @@ from wsdetect.rulelang.model import (
     OfExpr,
     Or,
     Pattern,
-    RegexBody,
     Rule,
     RuleSet,
     StringRef,
     TextBody,
+    _required_literal,
 )
 
 _KEY_WIDTH = 8  # bytes of a needle's key: one uint64 window
@@ -70,9 +67,6 @@ _WORD_BYTES = frozenset(
     b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789")
 
 _PAIRS = 1 << 16  # adjacent byte pairs, as big-endian 16-bit values
-_REGEX_META = frozenset(".^$*+?{}[]()|\\")
-_QUANTIFIERS = frozenset("?*+{")
-_LOWER = bytes(range(256)).lower()  # each byte's ASCII lowercase
 _ESCAPED = [re.escape(bytes([b])) for b in range(256)]  # each byte as a regex
 
 
@@ -80,15 +74,13 @@ class _Block:
     """Offsets `start` to `start + count - 1` of a subject, count at most
     _BLOCK_SIZE: the pair value at each and at the _LOOKAHEAD offsets
     after it, as indices cast into `buffer`, and the key-width window at
-    each (a view: only the windows indexed are read). `paired` counts
-    the offsets whose pair lies inside the subject."""
+    each (a view: only the windows indexed are read)."""
 
     def __init__(self, pairs: np.ndarray, windows: np.ndarray, start: int,
                  buffer: np.ndarray):
         count = min(_BLOCK_SIZE, len(windows) - start)
         self.start = start
         self.count = count
-        self.paired = min(count, len(windows) - 1 - start)
         self.pairs = buffer[:count + _LOOKAHEAD]
         np.copyto(self.pairs, pairs[start:start + count + _LOOKAHEAD])
         self.windows = windows[start:start + count]
@@ -119,14 +111,15 @@ class _Literals:
              firsts: np.ndarray, found: dict[int, list[tuple[int, int]]]) -> None:
         """Append (offset, length) of each occurrence starting in `block`,
         a block of `lower`, to `found[pattern]`, offsets ascending. `at`
-        holds, ascending, the block offsets the rule set's pair gate keeps,
-        among them every offset whose pair starts a key, and `firsts` the
-        pair at each."""
+        holds, ascending, the block offsets whose pair starts a key, and
+        `firsts` the pair at each."""
         pairs = block.pairs
         for gate, second, step, shift, keys, lengths, bounds in self.groups:
             here = at[gate[firsts]]
-            if second is not None:
+            if second is not None and len(here):
                 here = here[second[pairs[here + step]]]
+            if not len(here):
+                continue
             probe = block.windows[here].astype(np.uint64) >> shift
             k = np.searchsorted(keys, probe)
             k[k == len(keys)] = 0
@@ -204,45 +197,39 @@ class CompiledRuleSet:
                           if getattr(pat.body, "fullword", False)]
 
         needles: dict[bytes, list[tuple[int, bytes | None]]] = {}
-        # pattern index and regex of each scanned pattern, and the keys of
-        # the lowercased pairs it requires
-        self._scans: list[tuple[int, re.Pattern[bytes]]] = []
-        pair_keys: list[int] = []
-        pair_owners: list[int] = []
+        # pattern index and regex of each scanned pattern, and whether a
+        # literal gates it
+        self._scans: list[tuple[int, re.Pattern[bytes], bool]] = []
 
         for i, (_, pat) in enumerate(patterns):
-            body = pat.body
+            body, rx, nocase = pat.body, None, False
             if isinstance(body, TextBody):
                 needle, nocase = body.value, body.nocase
-            elif isinstance(body, HexBody) and None not in body.tokens:
-                needle, nocase = bytes(body.tokens), False
+            elif isinstance(body, HexBody):
+                needle = max((bytes(run) for wild, run in groupby(body.tokens, lambda t: t is None)
+                              if not wild), key=len, default=b"")
+                rx = _hex_to_regex(body) if None in body.tokens else None
             else:
-                needle = None
-            if needle is not None:
-                lower = needle.lower()
-                # a hit on a needle without ASCII letters needs no confirming
-                exact = None if nocase or lower == needle.upper() else needle
-                needles.setdefault(lower, []).append((i, exact))
-                continue
-            if isinstance(body, HexBody):
-                keys = _hex_pairs(body)
-                rx = _hex_to_regex(body)
-            else:
-                keys = _regex_pairs(body)
                 rx = body.compiled
-            pair_keys += keys
-            pair_owners += [len(self._scans)] * len(keys)
-            self._scans.append((i, rx))
+                # VERBOSE drops whitespace and comments from the source, and
+                # LOCALE may fold a letter's case to a byte above 0x7f
+                needle = b"" if rx.flags & (re.VERBOSE | re.LOCALE) else \
+                    _required_literal(body.source).encode()
+                nocase = rx.flags & re.IGNORECASE
+            if rx is not None:
+                self._scans.append((i, rx, len(needle) >= 2))
+                if len(needle) < 2:
+                    continue
+            lower = needle.lower()
+            # a hit on a needle without ASCII letters needs no confirming
+            exact = None if nocase or lower == needle.upper() else needle
+            needles.setdefault(lower, []).append((i, exact))
 
-        self._literals = _Literals(needles) if needles else None
-        self._pair_keys = np.array(pair_keys, dtype=np.int64)
-        self._pair_owners = np.array(pair_owners, dtype=np.int64)
-        # the pairs worth a look: those that start a key or that a scan requires
+        self._literals = _Literals(needles)
+        # the pairs worth a look: those that start a key
         self._gate = np.zeros(_PAIRS, dtype=bool)
-        self._gate[self._pair_keys] = True
-        if self._literals is not None:
-            for group in self._literals.groups:
-                self._gate |= group[0]
+        for group in self._literals.groups:
+            self._gate |= group[0]
 
     def occurrences(self, subject: bytes) -> dict[int, list[tuple[int, int]]]:
         """The (offset, length) occurrences of each pattern that occurs,
@@ -251,26 +238,18 @@ class CompiledRuleSet:
         found: dict[int, list[tuple[int, int]]] = {}
         lower = subject.lower()
         pairs, windows = _views(lower)
-        # the pairs the lowered subject holds, of those the gate keeps
-        present = np.zeros(_PAIRS, dtype=bool) if self._scans else None
         buffer = np.empty(min(len(lower), _BLOCK_SIZE) + _LOOKAHEAD, dtype=np.intp)
         for start in range(0, len(lower), _BLOCK_SIZE):
             block = _Block(pairs, windows, start, buffer)
             at = np.flatnonzero(self._gate[block.pairs[:block.count]])
-            firsts = block.pairs[at]
-            if present is not None:
-                present[firsts[:np.searchsorted(at, block.paired)]] = True
-            if self._literals is not None:
-                self._literals.scan(subject, lower, block, at, firsts, found)
-        if self._scans:
-            # per scan, how many of its required pairs the subject lacks
-            missing = np.bincount(self._pair_owners[~present[self._pair_keys]],
-                                  minlength=len(self._scans))
-            for (i, rx), absent in zip(self._scans, missing.tolist()):
-                if not absent:
-                    spans = [(m.start(), m.end() - m.start()) for m in rx.finditer(subject)]
-                    if spans:
-                        found[i] = spans
+            self._literals.scan(subject, lower, block, at, block.pairs[at], found)
+        for i, rx, gated in self._scans:
+            # the gate literal's hits stand in for the scan's until it runs
+            if found.pop(i, None) is None and gated:
+                continue
+            spans = [(m.start(), m.end() - m.start()) for m in rx.finditer(subject)]
+            if spans:
+                found[i] = spans
         # fullword: occurrences flanked by alphanumerics do not count
         for i in self._fullword:
             spans = [(off, length) for off, length in found.pop(i, ())
@@ -278,31 +257,6 @@ class CompiledRuleSet:
             if spans:
                 found[i] = spans
         return found
-
-
-def _hex_pairs(body: HexBody) -> list[int]:
-    """Keys of the lowercased pairs of adjacent fixed bytes of a hex
-    pattern."""
-    return [_LOWER[a] << 8 | _LOWER[b] for a, b in zip(body.tokens, body.tokens[1:])
-            if a is not None and b is not None]
-
-
-def _regex_pairs(body: RegexBody) -> list[int]:
-    """Keys of the lowercased pairs of a regex's leading literal run:
-    every match starts with it. Conservative: the run ends at the first
-    metacharacter or non-ASCII character, loses its last character when
-    a quantifier ends it, and is empty when the source holds '|'."""
-    if "|" in body.source:
-        return []
-    run = []
-    for ch in body.source:
-        if ch in _REGEX_META or not ch.isascii():
-            if ch in _QUANTIFIERS:
-                del run[-1:]
-            break
-        run.append(ord(ch))
-    run = bytes(run).lower()
-    return [a << 8 | b for a, b in zip(run, run[1:])]
 
 
 def _hex_to_regex(body: HexBody) -> re.Pattern[bytes]:

@@ -65,8 +65,16 @@ class RegexBody:
         object.__setattr__(self, "compiled", compiled)
 
 
-# a quantifier: *, + or ?, or {m}, {m,}, {,n}, {m,n} or {,}
-_QUANTIFIER = re.compile(r"[*+?]|\{(?:\d+|\d*,\d*)\}")
+# one token of a regex as written: a (?#...) comment, a group's opening
+# with its '?', ')', '|', a quantifier (*, + or ?, or {m}, {m,}, {,n},
+# {m,n} or {,}) with its lazy or possessive mark, a class (a ']' first is
+# a member), an escape ('\x' and two hex digits, up to three digits, or
+# one character), a run of plain ASCII characters, or one other character
+_TOKEN = re.compile(
+    r"(?P<comment>\(\?#[^)]*\))|(?P<open>\(\??)|(?P<close>\))|(?P<alt>\|)"
+    r"|(?P<quantifier>(?:[*+?]|\{(?:\d+|\d*,\d*)\})[?+]?)"
+    r"|(?P<class>\[\^?\]?(?:\\.|[^\]\\])*\])|(?P<escape>\\(?:x[0-9a-fA-F]{2}|[0-9]{1,3}|.))"
+    r"|(?P<run>[^\x80-\U0010ffff()|*+?{\[\\.^$]+)|(?P<other>.)", re.DOTALL)
 # a ')' that a quantifier may follow, past whitespace and comments: a
 # regex without one repeats no group
 _GROUP_THEN_QUANTIFIER = re.compile(r"\)(?:\s|\(\?#[^)]*\))*[*+?{]")
@@ -77,53 +85,57 @@ def _nested_repeat(source: str) -> int | None:
     quantifier that repeats a group holding a quantifier or a '|' at any
     depth, or None. Such a regex can backtrack exponentially in the
     subject's length, as /(a+)+b/ does. Read as written: whitespace and
-    (?#...) comments between a group and its quantifier are skipped, a
-    character class or an escape is one atom, and a '?' or '+' right
-    after a quantifier makes it lazy or possessive."""
+    (?#...) comments between a group and its quantifier are skipped."""
     if not _GROUP_THEN_QUANTIFIER.search(source):
         return None
     holds = [False]  # per open group: whether it holds a quantifier or '|'
     last = None  # what a quantifier here repeats: None (nothing), else whether it holds one
-    k = 0
-    while k < len(source):
-        ch = source[k]
-        quantifier = _QUANTIFIER.match(source, k) if last is not None else None
-        if quantifier:
+    for token in _TOKEN.finditer(source):
+        kind = token.lastgroup
+        if kind == "quantifier":
             if last:
-                return k
+                return token.start()
             holds[-1] = True
-            k = quantifier.end() + source.startswith(("?", "+"), quantifier.end())
             last = None
-        elif ch.isspace():
-            k += 1
-        elif source.startswith("(?#", k):
-            k = source.index(")", k) + 1
-        elif ch == "(":
+        elif kind == "comment" or token.group().isspace():
+            continue
+        elif kind == "open":
             holds.append(False)
             last = None
-            k += 1
-        elif ch == ")":
+        elif kind == "close":
             last = holds.pop() if len(holds) > 1 else False
             holds[-1] |= last
-            k += 1
-        elif ch == "|":
+        elif kind == "alt":
             holds[-1] = True
             last = None
-            k += 1
         else:
             last = False
-            k = _class_end(source, k) if ch == "[" else k + 1 + (ch == "\\")
     return None
 
 
-def _class_end(source: str, k: int) -> int:
-    """The position after the character class that opens at `k`."""
-    k += 1
-    k += source.startswith("^", k)
-    k += source.startswith("]", k)  # a ']' first is a member
-    while k < len(source) and source[k] != "]":
-        k += 1 + (source[k] == "\\")
-    return k + 1
+def _required_literal(source: str) -> str:
+    """The longest run of plain ASCII characters at depth 0 of `source`,
+    a regex that compiles and is not VERBOSE, or '' when it has a '|'
+    at depth 0: every match holds that run. A group, a class, an escape,
+    a non-ASCII character, '.', '^', '$' and a '{' that starts no
+    quantifier end a run; a quantifier drops the character before it."""
+    runs = [""]  # the runs read so far, the last one still open
+    depth = 0
+    for token in _TOKEN.finditer(source):
+        kind = token.lastgroup
+        if kind in ("open", "close"):
+            depth += 1 if kind == "open" else -1
+        elif depth or kind == "comment":
+            continue
+        elif kind == "alt":
+            return ""
+        elif kind == "quantifier":
+            runs[-1] = runs[-1][:-1]
+        elif kind == "run":
+            runs[-1] += token.group()
+            continue
+        runs.append("")
+    return max(runs, key=len)
 
 
 @dataclass(frozen=True)

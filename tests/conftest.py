@@ -217,7 +217,7 @@ _TEXT_PIECES = ("a", "b", "A", "ab", " ", "é", "\\n", "\\t", '\\"', "\\\\",
                 "\\x61", "\\xff")
 _HEX_ITEMS = ("61", "62", "41", "00", "fF", "??")
 _REGEX_ATOMS = ("a", "b", "B", "ab", "ba", ".", "[ab]", "[^a]", "\\.", "\\x61",
-                "\\/", "\\d", "(a|b)", "(?:ab)")
+                "\\/", "\\d", "(a|b)", "(?:ab)", " ", "(?!zq9)")
 _QUANTIFIERS = ("",) * 4 + ("?", "*", "+", "{0}", "{1,2}", "*?")
 _EDIT_SNIPPETS = ('"', "/", "\\", "{", "}", "??", "$", "\n", "/*", "*/", "//",
                   "é", "€", "9", "x", "(", ")", "|", "[", "rule", " of ", "nocase",
@@ -232,13 +232,16 @@ _HEX_BODY = st.tuples(
     st.lists(st.sampled_from(_HEX_ITEMS), min_size=1, max_size=6),
 ).map(lambda spaced: "{ " + spaced[0].join(spaced[1]) + " }")
 # an atom and its quantifier; a group that holds '|' is never repeated,
-# since the parser rejects that
+# since the parser rejects that, nor is a space, which a VERBOSE regex
+# drops, so that its quantifier could repeat nothing
 _REGEX_PIECE = st.tuples(st.sampled_from(_REGEX_ATOMS), st.sampled_from(_QUANTIFIERS)).map(
-    lambda piece: piece[0] + ("" if "|" in piece[0] else piece[1]))
+    lambda piece: piece[0] + ("" if "|" in piece[0] or piece[0] == " " else piece[1]))
+# global flags, then pieces, then perhaps a '|' at depth 0
 _REGEX_BODY = st.tuples(
+    st.sampled_from(("",) * 6 + ("(?i)", "(?x)")),
     st.lists(_REGEX_PIECE, min_size=1, max_size=5),
     st.sampled_from(("",) * 5 + tuple("|" + atom for atom in _REGEX_ATOMS[:3])),
-).map(lambda parts: "/" + "".join(parts[0]) + parts[1] + "/")
+).map(lambda parts: "/" + parts[0] + "".join(parts[1]) + parts[2] + "/")
 _MODIFIERS = st.sampled_from(("", " nocase", " fullword", " nocase fullword"))
 _PATTERN_BODY = st.one_of(
     st.tuples(_TEXT_BODY, _MODIFIERS).map("".join),
@@ -277,10 +280,10 @@ def rule_texts(draw, max_rules=3, max_edits=3):
     """Rule-file text: 1-`max_rules` valid rules, then 0-`max_edits`
     random edits. The rules cover the whole grammar: meta values of
     each type, text (escapes, non-ASCII), hex (wildcards, comments) and
-    regex bodies (classes, escapes, groups, quantifiers on an atom or a
-    group without `|`, `|`) with `nocase`/`fullword`, every condition
-    form, and whitespace and comments between tokens; names repeat
-    across rules.
+    regex bodies (global flags, classes, escapes, groups, lookaheads,
+    quantifiers on an atom or a group without `|`, `|`) with
+    `nocase`/`fullword`, every condition form, and whitespace and
+    comments between tokens; names repeat across rules.
     An edit deletes 1-3 characters, or inserts or overwrites with a
     snippet that often breaks a token, at a random place or, half the
     time, just inside a string, regex or hex body."""

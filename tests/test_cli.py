@@ -590,7 +590,7 @@ class TestDataset:
         [line] = err.splitlines()
         assert json.loads(line) == {
             "path": str(missing),
-            "error": f"[Errno 2] No such file or directory: '{missing}'"}
+            "error": "No such file or directory"}
 
 
 class TestTune:

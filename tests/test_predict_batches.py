@@ -79,10 +79,24 @@ def test_each_line_is_the_line_of_its_one_file_call(scan, monkeypatch):
     assert err == "".join(one_err for _, _, one_err in alone)
     sources = [json.loads(line)["source"] for line in out.splitlines()]
     assert sources == ["cnn", "rules", "cnn", "cnn", "cnn", "cnn", "rules", "cnn"]
-    assert "NOT_IN_VOCAB" not in err and "norows.vld: no php opcode rows" in err
-    assert "missing.vld" in err
+    assert [json.loads(line) for line in err.splitlines()] == [
+        {"path": files[5], "error": "No such file or directory"},
+        {"path": files[6], "error": "no php opcode rows recognized"}]
     # one forward per batch that holds a vector: batches of 2 over 10 files
     assert forwards == [1, 2, 1, 1, 1]
+
+
+def test_an_error_line_names_its_file_once(scan, tmp_path):
+    """The `path` field names the file; the message gives only the
+    reason, an OS error's as its `strerror`."""
+    argv, files = scan
+    unreadable = [files[5], files[6], str(tmp_path)]
+    code, out, err = _run(argv + unreadable)
+    assert (code, out) == (cli.EXIT_ERROR, "")
+    assert [json.loads(line) for line in err.splitlines()] == [
+        {"path": unreadable[0], "error": "No such file or directory"},
+        {"path": unreadable[1], "error": "no php opcode rows recognized"},
+        {"path": unreadable[2], "error": "Is a directory"}]
 
 
 def test_the_model_pairing_is_checked_once_per_call(scan, monkeypatch):

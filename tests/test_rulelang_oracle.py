@@ -8,8 +8,9 @@ text a test parses is checked the same way after that test (see
 
 Matching: `CompiledRuleSet.occurrences` for hex-wildcard and regex
 patterns against one plain `finditer` per pattern, on subjects built
-from the patterns' own literal runs, whole or cut so that exactly one
-adjacent byte pair is missing. Every pattern's `occurrences`, and the
+from each scan's gate literal (whole, case-flipped or cut once) and
+from matches drawn from the patterns themselves; the literal reader on
+each construct that ends a run. Every pattern's `occurrences`, and the
 rule names `match_buffer` gives, against a plain per-pattern `finditer`
 (a lookahead for literals, so overlapping occurrences count) with every
 rule's condition evaluated on it, on subjects
@@ -28,6 +29,7 @@ import re
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -44,14 +46,8 @@ from wsdetect.rulelang import (
     match_buffer,
     parse_rules,
 )
-from wsdetect.rulelang.matcher import (
-    _BLOCK_SIZE,
-    _hex_pairs,
-    _key_groups,
-    _regex_pairs,
-    evaluate_condition,
-)
-from wsdetect.rulelang.model import BoolLiteral, OfExpr
+from wsdetect.rulelang.matcher import _BLOCK_SIZE, _key_groups, evaluate_condition
+from wsdetect.rulelang.model import BoolLiteral, OfExpr, _required_literal
 
 _SUBJECT_BYTES = [bytes([b]) for b in b"abAB.\n\x00\xff"]
 
@@ -172,11 +168,23 @@ def _finditer_occurrences(body, subject: bytes) -> list[tuple[int, int]]:
             if not (fullword and (word(off - 1) or word(off + n)))]
 
 
-def _lead(body, data) -> bytes:
-    """Bytes a match of the pattern could start with: a regex's leading
-    letters, or a hex pattern with a subject byte in each wildcard."""
+def _gate_literals(compiled: CompiledRuleSet) -> dict[int, bytes]:
+    """The literal each gated scan waits for, by pattern index: in its
+    own case where the scan confirms the case, else lowercased."""
+    gated = {i for i, _, is_gated in compiled._scans if is_gated}
+    return {i: exact or lower for lower, owners in compiled._literals.needles.items()
+            for i, exact in owners if i in gated}
+
+
+def _instance(body, data) -> bytes:
+    """Bytes that may match the pattern: a hex pattern with a subject byte
+    in each wildcard, or a match drawn from the regex, perhaps
+    case-flipped. The draw reads the regex case-sensitively, since
+    `from_regex` fails on some bytes regexes that ignore case."""
     if isinstance(body, RegexBody):
-        return re.match(r"[A-Za-z]*", body.source).group().encode()
+        rx = re.compile(body.source.removeprefix("(?i)").encode(), re.DOTALL)
+        match = data.draw(st.from_regex(rx, fullmatch=True))
+        return match.swapcase() if data.draw(st.booleans()) else match
     return b"".join(bytes([t]) if t is not None else data.draw(st.sampled_from(
         _SUBJECT_BYTES)) for t in body.tokens)
 
@@ -187,72 +195,111 @@ def test_scanned_patterns_match_plain_finditer(data):
     ruleset = parse_rules(data.draw(rule_texts(max_rules=1, max_edits=0)))
     bodies = [p.body for p in ruleset.rules[0].strings]
     assume(any(_scanned(body) for body in bodies))
-    pieces = st.sampled_from(_SUBJECT_BYTES)
-    for body in filter(_scanned, bodies):
-        lead = _lead(body, data)
-        pieces |= st.just(lead)
-        if len(lead) >= 2:  # the same bytes less one adjacent pair
-            cut = data.draw(st.integers(1, len(lead) - 1))
-            pieces |= st.just(lead[:cut] + b"\n" + lead[cut:])
-    subject = b"".join(data.draw(st.lists(pieces, max_size=8)))
-    found = CompiledRuleSet(ruleset).occurrences(subject)
+    compiled = CompiledRuleSet(ruleset)
+    pieces = [*_SUBJECT_BYTES, *(_instance(body, data) for body in filter(_scanned, bodies))]
+    for literal in _gate_literals(compiled).values():
+        # the whole literal, in its case and flipped, and the literal cut once
+        cut = data.draw(st.integers(1, len(literal) - 1))
+        pieces += [literal, literal.swapcase(), literal[:cut] + b"\n" + literal[cut:]]
+    subject = b"".join(data.draw(st.lists(st.sampled_from(pieces), max_size=8)))
+    found = compiled.occurrences(subject)
     for i, body in enumerate(bodies):
         if _scanned(body):
             assert found.get(i, []) == _finditer_occurrences(body, subject), (body, subject)
 
 
-def _pairs(run: bytes) -> list[int]:
-    """Keys of the adjacent pairs of a run, case-folded as the subject is."""
-    run = run.lower()
-    return [a << 8 | b for a, b in zip(run, run[1:])]
+@pytest.mark.parametrize("source, literal", [
+    ("abcd", "abcd"),         # a literal run to the end
+    ("abc.d", "abc"),         # '.' ends a run
+    ("^abc$", "abc"),
+    ("abc?d", "ab"),          # a quantifier drops the character before it
+    ("ab{0}cd", "cd"),
+    ("ab{1,2}c", "a"),
+    ("a{,2}bc", "bc"),
+    ("abc*?de", "ab"),        # a lazy quantifier is one quantifier
+    ("a{bcd", "bcd"),         # a '{' that starts no quantifier ends a run
+    ("ab{}cd", "}cd"),
+    ("abé", "ab"),            # a non-ASCII character ends a run
+    ("ab\\.cde", "cde"),      # an escape ends a run, and is read whole
+    ("\\x61bc", "bc"),
+    ("\\0123", "3"),
+    ("a\\d{2}bc", "bc"),
+    (".*zq9", "zq9"),         # the longest run, anywhere in the regex
+    ("[abc]de", "de"),        # a class is no run, nor is any group
+    ("[]ab]de", "de"),
+    ("(abc)de", "de"),
+    ("(?!abc)de", "de"),
+    ("(?i)abc", "abc"),
+    ("(?:a(b)c)de", "de"),
+    ("(a|b)cd", "cd"),        # a '|' inside a group is no alternative
+    ("(a\\)bcd)e", "e"),
+    ("abc|d", ""),            # a '|' at depth 0: no literal
+    ("ab(?#c|d)cd", "abcd"),  # a comment is skipped as the compiler skips it
+    ("abc(?#c)*d", "ab"),
+    ("ab]}c", "ab]}c"),       # a ']' or '}' outside a class is plain
+])
+def test_a_required_literal_is_the_longest_plain_run_at_depth_0(source, literal):
+    re.compile(source.encode())  # the reader reads regexes that compile
+    assert _required_literal(source) == literal
 
 
-def test_required_pairs_are_taken_conservatively():
-    cases = {
-        "abcd": b"abcd",          # a literal run to the end
-        "abc.d": b"abc",          # ends at a metacharacter
-        "abc?d": b"ab",           # a quantifier drops the literal before it
-        "ab{0}c": b"a",
-        "abc*": b"ab",
-        "ab+": b"a",
-        "abé": b"ab",             # ends at a non-ASCII character
-        "ab\\.c": b"ab",          # ends at an escape
-        "abc|d": b"",             # alternation: no pairs at all
-        "(ab)c": b"",
-        "^abc": b"",
-    }
-    for source, run in cases.items():
-        assert _regex_pairs(RegexBody(source)) == _pairs(run), source
-    # the subject is scanned for pairs once, lowercased, whatever the case
-    assert _regex_pairs(RegexBody("AbC", nocase=True)) == _pairs(b"abc")
-    assert _regex_pairs(RegexBody("AbC")) == _pairs(b"abc")
-    assert _hex_pairs(HexBody((0x61, 0x62, None, 0x63, None, 0x64, 0x65))) == \
-        _pairs(b"ab") + _pairs(b"de")
-    assert _hex_pairs(HexBody((0x41, 0xC9, 0x5A, None, 0x80))) == _pairs(b"a\xc9z")
-
-
-def test_a_missing_pair_skips_only_patterns_that_need_it():
+def test_a_gate_literal_takes_its_case_and_flags_from_the_pattern():
     ruleset = parse_rules(
-        "rule r { strings: $x = /abc?d/ $y = /bc/ $h = { 61 62 ?? 64 } "
-        "$n = /AB/ nocase $z = /a|zz/ condition: true }")
-    compiled = CompiledRuleSet(ruleset)
-    scanned = []
+        "rule r { strings: $a = /AbC/ $b = /AbC/ nocase $c = /(?i)AbC/ $d = /(?x)A bC/ "
+        "$e = /12.34/ $h = { 41 62 ?? 43 44 45 ?? 46 } $w = { 41 ?? 62 } $l = /(?iL)AbC/ "
+        "condition: true }")
+    assert _gate_literals(CompiledRuleSet(ruleset)) == {
+        0: b"AbC", 1: b"abc", 2: b"abc", 4: b"12", 5: b"CDE"}
+    # a literal with no letter needs no case; VERBOSE drops whitespace from
+    # the source, a hex run of one byte is too short to gate, and LOCALE
+    # may fold a letter's case to a byte above 0x7f
+    assert [gated for _, _, gated in CompiledRuleSet(ruleset)._scans] == [
+        True, True, True, False, True, True, False, False]
 
-    class Spy:
-        def __init__(self, rx):
-            self.rx = rx
 
-        def finditer(self, subject):
-            scanned.append(self.rx.pattern)
-            return self.rx.finditer(subject)
+class _Spy:
+    """A compiled regex that records the pattern of each `finditer` call."""
 
-    compiled._scans = [(i, Spy(rx)) for i, rx in compiled._scans]
-    # "ab" present, "bc" missing: $y cannot match, the others still can
-    assert compiled.occurrences(b"abd ab\nd zz") == {
-        0: [(0, 3)], 2: [(4, 4)], 3: [(0, 2), (4, 2)], 4: [(0, 1), (4, 1), (9, 2)]}
-    assert b"bc" not in scanned and len(scanned) == 4
+    def __init__(self, rx, scanned: list):
+        self.rx, self.scanned = rx, scanned
+
+    def finditer(self, subject):
+        self.scanned.append(self.rx.pattern)
+        return self.rx.finditer(subject)
+
+
+def _spied(ruleset) -> tuple[CompiledRuleSet, list]:
+    compiled, scanned = CompiledRuleSet(ruleset), []
+    compiled._scans = [(i, _Spy(rx, scanned), gated) for i, rx, gated in compiled._scans]
+    return compiled, scanned
+
+
+def test_a_missing_literal_skips_only_the_scans_that_need_it():
+    ruleset = parse_rules(
+        "rule r { strings: $x = /x.*zq9/ $y = /ab+cd/ $h = { 61 62 ?? 64 65 66 } "
+        "$n = /ABC/ nocase $c = /AbC/ $z = /a|zz/ condition: true }")
+    compiled, scanned = _spied(ruleset)
+    # "cd" and "def" present, "zq9" missing, "AbC" only in another case
+    assert compiled.occurrences(b"abbcd abXdef abc zz") == {
+        1: [(0, 5)], 2: [(6, 6)], 3: [(13, 3)], 5: [(0, 1), (6, 1), (13, 1), (17, 2)]}
+    assert scanned == [b"ab+cd", b"ab.def", b"ABC", b"a|zz"]
+    scanned.clear()
     assert compiled.occurrences(b"") == {}
-    assert compiled.occurrences(b"a") == {4: [(0, 1)]}
+    assert compiled.occurrences(b"a") == {5: [(0, 1)]}
+    assert scanned == [b"a|zz"] * 2
+
+
+def test_a_quadratic_regex_without_its_literal_is_not_scanned():
+    """/.*zq9/ backtracks from every offset of a subject without zq9, in
+    time quadratic in its length; the gate keeps it from running."""
+    compiled, scanned = _spied(parse_rules('rule r { strings: $a = /.*zq9/ condition: $a }'))
+    subject = b"x" * 40_000
+    assert compiled.occurrences(subject) == {} and scanned == []
+    assert match_buffer(compiled, subject) == []
+    subject += b"zq9"
+    assert compiled.occurrences(subject) == {0: _finditer_occurrences(
+        compiled.ruleset.rules[0].strings[0].body, subject)} == {0: [(0, 40_003)]}
+    assert scanned == [b".*zq9"]
 
 
 def _plain_report(ruleset, subject: bytes) -> tuple[list[str], dict]:
