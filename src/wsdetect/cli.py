@@ -32,6 +32,21 @@ def _emit(payload: dict, args, out) -> None:
         _print_table(list(payload.items()), out)
 
 
+def _print_failures(failures, err, as_json=False) -> None:
+    """One line per (path, reason) pair, naming the path once."""
+    for path, reason in failures:
+        print(json.dumps({"path": path, "error": reason}) if as_json
+              else f"error: {path}: {reason}", file=err)
+
+
+def _exit_code(detected, failed) -> int:
+    """A file command's exit code: 3 if it detected something, else 1 if
+    any input failed, else 0."""
+    if detected:
+        return EXIT_DETECTED
+    return EXIT_ERROR if failed else EXIT_OK
+
+
 # --- rules ------------------------------------------------------------
 
 def _load_ruleset(path: str):
@@ -60,19 +75,23 @@ def cmd_rules_check(args, out, err) -> int:
 
 
 def cmd_rules_scan(args, out, err) -> int:
-    from wsdetect.rulelang import scan_tree
+    from wsdetect.files import walk
+    from wsdetect.rulelang import match_files
 
     ruleset = _load_ruleset(args.rules)
-    extensions = tuple(e.lstrip(".").lower() for e in args.ext) if args.ext else None
-    findings, errors = scan_tree(ruleset, args.root, extensions)
+    paths = walk(args.root)
+    if args.ext:
+        extensions = {e.lstrip(".").lower() for e in args.ext}
+        paths = [p for p in paths if p.suffix.lstrip(".").lower() in extensions]
+    matched, failures = match_files(ruleset, paths)
+    findings = [(path, names) for path, names in matched if names]
     for path, names in findings:
         if args.json:
             print(json.dumps({"path": path, "rules": names}), file=out)
         else:
             print(f"{path}: {', '.join(names)}", file=out)
-    for bad in errors:
-        print(f"error: {bad.path}: {bad.reason}", file=err)
-    return EXIT_DETECTED if findings else EXIT_OK
+    _print_failures(failures, err)
+    return _exit_code(findings, failures)
 
 
 # --- opcode -----------------------------------------------------------
@@ -91,12 +110,11 @@ def cmd_oci_extract(args, out, err) -> int:
     vocab = _load_vocab(args.language, args.vocab)
     items = [(path, args.label) for path in args.files]
     corpus = vectorize_corpus(items, args.language, vocab, args.max_length)
-    for failure in corpus.failures:
-        print(f"error: {failure.path}: {failure.reason}", file=err)
+    _print_failures(corpus.failures, err)
     write_corpus_csv(corpus, args.out)
     print(f"{len(corpus.vectors)} vector(s) -> {args.out}"
           f" ({len(corpus.failures)} failure(s))", file=out)
-    return EXIT_ERROR if corpus.failures else EXIT_OK
+    return _exit_code(False, corpus.failures)
 
 
 # --- training ----------------------------------------------------------
@@ -168,6 +186,7 @@ SRC_BATCH_FILES = 64
 
 
 def cmd_predict_src(args, out, err) -> int:
+    from wsdetect.files import read_each
     from wsdetect.opcode import OciVector, OpcodeParseError
     from wsdetect.rulelang import CompiledRuleSet
     from wsdetect.srcmodel import (
@@ -185,30 +204,28 @@ def cmd_predict_src(args, out, err) -> int:
     # built once: the matcher would rebuild its key tables for every file
     rules = CompiledRuleSet(_load_ruleset(args.rules)) if args.rules else None
     max_length = model.config.max_length
-    detections = 0
-    had_error = False
+    detections = failed = 0
     for start in range(0, len(args.files), SRC_BATCH_FILES):
         batch = args.files[start:start + SRC_BATCH_FILES]
         # each file's rule verdict, vector or error message; its bytes are
         # not kept
         results = []
-        for path in batch:
-            try:
-                data = Path(path).read_bytes()
-                results.append(rules_or_vector(rules, data, language, vocab,
-                                               max_length))
-            except (OSError, OpcodeParseError) as exc:
-                # the message, not the exception: its traceback would hold
-                # this frame, and all it references, until a GC pass. The
-                # error line's `path` names the file, so the message does not
-                results.append(getattr(exc, "strerror", None) or str(exc))
+        for _, result in read_each(batch):
+            if isinstance(result, bytes):
+                try:
+                    result = rules_or_vector(rules, result, language, vocab,
+                                             max_length)
+                except OpcodeParseError as exc:
+                    # the message, not the exception: its traceback would
+                    # hold this frame, and all it references, until a GC pass
+                    result = str(exc)
+            results.append(result)
         vectors = [result for result in results if isinstance(result, OciVector)]
         verdicts = iter(cnn_verdicts(model, vectors))
-        lines, errors = [], []
+        lines, failures = [], []
         for path, result in zip(batch, results):
             if isinstance(result, str):
-                had_error = True
-                errors.append(json.dumps({"path": path, "error": result}))
+                failures.append((path, result))
                 continue
             verdict = next(verdicts) if isinstance(result, OciVector) else result
             detections += verdict.label == "Webshell"
@@ -216,12 +233,11 @@ def cmd_predict_src(args, out, err) -> int:
                 "path": path, "label": verdict.label, "source": verdict.source,
                 "p_webshell": round(verdict.p_webshell, 6),
                 "rules": list(verdict.matched_rules)}))
-        for stream, written in ((out, lines), (err, errors)):
-            if written:
-                print("\n".join(written), file=stream)
-    if detections:
-        return EXIT_DETECTED
-    return EXIT_ERROR if had_error else EXIT_OK
+        if lines:
+            print("\n".join(lines), file=out)
+        _print_failures(failures, err, as_json=True)
+        failed += len(failures)
+    return _exit_code(detections, failed)
 
 
 def cmd_predict_flow(args, out, err) -> int:
@@ -334,9 +350,10 @@ def cmd_tune_grid(args, out, err) -> int:
 
 def cmd_dataset_dedup(args, out, err) -> int:
     from wsdetect.evalkit import dedup
+    from wsdetect.files import walk
 
-    paths = [str(p) for p in Path(args.root).rglob("*") if p.is_file()]
-    report = dedup(paths)
+    report = dedup(walk(args.root))
+    _print_failures(report.unreadable, err)
     if args.manifest:
         import csv as _csv
 
@@ -349,19 +366,23 @@ def cmd_dataset_dedup(args, out, err) -> int:
                 writer.writerow([dup, "duplicate", kept_as, report.digests[dup]])
     _emit({"kept": len(report.kept), "removed": len(report.removed),
            "unreadable": len(report.unreadable)}, args, out)
-    return EXIT_OK
+    return _exit_code(False, report.unreadable)
 
 
 def cmd_dataset_split(args, out, err) -> int:
     import csv as _csv
 
-    from wsdetect.evalkit import DatasetItem, content_hash, split_dataset
+    from wsdetect.evalkit import DatasetItem, dedup, split_dataset
+    from wsdetect.files import walk
 
-    items: list[DatasetItem] = []
     root = Path(args.root)
-    for path in sorted(p for p in root.rglob("*") if p.is_file()):
-        source = path.relative_to(root).parts[0] if path.parent != root else ""
-        items.append(DatasetItem(key=str(path), label=0, source=source))
+    paths = walk(root)
+    # every file is read, and hashed, before the manifest is opened
+    report = dedup(paths)
+    _print_failures(report.unreadable, err)
+    items = [DatasetItem(key=str(path), source=path.relative_to(root).parts[0]
+                         if path.parent != root else "")
+             for path in paths if str(path) in report.digests]
     train, test = split_dataset(items, ratio=args.ratio, seed=args.seed,
                                 by_source=args.by_source)
     with open(args.manifest, "w", newline="", encoding="utf-8") as fh:
@@ -370,25 +391,24 @@ def cmd_dataset_split(args, out, err) -> int:
         for split_name, part in (("train", train), ("test", test)):
             for item in part:
                 writer.writerow([item.key, item.source, split_name,
-                                 content_hash(item.key)])
+                                 report.digests[item.key]])
     _emit({"train": len(train), "test": len(test), "manifest": args.manifest},
           args, out)
-    return EXIT_OK
+    return _exit_code(False, report.unreadable)
 
 
 def cmd_dataset_clean(args, out, err) -> int:
-    from wsdetect.evalkit import clean_webshell_candidates
+    from wsdetect.rulelang import match_files
 
-    ruleset = _load_ruleset(args.rules)
-    confirmed, needs_review, unreadable = clean_webshell_candidates(args.files,
-                                                                    ruleset)
+    matched, failures = match_files(_load_ruleset(args.rules), args.files)
+    confirmed = [path for path, names in matched if names]
     for path in confirmed:
         print(json.dumps({"path": path, "status": "confirmed"}), file=out)
-    for path in needs_review:
-        print(json.dumps({"path": path, "status": "needs_review"}), file=out)
-    for path, reason in unreadable:
-        print(json.dumps({"path": path, "error": reason}), file=err)
-    return EXIT_ERROR if unreadable else EXIT_OK
+    for path, names in matched:
+        if not names:
+            print(json.dumps({"path": path, "status": "needs_review"}), file=out)
+    _print_failures(failures, err, as_json=True)
+    return _exit_code(confirmed, failures)
 
 
 # --- inspect -------------------------------------------------------------------

@@ -8,8 +8,7 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from wsdetect.rulelang import RuleSet, match_buffer
-from wsdetect.rulelang.matcher import CompiledRuleSet
+from wsdetect.files import read_each
 
 
 class EvalError(Exception):
@@ -188,59 +187,28 @@ def split_dataset(items: list[DatasetItem], ratio: float = 0.8, seed: int = 0,
 class DedupReport:
     kept: list[str] = field(default_factory=list)
     removed: list[tuple[str, str]] = field(default_factory=list)  # (dup, kept-as)
-    unreadable: list[str] = field(default_factory=list)
+    unreadable: list[tuple[str, str]] = field(default_factory=list)  # (path, reason)
     digests: dict[str, str] = field(default_factory=dict)  # path -> sha256 hex
 
 
 def dedup(paths: list[str | Path]) -> DedupReport:
     """Drop byte-identical files; the first occurrence in sorted path
-    order is kept. Unreadable files are recorded, not fatal. `digests`
-    holds the sha256 of every file read."""
+    order is kept. An unreadable file is recorded with its reason (see
+    `read_each`), not fatal. `digests` holds the sha256 of every file
+    read."""
     report = DedupReport()
     seen: dict[str, str] = {}
-    for path in sorted(str(p) for p in paths):
-        try:
-            digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-        except OSError:
-            report.unreadable.append(path)
+    for path, data in read_each(sorted(str(p) for p in paths)):
+        if isinstance(data, str):
+            report.unreadable.append((path, data))
             continue
-        report.digests[path] = digest
+        digest = report.digests[path] = hashlib.sha256(data).hexdigest()
         if digest in seen:
             report.removed.append((path, seen[digest]))
         else:
             seen[digest] = path
             report.kept.append(path)
     return report
-
-
-def content_hash(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def clean_webshell_candidates(candidates: list[str | Path], rules: RuleSet,
-                              ) -> tuple[list[str], list[str], list[tuple[str, str]]]:
-    """Triage collected webshell candidates against the signature set:
-    (confirmed, needs review, unreadable as (path, reason)).
-
-    Rule matches are confirmed; everything else read goes to the expert
-    review queue, never auto-confirmed. An unreadable candidate is
-    recorded, not fatal.
-    """
-    compiled = CompiledRuleSet(rules)
-    confirmed: list[str] = []
-    needs_review: list[str] = []
-    unreadable: list[tuple[str, str]] = []
-    for path in candidates:
-        try:
-            data = Path(path).read_bytes()
-        except OSError as exc:
-            unreadable.append((str(path), exc.strerror or str(exc)))
-            continue
-        if match_buffer(compiled, data):
-            confirmed.append(str(path))
-        else:
-            needs_review.append(str(path))
-    return confirmed, needs_review, unreadable
 
 
 # --- folds and hyperparameter search ---------------------------------------
@@ -329,10 +297,12 @@ class SearchResult:
     failures: list[tuple[dict, str]] = field(default_factory=list)
 
 
-def _run_search(points: list[dict], eval_fn) -> SearchResult:
+def grid_search(space: SearchSpace, eval_fn) -> SearchResult:
+    """Evaluate every grid point; the caller's eval_fn encapsulates the
+    k-fold mean score. Ties resolve to the earliest grid point."""
     scored: list[tuple[int, dict, float]] = []
     failures: list[tuple[dict, str]] = []
-    for order, point in enumerate(points):
+    for order, point in enumerate(space.grid()):
         try:
             score = float(eval_fn(point))
         except Exception as exc:  # a failing point must not kill the search
@@ -343,15 +313,8 @@ def _run_search(points: list[dict], eval_fn) -> SearchResult:
         return SearchResult(best=None, best_score=float("-inf"),
                             leaderboard=[], failures=failures)
     # best score wins; grid order breaks ties
-    best_order, best_point, best_score = min(
-        scored, key=lambda t: (-t[2], t[0]))
     leaderboard = [(p, s) for _, p, s in
                    sorted(scored, key=lambda t: (-t[2], t[0]))]
+    best_point, best_score = leaderboard[0]
     return SearchResult(best=best_point, best_score=best_score,
                         leaderboard=leaderboard, failures=failures)
-
-
-def grid_search(space: SearchSpace, eval_fn) -> SearchResult:
-    """Evaluate every grid point; the caller's eval_fn encapsulates the
-    k-fold mean score. Ties resolve to the earliest grid point."""
-    return _run_search(space.grid(), eval_fn)

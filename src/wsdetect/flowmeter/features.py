@@ -293,7 +293,7 @@ def feature_table(flows: list[Flow]) -> FlowTable:
 
 def compute_features(flow: Flow) -> FlowTable:
     """One flow's table. Kept only for `bench/prepare.py`, which calls it
-    per flow, until the benchmark change (ROADMAP item 2) drops it."""
+    per flow, until the benchmark change that moves `bench/` off it."""
     return feature_table([flow])
 
 

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from wsdetect.flowmeter.features import CONTINUOUS_NAMES, CSV_COLUMNS, FlowTable
-from wsdetect.textlines import utf8_lines
+from wsdetect.files import utf8_lines
 
 
 class CsvFormatError(Exception):

@@ -8,7 +8,7 @@ import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from wsdetect.textlines import utf8_lines
+from wsdetect.files import utf8_lines
 
 ENV_CONFIG_PATH = "WS_INSPECTOR_CONFIG"
 

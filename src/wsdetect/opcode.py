@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from wsdetect.textlines import utf8_lines
+from wsdetect.files import read_each, utf8_lines
 
 
 class OpcodeError(Exception):
@@ -246,10 +246,13 @@ def oiva(listing: OpcodeListing, vocab: OpcodeVocabulary, max_length: int) -> Oc
     return OciVector(padded)
 
 
-@dataclass
-class VectorizeFailure:
-    path: str
-    reason: str
+def dump_vector(data: bytes, language: str, vocab: OpcodeVocabulary,
+                max_length: int) -> OciVector:
+    """The OCI vector of a `language` dump's bytes, read as UTF-8 with
+    each byte that is not UTF-8 replaced. A dump with no op rows raises
+    `OpcodeParseError` (see `parse_listing`)."""
+    text = data.decode("utf-8", errors="replace")
+    return oiva(parse_listing(text, language, vocab, max_length), vocab, max_length)
 
 
 @dataclass
@@ -257,27 +260,29 @@ class VectorizedCorpus:
     vectors: list[OciVector]
     labels: list[int]
     paths: list[str]
-    failures: list[VectorizeFailure] = field(default_factory=list)
+    failures: list[tuple[str, str]] = field(default_factory=list)  # (path, reason)
 
 
 def vectorize_corpus(items: list[tuple[str | Path, int]], language: str,
                      vocab: OpcodeVocabulary, max_length: int) -> VectorizedCorpus:
     """Vectorize (path, label) disassembly files; row order = input order.
 
-    Unreadable files and files with no opcode rows are recorded as
-    failures and the batch continues.
+    An unreadable file (see `read_each`) or one with no opcode rows is
+    recorded as a failure, with its reason, and the batch continues.
     """
     corpus = VectorizedCorpus(vectors=[], labels=[], paths=[])
-    for path, label in items:
-        try:
-            text = Path(path).read_text(encoding="utf-8", errors="replace")
-            listing = parse_listing(text, language, vocab, max_length)
-        except (OSError, OpcodeParseError) as exc:
-            corpus.failures.append(VectorizeFailure(path=str(path), reason=str(exc)))
+    for (path, result), (_, label) in zip(read_each(p for p, _ in items), items):
+        if isinstance(result, bytes):
+            try:
+                result = dump_vector(result, language, vocab, max_length)
+            except OpcodeParseError as exc:
+                result = str(exc)
+        if isinstance(result, str):
+            corpus.failures.append((path, result))
             continue
-        corpus.vectors.append(oiva(listing, vocab, max_length))
+        corpus.vectors.append(result)
         corpus.labels.append(label)
-        corpus.paths.append(str(path))
+        corpus.paths.append(path)
     return corpus
 
 

@@ -18,7 +18,7 @@ from wsdetect.rulelang.model import (
     TextBody,
 )
 from wsdetect.rulelang.parser import parse_rules
-from wsdetect.rulelang.scan import load_rules_dir, load_rules_file, scan_tree
+from wsdetect.rulelang.scan import load_rules_dir, load_rules_file, match_files
 from wsdetect.rulelang.matcher import CompiledRuleSet, match_buffer
 
 __all__ = [
@@ -35,6 +35,6 @@ __all__ = [
     "load_rules_dir",
     "load_rules_file",
     "match_buffer",
+    "match_files",
     "parse_rules",
-    "scan_tree",
 ]

@@ -1,11 +1,10 @@
-"""Filesystem scanning: apply a compiled ruleset to whole trees."""
+"""Matching files against a ruleset, and loading rule files."""
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
 from pathlib import Path
 
+from wsdetect.files import read_each
 from wsdetect.rulelang.matcher import CompiledRuleSet, match_buffer
 from wsdetect.rulelang.model import RuleError, RuleSet, RuleSyntaxError
 from wsdetect.rulelang.parser import parse_rules, parse_sources
@@ -14,48 +13,20 @@ from wsdetect.rulelang.parser import parse_rules, parse_sources
 RULE_FILE_SUFFIX = ".yar"
 
 
-@dataclass
-class ScanError:
-    path: str
-    reason: str
-
-
-def scan_tree(rules: RuleSet, root: str | Path,
-              extensions: tuple[str, ...] | None = None,
-              ) -> tuple[list[tuple[str, list[str]]], list[ScanError]]:
-    """Scan a directory tree and return each file with at least one
-    match, with the names of the rules it matched.
-
-    Results come back in deterministic lexicographic path order.
-    Unreadable files are collected as errors, never silently skipped.
-    """
-    root = Path(root)
-    if not root.is_dir():
-        raise RuleError(f"scan root {root} is not a readable directory")
+def match_files(rules: RuleSet, paths,
+                ) -> tuple[list[tuple[str, list[str]]], list[tuple[str, str]]]:
+    """Each readable file of `paths`, in order, with the names of the
+    rules it matched (none for a clean file); and each unreadable one
+    with its reason (see `read_each`)."""
     compiled = CompiledRuleSet(rules)
-
-    paths: list[Path] = []
-    for dirpath, dirnames, filenames in os.walk(root):
-        dirnames.sort()
-        for name in sorted(filenames):
-            path = Path(dirpath) / name
-            if extensions and path.suffix.lstrip(".").lower() not in extensions:
-                continue
-            paths.append(path)
-    paths.sort()
-
-    findings: list[tuple[str, list[str]]] = []
-    errors: list[ScanError] = []
-    for path in paths:
-        try:
-            data = path.read_bytes()
-        except OSError as exc:
-            errors.append(ScanError(path=str(path), reason=str(exc)))
-            continue
-        names = match_buffer(compiled, data)
-        if names:
-            findings.append((str(path), names))
-    return findings, errors
+    matched: list[tuple[str, list[str]]] = []
+    failures: list[tuple[str, str]] = []
+    for path, data in read_each(paths):
+        if isinstance(data, str):
+            failures.append((path, data))
+        else:
+            matched.append((path, match_buffer(compiled, data)))
+    return matched, failures
 
 
 def _read_rule_text(path: str | Path) -> str:

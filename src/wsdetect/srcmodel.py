@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from wsdetect import tensornet as tn
-from wsdetect.opcode import OciVector, OpcodeVocabulary, oiva, parse_listing
+from wsdetect.opcode import OciVector, OpcodeVocabulary, dump_vector
 from wsdetect.rulelang import CompiledRuleSet, RuleSet, match_buffer
 
 
@@ -224,10 +224,11 @@ def rules_or_vector(rules: RuleSet | CompiledRuleSet | None, data: bytes,
     verdict, or else its OCI vector for the CNN.
 
     The file bytes are matched as-is against `rules`, when given. With
-    no match they are read as the language's opcode dump text; a dump
-    with no recognizable opcode rows raises `OpcodeParseError` (from
-    `parse_listing`) rather than defaulting to a benign verdict. A dump
-    whose rows are all out of the vocabulary is an all-padding vector.
+    no match they are read as the language's opcode dump (`dump_vector`,
+    as `oci extract` reads them); a dump with no recognizable opcode
+    rows raises `OpcodeParseError` rather than defaulting to a benign
+    verdict. A dump whose rows are all out of the vocabulary is an
+    all-padding vector.
     The model's pairing with `language` and `vocab` is the caller's to
     check, once.
     """
@@ -236,8 +237,7 @@ def rules_or_vector(rules: RuleSet | CompiledRuleSet | None, data: bytes,
         if names:
             return Verdict(label="Webshell", source="rules", p_webshell=1.0,
                            matched_rules=tuple(names))
-    text = data.decode("utf-8", errors="replace")
-    return oiva(parse_listing(text, language, vocab, max_length), vocab, max_length)
+    return dump_vector(data, language, vocab, max_length)
 
 
 def cnn_verdicts(model: OpcodeCnn, vectors) -> list[Verdict]:

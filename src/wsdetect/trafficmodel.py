@@ -99,7 +99,8 @@ class TabularDataset:
     @classmethod
     def from_records(cls, tables: list[FlowTable], labels) -> "TabularDataset":
         """The tables' rows, one after another. Kept only for
-        `bench/prepare.py` until the benchmark change (ROADMAP item 2)."""
+        `bench/prepare.py`, until the benchmark change that moves `bench/`
+        off it."""
         return cls(np.concatenate([t.categoricals for t in tables]),
                    np.concatenate([t.continuous for t in tables]), labels)
 

@@ -572,7 +572,7 @@ class TestDataset:
         miss.write_bytes(b"innocent")
         code, out, _ = _run(["dataset", "clean", "--rules", str(rules),
                              str(hit), str(miss)])
-        assert code == EXIT_OK
+        assert code == EXIT_DETECTED
         statuses = {json.loads(l)["path"]: json.loads(l)["status"]
                     for l in out.splitlines()}
         assert statuses[str(hit)] == "confirmed"
@@ -591,6 +591,98 @@ class TestDataset:
         assert json.loads(line) == {
             "path": str(missing),
             "error": "No such file or directory"}
+
+
+class TestUnreadableInput:
+    """The six commands that read many files: a dangling symlink, or a
+    FIFO, whose read would wait for a writer, among their inputs is one
+    error line naming it once, the readable files are still reported,
+    and the exit code is 3 if something was detected, else 1."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        from wsdetect import tensornet as tn
+        from wsdetect.opcode import OpcodeVocabulary
+        from wsdetect.srcmodel import CnnConfig, build_cnn
+
+        vocab = OpcodeVocabulary(("ECHO", "RETURN"), "php")
+        model = build_cnn(CnnConfig.php(vocab_size=2, max_length=8, num_filters=4),
+                          language="php", vocab=vocab)
+        # a head that calls every vector benign
+        model.dense.params["w"][:] = 0.0
+        model.dense.params["b"][:] = (5.0, -5.0)
+        tn.save_model(model, tmp_path / "cnn.bin")
+        (tmp_path / "vocab.txt").write_text("ECHO\nRETURN\n")
+        (tmp_path / "r.yar").write_text(
+            'rule r { strings: $a = "b374k" condition: $a }')
+        root = tmp_path / "in"
+        root.mkdir()
+        (root / "a.vld").write_text("  1  0  E >  ECHO  'x'\n")
+        (root / "b.vld").write_text("  1  0  E >  RETURN  'b374k'\n")
+        (root / "c.vld").symlink_to(tmp_path / "gone")
+        return tmp_path, root
+
+    def _argv(self, command, tmp_path, files):
+        root = tmp_path / "in"
+        out = str(tmp_path / "out.csv")
+        return {
+            "rules scan": ["rules", "scan", "--rules", str(tmp_path / "r.yar"),
+                           "--root", str(root)],
+            "dataset clean": ["dataset", "clean", "--rules",
+                              str(tmp_path / "r.yar"), *files],
+            "predict src": ["predict", "src", "--model", str(tmp_path / "cnn.bin"),
+                            "--vocab", str(tmp_path / "vocab.txt"), "--rules",
+                            str(tmp_path / "r.yar"), *files],
+            "oci extract": ["oci", "extract", "--language", "php", "--vocab",
+                            str(tmp_path / "vocab.txt"), "--out", out, *files],
+            "dataset dedup": ["dataset", "dedup", "--root", str(root),
+                              "--manifest", out],
+            "dataset split": ["dataset", "split", "--root", str(root),
+                              "--manifest", out],
+        }[command]
+
+    @pytest.mark.parametrize("command,detected", [
+        ("rules scan", True), ("rules scan", False),
+        ("dataset clean", True), ("dataset clean", False),
+        ("predict src", True), ("predict src", False),
+        ("oci extract", False), ("dataset dedup", False), ("dataset split", False)])
+    @pytest.mark.parametrize("kind,reason", [
+        ("dangling", "No such file or directory"), ("fifo", "not a regular file")])
+    def test_an_unreadable_file_is_one_error_line(self, inputs, command, detected,
+                                                  kind, reason):
+        import csv
+        import os
+
+        tmp_path, root = inputs
+        if not detected:
+            (root / "b.vld").write_text("  1  0  E >  RETURN  'x'\n")
+        bad = str(root / "c.vld")
+        if kind == "fifo":
+            os.unlink(bad)
+            os.mkfifo(bad)
+        readable = [str(root / "a.vld"), str(root / "b.vld")]
+        code, _, err = _run(self._argv(command, tmp_path, [readable[0], bad,
+                                                           readable[1]]))
+        assert code == (EXIT_DETECTED if detected else EXIT_ERROR), err
+        [line] = [line for line in err.splitlines() if bad in line]
+        assert err.count(bad) == 1
+        assert line in (f"error: {bad}: {reason}",
+                        json.dumps({"path": bad, "error": reason}))
+        if command in ("oci extract", "dataset dedup", "dataset split"):
+            with open(tmp_path / "out.csv", newline="", encoding="utf-8") as fh:
+                assert sorted(row["path"] for row in csv.DictReader(fh)) == readable
+
+    @pytest.mark.parametrize("command", ["rules scan", "dataset dedup",
+                                         "dataset split"])
+    @pytest.mark.parametrize("root", ["missing", "in/a.vld"])
+    def test_a_root_that_is_not_a_directory_is_an_error(self, inputs, command, root):
+        tmp_path, _ = inputs
+        argv = self._argv(command, tmp_path, [])
+        argv[argv.index("--root") + 1] = str(tmp_path / root)
+        code, out, err = _run(argv)
+        assert (code, out) == (EXIT_ERROR, "")
+        assert err == f"error: {tmp_path / root} is not a directory\n"
+        assert not (tmp_path / "out.csv").exists()
 
 
 class TestTune:

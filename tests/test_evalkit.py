@@ -1,5 +1,8 @@
 """Metrics, splitting, dedup, candidate triage and search."""
 
+import io
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,14 +15,13 @@ from wsdetect.evalkit import (
     Range,
     SearchSpace,
     auc_score,
-    clean_webshell_candidates,
     dedup,
     grid_search,
     metrics,
     split_dataset,
     stratified_folds,
 )
-from wsdetect.rulelang import parse_rules
+from wsdetect import cli
 
 
 class TestMetrics:
@@ -199,24 +201,41 @@ class TestDedup:
     def test_unreadable_recorded(self, tmp_path):
         (tmp_path / "ok").write_bytes(b"fine")
         report = dedup([tmp_path / "ok", tmp_path / "missing"])
-        assert report.unreadable == [str(tmp_path / "missing")]
+        assert report.unreadable == [(str(tmp_path / "missing"),
+                                      "No such file or directory")]
         assert report.kept == [str(tmp_path / "ok")]
 
 
-class TestCleanCandidates:
-    RULES = parse_rules('rule w { strings: $a = "evil()" condition: $a }')
+def clean_webshell_candidates(candidates, tmp_path):
+    """`dataset clean` on `candidates`: (exit code, confirmed, needs
+    review, unreadable as (path, reason))."""
+    rules = tmp_path / "rules.yar"
+    rules.write_text('rule w { strings: $a = "evil()" condition: $a }')
+    out, err = io.StringIO(), io.StringIO()
+    code = cli.run(["dataset", "clean", "--rules", str(rules),
+                    *map(str, candidates)], out, err)
+    lines = [json.loads(line) for line in out.getvalue().splitlines()]
+    return (code,
+            [line["path"] for line in lines if line["status"] == "confirmed"],
+            [line["path"] for line in lines if line["status"] == "needs_review"],
+            [(line["path"], line["error"])
+             for line in map(json.loads, err.getvalue().splitlines())])
 
+
+class TestCleanCandidates:
     def test_matching_confirmed(self, tmp_path):
         path = tmp_path / "shell.php"
         path.write_bytes(b"<?php evil() ?>")
-        confirmed, review, unreadable = clean_webshell_candidates([path], self.RULES)
+        code, confirmed, review, unreadable = clean_webshell_candidates([path], tmp_path)
         assert confirmed == [str(path)] and review == [] and unreadable == []
+        assert code == cli.EXIT_DETECTED
 
     def test_nonmatching_needs_review(self, tmp_path):
         path = tmp_path / "maybe.php"
         path.write_bytes(b"<?php echo 1; ?>")
-        confirmed, review, unreadable = clean_webshell_candidates([path], self.RULES)
+        code, confirmed, review, unreadable = clean_webshell_candidates([path], tmp_path)
         assert confirmed == [] and review == [str(path)] and unreadable == []
+        assert code == cli.EXIT_OK
 
     def test_mixed_batch(self, tmp_path):
         paths = []
@@ -224,7 +243,7 @@ class TestCleanCandidates:
             p = tmp_path / f"c{i}.php"
             p.write_bytes(b"evil()" if i < 2 else b"fine")
             paths.append(p)
-        confirmed, review, unreadable = clean_webshell_candidates(paths, self.RULES)
+        _, confirmed, review, unreadable = clean_webshell_candidates(paths, tmp_path)
         assert len(confirmed) == 2 and len(review) == 3 and unreadable == []
 
     def test_unreadable_recorded_with_its_reason(self, tmp_path):
@@ -233,11 +252,11 @@ class TestCleanCandidates:
                  tmp_path / "maybe.php"]
         paths[2].write_bytes(b"evil()")
         paths[3].write_bytes(b"fine")
-        confirmed, review, unreadable = clean_webshell_candidates(paths, self.RULES)
+        code, confirmed, review, unreadable = clean_webshell_candidates(paths, tmp_path)
         assert (confirmed, review) == ([str(paths[2])], [str(paths[3])])
-        assert [path for path, _ in unreadable] == [str(paths[0]), str(tmp_path)]
-        assert "No such file" in unreadable[0][1]
-        assert "Is a directory" in unreadable[1][1]
+        assert unreadable == [(str(paths[0]), "No such file or directory"),
+                              (str(tmp_path), "Is a directory")]
+        assert code == cli.EXIT_DETECTED
 
 
 class TestSearch:

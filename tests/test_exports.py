@@ -29,12 +29,12 @@ def test_every_exported_name_resolves(name):
     assert [n for n in exported if not hasattr(package, n)] == []
 
 
-# Public names that only bench/ or tests/ call, each until the change
-# named beside it removes that caller.
+# Public names that only bench/ or tests/ call, each until the benchmark
+# change that moves bench/ off it removes that caller.
 UNREFERENCED = {
-    "compute_features",  # bench/ holds it until ROADMAP item 4
-    "TabularDataset.from_records",  # bench/prepare.py, until ROADMAP item 4
-    "CnnConfig.php",  # bench/prepare.py and bench/workloads.py, until ROADMAP item 4
+    "compute_features",  # bench/prepare.py
+    "TabularDataset.from_records",  # bench/prepare.py
+    "CnnConfig.php",  # bench/prepare.py and bench/workloads.py
 }
 
 

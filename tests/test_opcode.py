@@ -414,7 +414,8 @@ class TestCorpus:
         corpus = vectorize_corpus(
             [(ok, 1), (tmp_path / "missing.cil", 0)], "cil", vocab, 2)
         assert len(corpus.vectors) == 1
-        assert [f.path for f in corpus.failures] == [str(tmp_path / "missing.cil")]
+        assert corpus.failures == [(str(tmp_path / "missing.cil"),
+                                    "No such file or directory")]
 
     def test_a_dump_with_no_op_rows_is_a_failure_not_a_vector(self, tmp_path):
         ok = tmp_path / "ok.vld"
@@ -425,8 +426,7 @@ class TestCorpus:
         corpus = vectorize_corpus([(notes, 1), (ok, 0), (notes, 0)], "php", vocab, 3)
         assert (corpus.paths, corpus.labels) == ([str(ok)], [0])
         assert corpus.vectors == [OciVector((1, 0, 0))]
-        assert [(f.path, f.reason) for f in corpus.failures] == \
-            [(str(notes), "no php opcode rows recognized")] * 2
+        assert corpus.failures == [(str(notes), "no php opcode rows recognized")] * 2
 
     def test_deterministic(self, tmp_path):
         f = tmp_path / "x.cil"
@@ -435,6 +435,22 @@ class TestCorpus:
         one = vectorize_corpus([(f, 1)], "cil", vocab, 3)
         two = vectorize_corpus([(f, 1)], "cil", vocab, 3)
         assert one.vectors == two.vectors
+
+    @pytest.mark.parametrize("language,dump", [("php", VLD_DUMP),
+                                               ("cil", CIL_GET_REQUEST)])
+    def test_crlf_dumps_vectorize_as_predict_src_reads_them(self, tmp_path,
+                                                            language, dump):
+        from wsdetect.srcmodel import rules_or_vector
+
+        vocab = builtin_vocabulary(language)
+        # CRLF line ends, and a byte that is not UTF-8 in a non-op line
+        data = dump.replace("\n", "\r\n").encode() + b"// \xff\r\n"
+        path = tmp_path / f"dump.{language}"
+        path.write_bytes(data)
+        corpus = vectorize_corpus([(path, 1)], language, vocab, 16)
+        direct = rules_or_vector(None, data, language, vocab, 16)
+        assert corpus.failures == [] and corpus.vectors == [direct]
+        assert np.count_nonzero(direct.indices) > 2
 
     def test_csv_roundtrip(self, tmp_path):
         f = tmp_path / "x.cil"

@@ -1,5 +1,6 @@
 """Rule language: parsing, matching, tree scanning, subset boundaries."""
 
+import io
 import random
 import re
 
@@ -19,10 +20,12 @@ from wsdetect.rulelang import (
     load_rules_dir,
     load_rules_file,
     match_buffer,
+    match_files,
     parse_rules,
-    scan_tree,
 )
 from tests.rulelang_check import beyond_oracle
+from wsdetect import cli
+from wsdetect.files import walk
 from wsdetect.rulelang import matcher
 from wsdetect.rulelang.matcher import evaluate_condition
 from wsdetect.rulelang.parser import MAX_CONDITION_DEPTH, MAX_INTEGER_DIGITS
@@ -32,7 +35,6 @@ from wsdetect.rulelang.model import (
     Not,
     OfExpr,
     Or,
-    RuleError,
     StringRef,
 )
 
@@ -450,6 +452,13 @@ class TestNocaseProperty:
             match_buffer(plain, subject.lower()))
 
 
+def scan_tree(ruleset, root):
+    """What `rules scan` reports for a tree: each file with a match, and
+    each unreadable file with its reason."""
+    matched, failures = match_files(ruleset, walk(root))
+    return [(path, names) for path, names in matched if names], failures
+
+
 class TestScanTree:
     def _write(self, root, name, data):
         path = root / name
@@ -485,7 +494,7 @@ class TestScanTree:
 
     def test_missing_root_errors(self, tmp_path):
         ruleset = parse_rules("rule r { condition: true }")
-        with pytest.raises(RuleError):
+        with pytest.raises(NotADirectoryError):
             scan_tree(ruleset, tmp_path / "nope")
 
     def test_unreadable_file_collected(self, tmp_path):
@@ -495,14 +504,18 @@ class TestScanTree:
         bad.symlink_to(tmp_path / "gone")
         findings, errors = scan_tree(ruleset, tmp_path)
         assert [p for p, _ in findings] == [str(tmp_path / "ok.php")]
-        assert [e.path for e in errors] == [str(bad)]
+        assert errors == [(str(bad), "No such file or directory")]
 
     def test_extension_filter(self, tmp_path):
-        ruleset = parse_rules('rule r { strings: $a = "evil" condition: $a }')
-        self._write(tmp_path, "s.php", b"evil")
-        self._write(tmp_path, "s.txt", b"evil")
-        findings, _ = scan_tree(ruleset, tmp_path, extensions=("php",))
-        assert [p for p, _ in findings] == [str(tmp_path / "s.php")]
+        rules = self._write(tmp_path, "r.yar",
+                            b'rule r { strings: $a = "evil" condition: $a }')
+        root = tmp_path / "site"
+        self._write(root, "s.php", b"evil")
+        self._write(root, "s.txt", b"evil")
+        out = io.StringIO()
+        assert cli.run(["rules", "scan", "--rules", str(rules), "--root",
+                        str(root), "--ext", ".PHP"], out, io.StringIO()) == 3
+        assert out.getvalue() == f"{root / 's.php'}: r\n"
 
     def test_monotonicity_adding_rule(self, tmp_path):
         base = 'rule one { strings: $a = "aa" condition: $a }'
