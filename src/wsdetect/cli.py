@@ -79,11 +79,12 @@ def cmd_rules_scan(args, out, err) -> int:
     from wsdetect.rulelang import match_files
 
     ruleset = _load_ruleset(args.rules)
-    paths = walk(args.root)
+    paths, unlisted = walk(args.root)
     if args.ext:
         extensions = {e.lstrip(".").lower() for e in args.ext}
         paths = [p for p in paths if p.suffix.lstrip(".").lower() in extensions]
     matched, failures = match_files(ruleset, paths)
+    failures = unlisted + failures
     findings = [(path, names) for path, names in matched if names]
     for path, names in findings:
         if args.json:
@@ -352,8 +353,10 @@ def cmd_dataset_dedup(args, out, err) -> int:
     from wsdetect.evalkit import dedup
     from wsdetect.files import walk
 
-    report = dedup(walk(args.root))
-    _print_failures(report.unreadable, err)
+    paths, unlisted = walk(args.root)
+    report = dedup(paths)
+    failures = unlisted + report.unreadable
+    _print_failures(failures, err)
     if args.manifest:
         import csv as _csv
 
@@ -366,7 +369,7 @@ def cmd_dataset_dedup(args, out, err) -> int:
                 writer.writerow([dup, "duplicate", kept_as, report.digests[dup]])
     _emit({"kept": len(report.kept), "removed": len(report.removed),
            "unreadable": len(report.unreadable)}, args, out)
-    return _exit_code(False, report.unreadable)
+    return _exit_code(False, failures)
 
 
 def cmd_dataset_split(args, out, err) -> int:
@@ -376,10 +379,11 @@ def cmd_dataset_split(args, out, err) -> int:
     from wsdetect.files import walk
 
     root = Path(args.root)
-    paths = walk(root)
+    paths, unlisted = walk(root)
     # every file is read, and hashed, before the manifest is opened
     report = dedup(paths)
-    _print_failures(report.unreadable, err)
+    failures = unlisted + report.unreadable
+    _print_failures(failures, err)
     items = [DatasetItem(key=str(path), source=path.relative_to(root).parts[0]
                          if path.parent != root else "")
              for path in paths if str(path) in report.digests]
@@ -394,7 +398,7 @@ def cmd_dataset_split(args, out, err) -> int:
                                  report.digests[item.key]])
     _emit({"train": len(train), "test": len(test), "manifest": args.manifest},
           args, out)
-    return _exit_code(False, report.unreadable)
+    return _exit_code(False, failures)
 
 
 def cmd_dataset_clean(args, out, err) -> int:

@@ -8,16 +8,28 @@ import stat
 from pathlib import Path
 
 
-def walk(root: str | Path) -> list[Path]:
+def walk(root: str | Path) -> tuple[list[Path], list[tuple[str, str]]]:
     """Every non-directory entry that `os.walk` lists under `root`,
     sorted: files, and symlinks too, so a dangling one is read, and
-    fails, instead of vanishing. A `root` that is not a directory raises
+    fails, instead of vanishing. Beside them, each directory that could
+    not be listed, the root included, with its reason, as `read_each`
+    gives one. A `root` that is not a directory raises
     `NotADirectoryError`."""
     root = Path(root)
     if not root.is_dir():
         raise NotADirectoryError(f"{root} is not a directory")
-    return sorted(Path(top) / name for top, _, names in os.walk(root)
-                  for name in names)
+    failures = []
+
+    def unlisted(exc: OSError):
+        failures.append((str(exc.filename), _reason(exc)))
+
+    paths = sorted(Path(top) / name for top, _, names in os.walk(root, onerror=unlisted)
+                   for name in names)
+    return paths, sorted(failures)
+
+
+def _reason(exc: OSError) -> str:
+    return exc.strerror or str(exc)
 
 
 def read_each(paths):
@@ -34,7 +46,7 @@ def read_each(paths):
             else:
                 data = "not a regular file"
         except OSError as exc:
-            data = exc.strerror or str(exc)
+            data = _reason(exc)
         yield str(path), data
 
 

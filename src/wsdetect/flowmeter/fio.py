@@ -164,8 +164,9 @@ def _read_table(reader, path, labelled: bool) -> tuple[FlowTable, int]:
         src_ips.append(src_ip)
         labels.append(label)
 
-    integers = np.array(codes, np.int64).reshape(-1, len(_INT_COLUMNS))
-    matrix = np.array(continuous, np.float64).reshape(-1, len(CONTINUOUS_NAMES))
+    # the arrays' own buffers, not copies of them
+    integers = np.frombuffer(codes, np.int64).reshape(-1, len(_INT_COLUMNS))
+    matrix = np.frombuffer(continuous, np.float64).reshape(-1, len(CONTINUOUS_NAMES))
     with np.errstate(over="ignore"):
         # whole microseconds, as a capture's times; + 0.0 turns -0 into 0
         matrix[:, 0] = (np.round(matrix[:, 0] * 1e6) + 0.0) / 1e6

@@ -4,6 +4,11 @@ z-scored continuous inputs -> [400, 100] hidden blocks -> 2 classes.
 Training data imbalance is handled by the class-weighted loss
 (`tensornet.class_weights`); the weights come from the training split
 only, as do the normalization statistics and categorical vocabularies.
+
+The rows are held once: the statistics are taken in blocks of
+`BLOCK_ROWS` rows, the forward z-scores only the rows it is given, and
+`dnn_predict` scores in blocks, so no step makes a full-size copy of
+the continuous matrix or of a hidden layer.
 """
 
 from __future__ import annotations
@@ -23,6 +28,10 @@ from wsdetect.evalkit import (
     stratified_folds,
 )
 from wsdetect.flowmeter import CATEGORICAL_NAMES, CONTINUOUS_NAMES, FlowTable
+
+
+# rows per block of the normalization statistics and of scoring
+BLOCK_ROWS = 1024
 
 
 class TrafficModelError(Exception):
@@ -164,10 +173,11 @@ class TabularDnn(tn.ModelGraph):
         return (np.asarray(cont, dtype=np.float64) - self.norm_mean) / self.norm_scale
 
     def prepare(self, dataset: TabularDataset) -> tuple[np.ndarray, np.ndarray]:
+        """The categorical indices and the raw continuous matrix, not a
+        copy of it: `forward` normalizes the rows it is given."""
         if dataset.schema.content_hash != self.schema_hash:
             raise TrafficModelError("feature schema does not match the model")
-        return (self.map_categorical(dataset.categoricals),
-                self.normalize(dataset.continuous))
+        return self.map_categorical(dataset.categoricals), dataset.continuous
 
     # --- graph ---------------------------------------------------------
 
@@ -175,7 +185,7 @@ class TabularDnn(tn.ModelGraph):
         cat_idx, cont = inputs
         parts = [emb.forward(cat_idx[:, i], mode, rng)
                  for i, emb in enumerate(self.embeddings)]
-        parts.append(np.asarray(cont, dtype=np.float64))
+        parts.append(self.normalize(cont))
         x = np.concatenate(parts, axis=1)
         x = self.bn1.forward(self.relu1.forward(
             self.dense1.forward(x, mode, rng), mode, rng), mode, rng)
@@ -234,10 +244,30 @@ def build_dnn(config: TabularConfig, train: TabularDataset) -> TabularDnn:
         values = np.unique(train.categoricals[:, col]).tolist()  # sorted Python ints
         cat_vocabs.append({v: i + 1 for i, v in enumerate(values)})
     mean = train.continuous.mean(axis=0)
-    std = train.continuous.std(axis=0, ddof=0)
+    std = _column_std(train.continuous, mean)
     scale = np.where(std > 0, std, 1.0)  # constant features pass centered
     return TabularDnn(config, cat_vocabs, mean, scale,
                       schema_hash=train.schema.content_hash)
+
+
+def _column_std(matrix: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """`np.std(matrix, axis=0)` bit for bit, given `matrix.mean(axis=0)`,
+    with no temporary larger than `BLOCK_ROWS` rows. numpy sums the
+    squared deviations of each column row after row; each block's sum
+    starts from the running sum, carried as the block's first row, so
+    the additions happen in that same order. The carry starts at 0.0,
+    which adds nothing to a square."""
+    block = np.empty((min(len(matrix), BLOCK_ROWS) + 1, matrix.shape[1]))
+    total = np.zeros(matrix.shape[1])
+    for start in range(0, len(matrix), BLOCK_ROWS):
+        rows = matrix[start:start + BLOCK_ROWS]
+        part = block[:len(rows) + 1]
+        part[0] = total
+        squares = part[1:]
+        np.subtract(rows, mean, out=squares)
+        np.multiply(squares, squares, out=squares)
+        total = np.add.reduce(part, axis=0)
+    return np.sqrt(total / len(matrix))
 
 
 def train_dnn(train: TabularDataset, config: TabularConfig,
@@ -267,9 +297,14 @@ def train_dnn(train: TabularDataset, config: TabularConfig,
 def dnn_predict(model: TabularDnn, dataset: TabularDataset,
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row class probabilities and classes (0 benign, 1 webshell); a
-    row is webshell when its p_webshell reaches `tn.DECISION_THRESHOLD`."""
-    prepared = model.prepare(dataset)
-    probs = tn.softmax(model.forward(prepared, mode="eval"))
+    row is webshell when its p_webshell reaches `tn.DECISION_THRESHOLD`.
+    The rows are scored `BLOCK_ROWS` at a time, so only one block's
+    activations are held; up to one block, empty or not, is one forward."""
+    cat_idx, cont = model.prepare(dataset)
+    probs = np.concatenate([
+        tn.softmax(model.forward((cat_idx[start:start + BLOCK_ROWS],
+                                  cont[start:start + BLOCK_ROWS]), mode="eval"))
+        for start in range(0, max(len(cont), 1), BLOCK_ROWS)])
     return probs, (probs[:, 1] >= tn.DECISION_THRESHOLD).astype(np.intp)
 
 
@@ -303,12 +338,12 @@ def kfold_cv(dataset: TabularDataset, k: int, config: TabularConfig,
              seed: int = 0) -> CvReport:
     """Stratified k-fold cross-validation with a fresh model per fold."""
     folds = stratified_folds(dataset.labels, k, seed=seed)
-    all_idx = set(range(len(dataset)))
     results: list[FoldMetrics] = []
     for fold_no, held in enumerate(folds):
-        train_idx = sorted(all_idx.difference(held))
+        in_train = np.ones(len(dataset), bool)
+        in_train[held] = False
         start = time.perf_counter()
-        model, _ = train_dnn(dataset.subset(train_idx),
+        model, _ = train_dnn(dataset.subset(in_train),
                              replace(config, seed=config.seed + fold_no))
         test = dataset.subset(held)
         probs, predicted = dnn_predict(model, test)

@@ -684,6 +684,40 @@ class TestUnreadableInput:
         assert err == f"error: {tmp_path / root} is not a directory\n"
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("command", ["rules scan", "dataset dedup",
+                                         "dataset split"])
+    @pytest.mark.parametrize("unlisted", ["in/sub", "in"])
+    def test_a_directory_that_cannot_be_listed_is_one_error_line(
+            self, inputs, monkeypatch, command, unlisted):
+        """`os.scandir` refuses one directory, the root or one under it:
+        a process running as root lists a `chmod 000` directory anyway.
+        The webshell inside goes unseen, so nothing is detected."""
+        import csv
+        import os
+
+        tmp_path, root = inputs
+        (root / "c.vld").unlink()
+        (root / "b.vld").write_text("  1  0  E >  RETURN  'x'\n")
+        (root / "sub").mkdir()
+        (root / "sub" / "d.vld").write_text("  1  0  E >  RETURN  'b374k'\n")
+        refused = str(tmp_path / unlisted)
+        scandir = os.scandir
+
+        def refusing(path="."):
+            if os.fspath(path) == refused:
+                raise PermissionError(13, "Permission denied", os.fspath(path))
+            return scandir(path)
+
+        monkeypatch.setattr(os, "scandir", refusing)
+        code, _, err = _run(self._argv(command, tmp_path, []))
+        assert code == EXIT_ERROR, err
+        assert [line for line in err.splitlines() if refused in line] == \
+            [f"error: {refused}: Permission denied"]
+        if unlisted == "in/sub" and command != "rules scan":
+            with open(tmp_path / "out.csv", newline="", encoding="utf-8") as fh:
+                assert sorted(row["path"] for row in csv.DictReader(fh)) == \
+                    [str(root / "a.vld"), str(root / "b.vld")]
+
 
 class TestTune:
     def test_tiny_grid(self, two_flow_pcap, tmp_path):

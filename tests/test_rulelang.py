@@ -454,9 +454,11 @@ class TestNocaseProperty:
 
 def scan_tree(ruleset, root):
     """What `rules scan` reports for a tree: each file with a match, and
-    each unreadable file with its reason."""
-    matched, failures = match_files(ruleset, walk(root))
-    return [(path, names) for path, names in matched if names], failures
+    each directory that could not be listed and each unreadable file
+    with its reason."""
+    paths, unlisted = walk(root)
+    matched, failures = match_files(ruleset, paths)
+    return [(path, names) for path, names in matched if names], unlisted + failures
 
 
 class TestScanTree:

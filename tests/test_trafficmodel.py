@@ -2,6 +2,7 @@
 
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,12 +12,14 @@ from hypothesis import strategies as st
 from wsdetect import tensornet as tn
 from wsdetect.tensornet.graph import MAGIC
 from wsdetect.trafficmodel import (
+    BLOCK_ROWS,
     CANONICAL_SCHEMA,
     FeatureSchema,
     TabularConfig,
     TabularDataset,
     TabularDnn,
     TrafficModelError,
+    _column_std,
     build_dnn,
     default_embedding_dim,
     dnn_predict,
@@ -40,6 +43,16 @@ def _gaussian_dataset(n=400, separation=3.0, noise=0.3, imbalance=0.5, seed=0):
                             rng.choice([6, 17], size=n)])
     order = rng.permutation(n)
     return TabularDataset(cats[order], x[order], y[order])
+
+
+def _traced_peak(call, *args, **kwargs) -> int:
+    """The traced bytes `call` held at its peak above its start."""
+    tracemalloc.start()
+    try:
+        call(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _nearest_centroid_accuracy(train, test):
@@ -110,6 +123,21 @@ class TestBuild:
         normalized = model.normalize(data.continuous)
         assert np.allclose(normalized[:, 5], 0.0)
 
+    @pytest.mark.parametrize("n", [1, 2, 7, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                                   2 * BLOCK_ROWS, 2 * BLOCK_ROWS + 1, 3 * BLOCK_ROWS + 5])
+    def test_norm_scale_is_np_std_bit_for_bit(self, n):
+        """Columns of widely spread scales and offsets, a constant one and
+        one of negative zeros: the block sums add in numpy's order."""
+        rng = np.random.default_rng(n)
+        cont = (rng.normal(size=(n, 77)) * rng.lognormal(0, 4, size=77)
+                + rng.normal(size=77) * 1e6)
+        cont[:, 3] = 42.0
+        cont[:, 4] = -0.0
+        data = TabularDataset(np.zeros((n, 2), np.int64), cont, np.zeros(n, np.intp))
+        std = cont.std(axis=0, ddof=0)
+        assert _column_std(cont, cont.mean(axis=0)).tobytes() == std.tobytes()
+        model = build_dnn(TabularConfig(), data)
+        assert model.norm_scale.tobytes() == np.where(std > 0, std, 1.0).tobytes()
 
     def test_seeded_checkpoint_header_is_pinned(self, tmp_path):
         """A seeded model's checkpoint header, vocabularies included, as
@@ -215,6 +243,44 @@ class TestTraining:
             deltas.append(recalls[True] - recalls[False])
         assert sum(deltas) / len(deltas) >= 0.0
 
+    def test_training_normalizes_per_batch_as_the_whole_matrix_did(self, tmp_path):
+        """`prepare` hands over the rows as given and `forward` z-scores
+        each batch; the losses and the checkpoint equal those of a model
+        whose `prepare` z-scores the whole matrix once, as it used to."""
+
+        class WholeMatrixDnn(TabularDnn):
+            def prepare(self, dataset):
+                cat_idx, cont = super().prepare(dataset)
+                return cat_idx, TabularDnn.normalize(self, cont)
+
+            def normalize(self, cont):
+                return cont  # z-scored by prepare
+
+        data = _gaussian_dataset(300, seed=4)
+        data.continuous *= np.random.default_rng(1).lognormal(0, 3, size=77)
+        config = TabularConfig(weighted=True, seed=5)
+        model = build_dnn(config, data)
+        whole = WholeMatrixDnn(config, model.cat_vocabs, model.norm_mean, model.norm_scale)
+        assert model.prepare(data)[1] is data.continuous
+        fit = dict(epochs=2, batch_size=config.batch_size,
+                   learning_rate=config.learning_rate, seed=config.seed,
+                   weights=tn.class_weights(150, 150))
+        history = tn.fit(model, model.prepare(data), data.labels, **fit)
+        whole_history = tn.fit(whole, whole.prepare(data), data.labels, **fit)
+        assert [(e.loss, e.accuracy) for e in history.epochs] == \
+            [(e.loss, e.accuracy) for e in whole_history.epochs]
+        tn.save_model(model, tmp_path / "batch.bin")
+        tn.save_model(whole, tmp_path / "whole.bin")
+        assert (tmp_path / "batch.bin").read_bytes() == (tmp_path / "whole.bin").read_bytes()
+
+    def test_training_holds_its_rows_once(self):
+        """No full-size copy of the continuous matrix: the statistics and
+        the normalization run in blocks and batches. A normalized copy
+        and `np.std`'s temporaries held about 2.1 times the matrix."""
+        data = _gaussian_dataset(40_000, seed=3)
+        peak = _traced_peak(train_dnn, data, TabularConfig(epochs=1, seed=3))
+        assert peak < 0.5 * data.continuous.nbytes
+
     def test_schema_mismatch_rejected(self):
         data = _gaussian_dataset(50)
         model = build_dnn(TabularConfig(), data)
@@ -255,6 +321,33 @@ class TestPredict:
                   < np.linalg.norm(test.continuous - c0, axis=1)).astype(int)
         assert (predicted == oracle).mean() >= 0.99
 
+    @pytest.mark.parametrize("n", [0, 1, 256, BLOCK_ROWS])
+    def test_up_to_one_block_is_one_forward(self, n):
+        data = _gaussian_dataset(max(n, 16), seed=2).subset(range(n))
+        model = build_dnn(TabularConfig(), _gaussian_dataset(64, seed=2))
+        probs, _ = dnn_predict(model, data)
+        whole = tn.softmax(model.forward(model.prepare(data)))
+        assert probs.shape == (n, 2)
+        assert probs.tobytes() == whole.tobytes()
+
+    def test_blocks_agree_with_one_forward(self):
+        data = _gaussian_dataset(3 * BLOCK_ROWS + 5, seed=9)
+        model, _ = train_dnn(data.subset(range(400)), TabularConfig(epochs=1, seed=9))
+        probs, classes = dnn_predict(model, data)
+        whole = tn.softmax(model.forward(model.prepare(data)))
+        assert np.max(np.abs(probs - whole)) <= 1e-12
+        assert np.array_equal(classes, whole[:, 1] >= tn.DECISION_THRESHOLD)
+
+    def test_scoring_memory_does_not_grow_with_the_rows(self):
+        """50,000 rows hold no more than two blocks and a few rows do;
+        one forward over every row held about 29 times the input."""
+        model = build_dnn(TabularConfig(), _gaussian_dataset(64, seed=1))
+        big = _gaussian_dataset(50_000, seed=1)
+        small = big.subset(range(2 * BLOCK_ROWS + 5))
+        dnn_predict(model, small)  # first-call allocations out of the way
+        small_peak = _traced_peak(dnn_predict, model, small)
+        assert _traced_peak(dnn_predict, model, big) < 1.5 * small_peak
+
 
 class TestKfold:
     def test_fold_sizes_and_averages(self):
@@ -281,6 +374,26 @@ class TestKfold:
         for fold in report.folds:
             assert fold.accuracy >= 99.0
             assert fold.auc >= 99.0
+
+    def test_each_fold_trains_on_every_row_it_does_not_hold(self, monkeypatch):
+        from wsdetect import trafficmodel
+        from wsdetect.evalkit import stratified_folds
+
+        data = _gaussian_dataset(103, seed=5)
+        trained = []
+
+        def spy(train, config):
+            trained.append(train)
+            return train_dnn(train, config)
+
+        monkeypatch.setattr(trafficmodel, "train_dnn", spy)
+        report = kfold_cv(data, 4, TabularConfig(epochs=1), seed=3)
+        folds = stratified_folds(data.labels, 4, seed=3)
+        assert [r.confusion.total for r in report.folds] == [len(f) for f in folds]
+        for train, held in zip(trained, folds):
+            expected = data.subset(sorted(set(range(len(data))).difference(held)))
+            for name in ("categoricals", "continuous", "labels"):
+                assert np.array_equal(getattr(train, name), getattr(expected, name))
 
     def test_k_exceeding_records(self):
         data = _gaussian_dataset(8)
