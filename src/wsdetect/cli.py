@@ -181,21 +181,10 @@ def cmd_train_flow(args, out, err) -> int:
 
 # --- prediction ---------------------------------------------------------
 
-# `predict src` reads and vectorizes at most this many files, then
-# classifies their vectors in one CNN forward
-SRC_BATCH_FILES = 64
-
-
 def cmd_predict_src(args, out, err) -> int:
     from wsdetect.files import read_each
-    from wsdetect.opcode import OciVector, OpcodeParseError
     from wsdetect.rulelang import CompiledRuleSet
-    from wsdetect.srcmodel import (
-        OpcodeCnn,
-        check_model_pairing,
-        cnn_verdicts,
-        rules_or_vector,
-    )
+    from wsdetect.srcmodel import OpcodeCnn, check_model_pairing, detect
     from wsdetect.tensornet import load_model
 
     model = load_model(args.model, expect=OpcodeCnn)
@@ -204,40 +193,17 @@ def cmd_predict_src(args, out, err) -> int:
     check_model_pairing(model, language, vocab)  # one error, before any file
     # built once: the matcher would rebuild its key tables for every file
     rules = CompiledRuleSet(_load_ruleset(args.rules)) if args.rules else None
-    max_length = model.config.max_length
     detections = failed = 0
-    for start in range(0, len(args.files), SRC_BATCH_FILES):
-        batch = args.files[start:start + SRC_BATCH_FILES]
-        # each file's rule verdict, vector or error message; its bytes are
-        # not kept
-        results = []
-        for _, result in read_each(batch):
-            if isinstance(result, bytes):
-                try:
-                    result = rules_or_vector(rules, result, language, vocab,
-                                             max_length)
-                except OpcodeParseError as exc:
-                    # the message, not the exception: its traceback would
-                    # hold this frame, and all it references, until a GC pass
-                    result = str(exc)
-            results.append(result)
-        vectors = [result for result in results if isinstance(result, OciVector)]
-        verdicts = iter(cnn_verdicts(model, vectors))
-        lines, failures = [], []
-        for path, result in zip(batch, results):
-            if isinstance(result, str):
-                failures.append((path, result))
-                continue
-            verdict = next(verdicts) if isinstance(result, OciVector) else result
-            detections += verdict.label == "Webshell"
-            lines.append(json.dumps({
-                "path": path, "label": verdict.label, "source": verdict.source,
-                "p_webshell": round(verdict.p_webshell, 6),
-                "rules": list(verdict.matched_rules)}))
-        if lines:
-            print("\n".join(lines), file=out)
-        _print_failures(failures, err, as_json=True)
-        failed += len(failures)
+    for path, verdict in detect(model, rules, read_each(args.files), language, vocab):
+        if isinstance(verdict, str):
+            _print_failures([(path, verdict)], err, as_json=True)
+            failed += 1
+            continue
+        detections += verdict.label == "Webshell"
+        print(json.dumps({
+            "path": path, "label": verdict.label, "source": verdict.source,
+            "p_webshell": round(verdict.p_webshell, 6),
+            "rules": list(verdict.matched_rules)}), file=out)
     return _exit_code(detections, failed)
 
 
@@ -301,15 +267,16 @@ def cmd_eval_kfold(args, out, err) -> int:
     _, dataset = _labelled_dataset(args.csv)
     config = TabularConfig(weighted=args.weighted, seed=args.seed)
     report = kfold_cv(dataset, args.k, config, seed=args.seed)
+    # a mean that no fold defines is None, null in JSON
+    averages = {k: v if v is None else round(v, 4 if args.json else 2)
+                for k, v in report.averages.items()}
     if args.json:
         print(json.dumps({"folds": [f.as_dict() for f in report.folds],
-                          "averages": {k: round(v, 4) for k, v in
-                                       report.averages.items()}}), file=out)
+                          "averages": averages}), file=out)
     else:
         for fold in report.folds:
             print(fold.as_dict(), file=out)
-        print({"averages": {k: round(v, 2) for k, v in report.averages.items()}},
-              file=out)
+        print({"averages": averages}, file=out)
     return EXIT_OK
 
 

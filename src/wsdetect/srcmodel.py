@@ -7,12 +7,13 @@ a rule-matching file.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from wsdetect import tensornet as tn
-from wsdetect.opcode import OciVector, OpcodeVocabulary, dump_vector
+from wsdetect.opcode import OciVector, OpcodeParseError, OpcodeVocabulary, dump_vector
 from wsdetect.rulelang import CompiledRuleSet, RuleSet, match_buffer
 
 
@@ -217,33 +218,53 @@ def check_model_pairing(model: OpcodeCnn, language: str,
             f"the vocabulary has {len(vocab)}")
 
 
-def rules_or_vector(rules: RuleSet | CompiledRuleSet | None, data: bytes,
-                    language: str, vocab: OpcodeVocabulary,
-                    max_length: int) -> Verdict | OciVector:
-    """The first phase of hybrid detection for one file: its rule
-    verdict, or else its OCI vector for the CNN.
+# `detect` reads and vectorizes at most this many items, then classifies
+# their vectors in one CNN forward
+SRC_BATCH_FILES = 64
 
-    The file bytes are matched as-is against `rules`, when given. With
-    no match they are read as the language's opcode dump (`dump_vector`,
+
+def detect(model: OpcodeCnn, rules: RuleSet | CompiledRuleSet | None, items,
+           language: str, vocab: OpcodeVocabulary):
+    """Hybrid detection over `(name, bytes | reason)` items, as
+    `files.read_each` yields them: each name with its `Verdict`, or with
+    its reason string, in item order.
+
+    The bytes are matched as-is against `rules`, when given. With no
+    match they are read as the language's opcode dump (`dump_vector`,
     as `oci extract` reads them); a dump with no recognizable opcode
-    rows raises `OpcodeParseError` rather than defaulting to a benign
-    verdict. A dump whose rows are all out of the vocabulary is an
-    all-padding vector.
-    The model's pairing with `language` and `vocab` is the caller's to
-    check, once.
+    rows yields its message rather than a benign verdict. A dump whose
+    rows are all out of the vocabulary is an all-padding vector.
+    Items are pulled `SRC_BATCH_FILES` at a time, and no item's bytes are
+    kept; one forward scores a batch's vectors before any of its items
+    is yielded. The model's pairing with `language` and `vocab` is the
+    caller's to check, once.
     """
-    if rules is not None:
-        names = match_buffer(rules, data)
-        if names:
-            return Verdict(label="Webshell", source="rules", p_webshell=1.0,
-                           matched_rules=tuple(names))
-    return dump_vector(data, language, vocab, max_length)
-
-
-def cnn_verdicts(model: OpcodeCnn, vectors) -> list[Verdict]:
-    """The CNN's verdicts on OCI vectors, in order, from one forward."""
-    if not vectors:
-        return []
-    return [Verdict(label="Webshell" if p >= tn.DECISION_THRESHOLD else "Benign",
-                    source="cnn", p_webshell=p)
-            for p in cnn_predict_batch(model, vectors)[:, 1].tolist()]
+    items = iter(items)
+    max_length = model.config.max_length
+    while True:
+        # each item's name with its rule verdict, vector or reason
+        results = []
+        for name, result in itertools.islice(items, SRC_BATCH_FILES):
+            if isinstance(result, bytes):
+                names = match_buffer(rules, result) if rules is not None else ()
+                if names:
+                    result = Verdict(label="Webshell", source="rules", p_webshell=1.0,
+                                     matched_rules=tuple(names))
+                else:
+                    try:
+                        result = dump_vector(result, language, vocab, max_length)
+                    except OpcodeParseError as exc:
+                        # the message, not the exception: its traceback would
+                        # hold this frame, and all it references, until a GC pass
+                        result = str(exc)
+            results.append((name, result))
+        if not results:
+            return
+        vectors = [result for _, result in results if isinstance(result, OciVector)]
+        scores = iter(cnn_predict_batch(model, vectors)[:, 1].tolist() if vectors else ())
+        for name, result in results:
+            if isinstance(result, OciVector):
+                p = next(scores)
+                result = Verdict(label="Webshell" if p >= tn.DECISION_THRESHOLD else "Benign",
+                                 source="cnn", p_webshell=p)
+            yield name, result

@@ -22,6 +22,7 @@ import numpy as np
 from wsdetect import tensornet as tn
 from wsdetect.evalkit import (
     ConfusionMatrix,
+    EvalError,
     auc_score,
     confusion_from_predictions,
     metrics,
@@ -310,6 +311,9 @@ def dnn_predict(model: TabularDnn, dataset: TabularDataset,
 
 @dataclass
 class FoldMetrics:
+    """One fold's percentages. As in `MetricReport`, a metric the fold
+    cannot define (AUC included) is reported as 0 and listed in `undefined`."""
+
     fold: int
     confusion: ConfusionMatrix
     accuracy: float
@@ -319,25 +323,29 @@ class FoldMetrics:
     fpr: float
     auc: float
     seconds: float
+    undefined: tuple[str, ...] = ()
 
     def as_dict(self) -> dict:
         return {"fold": self.fold, "accuracy": round(self.accuracy, 2),
                 "precision": round(self.precision, 2),
                 "recall": round(self.recall, 2), "f1": round(self.f1, 2),
                 "fpr": round(self.fpr, 2), "auc": round(self.auc, 2),
-                "seconds": round(self.seconds, 3)}
+                "seconds": round(self.seconds, 3),
+                **({"undefined": list(self.undefined)} if self.undefined else {})}
 
 
 @dataclass
 class CvReport:
     folds: list[FoldMetrics]
-    averages: dict[str, float]
+    averages: dict[str, float | None]
 
 
 def kfold_cv(dataset: TabularDataset, k: int, config: TabularConfig,
              seed: int = 0) -> CvReport:
-    """Stratified k-fold cross-validation with a fresh model per fold."""
+    """Stratified k-fold cross-validation with a fresh model per fold. Each
+    average is over the folds that define its metric, None if none does."""
     folds = stratified_folds(dataset.labels, k, seed=seed)
+    reported = ("accuracy", "precision", "recall", "f1", "fpr", "auc")
     results: list[FoldMetrics] = []
     for fold_no, held in enumerate(folds):
         in_train = np.ones(len(dataset), bool)
@@ -350,15 +358,17 @@ def kfold_cv(dataset: TabularDataset, k: int, config: TabularConfig,
         elapsed = time.perf_counter() - start
         cm = confusion_from_predictions(test.labels, predicted)
         panel = metrics(cm)
+        undefined = [name for name in panel.undefined if name in reported]
         try:
             auc = 100.0 * auc_score(test.labels, probs[:, 1])
-        except Exception:
+        except EvalError:  # the held-out rows lack a class
             auc = 0.0
+            undefined.append("auc")
         results.append(FoldMetrics(
             fold=fold_no + 1, confusion=cm, accuracy=panel.accuracy,
             precision=panel.precision, recall=panel.recall, f1=panel.f1,
-            fpr=panel.fpr, auc=auc, seconds=elapsed))
-    keys = ("accuracy", "precision", "recall", "f1", "fpr", "auc", "seconds")
-    averages = {key: sum(getattr(r, key) for r in results) / len(results)
-                for key in keys}
+            fpr=panel.fpr, auc=auc, seconds=elapsed, undefined=tuple(undefined)))
+    defined = {key: [getattr(r, key) for r in results if key not in r.undefined]
+               for key in reported + ("seconds",)}
+    averages = {key: sum(v) / len(v) if v else None for key, v in defined.items()}
     return CvReport(folds=results, averages=averages)

@@ -392,6 +392,18 @@ class TestFlowPipeline:
         payload = json.loads(out)
         assert len(payload["folds"]) == 4
 
+        # with no webshell row, no fold defines recall or AUC: null means
+        benign = tmp_path / "benign.csv"
+        benign.write_text("\n".join([lines[0]] + [
+            row.replace(",Webshell", ",Benign") for row in big[1:]]) + "\n")
+        code, out, err = _run(["eval", "kfold", "--csv", str(benign),
+                               "--k", "4", "--json"])
+        assert code == EXIT_OK, err
+        payload = json.loads(out)
+        assert payload["averages"]["recall"] is None
+        assert payload["averages"]["auc"] is None
+        assert all(fold["undefined"] == ["recall", "auc"] for fold in payload["folds"])
+
 
     def test_extract_reports_fragments_beside_skipped(self, tmp_path):
         from tests.conftest import arp_frame, ethernet_ipv4_tcp, pcap_bytes

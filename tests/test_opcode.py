@@ -17,6 +17,7 @@ from wsdetect.opcode import (
     OpcodeParseError,
     OpcodeVocabulary,
     builtin_vocabulary,
+    dump_vector,
     load_vocabulary,
     oiva,
     parse_cil,
@@ -440,15 +441,13 @@ class TestCorpus:
                                                ("cil", CIL_GET_REQUEST)])
     def test_crlf_dumps_vectorize_as_predict_src_reads_them(self, tmp_path,
                                                             language, dump):
-        from wsdetect.srcmodel import rules_or_vector
-
         vocab = builtin_vocabulary(language)
         # CRLF line ends, and a byte that is not UTF-8 in a non-op line
         data = dump.replace("\n", "\r\n").encode() + b"// \xff\r\n"
         path = tmp_path / f"dump.{language}"
         path.write_bytes(data)
         corpus = vectorize_corpus([(path, 1)], language, vocab, 16)
-        direct = rules_or_vector(None, data, language, vocab, 16)
+        direct = dump_vector(data, language, vocab, 16)
         assert corpus.failures == [] and corpus.vectors == [direct]
         assert np.count_nonzero(direct.indices) > 2
 

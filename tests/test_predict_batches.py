@@ -67,7 +67,7 @@ def test_each_line_is_the_line_of_its_one_file_call(scan, monkeypatch):
     argv, files = scan
     alone = [_run(argv + [path]) for path in files]
     assert all(len((out + err).splitlines()) == 1 for _, out, err in alone)
-    monkeypatch.setattr(cli, "SRC_BATCH_FILES", 2)
+    monkeypatch.setattr(srcmodel, "SRC_BATCH_FILES", 2)
     forwards = []
     forward = OpcodeCnn.forward
     monkeypatch.setattr(OpcodeCnn, "forward",
@@ -105,7 +105,7 @@ def test_the_model_pairing_is_checked_once_per_call(scan, monkeypatch):
     check = srcmodel.check_model_pairing
     monkeypatch.setattr(srcmodel, "check_model_pairing",
                         lambda *args: calls.append(args) or check(*args))
-    monkeypatch.setattr(cli, "SRC_BATCH_FILES", 3)
+    monkeypatch.setattr(srcmodel, "SRC_BATCH_FILES", 3)
     assert _run(argv + files)[0] == cli.EXIT_DETECTED
     assert len(calls) == 1
 

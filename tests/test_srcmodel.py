@@ -8,7 +8,15 @@ import numpy as np
 import pytest
 
 from wsdetect import tensornet as tn
-from wsdetect.opcode import OciVector, OpcodeListing, OpcodeParseError, OpcodeVocabulary, oiva
+from wsdetect import srcmodel
+from wsdetect.opcode import (
+    OciVector,
+    OpcodeListing,
+    OpcodeParseError,
+    OpcodeVocabulary,
+    dump_vector,
+    oiva,
+)
 from wsdetect.rulelang import parse_rules
 from wsdetect.srcmodel import (
     CnnConfig,
@@ -17,8 +25,7 @@ from wsdetect.srcmodel import (
     build_cnn,
     check_model_pairing,
     cnn_predict_batch,
-    cnn_verdicts,
-    rules_or_vector,
+    detect,
     train_cnn,
 )
 from wsdetect.tensornet.layers import ShapeError
@@ -34,12 +41,13 @@ def cnn_predict(model, oci) -> tuple[float, float]:
     return p_benign, p_webshell
 
 
-def hybrid_detect(rules, model, data, language, vocab) -> Verdict:
-    """What `predict src` does for one file: the pairing check, the
-    rules or the vector, then the CNN on the vector."""
+def hybrid_detect(rules, model, data, language, vocab) -> Verdict | str:
+    """What `predict src` does for one file: the pairing check, then
+    `detect` on its bytes."""
     check_model_pairing(model, language, vocab)
-    result = rules_or_vector(rules, data, language, vocab, model.config.max_length)
-    return result if isinstance(result, Verdict) else cnn_verdicts(model, [result])[0]
+    [(name, result)] = detect(model, rules, [("f", data)], language, vocab)
+    assert name == "f"
+    return result
 
 
 def _tiny_config(**overrides):
@@ -307,23 +315,25 @@ class TestHybridDetect:
         assert verdict.p_webshell == pytest.approx(0.5, abs=1e-12)
         assert verdict.label == "Webshell"
 
-    def test_unparseable_input_raises(self):
+    def test_unparseable_input_yields_its_reason(self):
         garbage = b"\x00\x01\x02 no opcode rows at all"
-        with pytest.raises(OpcodeParseError):
-            hybrid_detect(RULES, _forced_model(0.5), garbage, "php", VOCAB)
+        reason = hybrid_detect(RULES, _forced_model(0.5), garbage, "php", VOCAB)
+        assert reason == "no php opcode rows recognized"
 
     def test_rows_all_out_of_the_vocabulary_are_an_all_padding_vector(self):
         # op rows the vocabulary lacks are not "no opcode rows"
         dump = b"line 1 0 E > NOT_IN_VOCAB 'x'\n     2 1 > ALSO_NOT 1\n"
-        vec = rules_or_vector(RULES, dump, "php", VOCAB, 12)
-        assert vec == OciVector((0,) * 12)
+        assert dump_vector(dump, "php", VOCAB, 12) == OciVector((0,) * 12)
+        assert hybrid_detect(RULES, _forced_model(0.3), dump, "php", VOCAB).source == "cnn"
         with pytest.raises(OpcodeParseError, match="^no php opcode rows recognized$"):
-            rules_or_vector(RULES, b"NOT_IN_VOCAB without a number\n", "php", VOCAB, 12)
+            dump_vector(b"NOT_IN_VOCAB without a number\n", "php", VOCAB, 12)
 
     def test_no_rules_goes_straight_to_the_vector(self):
         data = b"1 0 E > ECHO b374k\n"
-        assert rules_or_vector(RULES, data, "php", VOCAB, 4).source == "rules"
-        assert rules_or_vector(None, data, "php", VOCAB, 4) == OciVector((1, 0, 0, 0))
+        model = _forced_model(0.3)
+        assert hybrid_detect(RULES, model, data, "php", VOCAB).source == "rules"
+        assert hybrid_detect(None, model, data, "php", VOCAB).source == "cnn"
+        assert dump_vector(data, "php", VOCAB, 4) == OciVector((1, 0, 0, 0))
 
     def test_vocabulary_mismatch_rejected(self):
         model = build_cnn(_tiny_config(), vocab=VOCAB)
@@ -362,3 +372,57 @@ class TestHybridDetect:
             Verdict(label="Webshell", source="rules", p_webshell=1.0)
         with pytest.raises(ValueError):
             Verdict(label="Maybe", source="cnn", p_webshell=0.4)
+
+
+class TestDetectStreams:
+    DUMP = b"line 1 0 E > ECHO 'x'\n     2 1 > RETURN 1\n"
+
+    @staticmethod
+    def _counting(items, pulled):
+        for item in items:
+            pulled.append(item[0])
+            yield item
+
+    def test_pulls_at_most_one_batch_before_each_yield(self, monkeypatch):
+        monkeypatch.setattr(srcmodel, "SRC_BATCH_FILES", 3)
+        pulled = []
+        items = self._counting([(f"f{n}", self.DUMP) for n in range(8)], pulled)
+        seen = []
+        for name, verdict in detect(_forced_model(0.2), None, items, "php", VOCAB):
+            # a batch is pulled whole, and only once the last one is yielded
+            assert len(pulled) == min(8, 3 * (len(seen) // 3 + 1))
+            seen.append(name)
+        assert seen == pulled == [f"f{n}" for n in range(8)]
+
+    def test_reasons_pass_through_in_place(self):
+        items = [("a", b"b374k"), ("b", "Permission denied"), ("c", self.DUMP),
+                 ("d", b"no opcode rows"), ("e", "not a regular file")]
+        results = list(detect(_forced_model(0.2), RULES, items, "php", VOCAB))
+        assert [name for name, _ in results] == ["a", "b", "c", "d", "e"]
+        assert results[1][1] == "Permission denied"
+        assert results[3][1] == "no php opcode rows recognized"
+        assert results[4][1] == "not a regular file"
+        assert (results[0][1].source, results[2][1].source) == ("rules", "cnn")
+
+    def test_without_rules_every_readable_item_gets_a_cnn_verdict(self):
+        items = [("hit", b"1 0 E > ECHO b374k\n"), ("gone", "No such file or directory"),
+                 ("dump", self.DUMP)]
+        results = dict(detect(_forced_model(0.7), None, items, "php", VOCAB))
+        assert results["gone"] == "No such file or directory"
+        for name in ("hit", "dump"):
+            assert (results[name].source, results[name].label) == ("cnn", "Webshell")
+            assert results[name].p_webshell == pytest.approx(0.7, abs=1e-9)
+
+    def test_one_forward_per_batch_that_holds_a_vector(self, monkeypatch):
+        monkeypatch.setattr(srcmodel, "SRC_BATCH_FILES", 3)
+        model = _forced_model(0.2)
+        forwards = []
+        forward = model.forward
+        monkeypatch.setattr(model, "forward",
+                            lambda x, *a, **k: forwards.append(len(x)) or forward(x, *a, **k))
+        items = [("v0", self.DUMP), ("v1", self.DUMP), ("r0", "gone"),
+                 ("r1", "gone"), ("hit", b"b374k"), ("r2", b"no rows"),
+                 ("v2", self.DUMP)]
+        results = list(detect(model, RULES, items, "php", VOCAB))
+        assert [name for name, _ in results] == [name for name, _ in items]
+        assert forwards == [2, 1]

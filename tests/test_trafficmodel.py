@@ -359,6 +359,32 @@ class TestKfold:
         manual = sum(r.accuracy for r in report.folds) / 5
         assert report.averages["accuracy"] == pytest.approx(manual)
 
+    def test_a_fold_that_cannot_define_a_metric_leaves_it_out_of_the_mean(self):
+        """3 webshell rows in 5 folds: two folds hold none, so their AUC and
+        recall are undefined, and a zero for them would drag the mean down."""
+        data = _gaussian_dataset(403, imbalance=0.0075, seed=4)
+        assert int(data.labels.sum()) == 3
+        report = kfold_cv(data, 5, TabularConfig(epochs=1), seed=0)
+        positive = [f.confusion.tp + f.confusion.fn > 0 for f in report.folds]
+        assert positive.count(False) == 2
+        for fold, has_positive in zip(report.folds, positive):
+            assert ({"auc", "recall"} <= set(fold.undefined)) == (not has_positive)
+            assert fold.as_dict().get("undefined", []) == list(fold.undefined)
+        for key in ("accuracy", "precision", "recall", "f1", "fpr", "auc"):
+            defined = [getattr(f, key) for f in report.folds if key not in f.undefined]
+            expected = sum(defined) / len(defined) if defined else None
+            assert report.averages[key] == pytest.approx(expected)
+        assert report.averages["auc"] == pytest.approx(
+            sum(f.auc for f, p in zip(report.folds, positive) if p) / 3)
+
+    def test_a_metric_no_fold_defines_has_no_mean(self):
+        data = _gaussian_dataset(40, imbalance=0.0, seed=4)
+        report = kfold_cv(data, 4, TabularConfig(epochs=1), seed=0)
+        assert all(f.undefined == ("recall", "auc") for f in report.folds)
+        assert report.averages["recall"] is None and report.averages["auc"] is None
+        assert report.averages["accuracy"] == pytest.approx(
+            sum(f.accuracy for f in report.folds) / 4)
+
     def test_deterministic_fold_assignment(self):
         from wsdetect.evalkit import stratified_folds
 
